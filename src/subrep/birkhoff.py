@@ -27,6 +27,7 @@ from .ffmat import (
     Matrix,
     column_space_basis,
     kernel_basis,
+    rref,
     solve,
 )
 from .lambdamod import LambdaModule, submodule
@@ -90,15 +91,9 @@ class _HomCache:
                 continue
             restricted = [h @ comp_incl for h in basis]
             flat = Matrix(field, np.stack([h.flatten() for h in restricted], axis=1))
-            _, pivots, _ = _rref_cached(flat)
+            _, pivots, _ = rref(flat)
             self.backward[z] = [restricted[j] for j in pivots]
         self.current = complement
-
-
-def _rref_cached(m: Matrix):
-    from .ffmat import rref
-
-    return rref(m)
 
 
 def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache = None):

@@ -3,6 +3,18 @@
 Matrices act on column vectors: a map from a d-dimensional space to an
 e-dimensional space is an e x d matrix.  All entries are stored reduced
 mod p in int64 numpy arrays.
+
+`Matrix(field, data)` accepts any integer data and reduces it.  Results
+computed here from matrices that are already reduced are wrapped by the
+trusted constructor `_wrap` instead, which skips the conversion, the
+shape check and the reduction; its argument must be a 2-D int64 array,
+already reduced mod p, that owns its data (a copy, never a view into a
+larger buffer that the wrapper would keep alive).
+
+Row reduction over F_2 runs on bit-packed rows: each row becomes a
+Python int and elimination is XOR.  The reduced row echelon form is
+unique, so pivots and reduced arrays are identical to the general
+elimination used for every other prime.
 """
 
 from __future__ import annotations
@@ -82,11 +94,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return _wrap(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, np.eye(n, dtype=np.int64))
+        return _wrap(field, np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -109,30 +121,30 @@ class Matrix:
 
     def __matmul__(self, other):
         self._check_mul(other)
-        return Matrix(self.field, _matmul_mod(self.a, other.a, self.field.p))
+        return _wrap(self.field, _matmul_mod(self.a, other.a, self.field.p))
 
     def scale(self, c: int):
         return Matrix(self.field, self.a * (int(c) % self.field.p))
 
     def transpose(self):
-        return Matrix(self.field, self.a.T)
+        return _wrap(self.field, self.a.T.copy())
 
     def hstack(self, other):
         self._check_field(other)
-        return Matrix(self.field, np.hstack([self.a, other.a]))
+        return _wrap(self.field, np.hstack([self.a, other.a]))
 
     def vstack(self, other):
         self._check_field(other)
-        return Matrix(self.field, np.vstack([self.a, other.a]))
+        return _wrap(self.field, np.vstack([self.a, other.a]))
 
     def column(self, j):
-        return Matrix(self.field, self.a[:, j : j + 1])
+        return _wrap(self.field, self.a[:, j : j + 1].copy())
 
     def take_columns(self, idx):
-        return Matrix(self.field, self.a[:, list(idx)])
+        return _wrap(self.field, self.a[:, list(idx)].copy())
 
     def submatrix(self, row_slice, col_slice):
-        return Matrix(self.field, self.a[row_slice, col_slice])
+        return _wrap(self.field, self.a[row_slice, col_slice].copy())
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -172,14 +184,14 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.a.shape} by {other.a.shape}")
 
 
-def hstack_all(field, mats, rows=None):
-    arrays = [m.a for m in mats if m.cols > 0] or [np.zeros((rows or 0, 0), dtype=np.int64)]
-    return Matrix(field, np.hstack(arrays))
-
-
-def vstack_all(field, mats, cols=None):
-    arrays = [m.a for m in mats if m.rows > 0] or [np.zeros((0, cols or 0), dtype=np.int64)]
-    return Matrix(field, np.vstack(arrays))
+def _wrap(field: PrimeField, a: np.ndarray) -> Matrix:
+    """Trusted Matrix constructor: `a` is 2-D int64, already reduced mod
+    p and owns its data.  Skips every check and the reduction."""
+    m = object.__new__(Matrix)
+    a.setflags(write=False)
+    m.field = field
+    m.a = a
+    return m
 
 
 def block_diag(field, mats):
@@ -191,7 +203,7 @@ def block_diag(field, mats):
         out[r : r + m.rows, c : c + m.cols] = m.a
         r += m.rows
         c += m.cols
-    return Matrix(field, out)
+    return _wrap(field, out)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -205,16 +217,14 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
-def _inv_vector(field: PrimeField, values: np.ndarray) -> np.ndarray:
-    return np.array([field.inv(int(v)) for v in values], dtype=np.int64)
-
-
 def _rref_inplace(a: np.ndarray, p: int):
     """Row-reduce `a` in place; returns (pivot column list, rank).
 
     Deterministic convention: leftmost pivot column, topmost nonzero row,
     pivot scaled to 1, full elimination above and below.
     """
+    if p == 2:
+        return _rref_gf2_inplace(a)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -241,11 +251,56 @@ def _rref_inplace(a: np.ndarray, p: int):
     return pivots, len(pivots)
 
 
+def _rref_gf2_inplace(a: np.ndarray):
+    """`_rref_inplace` over F_2 on bit-packed rows.
+
+    Bit j of a row's int is column j, so a row's leading column is its
+    lowest set bit and adding rows is XOR.  Rows are absorbed one at a
+    time into a fully reduced basis keyed by pivot bit; sorting that
+    basis by pivot gives the reduced row echelon form, which is unique,
+    so the result equals the general elimination's.
+    """
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return [], 0
+    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    basis = {}
+    pivot_mask = 0
+    for i in range(rows):
+        x = int.from_bytes(data[i * width : (i + 1) * width], "little")
+        # basis rows are reduced, so clearing one pivot bit of x leaves
+        # its other pivot bits alone
+        hits = x & pivot_mask
+        while hits:
+            low = hits & -hits
+            x ^= basis[low]
+            hits ^= low
+        if not x:
+            continue
+        low = x & -x
+        for key, y in basis.items():
+            if y & low:
+                basis[key] = y ^ x
+        basis[low] = x
+        pivot_mask |= low
+        if len(basis) == cols:
+            break
+    order = sorted(basis)
+    rank = len(order)
+    data = b"".join(basis[key].to_bytes(width, "little") for key in order)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(rank, width)
+    a[:rank] = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+    a[rank:] = 0
+    return [key.bit_length() - 1 for key in order], rank
+
+
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (rref matrix, pivot columns, rank)."""
     a = m.a.copy()
     pivots, rank = _rref_inplace(a, m.field.p)
-    return Matrix(m.field, a), tuple(pivots), rank
+    return _wrap(m.field, a), tuple(pivots), rank
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -253,14 +308,13 @@ def kernel_basis(m: Matrix) -> Matrix:
     a = m.a.copy()
     p = m.field.p
     pivots, rank = _rref_inplace(a, p)
-    cols = m.cols
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-a[i, fc]) % p
-    return Matrix(m.field, basis)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((m.cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = (-a[:rank, free]) % p
+    return _wrap(m.field, basis)
 
 
 def left_kernel_basis(m: Matrix) -> Matrix:
@@ -290,15 +344,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         if c >= n:
             raise NoSolutionError("inconsistent linear system")
         x[c] = aug[i, n:]
-    return Matrix(a.field, x)
-
-
-def in_column_span(basis: Matrix, v: Matrix) -> bool:
-    try:
-        solve(basis, v)
-        return True
-    except NoSolutionError:
-        return False
+    return _wrap(a.field, x)
 
 
 class CoordinateSolver:
@@ -326,7 +372,7 @@ class CoordinateSolver:
         w = _matmul_mod(self._u, v.a, self.field.p)
         if w[self.rank :].any():
             raise NoSolutionError("vector not in span of basis")
-        return Matrix(self.field, w[: self.rank])
+        return _wrap(self.field, w[: self.rank].copy())
 
     def contains(self, v: Matrix) -> bool:
         w = _matmul_mod(self._u, v.a, self.field.p)

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .ffmat import (
     Matrix,
+    _wrap,
     column_space_basis,
     kernel_basis,
     solve,
@@ -367,11 +368,14 @@ class Morphism:
 
 
 def morphism_from_flat(x, y, vec) -> Morphism:
+    """Inverse of Morphism.flatten; `vec` is an int64 vector already
+    reduced mod p."""
     comps = {}
     o = 0
     for v in x.quiver.vertices:
         r, c = y.dim(v), x.dim(v)
-        comps[v] = Matrix(x.field, np.asarray(vec[o : o + r * c]).reshape((r, c), order="F"))
+        # column-major (r, c) is the transpose of row-major (c, r)
+        comps[v] = _wrap(x.field, vec[o : o + r * c].reshape((c, r)).T.copy())
         o += r * c
     return Morphism(x, y, comps)
 
@@ -420,59 +424,59 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
     morphism_from_flat.  Deterministic.
     """
     field = x.field
-    p = field.p
     verts = x.quiver.vertices
-    sizes = [y.dim(v) * x.dim(v) for v in verts]
+    arrows = x.quiver.arrows
+    dx = {v: x.dim(v) for v in verts}
+    dy = {v: y.dim(v) for v in verts}
     offsets = {}
-    o = 0
-    for v, s in zip(verts, sizes):
-        offsets[v] = o
-        o += s
-    total = o
-    rows = []
-
-    def add_block(row_count, fill):
-        block = np.zeros((row_count, total), dtype=np.int64)
-        fill(block)
-        rows.append(block)
-
-    eye = np.eye
+    total = 0
     for v in verts:
-        dx, dy = x.dim(v), y.dim(v)
-        if dx == 0 or dy == 0:
-            continue
-        tx, ty = x.spaces[v].t.a, y.spaces[v].t.a
-        # f tx - ty f = 0  ->  (tx^T kron I - I kron ty) vec(f) = 0
-        block = np.kron(tx.T, eye(dy, dtype=np.int64)) - np.kron(
-            eye(dx, dtype=np.int64), ty
-        )
-        wide = np.zeros((block.shape[0], total), dtype=np.int64)
-        wide[:, offsets[v] : offsets[v] + dx * dy] = block
-        rows.append(wide)
-    for (s, t) in x.quiver.arrows:
-        dxs, dys = x.dim(s), y.dim(s)
-        dxt, dyt = x.dim(t), y.dim(t)
-        if dyt * dxs == 0:
-            continue
-        xa = x.arrow_maps[(s, t)].a
-        ya = y.arrow_maps[(s, t)].a
-        # f_t X_a - Y_a f_s = 0
-        wide = np.zeros((dyt * dxs, total), dtype=np.int64)
-        if dxt * dyt:
-            wide[:, offsets[t] : offsets[t] + dxt * dyt] = np.kron(
-                xa.T, eye(dyt, dtype=np.int64)
-            )
-        if dxs * dys:
-            wide[:, offsets[s] : offsets[s] + dxs * dys] -= np.kron(
-                eye(dxs, dtype=np.int64), ya
-            )
-        rows.append(wide)
-    if rows:
-        system = Matrix(field, np.vstack(rows))
-        k = kernel_basis(system)
-    else:
+        offsets[v] = total
+        total += dy[v] * dx[v]
+    # one row block per vertex (dx*dy rows) and per arrow s -> t (dy_t*dx_s
+    # rows), skipping the empty ones
+    height = sum(dx[v] * dy[v] for v in verts) + sum(dy[t] * dx[s] for s, t in arrows)
+    if height == 0:
         k = Matrix.identity(field, total)
-    basis = tuple(morphism_from_flat(x, y, k.a[:, j]) for j in range(k.cols))
+    else:
+        system = np.zeros((height, total), dtype=np.int64)
+
+        def block(r, v, d1, d2):
+            # rows r .. r + d1*d2 and the columns of vec(f_v), viewed as
+            # [i, k, j, l] = (row r + i*d2 + k, column j*dy_v + l), where
+            # A kron B is [i, k, j, l] = A[i, j] B[k, l]: A kron I fills
+            # [:, k, :, k] and I kron B fills [i, :, i, :]
+            o = offsets[v]
+            return system[r : r + d1 * d2, o : o + dx[v] * dy[v]].reshape(
+                d1, d2, dx[v], dy[v]
+            )
+
+        r = 0
+        for v in verts:
+            n = dx[v] * dy[v]
+            if n == 0:
+                continue
+            # f tx - ty f = 0  ->  (tx^T kron I - I kron ty) vec(f) = 0
+            b = block(r, v, dx[v], dy[v])
+            ks, js = np.arange(dy[v]), np.arange(dx[v])
+            b[:, ks, :, ks] = x.spaces[v].t.a.T
+            b[js, :, js, :] -= y.spaces[v].t.a
+            r += n
+        for (s, t) in arrows:
+            n = dy[t] * dx[s]
+            if n == 0:
+                continue
+            # f_t X_a - Y_a f_s = 0: (X_a^T kron I) vec(f_t) - (I kron Y_a) vec(f_s)
+            if dx[t]:
+                ks = np.arange(dy[t])
+                block(r, t, dx[s], dy[t])[:, ks, :, ks] = x.arrow_maps[(s, t)].a.T
+            if dy[s]:
+                js = np.arange(dx[s])
+                block(r, s, dx[s], dy[t])[js, :, js, :] = -y.arrow_maps[(s, t)].a
+            r += n
+        k = kernel_basis(Matrix(field, system))
+    cols = k.a.T
+    basis = tuple(morphism_from_flat(x, y, cols[j]) for j in range(k.cols))
     return HomSpace(x, y, basis)
 
 

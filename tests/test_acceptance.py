@@ -7,6 +7,7 @@ check.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +34,14 @@ from subrep.examples import (
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra, block_invariants
 from subrep.posetrep import hom_basis
+from subrep.repfile import save_catalog
 from subrep.sampling import (
     random_representation,
     random_subspace_config,
     random_subspace_representation,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 _STATE = {}
 
@@ -258,3 +262,16 @@ def test_criterion_10_span_and_evaluation():
         f"{span_good}/100 objects generated by catalog homs; {eval_good}/50 "
         "evaluation maps bijective (exact dimension equality)",
     )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_catalog_fixtures_regenerate(p, tmp_path):
+    # the seed-0 catalogs built above, saved again, are the shipped
+    # fixtures byte for byte
+    out = tmp_path / f"catalog_p{p}"
+    save_catalog(_built_catalog(p), str(out))
+    shipped = FIXTURES / f"catalog_p{p}"
+    names = sorted(f.name for f in shipped.iterdir())
+    assert sorted(f.name for f in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (shipped / name).read_bytes(), name

@@ -136,6 +136,30 @@ def test_solve_random_consistency():
             assert aug.rank() > a.rank()
 
 
+def _kernel_basis_loop(m):
+    """Reference: the kernel read off the rref one entry at a time."""
+    r, pivots, _ = rref(m)
+    p = m.field.p
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = (-int(r.a[i, fc])) % p
+    return basis
+
+
+def test_kernel_basis_matches_entrywise_reference():
+    rng = np.random.default_rng(22)
+    for p in (2, 3, 5, 2**31 - 1):
+        field = PrimeField(p)
+        for _ in range(60):
+            rows, cols = int(rng.integers(0, 8)), int(rng.integers(0, 12))
+            entries = rng.integers(0, p, size=(rows, cols))
+            m = Matrix(field, (rng.random((rows, cols)) < 0.4) * entries)
+            assert np.array_equal(kernel_basis(m).a, _kernel_basis_loop(m))
+
+
 def test_rref_against_sympy():
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -279,3 +303,143 @@ def test_matmul_large_prime_no_overflow():
     b = Matrix(field, [[v], [v], [v]])
     expected = (3 * v * v) % field.p
     assert (a @ b).tolist() == [[expected]]
+
+
+# ---------------------------------------------------------------------------
+# F_2 elimination runs on bit-packed rows; these tests pin it to sympy's
+# GF(2) row reduction across shapes whose rows span several bytes and
+# several 64-bit words.
+
+F2_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 130)
+
+
+def _sympy_rref(m):
+    dm = sympy.polys.matrices.DomainMatrix.from_Matrix(
+        sympy.Matrix(m.tolist())
+    ).convert_to(GF(m.field.p))
+    reduced, pivots = dm.rref()
+    out = np.zeros(m.a.shape, dtype=np.int64)
+    for i, row in enumerate(reduced.to_list()):
+        out[i] = [int(e) % m.field.p for e in row]
+    return out, tuple(pivots)
+
+
+def _f2_cases():
+    rng = np.random.default_rng(20)
+    for cols in F2_WIDTHS:
+        for rows in (1, 3, 8, 70):
+            density = float(rng.choice([0.1, 0.5, 0.9]))
+            yield Matrix(F2, rng.random((rows, cols)) < density)
+        yield Matrix.zeros(F2, 4, cols)
+        yield Matrix(F2, np.ones((5, cols), dtype=np.int64))
+        # full rank: identity rows on a random column order, then mixed
+        n = min(cols, 6)
+        perm = rng.permutation(cols)[:n]
+        full = np.zeros((n, cols), dtype=np.int64)
+        full[np.arange(n), perm] = 1
+        mix = rng.integers(0, 2, size=(n, n))
+        np.fill_diagonal(mix, 1)
+        mix = np.tril(mix)  # unit lower triangular, invertible
+        yield Matrix(F2, mix @ full)
+        yield Matrix(F2, np.eye(cols, dtype=np.int64)[::-1])  # square, full rank
+
+
+def test_f2_rref_and_rank_against_sympy():
+    for m in _f2_cases():
+        r, pivots, rank = rref(m)
+        expected, expected_pivots = _sympy_rref(m)
+        assert np.array_equal(r.a, expected), m.a.shape
+        assert pivots == expected_pivots
+        assert rank == len(expected_pivots) == m.rank()
+
+
+def test_f2_kernel_basis_identities():
+    for m in _f2_cases():
+        k = kernel_basis(m)
+        _, pivots, rank = rref(m)
+        free = [c for c in range(m.cols) if c not in pivots]
+        assert k.a.shape == (m.cols, m.cols - rank)
+        assert (m @ k).is_zero()
+        assert np.array_equal(k.a[free], np.eye(len(free), dtype=np.int64))
+
+
+def test_f2_solve_and_coordinate_solver():
+    rng = np.random.default_rng(21)
+    for m in _f2_cases():
+        x0 = random_matrix(F2, m.cols, 2, rng)
+        b = m @ x0
+        x = solve(m, b)
+        assert m @ x == b
+        basis = column_space_basis(m)
+        cs = CoordinateSolver(basis)
+        c = random_matrix(F2, basis.cols, 3, rng)
+        assert cs.coords(basis @ c) == c
+        if m.rank() < m.rows:
+            outside = _outside_column_space(m)
+            with pytest.raises(NoSolutionError):
+                solve(m, outside)
+            assert not cs.contains(outside)
+            with pytest.raises(NoSolutionError):
+                cs.coords(outside)
+
+
+def _outside_column_space(m):
+    """A unit vector e_i with (left kernel) e_i != 0, so e_i is not m c."""
+    left = left_kernel_basis(m)
+    i = int(np.flatnonzero(left.a.any(axis=0))[0])
+    e = np.zeros((m.rows, 1), dtype=np.int64)
+    e[i] = 1
+    return Matrix(m.field, e)
+
+
+def test_f2_inconsistent_system():
+    a = Matrix(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # rows sum to zero
+    with pytest.raises(NoSolutionError):
+        solve(a, Matrix(F2, [[1], [0], [0]]))
+    assert solve(a, Matrix(F2, [[1], [1], [0]])) == Matrix(F2, [[0], [1], [0]])
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (3, 130), (130, 3)])
+def test_f2_empty_and_zero_shapes(shape):
+    m = Matrix.zeros(F2, *shape)
+    r, pivots, rank = rref(m)
+    assert r == m and pivots == () and rank == 0
+    k = kernel_basis(m)
+    assert k == Matrix.identity(F2, shape[1])
+    x = solve(m, Matrix.zeros(F2, shape[0], 1))
+    assert x == Matrix.zeros(F2, shape[1], 1)
+
+
+# ---------------------------------------------------------------------------
+# p = 2^31 - 1: entries p - 1 make every product and every negation reach
+# the int64 guards; results must come back reduced into [0, p).
+
+P31 = PrimeField(2**31 - 1)
+
+
+def _reduced(m):
+    return m.a.dtype == np.int64 and bool((m.a >= 0).all() and (m.a < m.field.p).all())
+
+
+def test_large_prime_kernel_basis():
+    v = P31.p - 1
+    m = Matrix(P31, [[v, v, 1, 0], [v, 0, v, v], [0, v, 2, v]])
+    k = kernel_basis(m)
+    assert _reduced(k)
+    assert k.cols == m.cols - m.rank() and k.cols >= 1
+    assert (m @ k).is_zero()
+
+
+def test_large_prime_solve_and_coordinates():
+    v = P31.p - 1
+    a = Matrix(P31, [[v, 1, v], [v, v, 0], [1, 0, v], [v, v, v]])
+    x0 = Matrix(P31, [[v, 3], [v, v], [2, v]])
+    b = a @ x0
+    x = solve(a, b)
+    assert _reduced(x) and a @ x == b
+    assert x == x0  # a has full column rank
+    cs = CoordinateSolver(a)
+    c = cs.coords(b)
+    assert _reduced(c) and c == x0
+    with pytest.raises(NoSolutionError):
+        cs.coords(_outside_column_space(a))

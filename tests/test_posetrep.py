@@ -7,7 +7,7 @@ from subrep.examples import (
     example_quiver,
     twisted_pair_representation,
 )
-from subrep.ffmat import Matrix, PrimeField
+from subrep.ffmat import CoordinateSolver, Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, block_invariants
 from subrep.posetrep import (
     Morphism,
@@ -310,3 +310,34 @@ def test_subspace_closure_under_operations():
     res = split_by_retraction(ds.rep, ds.inclusions[1], ds.projections[1])
     assert res.summand.is_subspace_rep()
     assert res.complement.is_subspace_rep()
+
+
+def test_hom_basis_large_prime_entries():
+    # negating T and every arrow of the twisted pair puts p - 1 into every
+    # nonzero entry; the hom system then carries entries near +-p before
+    # reduction
+    field = PrimeField(2**31 - 1)
+    alg = LambdaAlgebra(field, 2)
+    neg = field.p - 1
+    x = twisted_pair_representation(alg)
+    y = Representation(
+        x.quiver,
+        alg,
+        {v: LambdaModule(alg, x.spaces[v].t.scale(neg)) for v in x.quiver.vertices},
+        {a: m.scale(neg) for a, m in x.arrow_maps.items()},
+    )
+    assert (y.spaces["*"].t.a == neg).any() and (y.arrow_maps[("1", "2")].a == neg).any()
+    for src, tgt in ((y, y), (x, y), (y, x)):
+        hs = hom_basis(src, tgt)
+        for f in hs.basis:
+            for m in f.components.values():
+                assert m.a.dtype == np.int64
+                assert ((m.a >= 0) & (m.a < field.p)).all()
+            assert f.is_valid()
+        assert hs.basis_matrix().rank() == hs.dim
+    # y is x up to a ring automorphism and a sign per vertex, so End(y)
+    # has the dimension of End(x) and contains the identity
+    end_y = hom_basis(y, y)
+    assert end_y.dim == hom_basis(x, x).dim
+    ident = Morphism.identity(y).flatten().reshape(-1, 1)
+    assert CoordinateSolver(end_y.basis_matrix()).contains(Matrix(field, ident))
