@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolutionError, UnknownVertexError
+from .errors import UnknownVertexError
 from .ffmat import Matrix, column_space_basis, kernel_basis, solve
 from .lambdamod import (
     direct_sum_modules,
@@ -21,7 +21,14 @@ from .lambdamod import (
     lift_through_mono,
     submodule,
 )
-from .posetrep import STAR, HomSpace, Morphism, Representation, hom_basis
+from .posetrep import (
+    STAR,
+    Morphism,
+    Representation,
+    hom_basis,
+    postcompose,
+    precompose,
+)
 
 
 @dataclass
@@ -132,17 +139,17 @@ def right_approx(x: Representation) -> ApproxResult:
     return ApproxResult(current, structure, "right")
 
 
-def _factorization_matrix(through: HomSpace, post: Morphism) -> Matrix:
-    """Columns are the flattened composites post . b over the basis."""
-    field = post.source.field
-    cols = [(post @ b).flatten() for b in through.basis]
-    total = sum(
-        post.target.dim(v) * through.source.dim(v)
-        for v in post.source.quiver.vertices
-    )
-    if not cols:
-        return Matrix.zeros(field, total, 0)
-    return Matrix(field, np.stack(cols, axis=1))
+def _first_unfactored(tests, homs_from, span_from):
+    """The first (test, h) with h in the basis of homs_from(test) but not
+    in the span span_from(test); None when every such map lies in it."""
+    for test in tests:
+        homs = homs_from(test)
+        if homs.dim == 0:
+            continue
+        span = span_from(test)
+        if span.coefficients(homs.basis) is None:
+            return test, next(h for h in homs.basis if span.coefficients([h]) is None)
+    return None
 
 
 def verify_right_approx(res: ApproxResult, tests):
@@ -153,53 +160,15 @@ def verify_right_approx(res: ApproxResult, tests):
     (test, morphism) pair.
     """
     r = res.structure_map
-    x = r.target
-    for test in tests:
-        homs = hom_basis(test, x)
-        if homs.dim == 0:
-            continue
-        lifts = hom_basis(test, res.approx)
-        c = _factorization_matrix(lifts, r)
-        h_mat = homs.basis_matrix()
-        try:
-            solve(c, h_mat)
-        except NoSolutionError:
-            for h in homs.basis:
-                flat = Matrix(x.field, h.flatten().reshape(-1, 1))
-                try:
-                    solve(c, flat)
-                except NoSolutionError:
-                    return (test, h)
-    return None
+    return _first_unfactored(
+        tests, lambda t: hom_basis(t, r.target), lambda t: postcompose(r, t)
+    )
 
 
 def verify_left_approx(res: ApproxResult, tests):
     """Dual factorization check for l: x -> L(x): every h: x -> F factors
     as h' . l.  Returns None when all pass, else the failing pair."""
     l = res.structure_map
-    x = l.source
-    for test in tests:
-        homs = hom_basis(x, test)
-        if homs.dim == 0:
-            continue
-        lifts = hom_basis(res.approx, test)
-        field = x.field
-        cols = [(b @ l).flatten() for b in lifts.basis]
-        total = sum(
-            test.dim(v) * x.dim(v) for v in x.quiver.vertices
-        )
-        c = (
-            Matrix(field, np.stack(cols, axis=1))
-            if cols
-            else Matrix.zeros(field, total, 0)
-        )
-        try:
-            solve(c, homs.basis_matrix())
-        except NoSolutionError:
-            for h in homs.basis:
-                flat = Matrix(field, h.flatten().reshape(-1, 1))
-                try:
-                    solve(c, flat)
-                except NoSolutionError:
-                    return (test, h)
-    return None
+    return _first_unfactored(
+        tests, lambda t: hom_basis(l.source, t), lambda t: precompose(l, t)
+    )

@@ -13,6 +13,7 @@ it counts as verified.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +30,16 @@ from .errors import (
     BudgetExceededError,
     HasProjectiveSummandError,
     InternalContractViolation,
-    NoSolutionError,
 )
 from .ffmat import (
     Matrix,
     column_space_basis,
+    independent_columns,
     kernel_basis,
     left_kernel_basis,
     solve,
 )
-from .lambdamod import LambdaAlgebra, LambdaModule
+from .lambdamod import LambdaAlgebra, LambdaModule, block_invariants
 from .posetrep import (
     STAR,
     EndAlgebra,
@@ -50,6 +51,8 @@ from .posetrep import (
     end_algebra,
     hom_basis,
     kernel_subrep,
+    postcompose,
+    precompose,
     quotient_rep,
     subrep_from_bases,
 )
@@ -112,22 +115,8 @@ def top_complement(x: Representation, v) -> Matrix:
     for (s, t) in x.quiver.arrows_into(v):
         cols.append(x.arrow_maps[(s, t)].a)
     rad_span = column_space_basis(Matrix(field, np.hstack(cols)))
-    d = x.dim(v)
-    current = rad_span
-    rank = current.rank()
-    picked = []
-    for i in range(d):
-        if rank == d:
-            break
-        e = Matrix(field, np.eye(d, dtype=np.int64)[:, i : i + 1])
-        trial = current.hstack(e)
-        r = trial.rank()
-        if r > rank:
-            picked.append(i)
-            current, rank = trial, r
-    if not picked:
-        return Matrix.zeros(field, d, 0)
-    return Matrix(field, np.eye(d, dtype=np.int64)[:, picked])
+    ident = Matrix.identity(field, x.dim(v))
+    return ident.take_columns(independent_columns(rad_span, ident))
 
 
 def projective_cover(x: Representation):
@@ -294,149 +283,50 @@ def relative_translate_candidate(x: Representation, seed: int = 0):
     return [s.rep for s in indecompose(image, seed=seed).summands]
 
 
-def _rad_into(c: Representation, test: Representation, rad_end_c: RadicalData):
-    """Basis morphisms of rad(test, c): maps h with h . u in rad End(c)
-    for every u: c -> test."""
-    homs = hom_basis(test, c)
+def _radical_maps(x: Representation, y: Representation, rad_end: RadicalData, compose):
+    """Basis of the maps h: x -> y with compose(h, u) in the radical of
+    rad_end's algebra for every u: y -> x.  Into an indecomposable C
+    (y = C, compose(h, u) = h . u) or out of an indecomposable A (x = A,
+    compose(h, u) = u . h) these are the non-split maps."""
+    homs = hom_basis(x, y)
     if homs.dim == 0:
         return []
-    back = hom_basis(c, test)
-    endc = rad_end_c.algebra
-    field = c.field
+    back = hom_basis(y, x)
     if back.dim == 0:
         return list(homs.basis)
-    rad_cols = rad_end_c.coeff_matrix
-    # h in rad iff, for every u, the coordinates of h . u lie in the
-    # radical span: project the coordinates to the quotient and intersect
-    # the kernels over all u
+    end = rad_end.algebra
+    field = x.field
+    rad_cols = rad_end.coeff_matrix
+    # h in rad iff, for every u, the coordinates of compose(h, u) lie in
+    # the radical span: project the coordinates to the quotient and
+    # intersect the kernels over all u
     if rad_cols.cols:
         proj = left_kernel_basis(rad_cols)
     else:
-        proj = Matrix.identity(field, endc.dim)
+        proj = Matrix.identity(field, end.dim)
     rows = []
     for u in back.basis:
-        block = [endc.coords(h @ u) for h in homs.basis]
-        m = Matrix(field, np.stack(block, axis=1))  # coords of h_i . u as columns
-        rows.append((proj @ m).a)
-    system = Matrix(field, np.vstack(rows))
-    k = kernel_basis(system)
-    out = []
-    for j in range(k.cols):
-        coords = k.a[:, j]
-        acc = Morphism.zero(test, c)
-        for idx, h in enumerate(homs.basis):
-            v = int(coords[idx])
-            if v:
-                acc = acc + h.scale(v)
-        out.append(acc)
-    return out
-
-
-def _rad_out(a: Representation, test: Representation, rad_end_a: RadicalData):
-    """Basis morphisms of rad(a, test): maps h with u . h in rad End(a)
-    for every u: test -> a."""
-    homs = hom_basis(a, test)
-    if homs.dim == 0:
-        return []
-    back = hom_basis(test, a)
-    enda = rad_end_a.algebra
-    field = a.field
-    if back.dim == 0:
-        return list(homs.basis)
-    rad_cols = rad_end_a.coeff_matrix
-    if rad_cols.cols:
-        proj = left_kernel_basis(rad_cols)
-    else:
-        proj = Matrix.identity(field, enda.dim)
-    rows = []
-    for u in back.basis:
-        block = [enda.coords(u @ h) for h in homs.basis]
+        block = [end.coords(compose(h, u)) for h in homs.basis]
         rows.append((proj @ Matrix(field, np.stack(block, axis=1))).a)
-    system = Matrix(field, np.vstack(rows))
-    k = kernel_basis(system)
-    out = []
-    for j in range(k.cols):
-        coords = k.a[:, j]
-        acc = Morphism.zero(a, test)
-        for idx, h in enumerate(homs.basis):
-            v = int(coords[idx])
-            if v:
-                acc = acc + h.scale(v)
-        out.append(acc)
-    return out
+    k = kernel_basis(Matrix(field, np.vstack(rows)))
+    return [homs.element(k.a[:, j]) for j in range(k.cols)]
 
 
 def _is_split_epi(g: Morphism) -> bool:
-    """Does g admit a section?  Solve g . s = id over morphism coordinates."""
-    sections = hom_basis(g.target, g.source)
-    if sections.dim == 0:
-        return g.target.total_dim() == 0
-    field = g.source.field
-    cols = [(g @ s).flatten() for s in sections.basis]
-    target = Morphism.identity(g.target).flatten().reshape(-1, 1)
-    try:
-        solve(Matrix(field, np.stack(cols, axis=1)), Matrix(field, target))
-        return True
-    except NoSolutionError:
-        return False
+    """Does the identity of C factor as g . s?"""
+    return postcompose(g, g.target).coefficients([Morphism.identity(g.target)]) is not None
 
 
-def _is_split_mono(f: Morphism) -> bool:
-    retractions = hom_basis(f.target, f.source)
-    if retractions.dim == 0:
-        return f.source.total_dim() == 0
-    field = f.source.field
-    cols = [(r @ f).flatten() for r in retractions.basis]
-    target = Morphism.identity(f.source).flatten().reshape(-1, 1)
-    try:
-        solve(Matrix(field, np.stack(cols, axis=1)), Matrix(field, target))
-        return True
-    except NoSolutionError:
-        return False
+def _right_lifting(g: Morphism, test: Representation, rad_end_c: RadicalData) -> bool:
+    """Every radical map test -> C factors through g: B -> C."""
+    maps = _radical_maps(test, g.target, rad_end_c, operator.matmul)
+    return not maps or postcompose(g, test).coefficients(maps) is not None
 
 
-def _factors_through(post: Morphism, maps) -> bool:
-    """Do all the given morphisms X -> C factor as post . h'?"""
-    if not maps:
-        return True
-    test = maps[0].source
-    field = test.field
-    lifts = hom_basis(test, post.source)
-    cols = [(post @ b).flatten() for b in lifts.basis]
-    total = maps[0].flatten().shape[0]
-    c = (
-        Matrix(field, np.stack(cols, axis=1))
-        if cols
-        else Matrix.zeros(field, total, 0)
-    )
-    targets = Matrix(field, np.stack([m.flatten() for m in maps], axis=1))
-    try:
-        solve(c, targets)
-        return True
-    except NoSolutionError:
-        return False
-
-
-def _factors_before(pre: Morphism, maps) -> bool:
-    """Do all the given morphisms A -> X factor as h' . pre?"""
-    if not maps:
-        return True
-    test = maps[0].target
-    field = test.field
-    lifts = hom_basis(pre.target, test)
-    cols = [(b @ pre).flatten() for b in lifts.basis]
-    total = maps[0].flatten().shape[0]
-    c = (
-        Matrix(field, np.stack(cols, axis=1))
-        if cols
-        else Matrix.zeros(field, total, 0)
-    )
-    targets = Matrix(field, np.stack([m.flatten() for m in maps], axis=1))
-    try:
-        solve(c, targets)
-        return True
-    except NoSolutionError:
-        return False
+def _left_lifting(f: Morphism, test: Representation, rad_end_a: RadicalData) -> bool:
+    """Every radical map A -> test factors through f: A -> B."""
+    maps = _radical_maps(f.source, test, rad_end_a, lambda h, u: u @ h)
+    return not maps or precompose(f, test).coefficients(maps) is not None
 
 
 def is_right_almost_split(g: Morphism, tests, rad_end_c: RadicalData = None) -> bool:
@@ -446,29 +336,20 @@ def is_right_almost_split(g: Morphism, tests, rad_end_c: RadicalData = None) -> 
     radical subspace, so the factoring check runs on a radical basis."""
     if _is_split_epi(g):
         return False
-    c = g.target
     if rad_end_c is None:
-        rad_end_c = radical(end_algebra(c))
-    for test in tests:
-        rad_maps = _rad_into(c, test, rad_end_c)
-        if not _factors_through(g, rad_maps):
-            return False
-    return True
+        rad_end_c = radical(end_algebra(g.target))
+    return all(_right_lifting(g, test, rad_end_c) for test in tests)
 
 
 def is_left_almost_split(f: Morphism, tests, rad_end_a: RadicalData = None) -> bool:
     """Dual: f: A -> B is not a split monomorphism and every non-split-mono
     A -> X factors as h' . f."""
-    if _is_split_mono(f):
-        return False
     a = f.source
+    if precompose(f, a).coefficients([Morphism.identity(a)]) is not None:
+        return False
     if rad_end_a is None:
         rad_end_a = radical(end_algebra(a))
-    for test in tests:
-        rad_maps = _rad_out(a, test, rad_end_a)
-        if not _factors_before(f, rad_maps):
-            return False
-    return True
+    return all(_left_lifting(f, test, rad_end_a) for test in tests)
 
 
 @dataclass
@@ -522,12 +403,9 @@ def verify_ar_sequence(
         caps = dim_caps or {v: 3 for v in quiver.poset.points} | {STAR: 5}
         for _ in range(random_tests):
             rnd = random_subspace_representation(quiver, seq.c.algebra, caps, rng)
-            rad_maps_in = _rad_into(seq.c, rnd, rad_c)
-            if not _factors_through(seq.g, rad_maps_in):
-                seq.verified = False
-                return False
-            rad_maps_out = _rad_out(seq.a, rnd, rad_a)
-            if not _factors_before(seq.f, rad_maps_out):
+            if not (
+                _right_lifting(seq.g, rnd, rad_c) and _left_lifting(seq.f, rnd, rad_a)
+            ):
                 seq.verified = False
                 return False
     seq.verified = True
@@ -549,6 +427,7 @@ class Catalog:
         self._homs: dict = {}
         self._rad_ends: dict = {}
         self._end_algs: dict = {}
+        self._irr_cache: dict = {}
 
     def __len__(self):
         return len(self.objects)
@@ -593,51 +472,27 @@ class Catalog:
 
     def rad_square_span(self, i: int, j: int) -> Matrix:
         """Flattened span of rad^2(objects[i], objects[j])."""
-        field = self.algebra.field
-        x, y = self.objects[i], self.objects[j]
-        total = sum(
-            y.dim(v) * x.dim(v) for v in self.quiver.vertices
-        )
-        cols = [np.zeros((total, 0), dtype=np.int64)]
+        composites = []
         for w in range(len(self.objects)):
             first = self.rad_morphisms(i, w)
             second = self.rad_morphisms(w, j)
-            for u in first:
-                for t in second:
-                    cols.append((t @ u).flatten().reshape(-1, 1))
-        return column_space_basis(Matrix(field, np.hstack(cols)))
+            composites += [t @ u for u in first for t in second]
+        homs = HomSpace(self.objects[i], self.objects[j], tuple(composites))
+        return column_space_basis(homs.basis_matrix())
 
     def irreducible_lifts(self, i: int, j: int):
         """Morphism lifts of a basis of rad/rad^2 from objects[i] to
         objects[j], deterministic.  Cached per catalog size since rad^2
         grows as objects are admitted."""
         key = (i, j, len(self.objects))
-        cached = getattr(self, "_irr_cache", None)
-        if cached is None:
-            self._irr_cache = cached = {}
-        if key in cached:
-            return cached[key]
-        out = self._irreducible_lifts(i, j)
-        cached[key] = out
-        return out
-
-    def _irreducible_lifts(self, i: int, j: int):
-        rad_basis = self.rad_morphisms(i, j)
-        if not rad_basis:
-            return []
-        field = self.algebra.field
-        sq = self.rad_square_span(i, j)
-        current = sq
-        rank = current.rank()
-        out = []
-        for h in rad_basis:
-            col = Matrix(field, h.flatten().reshape(-1, 1))
-            trial = current.hstack(col)
-            r = trial.rank()
-            if r > rank:
-                out.append(h)
-                current, rank = trial, r
-        return out
+        if key not in self._irr_cache:
+            rad_basis = self.rad_morphisms(i, j)
+            if rad_basis:
+                flat = HomSpace(self.objects[i], self.objects[j], tuple(rad_basis))
+                picked = independent_columns(self.rad_square_span(i, j), flat.basis_matrix())
+                rad_basis = [rad_basis[k] for k in picked]
+            self._irr_cache[key] = rad_basis
+        return self._irr_cache[key]
 
     def irreducible_dims(self):
         dims = {}
@@ -817,8 +672,6 @@ def export_quiver(catalog: Catalog) -> str:
     """DOT text: nodes carry dimension vectors and block invariants,
     solid arrows carry irreducible-map multiplicities, dashed edges
     connect mesh ends to their translates."""
-    from .lambdamod import block_invariants
-
     lines = ["digraph ar_quiver {"]
     for i, x in enumerate(catalog.objects):
         dims = ",".join(str(x.dim(v)) for v in catalog.quiver.vertices)

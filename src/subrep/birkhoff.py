@@ -20,9 +20,11 @@ from .decomp import Decomposition, Summand
 from .errors import (
     ChaseExhaustedError,
     InternalContractViolation,
+    NoSolutionError,
     NotInvariantError,
     NotNestedError,
 )
+from .examples import example_quiver
 from .ffmat import (
     Matrix,
     column_space_basis,
@@ -33,6 +35,7 @@ from .ffmat import (
 from .lambdamod import LambdaModule, submodule
 from .posetrep import (
     STAR,
+    HomSpace,
     Morphism,
     Representation,
     hom_basis,
@@ -59,40 +62,29 @@ class _HomCache:
         self.catalog = catalog
         self.current = x
         self.forward = {
-            z: list(hom_basis(catalog.objects[z], x).basis)
-            for z in range(len(catalog.objects))
+            z: hom_basis(catalog.objects[z], x) for z in range(len(catalog.objects))
         }
         self.backward = {
-            z: list(hom_basis(x, catalog.objects[z]).basis)
-            for z in range(len(catalog.objects))
+            z: hom_basis(x, catalog.objects[z]) for z in range(len(catalog.objects))
         }
 
     def restrict(self, e: Morphism, comp_incl: Morphism, comp_proj: Morphism, complement):
         """Pass to the kernel of the idempotent e inside the current
         object: forward homs are those killed by e, corestricted;
         backward homs restrict along the inclusion."""
-        field = complement.field
-        for z, basis in self.forward.items():
-            if not basis:
-                continue
-            cols = [(e @ h).flatten() for h in basis]
-            k = kernel_basis(Matrix(field, np.stack(cols, axis=1)))
-            new_basis = []
-            for j in range(k.cols):
-                acc = None
-                for i, h in enumerate(basis):
-                    c = int(k.a[i, j])
-                    if c:
-                        acc = h.scale(c) if acc is None else acc + h.scale(c)
-                new_basis.append(comp_proj @ acc)
-            self.forward[z] = new_basis
-        for z, basis in self.backward.items():
-            if not basis:
-                continue
-            restricted = [h @ comp_incl for h in basis]
-            flat = Matrix(field, np.stack([h.flatten() for h in restricted], axis=1))
-            _, pivots, _ = rref(flat)
-            self.backward[z] = [restricted[j] for j in pivots]
+        for z, homs in self.forward.items():
+            basis = ()
+            if homs.dim:
+                killed = HomSpace(homs.source, homs.target, tuple(e @ h for h in homs.basis))
+                k = kernel_basis(killed.basis_matrix())
+                basis = tuple(comp_proj @ homs.element(k.a[:, j]) for j in range(k.cols))
+            self.forward[z] = HomSpace(homs.source, complement, basis)
+        for z, homs in self.backward.items():
+            basis = tuple(h @ comp_incl for h in homs.basis)
+            if basis:
+                _, pivots, _ = rref(HomSpace(complement, homs.target, basis).basis_matrix())
+                basis = tuple(basis[j] for j in pivots)
+            self.backward[z] = HomSpace(complement, homs.target, basis)
         self.current = complement
 
 
@@ -105,13 +97,12 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
     if x.total_dim() == 0:
         raise ValueError("cannot split a summand off the zero representation")
     cache = hom_cache or _HomCache(catalog, x)
-    field = x.field
     m_len = catalog.max_length()
     bound = 2**m_len - 1
     trace = ChaseTrace()
     start = None
     for z in range(len(catalog.objects)):
-        if catalog.projective[z] and cache.forward[z]:
+        if catalog.projective[z] and cache.forward[z].dim:
             start = z
             break
     if start is None:
@@ -120,13 +111,13 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         )
     current = start
     # prefer a starting map that already splits (the trivial case)
-    for h in cache.forward[start]:
-        q = _find_retraction(h, cache.backward[start], field)
+    for h in cache.forward[start].basis:
+        q = _find_retraction(h, cache.backward[start])
         if q is not None:
             trace.steps.append({"object": start, "split": True})
             trace.outcome = "split"
             return start, h, q, trace
-    f = cache.forward[start][0]
+    f = cache.forward[start].basis[0]
     # running composite of the chosen radical maps from the starting
     # projective; keeping f . composite nonzero is what makes the
     # radical-chain bound terminate the walk
@@ -137,7 +128,7 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
                 f"chase exceeded the step bound 2^{m_len} - 1 = {bound}"
             )
         # split test: q . f = id for q in the backward hom space
-        q = _find_retraction(f, cache.backward[current], field)
+        q = _find_retraction(f, cache.backward[current])
         if q is not None:
             trace.steps.append({"object": current, "split": True})
             trace.outcome = "split"
@@ -147,11 +138,11 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
             raise InternalContractViolation(
                 f"no left almost split map out of object {current}"
             )
-        coeffs, owners = _factor_through_left(f, lass, parts, cache, field)
+        comps = _factor_through_left(f, lass, parts, cache)
         chosen = None
         for w_pos in sorted(range(len(parts)), key=lambda t: parts[t]):
-            comp = _component_morphism(coeffs, owners, w_pos, cache, parts)
-            if comp is None or comp.is_zero():
+            comp = comps[w_pos]
+            if comp.is_zero():
                 continue
             extended = _block_component(lass, parts, w_pos, catalog) @ composite
             if not (comp @ extended).is_zero():
@@ -163,40 +154,33 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         current, f, composite = chosen
 
 
-def _find_retraction(f: Morphism, backward_basis, field):
-    if not backward_basis:
-        return None
-    from .errors import NoSolutionError
-
-    cols = [(r @ f).flatten() for r in backward_basis]
-    ident = Morphism.identity(f.source).flatten().reshape(-1, 1)
-    try:
-        c = solve(Matrix(field, np.stack(cols, axis=1)), Matrix(field, ident))
-    except NoSolutionError:
-        return None
-    acc = None
-    for i, r in enumerate(backward_basis):
-        v = int(c.a[i, 0])
-        if v:
-            acc = r.scale(v) if acc is None else acc + r.scale(v)
-    return acc if acc is not None else None
+def _find_retraction(f: Morphism, backward: HomSpace):
+    """Some q in the span of `backward` (maps f.target -> f.source) with
+    q . f = id, or None."""
+    composites = HomSpace(f.source, f.source, tuple(r @ f for r in backward.basis))
+    c = composites.coefficients([Morphism.identity(f.source)])
+    return None if c is None else backward.element(c.a[:, 0])
 
 
-def _factor_through_left(f: Morphism, lass: Morphism, parts, cache, field):
+def _factor_through_left(f: Morphism, lass: Morphism, parts, cache):
     """Solve f = h' . lass with h' built from the cached forward homs of
-    the middle parts; returns the coefficient vector and column owners."""
-    cols = []
-    owners = []  # (position in parts, basis index)
+    the middle parts; returns the component of h' on each part."""
+    spans = []
+    composites = []
     for pos, w in enumerate(parts):
         block_proj = _block_component(lass, parts, pos, cache.catalog)
-        for bi, b in enumerate(cache.forward[w]):
-            cols.append((b @ block_proj).flatten())
-            owners.append((pos, bi))
-    target = f.flatten().reshape(-1, 1)
-    if not cols:
+        spans.append(cache.forward[w])
+        composites += [b @ block_proj for b in cache.forward[w].basis]
+    if not composites:
         raise InternalContractViolation("left map has no middle homs to factor through")
-    c = solve(Matrix(field, np.stack(cols, axis=1)), Matrix(field, target))
-    return c, owners
+    c = HomSpace(f.source, f.target, tuple(composites)).coefficients([f])
+    if c is None:
+        raise InternalContractViolation("map does not factor through the left almost split map")
+    offsets = np.cumsum([0] + [homs.dim for homs in spans])
+    return [
+        homs.element(c.a[offsets[pos] : offsets[pos + 1], 0])
+        for pos, homs in enumerate(spans)
+    ]
 
 
 def _block_component(lass: Morphism, parts, pos, catalog) -> Morphism:
@@ -211,18 +195,6 @@ def _block_component(lass: Morphism, parts, pos, catalog) -> Morphism:
         d = part.dim(v)
         comps[v] = lass.components[v].submatrix(slice(off, off + d), slice(None))
     return Morphism(src, part, comps)
-
-
-def _component_morphism(coeffs, owners, w_pos, cache, parts):
-    acc = None
-    for col, (pos, bi) in enumerate(owners):
-        if pos != w_pos:
-            continue
-        c = int(coeffs.a[col, 0])
-        if c:
-            b = cache.forward[parts[pos]][bi]
-            acc = b.scale(c) if acc is None else acc + b.scale(c)
-    return acc
 
 
 def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
@@ -273,8 +245,6 @@ class SubspaceConfig:
     v3: Matrix
 
     def validate(self):
-        from .errors import NoSolutionError
-
         problems = []
         spans = {1: self.v1, 2: self.v2, 3: self.v3}
         for j, span in spans.items():
@@ -301,8 +271,6 @@ def from_invariant_subspaces(cfg: SubspaceConfig) -> Representation:
     problems = cfg.validate()
     if problems:
         raise problems[0]
-    from .examples import example_quiver
-
     algebra = cfg.v.algebra
     field = algebra.field
     quiver = example_quiver()
@@ -390,21 +358,16 @@ def harada_sai_check(catalog: Catalog, samples: int, seed: int = 0):
         for j in range(n_obj):
             basis = catalog.rad_morphisms(i, j)
             if basis:
-                rad_bases[(i, j)] = basis
+                rad_bases[(i, j)] = HomSpace(catalog.objects[i], catalog.objects[j], tuple(basis))
                 outs.append(j)
         targets[i] = outs
 
     def random_radical(i, j):
-        basis = rad_bases[(i, j)]
+        homs = rad_bases[(i, j)]
         while True:
-            coeffs = rng.integers(0, field.p, size=len(basis))
+            coeffs = rng.integers(0, field.p, size=homs.dim)
             if coeffs.any():
-                break
-        acc = None
-        for c, h in zip(coeffs, basis):
-            if int(c):
-                acc = h.scale(int(c)) if acc is None else acc + h.scale(int(c))
-        return acc
+                return homs.element(coeffs)
 
     counterexample = None
     for _ in range(samples):
@@ -430,7 +393,7 @@ def harada_sai_check(catalog: Catalog, samples: int, seed: int = 0):
     witness = None
     for i in range(n_obj):
         for j in targets[i]:
-            for h in rad_bases[(i, j)]:
+            for h in rad_bases[(i, j)].basis:
                 if h.is_zero():
                     continue
                 cur, cur_len, z = h, 1, j
@@ -438,7 +401,7 @@ def harada_sai_check(catalog: Catalog, samples: int, seed: int = 0):
                 while improved and cur_len < m_len - 1:
                     improved = False
                     for w in targets[z]:
-                        for h2 in rad_bases[(z, w)]:
+                        for h2 in rad_bases[(z, w)].basis:
                             cand = h2 @ cur
                             if not cand.is_zero():
                                 cur, cur_len, z = cand, cur_len + 1, w

@@ -113,26 +113,13 @@ def _parse_poset_file(path):
 
 
 def cmd_validate(args):
-    try:
-        rep = _load_rep(args.file)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    problems = rep.validate()
-    if problems:
-        for p in problems:
-            print(f"violation: {p}", file=sys.stderr)
-        return EXIT_DOMAIN
+    _load_rep(args.file)  # parsing validates; failures exit through main
     print("ok")
     return EXIT_OK
 
 
 def cmd_approx(args):
-    try:
-        rep = _load_rep(args.file)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    rep = _load_rep(args.file)
     if args.kind == "left":
         res = left_approx(rep)
     elif args.kind == "right":
@@ -170,27 +157,19 @@ def cmd_approx(args):
 
 
 def cmd_decompose(args):
-    try:
-        rep = _load_rep(args.file)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.method == "idempotent":
-            decomp = indecompose(rep, seed=args.seed)
-        else:
-            if not rep.is_subspace_rep():
-                print(
-                    "the chase requires a subspace representation "
-                    "(all arrow matrices injective); use --method idempotent",
-                    file=sys.stderr,
-                )
-                return EXIT_DOMAIN
-            catalog = _get_catalog(args, rep.algebra)
-            decomp = decompose_full(rep, catalog)
-    except (BudgetExceededError, ChaseExhaustedError, InternalContractViolation) as exc:
-        print(f"budget/contract error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    rep = _load_rep(args.file)
+    if args.method == "idempotent":
+        decomp = indecompose(rep, seed=args.seed)
+    else:
+        if not rep.is_subspace_rep():
+            print(
+                "the chase requires a subspace representation "
+                "(all arrow matrices injective); use --method idempotent",
+                file=sys.stderr,
+            )
+            return EXIT_DOMAIN
+        catalog = _get_catalog(args, rep.algebra)
+        decomp = decompose_full(rep, catalog)
     table = {}
     for s in decomp.summands:
         key = "(" + ",".join(map(str, s.rep.dim_vector())) + ")"
@@ -217,11 +196,7 @@ def cmd_catalog(args):
     if args.poset == "example":
         poset = example_poset()
     else:
-        try:
-            poset = _parse_poset_file(args.poset)
-        except ParseError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        poset = _parse_poset_file(args.poset)
     algebra = LambdaAlgebra(PrimeField(args.field), args.nilpotency)
     quiver = QuiverStar(poset)
     try:
@@ -261,12 +236,8 @@ def cmd_arquiver(args):
 
 
 def cmd_birkhoff(args):
-    try:
-        with open(args.file) as fh:
-            cfg = parse_subspace_config(fh.read())
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    with open(args.file) as fh:
+        cfg = parse_subspace_config(fh.read())
     problems = cfg.validate()
     if problems:
         for p in problems:
@@ -346,7 +317,6 @@ def build_parser():
     p.add_argument("--method", choices=("idempotent", "chase"), default="idempotent")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--catalog", help="catalog directory for --method chase")
-    p.add_argument("--field", type=int, default=2)
     p.add_argument("--out", help="write summand files here", default=None)
     p.set_defaults(func=cmd_decompose)
 
@@ -369,7 +339,6 @@ def build_parser():
     p = sub.add_parser("birkhoff", help="decompose an invariant-subspace configuration")
     p.add_argument("file")
     p.add_argument("--catalog")
-    p.add_argument("--field", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_birkhoff)
 

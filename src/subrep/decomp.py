@@ -30,18 +30,22 @@ from .ffmat import (
     char_poly,
     column_space_basis,
     factor,
+    independent_columns,
     kernel_basis,
     min_poly,
     poly_xgcd,
 )
 from .lambdamod import block_invariants
 from .posetrep import (
+    STAR,
     EndAlgebra,
+    HomSpace,
     Morphism,
     Representation,
     end_algebra,
     hom_basis,
     image_subrep,
+    morphism_from_flat,
 )
 
 SPLIT_BUDGET = 256
@@ -73,11 +77,10 @@ def radical(end: EndAlgebra) -> RadicalData:
     m = end.dim
     if m == 0:
         return RadicalData(end, (), 0, Matrix.zeros(field, 0, 0))
-    ops = [f.total_matrix() for f in end.basis]
     coeff = Matrix.identity(field, m)  # columns: current ideal in basis coords
     k = 1
     while k <= n and coeff.cols:
-        cur_ops = _combine(ops, coeff, field)
+        cur_ops = [end.element(coeff.a[:, j]).total_matrix() for j in range(coeff.cols)]
         size = len(cur_ops)
         system = np.zeros((size, size), dtype=np.int64)
         for r, y in enumerate(cur_ops):
@@ -91,18 +94,6 @@ def radical(end: EndAlgebra) -> RadicalData:
     return RadicalData(end, basis, m - coeff.cols, coeff)
 
 
-def _combine(ops, coeff, field):
-    out = []
-    for j in range(coeff.cols):
-        acc = Matrix.zeros(field, ops[0].rows, ops[0].cols) if ops else None
-        for i in range(len(ops)):
-            c = int(coeff.a[i, j])
-            if c:
-                acc = acc + ops[i].scale(c)
-        out.append(acc)
-    return out
-
-
 def _verify_radical(end: EndAlgebra, basis, coeff):
     """The computed space must be a nilpotent two-sided ideal; combined
     with the necessity of the vanishing conditions this certifies it as
@@ -111,8 +102,7 @@ def _verify_radical(end: EndAlgebra, basis, coeff):
     field = x.field
     if not basis:
         return
-    flat = Matrix(field, np.stack([f.flatten() for f in basis], axis=1))
-    solver = CoordinateSolver(flat)
+    solver = CoordinateSolver(HomSpace(x, x, basis).basis_matrix())
     for b in basis:
         for g in end.basis:
             for prod in (b @ g, g @ b):
@@ -128,10 +118,7 @@ def _verify_radical(end: EndAlgebra, basis, coeff):
         for f in current:
             for b in basis:
                 nxt.append(f @ b)
-        mat = Matrix(field, np.stack([f.flatten() for f in nxt], axis=1))
-        cols = column_space_basis(mat)
-        from .posetrep import morphism_from_flat
-
+        cols = column_space_basis(HomSpace(x, x, tuple(nxt)).basis_matrix())
         current = [
             morphism_from_flat(x, x, cols.a[:, j]) for j in range(cols.cols)
         ]
@@ -150,7 +137,7 @@ def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData, rng=None) -> bo
     if q == 0:
         return False
     # complement basis of the radical inside End
-    comp_idx = _complement_indices(rad.coeff_matrix, end.dim)
+    comp_idx = independent_columns(rad.coeff_matrix, Matrix.identity(field, end.dim))
     comp_ops = [end.basis[i].total_matrix() for i in comp_idx]
     n = comp_ops[0].rows if comp_ops else 0
     if p**q <= 2**16:
@@ -186,24 +173,6 @@ def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData, rng=None) -> bo
                 if e @ e == e and not e.is_zero() and e != ident:
                     return False
     return True
-
-
-def _complement_indices(coeff: Matrix, dim: int):
-    """Indices of standard basis vectors completing the column span."""
-    field = coeff.field
-    current = coeff
-    rank = current.rank()
-    out = []
-    for i in range(dim):
-        if rank == dim:
-            break
-        e = Matrix(field, np.eye(dim, dtype=np.int64)[:, i : i + 1])
-        trial = current.hstack(e)
-        r = trial.rank()
-        if r > rank:
-            out.append(i)
-            current, rank = trial, r
-    return out
 
 
 def is_local(end: EndAlgebra) -> bool:
@@ -354,8 +323,6 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
 def fingerprint(x: Representation):
     """Cheap isomorphism invariant: dimension vector, block invariants per
     vertex, and ranks of all composites to the top."""
-    from .posetrep import STAR
-
     blocks = tuple(block_invariants(x.spaces[v]) for v in x.quiver.vertices)
     ranks = tuple(
         x.composite_map(v, STAR).rank() for v in x.quiver.vertices
@@ -436,20 +403,14 @@ def iso_class_multiset(decomp: Decomposition, reference):
     """Classify each summand against a reference list of pairwise
     non-isomorphic indecomposables; returns a sorted tuple of indices.
     Raises if some summand matches nothing."""
-    ref_rads = {}
+    from .artheory import Catalog  # artheory imports this module
+
+    catalog = Catalog(decomp.object.quiver, decomp.object.algebra)
+    for ref in reference:
+        catalog.add(ref)
     out = []
     for s in decomp.summands:
-        fp = fingerprint(s.rep)
-        matched = None
-        for idx, ref in enumerate(reference):
-            if fingerprint(ref) != fp:
-                continue
-            if idx not in ref_rads:
-                ref_rads[idx] = radical(end_algebra(ref))
-            ok, _ = indecomposables_isomorphic(ref, s.rep, rad_x=ref_rads[idx])
-            if ok:
-                matched = idx
-                break
+        matched = catalog.find_isomorphic(s.rep)
         if matched is None:
             raise InternalContractViolation(
                 f"summand with dims {s.rep.dim_vector()} matches no reference object"
@@ -473,9 +434,9 @@ def hom_image_span_check(m_summands, x: Representation):
         for z in m_summands:
             for h in hom_basis(z, x).basis:
                 cols.append(h.components[v].a)
-        span = Matrix(field, np.hstack(cols))
-        if span.rank() < d:
-            return (v, span.rank(), d)
+        rank = Matrix(field, np.hstack(cols)).rank()
+        if rank < d:
+            return (v, rank, d)
     return None
 
 
@@ -519,9 +480,9 @@ def evaluation_iso_check(m_summands, x: Representation, pair_homs=None, pair_rad
                 for s in hs.basis:  # s: M_j -> M_i
                     # coords of phi . s in Hom(M_j, x) for each basis phi of Hom(M_i, x)
                     if dims_a[j]:
-                        comps = [(phi @ s).flatten() for phi in homs_to_x[i].basis]
+                        comps = tuple(phi @ s for phi in homs_to_x[i].basis)
                         r_mat = solvers[j].coords(
-                            Matrix(field, np.stack(comps, axis=1))
+                            HomSpace(m_summands[j], x, comps).basis_matrix()
                         )
                     else:
                         r_mat = Matrix.zeros(field, 0, dims_a[i])

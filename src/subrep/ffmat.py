@@ -15,6 +15,11 @@ Row reduction over F_2 runs on bit-packed rows: each row becomes a
 Python int and elimination is XOR.  The reduced row echelon form is
 unique, so pivots and reduced arrays are identical to the general
 elimination used for every other prime.
+
+Column selection is read off pivots: `independent_columns(prefix,
+candidates)` returns the candidates that are pivot columns of
+rref(prefix | candidates), which are exactly the columns a greedy
+left-to-right "keep it if the rank rises" pass would keep.
 """
 
 from __future__ import annotations
@@ -120,7 +125,9 @@ class Matrix:
         return Matrix(self.field, -self.a)
 
     def __matmul__(self, other):
-        self._check_mul(other)
+        self._check_field(other)
+        if self.a.shape[1] != other.a.shape[0]:
+            raise ValueError(f"cannot multiply {self.a.shape} by {other.a.shape}")
         return _wrap(self.field, _matmul_mod(self.a, other.a, self.field.p))
 
     def scale(self, c: int):
@@ -175,13 +182,11 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.a.shape} vs {other.a.shape}")
 
     def _check_field(self, other):
-        if not isinstance(other, Matrix) or other.field != self.field:
+        # identity first: almost every operand shares its field object
+        if not isinstance(other, Matrix) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise ValueError("field mismatch")
-
-    def _check_mul(self, other):
-        self._check_field(other)
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.a.shape} by {other.a.shape}")
 
 
 def _wrap(field: PrimeField, a: np.ndarray) -> Matrix:
@@ -315,6 +320,15 @@ def kernel_basis(m: Matrix) -> Matrix:
     basis[free, np.arange(free.size)] = 1
     basis[pivots] = (-a[:rank, free]) % p
     return _wrap(m.field, basis)
+
+
+def independent_columns(prefix: Matrix, candidates: Matrix):
+    """Indices of the candidate columns that are pivot columns of
+    rref(prefix | candidates): each raises the rank of the prefix plus the
+    candidates kept before it."""
+    prefix._check_field(candidates)
+    pivots, _ = _rref_inplace(np.hstack([prefix.a, candidates.a]), prefix.field.p)
+    return [c - prefix.cols for c in pivots if c >= prefix.cols]
 
 
 def left_kernel_basis(m: Matrix) -> Matrix:

@@ -18,7 +18,9 @@ from .ffmat import (
     PrimeField,
     _matmul_mod,
     column_space_basis,
+    independent_columns,
     kernel_basis,
+    left_kernel_basis,
     solve,
 )
 
@@ -176,16 +178,9 @@ def jordan_chains(m: LambdaModule):
         cols = [kernels[s - 1].a]
         for head, size in chains:
             cols.append(_matmul_mod(powers[size - s].a, head.a, field.p))
-        current = Matrix(field, np.hstack(cols))
-        cur_rank = current.rank()
-        candidates = kernels[s]
-        for j in range(candidates.cols):
-            v = candidates.column(j)
-            trial = current.hstack(v)
-            trial_rank = trial.rank()
-            if trial_rank > cur_rank:
-                chains.append((v, s))
-                current, cur_rank = trial, trial_rank
+        avoid = Matrix(field, np.hstack(cols))
+        for j in independent_columns(avoid, kernels[s]):
+            chains.append((kernels[s].column(j), s))
     total = sum(size for _, size in chains)
     if total != dim:
         raise InternalContractViolation("jordan chain sizes do not sum to dim")
@@ -289,20 +284,8 @@ def submodule(m: LambdaModule, basis: Matrix):
     return LambdaModule(m.algebra, t_restricted), span
 
 
-def image_module(m_src: LambdaModule, m_dst: LambdaModule, f: Matrix):
-    """Image of an equivariant map as a submodule of the target."""
-    return submodule(m_dst, column_space_basis(f))
-
-
-def kernel_module(m_src: LambdaModule, m_dst: LambdaModule, f: Matrix):
-    """Kernel of an equivariant map as a submodule of the source."""
-    return submodule(m_src, kernel_basis(f))
-
-
 def quotient_module(m: LambdaModule, sub_basis: Matrix):
     """Quotient by an invariant subspace: (module, projection matrix)."""
-    from .ffmat import left_kernel_basis
-
     field = m.algebra.field
     span = column_space_basis(sub_basis)
     proj = left_kernel_basis(span)  # rows: functionals vanishing on the span

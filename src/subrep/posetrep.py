@@ -20,13 +20,21 @@ from .errors import (
     UnknownVertexError,
 )
 from .ffmat import (
+    CoordinateSolver,
     Matrix,
     _wrap,
+    block_diag,
     column_space_basis,
     kernel_basis,
     solve,
 )
-from .lambdamod import LambdaAlgebra, LambdaModule
+from .lambdamod import (
+    LambdaAlgebra,
+    LambdaModule,
+    direct_sum_modules,
+    quotient_module,
+    submodule,
+)
 
 STAR = "*"
 
@@ -348,8 +356,6 @@ class Morphism:
 
     def total_matrix(self) -> Matrix:
         """Block-diagonal matrix on the direct sum of all vertex spaces."""
-        from .ffmat import block_diag
-
         return block_diag(
             self.source.field,
             [self.components[v] for v in self.source.quiver.vertices],
@@ -393,27 +399,40 @@ class HomSpace:
     def basis_matrix(self) -> Matrix:
         """Columns are the flattened basis morphisms."""
         field = self.source.field
-        total = sum(
-            self.target.dim(v) * self.source.dim(v)
-            for v in self.source.quiver.vertices
-        )
         if not self.basis:
+            total = sum(
+                self.target.dim(v) * self.source.dim(v)
+                for v in self.source.quiver.vertices
+            )
             return Matrix.zeros(field, total, 0)
-        return Matrix(
-            field, np.stack([m.flatten() for m in self.basis], axis=1)
-        )
+        # components are reduced, so the stacked copy is too
+        return _wrap(field, np.stack([m.flatten() for m in self.basis], axis=1))
 
     def element(self, coords) -> Morphism:
-        field = self.source.field
-        total = sum(
-            self.target.dim(v) * self.source.dim(v)
-            for v in self.source.quiver.vertices
-        )
-        vec = np.zeros(total, dtype=np.int64)
+        """The combination sum coords[i] basis[i]."""
+        p = self.source.field.p
+        vec = None
         for c, m in zip(coords, self.basis):
-            if int(c) % field.p:
-                vec = (vec + int(c) * m.flatten()) % field.p
+            c = int(c) % p
+            if c:
+                term = c * m.flatten()
+                vec = term % p if vec is None else (vec + term) % p
+        if vec is None:
+            return Morphism.zero(self.source, self.target)
         return morphism_from_flat(self.source, self.target, vec)
+
+    def coefficients(self, targets):
+        """Coefficients of each morphism in `targets` over `basis`, which
+        may be any spanning list (say, composites): a dim x len(targets)
+        Matrix with free coefficients 0, or None when some target lies
+        outside the span.  An empty basis spans only the zero map."""
+        rhs = HomSpace(self.source, self.target, tuple(targets)).basis_matrix()
+        if not self.basis:
+            return Matrix.zeros(rhs.field, 0, rhs.cols) if rhs.is_zero() else None
+        try:
+            return solve(self.basis_matrix(), rhs)
+        except NoSolutionError:
+            return None
 
 
 def hom_basis(x: Representation, y: Representation) -> HomSpace:
@@ -480,6 +499,18 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
     return HomSpace(x, y, basis)
 
 
+def postcompose(g: Morphism, x: Representation) -> HomSpace:
+    """The maps x -> g.target that factor through g, spanned by g . h over
+    a basis h of Hom(x, g.source)."""
+    return HomSpace(x, g.target, tuple(g @ h for h in hom_basis(x, g.source).basis))
+
+
+def precompose(f: Morphism, x: Representation) -> HomSpace:
+    """The maps f.source -> x that factor through f, spanned by h . f over
+    a basis h of Hom(f.target, x)."""
+    return HomSpace(f.source, x, tuple(h @ f for h in hom_basis(f.target, x).basis))
+
+
 class EndAlgebra:
     """End(x) with basis and (lazily computed) structure constants."""
 
@@ -497,8 +528,6 @@ class EndAlgebra:
         return len(self.basis)
 
     def solver(self):
-        from .ffmat import CoordinateSolver
-
         if self._solver is None:
             hs = HomSpace(self.rep, self.rep, self.basis)
             self._solver = CoordinateSolver(hs.basis_matrix())
@@ -525,12 +554,7 @@ class EndAlgebra:
         return self._id_coords
 
     def element(self, coords) -> Morphism:
-        field = self.rep.field
-        out = Morphism.zero(self.rep, self.rep)
-        for c, f in zip(coords, self.basis):
-            if int(c) % field.p:
-                out = out + f.scale(int(c))
-        return out
+        return HomSpace(self.rep, self.rep, self.basis).element(coords)
 
 
 def end_algebra(x: Representation) -> EndAlgebra:
@@ -554,8 +578,6 @@ def direct_sum(xs) -> DirectSum:
     for x in xs:
         if x.quiver != quiver or x.algebra != algebra:
             raise ValueError("summands live over different quivers or algebras")
-    from .lambdamod import direct_sum_modules
-
     spaces = {
         v: direct_sum_modules([x.spaces[v] for x in xs]) for v in quiver.vertices
     }
@@ -599,8 +621,6 @@ def subrep_from_bases(x: Representation, bases) -> tuple:
     The spans must be T-invariant and closed under the arrow maps; raises
     NoSolutionError otherwise.  Returns (rep, inclusion morphism).
     """
-    from .lambdamod import submodule
-
     field = x.field
     spaces = {}
     incls = {}
@@ -639,8 +659,6 @@ def quotient_rep(x: Representation, sub_bases) -> tuple:
 
     Returns (quotient representation, projection morphism).
     """
-    from .lambdamod import quotient_module
-
     field = x.field
     spaces = {}
     projs = {}
@@ -688,8 +706,6 @@ def split_by_retraction(x: Representation, mono: Morphism, retraction: Morphism)
     complement, comp_incl = kernel_subrep(e)
     field = x.field
     # complement projection: coordinates of (1 - e) v in the kernel basis
-    from .ffmat import CoordinateSolver
-
     comp_proj_components = {}
     for v in x.quiver.vertices:
         kb = comp_incl.components[v]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subrep.approx import (
+    ApproxResult,
     left_approx,
     mimo_k,
     right_approx,
@@ -17,6 +18,7 @@ from subrep.posetrep import (
     Poset,
     QuiverStar,
     Representation,
+    hom_basis,
 )
 from subrep.sampling import random_representation, random_subspace_representation
 
@@ -212,6 +214,17 @@ def test_factorization_right_vacuous_and_identity():
     zero = Representation.zero(m.quiver, L2)
     assert verify_right_approx(res, [zero]) is None
     assert verify_right_approx(res, [m]) is None
+
+
+def test_factorization_failure_names_test_and_map():
+    # a zero structure map factors nothing: the first basis map fails
+    m = all_free_representation(L2)
+    right = ApproxResult(m, Morphism.zero(m, m), "right")
+    test, h = verify_right_approx(right, [m])
+    assert test is m and h == hom_basis(m, m).basis[0]
+    left = ApproxResult(m, Morphism.zero(m, m), "left")
+    test, h = verify_left_approx(left, [m])
+    assert test is m and h == hom_basis(m, m).basis[0]
 
 
 def test_factorization_left():

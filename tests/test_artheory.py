@@ -6,6 +6,7 @@ from subrep.artheory import (
     dtr,
     export_quiver,
     indecomposable_projectives,
+    is_left_almost_split,
     is_right_almost_split,
     rad_subrep,
     relative_translate_candidate,
@@ -137,6 +138,12 @@ def test_split_epi_rejected_by_right_almost_split():
     m = all_free_representation(L2)
     ident = Morphism.identity(m)
     assert not is_right_almost_split(ident, [m])
+
+
+def test_split_mono_rejected_by_left_almost_split():
+    m = all_free_representation(L2)
+    ident = Morphism.identity(m)
+    assert not is_left_almost_split(ident, [m])
 
 
 def test_degenerate_map_to_simple_rejected():

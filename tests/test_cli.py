@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from subrep.cli import main
 from subrep.examples import (
@@ -43,6 +44,18 @@ def test_validate_non_commuting(tmp_path, capsys):
     assert main(["validate", path]) == 2  # caught at parse time with line info
     err = capsys.readouterr().err
     assert "1->3" in err or "commute" in err or "validate" in err
+
+
+def test_field_flag_only_where_used(tmp_path, capsys):
+    # decompose and birkhoff take the field from their input file
+    path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", path, "--field", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["birkhoff", path, "--field", "3"])
+    assert exc.value.code == 2
+    assert "--field" in capsys.readouterr().err
 
 
 def test_validate_malformed(tmp_path, capsys):

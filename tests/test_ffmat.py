@@ -14,6 +14,7 @@ from subrep.ffmat import (
     char_poly,
     column_space_basis,
     factor,
+    independent_columns,
     kernel_basis,
     left_kernel_basis,
     min_poly,
@@ -443,3 +444,64 @@ def test_large_prime_solve_and_coordinates():
     assert _reduced(c) and c == x0
     with pytest.raises(NoSolutionError):
         cs.coords(_outside_column_space(a))
+
+
+# ---------------------------------------------------------------------------
+# independent_columns against the greedy "keep a column if the rank rises"
+# loop it replaces, kept here as the reference.
+
+
+def _greedy_columns(prefix, candidates):
+    current = prefix
+    rank = current.rank()
+    picked = []
+    for j in range(candidates.cols):
+        trial = current.hstack(candidates.column(j))
+        if trial.rank() > rank:
+            picked.append(j)
+            current, rank = trial, trial.rank()
+    return picked
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_independent_columns_matches_greedy(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    for _ in range(150):
+        rows = int(rng.integers(0, 7))
+        prefix = random_matrix(field, rows, int(rng.integers(0, 5)), rng)
+        candidates = random_matrix(field, rows, int(rng.integers(0, 7)), rng)
+        if rng.random() < 0.3:  # sparse columns make rank ties common
+            candidates = Matrix(field, candidates.a * (rng.random(candidates.a.shape) < 0.3))
+        assert independent_columns(prefix, candidates) == _greedy_columns(prefix, candidates)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_independent_columns_edge_shapes(p):
+    field = PrimeField(p)
+    v = p - 1
+    ident = Matrix.identity(field, 3)
+    dependent = Matrix(field, [[1, v, 0], [0, 0, 0], [1, v, 0]])  # col1 = -col0
+    cases = [
+        (Matrix.zeros(field, 3, 0), Matrix(field, [[0, 1, 1], [0, 0, 0], [0, 1, 1]])),
+        (ident, Matrix.zeros(field, 3, 0)),
+        (Matrix.zeros(field, 0, 2), Matrix.zeros(field, 0, 4)),
+        (dependent, ident),
+        (dependent, Matrix(field, [[1, 0, v], [0, 1, 0], [1, 0, v]])),
+    ]
+    expected = [[1], [], [], [0, 1], [1]]
+    for (prefix, candidates), want in zip(cases, expected):
+        assert independent_columns(prefix, candidates) == want
+        assert _greedy_columns(prefix, candidates) == want
+
+
+def test_matmul_rejects_field_and_shape_mismatch():
+    a = Matrix(F2, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="field mismatch"):
+        a @ Matrix(F3, [[1], [0]])
+    with pytest.raises(ValueError, match="field mismatch"):
+        a @ np.eye(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        a @ Matrix(F2, [[1, 0, 1]])
+    # an equal field that is a different object is accepted
+    assert a @ Matrix(PrimeField(2), [[1], [1]]) == Matrix(F2, [[1], [1]])

@@ -10,6 +10,7 @@ from subrep.examples import (
 from subrep.ffmat import CoordinateSolver, Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, block_invariants
 from subrep.posetrep import (
+    HomSpace,
     Morphism,
     Poset,
     QuiverStar,
@@ -19,6 +20,8 @@ from subrep.posetrep import (
     hom_basis,
     image_subrep,
     kernel_subrep,
+    postcompose,
+    precompose,
     quotient_rep,
     split_by_retraction,
 )
@@ -341,3 +344,47 @@ def test_hom_basis_large_prime_entries():
     assert end_y.dim == hom_basis(x, x).dim
     ident = Morphism.identity(y).flatten().reshape(-1, 1)
     assert CoordinateSolver(end_y.basis_matrix()).contains(Matrix(field, ident))
+
+
+# HomSpace.coefficients: the one solver behind the split and factoring tests
+
+
+def test_coefficients_zero_object_and_empty_maps():
+    zero = Representation.zero(example_quiver(), L2)
+    ident = Morphism.identity(zero)
+    # the identity of the zero object lies in the empty span: split both ways
+    assert HomSpace(zero, zero, ()).coefficients([ident]) == Matrix.zeros(F2, 0, 1)
+    assert postcompose(ident, zero).coefficients([ident]) is not None
+    assert precompose(ident, zero).coefficients([ident]) is not None
+    m = twisted_pair_representation(L2)
+    # an empty list of maps always factors, even through an empty span
+    assert HomSpace(m, m, ()).coefficients([]) == Matrix.zeros(F2, 0, 0)
+    assert postcompose(Morphism.zero(zero, m), m).coefficients([]) is not None
+
+
+def test_coefficients_identity_split_epi_and_mono():
+    m = twisted_pair_representation(L2)
+    ident = Morphism.identity(m)
+    for span in (postcompose(ident, m), precompose(ident, m)):
+        c = span.coefficients([ident])
+        assert c is not None and span.element(c.a[:, 0]) == ident
+    # the zero map of a nonzero object is neither split epi nor split mono
+    zero_map = Morphism.zero(m, m)
+    assert postcompose(zero_map, m).coefficients([ident]) is None
+    assert precompose(zero_map, m).coefficients([ident]) is None
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+def test_coefficients_recombine_targets(p):
+    field = PrimeField(p)
+    m = twisted_pair_representation(LambdaAlgebra(field, 2))
+    homs = hom_basis(m, m)
+    rng = np.random.default_rng(3)
+    coords = rng.integers(0, p, size=(homs.dim, 3))
+    coords[:, 0] = p - 1  # every term at the int64 edge
+    targets = [homs.element(coords[:, j]) for j in range(3)]
+    for f in targets:
+        assert f.is_valid()
+        assert all(((c.a >= 0) & (c.a < p)).all() for c in f.components.values())
+    c = homs.coefficients(targets)
+    assert c == Matrix(field, coords)  # a basis: the coefficients are unique
