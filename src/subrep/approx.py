@@ -147,7 +147,7 @@ def _first_unfactored(tests, homs_from, span_from):
         if homs.dim == 0:
             continue
         span = span_from(test)
-        if span.coefficients(homs.basis) is None:
+        if span.coefficients(homs) is None:
             return test, next(h for h in homs.basis if span.coefficients([h]) is None)
     return None
 

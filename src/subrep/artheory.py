@@ -13,7 +13,6 @@ it counts as verified.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,17 +282,21 @@ def relative_translate_candidate(x: Representation, seed: int = 0):
     return [s.rep for s in indecompose(image, seed=seed).summands]
 
 
-def _radical_maps(x: Representation, y: Representation, rad_end: RadicalData, compose):
-    """Basis of the maps h: x -> y with compose(h, u) in the radical of
-    rad_end's algebra for every u: y -> x.  Into an indecomposable C
-    (y = C, compose(h, u) = h . u) or out of an indecomposable A (x = A,
-    compose(h, u) = u . h) these are the non-split maps."""
+def _radical_maps(
+    x: Representation, y: Representation, rad_end: RadicalData, compose
+) -> HomSpace:
+    """Basis of the maps h: x -> y with h . u (compose =
+    HomSpace.precomposed) or u . h (compose = HomSpace.postcomposed) in
+    the radical of rad_end's algebra for every u: y -> x; compose(homs, u)
+    composes every h of a hom space with u.  Into an indecomposable C
+    (y = C, h . u) or out of an indecomposable A (x = A, u . h) these are
+    the non-split maps."""
     homs = hom_basis(x, y)
     if homs.dim == 0:
-        return []
+        return homs
     back = hom_basis(y, x)
     if back.dim == 0:
-        return list(homs.basis)
+        return homs
     end = rad_end.algebra
     field = x.field
     rad_cols = rad_end.coeff_matrix
@@ -306,10 +309,10 @@ def _radical_maps(x: Representation, y: Representation, rad_end: RadicalData, co
         proj = Matrix.identity(field, end.dim)
     rows = []
     for u in back.basis:
-        block = [end.coords(compose(h, u)) for h in homs.basis]
-        rows.append((proj @ Matrix(field, np.stack(block, axis=1))).a)
+        coords = end.solver().coords(compose(homs, u).basis_matrix())
+        rows.append((proj @ coords).a)
     k = kernel_basis(Matrix(field, np.vstack(rows)))
-    return [homs.element(k.a[:, j]) for j in range(k.cols)]
+    return homs.combinations(k)
 
 
 def _is_split_epi(g: Morphism) -> bool:
@@ -319,14 +322,14 @@ def _is_split_epi(g: Morphism) -> bool:
 
 def _right_lifting(g: Morphism, test: Representation, rad_end_c: RadicalData) -> bool:
     """Every radical map test -> C factors through g: B -> C."""
-    maps = _radical_maps(test, g.target, rad_end_c, operator.matmul)
-    return not maps or postcompose(g, test).coefficients(maps) is not None
+    maps = _radical_maps(test, g.target, rad_end_c, HomSpace.precomposed)
+    return not maps.dim or postcompose(g, test).coefficients(maps) is not None
 
 
 def _left_lifting(f: Morphism, test: Representation, rad_end_a: RadicalData) -> bool:
     """Every radical map A -> test factors through f: A -> B."""
-    maps = _radical_maps(f.source, test, rad_end_a, lambda h, u: u @ h)
-    return not maps or precompose(f, test).coefficients(maps) is not None
+    maps = _radical_maps(f.source, test, rad_end_a, HomSpace.postcomposed)
+    return not maps.dim or precompose(f, test).coefficients(maps) is not None
 
 
 def is_right_almost_split(g: Morphism, tests, rad_end_c: RadicalData = None) -> bool:
@@ -455,7 +458,7 @@ class Catalog:
 
     def end_alg(self, i: int) -> EndAlgebra:
         if i not in self._end_algs:
-            self._end_algs[i] = EndAlgebra(self.objects[i], self.hom(i, i).basis)
+            self._end_algs[i] = EndAlgebra(self.hom(i, i))
         return self._end_algs[i]
 
     def rad_end(self, i: int) -> RadicalData:
@@ -463,21 +466,23 @@ class Catalog:
             self._rad_ends[i] = radical(self.end_alg(i))
         return self._rad_ends[i]
 
-    def rad_morphisms(self, i: int, j: int):
+    def rad_space(self, i: int, j: int) -> HomSpace:
         """Basis of rad(objects[i], objects[j]): all homs when i != j,
         the endomorphism radical when i == j."""
         if i == j:
-            return list(self.rad_end(i).radical_basis)
-        return list(self.hom(i, j).basis)
+            return self.rad_end(i).radical
+        return self.hom(i, j)
 
     def rad_square_span(self, i: int, j: int) -> Matrix:
-        """Flattened span of rad^2(objects[i], objects[j])."""
-        composites = []
+        """Flattened span of rad^2(objects[i], objects[j]): the composites
+        t . u, u outer and t inner."""
+        spans = []
         for w in range(len(self.objects)):
-            first = self.rad_morphisms(i, w)
-            second = self.rad_morphisms(w, j)
-            composites += [t @ u for u in first for t in second]
-        homs = HomSpace(self.objects[i], self.objects[j], tuple(composites))
+            first = self.rad_space(i, w)
+            second = self.rad_space(w, j)
+            if second.dim:
+                spans += [second.precomposed(u) for u in first.basis]
+        homs = HomSpace.joined(self.objects[i], self.objects[j], spans)
         return column_space_basis(homs.basis_matrix())
 
     def irreducible_lifts(self, i: int, j: int):
@@ -486,12 +491,12 @@ class Catalog:
         grows as objects are admitted."""
         key = (i, j, len(self.objects))
         if key not in self._irr_cache:
-            rad_basis = self.rad_morphisms(i, j)
-            if rad_basis:
-                flat = HomSpace(self.objects[i], self.objects[j], tuple(rad_basis))
-                picked = independent_columns(self.rad_square_span(i, j), flat.basis_matrix())
-                rad_basis = [rad_basis[k] for k in picked]
-            self._irr_cache[key] = rad_basis
+            rad = self.rad_space(i, j)
+            lifts = []
+            if rad.dim:
+                picked = independent_columns(self.rad_square_span(i, j), rad.basis_matrix())
+                lifts = [rad.basis[k] for k in picked]
+            self._irr_cache[key] = lifts
         return self._irr_cache[key]
 
     def irreducible_dims(self):

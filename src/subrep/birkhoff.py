@@ -56,7 +56,17 @@ class ChaseTrace:
 class _HomCache:
     """Bases of Hom(catalog object, current) and Hom(current, catalog
     object), updated cheaply when the current object shrinks to a
-    complement."""
+    complement.
+
+    Attribute contract (the content digest of `perfbench/layertrace.py`
+    reads all four, and Tier-1 tests check them):
+    - `catalog`: the Catalog the chase runs against;
+    - `current`: the Representation still to be decomposed;
+    - `forward`: dict, catalog index z -> HomSpace from
+      catalog.objects[z] to `current`;
+    - `backward`: dict, catalog index z -> HomSpace from `current` to
+      catalog.objects[z].
+    """
 
     def __init__(self, catalog: Catalog, x: Representation):
         self.catalog = catalog
@@ -73,18 +83,16 @@ class _HomCache:
         object: forward homs are those killed by e, corestricted;
         backward homs restrict along the inclusion."""
         for z, homs in self.forward.items():
-            basis = ()
             if homs.dim:
-                killed = HomSpace(homs.source, homs.target, tuple(e @ h for h in homs.basis))
-                k = kernel_basis(killed.basis_matrix())
-                basis = tuple(comp_proj @ homs.element(k.a[:, j]) for j in range(k.cols))
-            self.forward[z] = HomSpace(homs.source, complement, basis)
+                homs = homs.combinations(kernel_basis(homs.postcomposed(e).basis_matrix()))
+            self.forward[z] = homs.postcomposed(comp_proj)
         for z, homs in self.backward.items():
-            basis = tuple(h @ comp_incl for h in homs.basis)
-            if basis:
-                _, pivots, _ = rref(HomSpace(complement, homs.target, basis).basis_matrix())
-                basis = tuple(basis[j] for j in pivots)
-            self.backward[z] = HomSpace(complement, homs.target, basis)
+            homs = homs.precomposed(comp_incl)
+            if homs.dim:
+                flat = homs.basis_matrix()
+                _, pivots, _ = rref(flat)
+                homs = HomSpace.from_flat(complement, homs.target, flat.take_columns(pivots))
+            self.backward[z] = homs
         self.current = complement
 
 
@@ -157,23 +165,25 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
 def _find_retraction(f: Morphism, backward: HomSpace):
     """Some q in the span of `backward` (maps f.target -> f.source) with
     q . f = id, or None."""
-    composites = HomSpace(f.source, f.source, tuple(r @ f for r in backward.basis))
-    c = composites.coefficients([Morphism.identity(f.source)])
+    c = backward.precomposed(f).coefficients([Morphism.identity(f.source)])
     return None if c is None else backward.element(c.a[:, 0])
 
 
 def _factor_through_left(f: Morphism, lass: Morphism, parts, cache):
     """Solve f = h' . lass with h' built from the cached forward homs of
     the middle parts; returns the component of h' on each part."""
-    spans = []
-    composites = []
-    for pos, w in enumerate(parts):
-        block_proj = _block_component(lass, parts, pos, cache.catalog)
-        spans.append(cache.forward[w])
-        composites += [b @ block_proj for b in cache.forward[w].basis]
-    if not composites:
+    spans = [cache.forward[w] for w in parts]
+    composites = HomSpace.joined(
+        f.source,
+        f.target,
+        [
+            homs.precomposed(_block_component(lass, parts, pos, cache.catalog))
+            for pos, homs in enumerate(spans)
+        ],
+    )
+    if not composites.dim:
         raise InternalContractViolation("left map has no middle homs to factor through")
-    c = HomSpace(f.source, f.target, tuple(composites)).coefficients([f])
+    c = composites.coefficients([f])
     if c is None:
         raise InternalContractViolation("map does not factor through the left almost split map")
     offsets = np.cumsum([0] + [homs.dim for homs in spans])
@@ -356,9 +366,9 @@ def harada_sai_check(catalog: Catalog, samples: int, seed: int = 0):
     for i in range(n_obj):
         outs = []
         for j in range(n_obj):
-            basis = catalog.rad_morphisms(i, j)
-            if basis:
-                rad_bases[(i, j)] = HomSpace(catalog.objects[i], catalog.objects[j], tuple(basis))
+            homs = catalog.rad_space(i, j)
+            if homs.dim:
+                rad_bases[(i, j)] = homs
                 outs.append(j)
         targets[i] = outs
 
@@ -401,13 +411,12 @@ def harada_sai_check(catalog: Catalog, samples: int, seed: int = 0):
                 while improved and cur_len < m_len - 1:
                     improved = False
                     for w in targets[z]:
-                        for h2 in rad_bases[(z, w)].basis:
-                            cand = h2 @ cur
-                            if not cand.is_zero():
-                                cur, cur_len, z = cand, cur_len + 1, w
-                                improved = True
-                                break
-                        if improved:
+                        # the first h2 . cur over the basis h2 that is nonzero
+                        cands = rad_bases[(z, w)].precomposed(cur)
+                        nonzero = np.flatnonzero(cands.basis_matrix().a.any(axis=0))
+                        if nonzero.size:
+                            cur, cur_len, z = cands.basis[nonzero[0]], cur_len + 1, w
+                            improved = True
                             break
                 if cur_len > witness_len:
                     witness_len, witness = cur_len, cur

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -45,8 +44,10 @@ from .repfile import (
     load_catalog,
     parse_representation,
     parse_subspace_config,
+    read_text,
     save_catalog,
     serialize_representation,
+    write_atomic,
 )
 from .sampling import random_subspace_representation
 
@@ -56,23 +57,8 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
-def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _load_rep(path):
-    with open(path) as fh:
-        return parse_representation(fh.read())
+    return parse_representation(read_text(path))
 
 
 def _get_catalog(args, algebra=None):
@@ -91,22 +77,21 @@ def _get_catalog(args, algebra=None):
 def _parse_poset_file(path):
     points = None
     covers = []
-    with open(path) as fh:
-        for no, raw in enumerate(fh, start=1):
-            body = raw.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if parts[0] == "points":
-                points = parts[1:]
-            elif parts[0] == "covers":
-                for item in parts[1:]:
-                    if "<" not in item:
-                        raise ParseError(f"bad cover {item!r}", line=no)
-                    a, b = item.split("<", 1)
-                    covers.append((a, b))
-            else:
-                raise ParseError(f"unknown keyword {parts[0]!r}", line=no)
+    for no, raw in enumerate(read_text(path, "poset file").splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if parts[0] == "points":
+            points = parts[1:]
+        elif parts[0] == "covers":
+            for item in parts[1:]:
+                if "<" not in item:
+                    raise ParseError(f"bad cover {item!r}", line=no)
+                a, b = item.split("<", 1)
+                covers.append((a, b))
+        else:
+            raise ParseError(f"unknown keyword {parts[0]!r}", line=no)
     if points is None:
         raise ParseError("poset file needs a 'points' line")
     return Poset(points, covers)
@@ -134,7 +119,7 @@ def cmd_approx(args):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
     out = args.out or "."
-    _write_atomic(
+    write_atomic(
         os.path.join(out, f"approx_{args.kind}.rep"),
         serialize_representation(res.approx),
     )
@@ -146,7 +131,7 @@ def cmd_approx(args):
         },
         "direction": "approx->input" if res.kind in ("right", "mimo") else "input->approx",
     }
-    _write_atomic(
+    write_atomic(
         os.path.join(out, f"approx_{args.kind}_map.json"), json.dumps(payload, indent=1)
     )
     dims = "\t".join(str(res.approx.dim(v)) for v in rep.quiver.vertices)
@@ -176,13 +161,13 @@ def cmd_decompose(args):
         table[key] = table.get(key, 0) + 1
     if args.out:
         for i, s in enumerate(decomp.summands):
-            _write_atomic(
+            write_atomic(
                 os.path.join(args.out, f"summand_{i:03d}.rep"),
                 serialize_representation(s.rep),
             )
         cert = dict(decomp.certificate)
         cert["summand_dims"] = [list(s.rep.dim_vector()) for s in decomp.summands]
-        _write_atomic(
+        write_atomic(
             os.path.join(args.out, "certificate.json"),
             json.dumps(cert, indent=1, default=str),
         )
@@ -229,15 +214,14 @@ def cmd_arquiver(args):
     catalog = load_catalog(args.catalog)
     dot = export_quiver(catalog)
     if args.dot:
-        _write_atomic(args.dot, dot + "\n")
+        write_atomic(args.dot, dot + "\n")
     else:
         print(dot)
     return EXIT_OK
 
 
 def cmd_birkhoff(args):
-    with open(args.file) as fh:
-        cfg = parse_subspace_config(fh.read())
+    cfg = parse_subspace_config(read_text(args.file))
     problems = cfg.validate()
     if problems:
         for p in problems:

@@ -45,7 +45,6 @@ from .posetrep import (
     end_algebra,
     hom_basis,
     image_subrep,
-    morphism_from_flat,
 )
 
 SPLIT_BUDGET = 256
@@ -54,9 +53,13 @@ SPLIT_BUDGET = 256
 @dataclass
 class RadicalData:
     algebra: EndAlgebra
-    radical_basis: tuple  # morphisms
+    radical: HomSpace  # a basis of the radical, inside Hom(x, x)
     quotient_dim: int
     coeff_matrix: Matrix  # coordinates of the radical basis in the algebra basis
+
+    @property
+    def radical_basis(self) -> tuple:
+        return self.radical.basis
 
 
 def _sigma(op: Matrix, k_power: int) -> int:
@@ -76,11 +79,11 @@ def radical(end: EndAlgebra) -> RadicalData:
     n = x.total_dim()
     m = end.dim
     if m == 0:
-        return RadicalData(end, (), 0, Matrix.zeros(field, 0, 0))
+        return RadicalData(end, end.space, 0, Matrix.zeros(field, 0, 0))
     coeff = Matrix.identity(field, m)  # columns: current ideal in basis coords
     k = 1
     while k <= n and coeff.cols:
-        cur_ops = [end.element(coeff.a[:, j]).total_matrix() for j in range(coeff.cols)]
+        cur_ops = [h.total_matrix() for h in end.space.combinations(coeff).basis]
         size = len(cur_ops)
         system = np.zeros((size, size), dtype=np.int64)
         for r, y in enumerate(cur_ops):
@@ -89,39 +92,30 @@ def radical(end: EndAlgebra) -> RadicalData:
         ker = kernel_basis(Matrix(field, system))
         coeff = column_space_basis(coeff @ ker)
         k *= p
-    basis = tuple(end.element(coeff.a[:, j]) for j in range(coeff.cols))
-    _verify_radical(end, basis, coeff)
-    return RadicalData(end, basis, m - coeff.cols, coeff)
+    rad = end.space.combinations(coeff)
+    _verify_radical(end, rad)
+    return RadicalData(end, rad, m - coeff.cols, coeff)
 
 
-def _verify_radical(end: EndAlgebra, basis, coeff):
+def _verify_radical(end: EndAlgebra, rad: HomSpace):
     """The computed space must be a nilpotent two-sided ideal; combined
     with the necessity of the vanishing conditions this certifies it as
     the radical."""
     x = end.rep
-    field = x.field
-    if not basis:
+    if not rad.dim:
         return
-    solver = CoordinateSolver(HomSpace(x, x, basis).basis_matrix())
-    for b in basis:
-        for g in end.basis:
-            for prod in (b @ g, g @ b):
-                vec = Matrix(field, prod.flatten().reshape(-1, 1))
-                if not solver.contains(vec):
-                    raise InternalContractViolation("radical candidate is not an ideal")
-    # nilpotency of the subspace under iterated products
-    current = list(basis)
+    solver = CoordinateSolver(rad.basis_matrix())
+    for b in rad.basis:
+        for products in (end.space.postcomposed(b), end.space.precomposed(b)):
+            if not solver.contains(products.basis_matrix()):
+                raise InternalContractViolation("radical candidate is not an ideal")
+    # nilpotency of the subspace under iterated products f . b, f outer
+    current = rad
     for _ in range(end.dim + 1):
-        if all(f.is_zero() for f in current):
+        if current.basis_matrix().is_zero():
             return
-        nxt = []
-        for f in current:
-            for b in basis:
-                nxt.append(f @ b)
-        cols = column_space_basis(HomSpace(x, x, tuple(nxt)).basis_matrix())
-        current = [
-            morphism_from_flat(x, x, cols.a[:, j]) for j in range(cols.cols)
-        ]
+        products = HomSpace.joined(x, x, [rad.postcomposed(f) for f in current.basis])
+        current = HomSpace.from_flat(x, x, column_space_basis(products.basis_matrix()))
     raise InternalContractViolation("radical candidate is not nilpotent")
 
 
@@ -322,12 +316,14 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
 
 def fingerprint(x: Representation):
     """Cheap isomorphism invariant: dimension vector, block invariants per
-    vertex, and ranks of all composites to the top."""
-    blocks = tuple(block_invariants(x.spaces[v]) for v in x.quiver.vertices)
-    ranks = tuple(
-        x.composite_map(v, STAR).rank() for v in x.quiver.vertices
-    )
-    return (x.dim_vector(), blocks, ranks)
+    vertex, and ranks of all composites to the top.  Memoized on x."""
+    if x._fingerprint is None:
+        blocks = tuple(block_invariants(x.spaces[v]) for v in x.quiver.vertices)
+        ranks = tuple(
+            x.composite_map(v, STAR).rank() for v in x.quiver.vertices
+        )
+        x._fingerprint = (x.dim_vector(), blocks, ranks)
+    return x._fingerprint
 
 
 def indecomposables_isomorphic(x: Representation, y: Representation, rad_x: RadicalData = None):
@@ -350,20 +346,22 @@ def indecomposables_isomorphic(x: Representation, y: Representation, rad_x: Radi
     rad_solver = (
         CoordinateSolver(rad_x.coeff_matrix) if rad_x.coeff_matrix.cols else None
     )
-    endx = rad_x.algebra
+    end_solver = rad_x.algebra.solver()
     for f in hxy.basis:
-        for g in hyx.basis:
-            c = g @ f
-            coords = Matrix(x.field, endx.coords(c).reshape(-1, 1))
-            in_rad = rad_solver.contains(coords) if rad_solver else c.is_zero()
-            if not in_rad:
-                if all(
-                    f.components[v].rank() == x.dim(v) for v in x.quiver.vertices
-                ):
-                    return True, f
-                raise InternalContractViolation(
-                    "unit composite with singular forward map"
-                )
+        # g . f for every basis g, g inner
+        composites = hyx.precomposed(f).basis_matrix()
+        if rad_solver:
+            in_rad = rad_solver.members(end_solver.coords(composites))
+        else:
+            in_rad = ~composites.a.any(axis=0)
+        if not in_rad.all():
+            if all(
+                f.components[v].rank() == x.dim(v) for v in x.quiver.vertices
+            ):
+                return True, f
+            raise InternalContractViolation(
+                "unit composite with singular forward map"
+            )
     return False, None
 
 
@@ -480,9 +478,8 @@ def evaluation_iso_check(m_summands, x: Representation, pair_homs=None, pair_rad
                 for s in hs.basis:  # s: M_j -> M_i
                     # coords of phi . s in Hom(M_j, x) for each basis phi of Hom(M_i, x)
                     if dims_a[j]:
-                        comps = tuple(phi @ s for phi in homs_to_x[i].basis)
                         r_mat = solvers[j].coords(
-                            HomSpace(m_summands[j], x, comps).basis_matrix()
+                            homs_to_x[i].precomposed(s).basis_matrix()
                         )
                     else:
                         r_mat = Matrix.zeros(field, 0, dims_a[i])

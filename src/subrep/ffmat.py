@@ -212,11 +212,11 @@ def block_diag(field, mats):
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p of reduced int64 arrays; `b` may be a stack of
+    matrices (leading axes), which `a` multiplies one by one."""
     # int64 products are safe as long as the dot-product accumulator
     # k*(p-1)^2 stays below 2^63; fall back to python ints otherwise.
-    k = a.shape[1]
-    if k == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    k = a.shape[-1]
     if k * (p - 1) * (p - 1) < 2**62:
         return (a @ b) % p
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
@@ -389,8 +389,13 @@ class CoordinateSolver:
         return _wrap(self.field, w[: self.rank].copy())
 
     def contains(self, v: Matrix) -> bool:
+        """Does every column of v lie in the span?"""
+        return bool(self.members(v).all())
+
+    def members(self, v: Matrix) -> np.ndarray:
+        """Boolean per column of v: does it lie in the span?"""
         w = _matmul_mod(self._u, v.a, self.field.p)
-        return not w[self.rank :].any()
+        return ~w[self.rank :].any(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
 from .ffmat import (
     CoordinateSolver,
     Matrix,
+    _matmul_mod,
     _wrap,
     block_diag,
     column_space_basis,
@@ -166,9 +167,13 @@ class QuiverStar:
 
 
 class Representation:
-    """Vertex modules plus arrow matrices on the augmented quiver."""
+    """Vertex modules plus arrow matrices on the augmented quiver.
 
-    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_paths")
+    Not mutated after construction, so derived data is memoized on the
+    instance on first use: `_paths` by `composite_map`, `_fingerprint` by
+    `decomp.fingerprint`."""
+
+    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_paths", "_fingerprint")
 
     def __init__(self, quiver: QuiverStar, algebra: LambdaAlgebra, spaces, arrow_maps):
         self.quiver = quiver
@@ -176,6 +181,7 @@ class Representation:
         self.spaces = dict(spaces)
         self.arrow_maps = dict(arrow_maps)
         self._paths = None
+        self._fingerprint = None
         for v in quiver.vertices:
             if v not in self.spaces:
                 raise ValueError(f"missing space at vertex {v!r}")
@@ -386,53 +392,140 @@ def morphism_from_flat(x, y, vec) -> Morphism:
     return Morphism(x, y, comps)
 
 
-@dataclass
 class HomSpace:
-    source: Representation
-    target: Representation
-    basis: tuple
+    """A span of morphisms source -> target, held as one flat coordinate
+    matrix: column j is the j-th spanning morphism flattened in
+    `Morphism.flatten` order (vertex by vertex, each component
+    column-major).  The columns may be dependent (a list of composites,
+    say); `hom_basis` returns an actual basis.
+
+    `source`, `target` and `basis` (the spanning morphisms, built from
+    the columns on first read) are the public contract: the content
+    digest of `perfbench/layertrace.py` reads exactly these three.
+
+    Composing every element with one map costs one product per vertex.
+    The rows of vertex v, read as a (dim source_v, dim target_v, k)
+    array, hold the transposed components h_1^T, ..., h_k^T, so g . h_j
+    for all j is g times that stack, and h_j . f for all j is f^T times
+    the same rows read as [h_1^T | ... | h_k^T].
+    """
+
+    __slots__ = ("source", "target", "_flat", "_basis")
+
+    def __init__(self, source: Representation, target: Representation, basis):
+        """The span of the morphisms in `basis`, in order."""
+        self.source = source
+        self.target = target
+        self._basis = tuple(basis)
+        if self._basis:
+            # components are reduced, so the stacked copy is too
+            flat = np.stack([m.flatten() for m in self._basis], axis=1)
+        else:
+            flat = np.zeros((_flat_size(source, target), 0), dtype=np.int64)
+        self._flat = _wrap(source.field, flat)
+
+    @classmethod
+    def from_flat(cls, source, target, flat: Matrix) -> "HomSpace":
+        """The span of the columns of `flat` (reduced, `flatten` order)."""
+        hs = object.__new__(cls)
+        hs.source = source
+        hs.target = target
+        hs._flat = flat
+        hs._basis = None
+        return hs
+
+    @classmethod
+    def joined(cls, source, target, spaces) -> "HomSpace":
+        """All spanning columns of `spaces` (spans source -> target), in
+        order."""
+        cols = [s._flat.a for s in spaces]
+        if not cols:
+            return cls(source, target, ())
+        return cls.from_flat(source, target, _wrap(source.field, np.hstack(cols)))
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            cols = self._flat.a.T
+            self._basis = tuple(
+                morphism_from_flat(self.source, self.target, cols[j])
+                for j in range(self.dim)
+            )
+        return self._basis
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self._flat.cols
 
     def basis_matrix(self) -> Matrix:
-        """Columns are the flattened basis morphisms."""
-        field = self.source.field
-        if not self.basis:
-            total = sum(
-                self.target.dim(v) * self.source.dim(v)
-                for v in self.source.quiver.vertices
-            )
-            return Matrix.zeros(field, total, 0)
-        # components are reduced, so the stacked copy is too
-        return _wrap(field, np.stack([m.flatten() for m in self.basis], axis=1))
+        """Columns are the flattened spanning morphisms."""
+        return self._flat
+
+    def postcomposed(self, g: Morphism) -> "HomSpace":
+        """The span of g . h over the spanning h, in order; g: target -> z."""
+        x, z = self.source, g.target
+        a, k, p = self._flat.a, self.dim, x.field.p
+        parts = []
+        o = 0
+        for v in x.quiver.vertices:
+            c, r = x.dim(v), self.target.dim(v)
+            # [l, i, j] = h_j[i, l]; g_v @ stack is [l, i', j] = (g_v h_j)[i', l]
+            stack = a[o : o + r * c].reshape(c, r, k)
+            parts.append(_matmul_mod(g.components[v].a, stack, p).reshape(c * z.dim(v), k))
+            o += r * c
+        return HomSpace.from_flat(x, z, _wrap(x.field, np.concatenate(parts)))
+
+    def precomposed(self, f: Morphism) -> "HomSpace":
+        """The span of h . f over the spanning h, in order; f: w -> source."""
+        w, y = f.source, self.target
+        a, k, p = self._flat.a, self.dim, w.field.p
+        parts = []
+        o = 0
+        for v in w.quiver.vertices:
+            c, r = self.source.dim(v), y.dim(v)
+            # [l, i*k + j] = h_j[i, l]; f_v^T times it is (h_j f_v)^T
+            side = a[o : o + r * c].reshape(c, r * k)
+            parts.append(_matmul_mod(f.components[v].a.T, side, p).reshape(w.dim(v) * r, k))
+            o += r * c
+        return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)))
+
+    def combinations(self, coeffs: Matrix) -> "HomSpace":
+        """The span of the combinations sum_i coeffs[i, j] basis[i], one
+        per column j of coeffs."""
+        p = self.source.field.p
+        return HomSpace.from_flat(
+            self.source,
+            self.target,
+            _wrap(self.source.field, _matmul_mod(self._flat.a, coeffs.a, p)),
+        )
 
     def element(self, coords) -> Morphism:
         """The combination sum coords[i] basis[i]."""
         p = self.source.field.p
-        vec = None
-        for c, m in zip(coords, self.basis):
-            c = int(c) % p
-            if c:
-                term = c * m.flatten()
-                vec = term % p if vec is None else (vec + term) % p
-        if vec is None:
-            return Morphism.zero(self.source, self.target)
+        c = np.asarray(coords, dtype=np.int64).reshape(-1, 1) % p
+        vec = _matmul_mod(self._flat.a, c, p)[:, 0]
         return morphism_from_flat(self.source, self.target, vec)
 
     def coefficients(self, targets):
-        """Coefficients of each morphism in `targets` over `basis`, which
-        may be any spanning list (say, composites): a dim x len(targets)
-        Matrix with free coefficients 0, or None when some target lies
-        outside the span.  An empty basis spans only the zero map."""
-        rhs = HomSpace(self.source, self.target, tuple(targets)).basis_matrix()
-        if not self.basis:
+        """Coefficients of each target morphism over the spanning list: a
+        dim x len(targets) Matrix with free coefficients 0, or None when
+        some target lies outside the span.  `targets` is a list of
+        morphisms or a HomSpace (its spanning columns).  An empty span
+        holds only the zero map."""
+        if not isinstance(targets, HomSpace):
+            targets = HomSpace(self.source, self.target, targets)
+        rhs = targets.basis_matrix()
+        if not self.dim:
             return Matrix.zeros(rhs.field, 0, rhs.cols) if rhs.is_zero() else None
         try:
-            return solve(self.basis_matrix(), rhs)
+            return solve(self._flat, rhs)
         except NoSolutionError:
             return None
+
+
+def _flat_size(x: Representation, y: Representation) -> int:
+    """Length of a flattened morphism x -> y."""
+    return sum(y.dim(v) * x.dim(v) for v in x.quiver.vertices)
 
 
 def hom_basis(x: Representation, y: Representation) -> HomSpace:
@@ -494,43 +587,48 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
                 block(r, s, dx[s], dy[t])[js, :, js, :] = -y.arrow_maps[(s, t)].a
             r += n
         k = kernel_basis(Matrix(field, system))
-    cols = k.a.T
-    basis = tuple(morphism_from_flat(x, y, cols[j]) for j in range(k.cols))
-    return HomSpace(x, y, basis)
+    return HomSpace.from_flat(x, y, k)
 
 
 def postcompose(g: Morphism, x: Representation) -> HomSpace:
     """The maps x -> g.target that factor through g, spanned by g . h over
     a basis h of Hom(x, g.source)."""
-    return HomSpace(x, g.target, tuple(g @ h for h in hom_basis(x, g.source).basis))
+    return hom_basis(x, g.source).postcomposed(g)
 
 
 def precompose(f: Morphism, x: Representation) -> HomSpace:
     """The maps f.source -> x that factor through f, spanned by h . f over
     a basis h of Hom(f.target, x)."""
-    return HomSpace(f.source, x, tuple(h @ f for h in hom_basis(f.target, x).basis))
+    return hom_basis(f.target, x).precomposed(f)
 
 
 class EndAlgebra:
-    """End(x) with basis and (lazily computed) structure constants."""
+    """End(x) over the basis of the hom space `space` = Hom(x, x), with
+    (lazily computed) structure constants."""
 
-    __slots__ = ("rep", "basis", "_table", "_id_coords", "_solver")
+    __slots__ = ("space", "_table", "_id_coords", "_solver")
 
-    def __init__(self, rep: Representation, basis):
-        self.rep = rep
-        self.basis = tuple(basis)
+    def __init__(self, space: HomSpace):
+        self.space = space
         self._table = None
         self._id_coords = None
         self._solver = None
 
     @property
+    def rep(self) -> Representation:
+        return self.space.source
+
+    @property
+    def basis(self) -> tuple:
+        return self.space.basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return self.space.dim
 
     def solver(self):
         if self._solver is None:
-            hs = HomSpace(self.rep, self.rep, self.basis)
-            self._solver = CoordinateSolver(hs.basis_matrix())
+            self._solver = CoordinateSolver(self.space.basis_matrix())
         return self._solver
 
     def coords(self, f: Morphism) -> np.ndarray:
@@ -543,8 +641,9 @@ class EndAlgebra:
             n = self.dim
             table = np.zeros((n, n, n), dtype=np.int64)
             for i, f in enumerate(self.basis):
-                for j, g in enumerate(self.basis):
-                    table[i, j] = self.coords(f @ g)
+                # column j: coordinates of f . basis[j]
+                products = self.space.postcomposed(f).basis_matrix()
+                table[i] = self.solver().coords(products).a.T
             self._table = table
         return self._table
 
@@ -554,11 +653,11 @@ class EndAlgebra:
         return self._id_coords
 
     def element(self, coords) -> Morphism:
-        return HomSpace(self.rep, self.rep, self.basis).element(coords)
+        return self.space.element(coords)
 
 
 def end_algebra(x: Representation) -> EndAlgebra:
-    return EndAlgebra(x, hom_basis(x, x).basis)
+    return EndAlgebra(hom_basis(x, x))
 
 
 @dataclass

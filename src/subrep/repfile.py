@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 
 import numpy as np
 
@@ -21,6 +22,35 @@ from .errors import ParseError
 from .ffmat import Matrix, PrimeField
 from .lambdamod import LambdaAlgebra, LambdaModule
 from .posetrep import Morphism, Poset, QuiverStar, Representation
+
+
+def write_atomic(path, text):
+    """Write `text` to `path` through a temporary file in the same
+    directory, so readers see the old file or the new one, never a
+    partial one.  The file gets the permissions `open(path, "w")` would
+    give it (0o666 less the umask)."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def read_text(path, what="input file"):
+    """The contents of `path`; a file that cannot be read is a
+    ParseError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
 
 
 class _Lines:
@@ -262,18 +292,17 @@ def _morphism_from_payload(payload, source, target):
 
 
 def save_catalog(catalog, directory):
-    os.makedirs(directory, exist_ok=True)
+    """Write the catalog into `directory`, each file atomically; the
+    index `catalog.json` comes last."""
     names = []
     for i, rep in enumerate(catalog.objects):
         name = f"obj_{i:03d}.rep"
-        with open(os.path.join(directory, name), "w") as fh:
-            fh.write(serialize_representation(rep))
+        write_atomic(os.path.join(directory, name), serialize_representation(rep))
         names.append(name)
     meshes = []
     for c_idx, seq in sorted(catalog.meshes.items()):
         name = f"mesh_a_{c_idx:03d}.rep"
-        with open(os.path.join(directory, name), "w") as fh:
-            fh.write(serialize_representation(seq.a))
+        write_atomic(os.path.join(directory, name), serialize_representation(seq.a))
         meshes.append(
             {
                 "end": c_idx,
@@ -304,28 +333,36 @@ def save_catalog(catalog, directory):
         "left_maps": left,
         "max_length": catalog.max_length(),
     }
-    with open(os.path.join(directory, "catalog.json"), "w") as fh:
-        json.dump(meta, fh, indent=1)
+    write_atomic(os.path.join(directory, "catalog.json"), json.dumps(meta, indent=1))
 
 
 def load_catalog(directory):
+    """Read a catalog directory written by `save_catalog`.  A missing
+    directory or file, and a `catalog.json` that is not valid JSON or
+    lacks the expected structure, raise ParseError."""
+    text = read_text(os.path.join(directory, "catalog.json"), "catalog index")
+    try:
+        return _catalog_from_meta(json.loads(text), directory)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ParseError(f"malformed catalog {directory}: {type(exc).__name__}: {exc}") from None
+
+
+def _catalog_from_meta(meta, directory):
     from .artheory import ARSequence, Catalog
     from .posetrep import direct_sum
 
-    with open(os.path.join(directory, "catalog.json")) as fh:
-        meta = json.load(fh)
     field = PrimeField(meta["field"])
     algebra = LambdaAlgebra(field, meta["nilpotency"])
     poset = Poset(meta["points"], [tuple(c) for c in meta["covers"]])
     quiver = QuiverStar(poset)
     catalog = Catalog(quiver, algebra)
     for name, proj in zip(meta["objects"], meta["projective"]):
-        with open(os.path.join(directory, name)) as fh:
-            rep = parse_representation(fh.read())
+        rep = parse_representation(read_text(os.path.join(directory, name), "catalog object"))
         catalog.add(rep, projective=proj)
     for mesh in meta["meshes"]:
-        with open(os.path.join(directory, mesh["kernel_file"])) as fh:
-            a_rep = parse_representation(fh.read())
+        a_rep = parse_representation(
+            read_text(os.path.join(directory, mesh["kernel_file"]), "catalog mesh")
+        )
         parts = tuple(mesh["parts"])
         middle = direct_sum([catalog.objects[i] for i in parts]).rep
         c_rep = catalog.objects[mesh["end"]]

@@ -185,3 +185,49 @@ def test_harada_sai_chain_length_one_nonzero(catalog_p2):
     # map is nonzero
     _, (witness, wlen) = harada_sai_check(catalog_p2, samples=1, seed=6)
     assert wlen >= 1
+
+
+def test_hom_cache_attribute_contract(catalog_p2, monkeypatch):
+    # the benchmark digests _HomCache.catalog/current/forward/backward and
+    # HomSpace.source/target/basis; a rename must fail here
+    from subrep import birkhoff
+    from subrep.artheory import Catalog
+    from subrep.posetrep import HomSpace, Morphism
+
+    seen = []
+
+    def check(cache):
+        assert isinstance(cache.catalog, Catalog) and cache.catalog is catalog_p2
+        assert isinstance(cache.current, Representation)
+        indices = list(range(len(catalog_p2.objects)))
+        assert sorted(cache.forward) == indices and sorted(cache.backward) == indices
+        for z in indices:
+            fwd, bwd = cache.forward[z], cache.backward[z]
+            assert isinstance(fwd, HomSpace) and isinstance(bwd, HomSpace)
+            assert fwd.source is catalog_p2.objects[z] and fwd.target is cache.current
+            assert bwd.source is cache.current and bwd.target is catalog_p2.objects[z]
+            for space in (fwd, bwd):
+                assert isinstance(space.basis, tuple) and len(space.basis) == space.dim
+                assert all(isinstance(h, Morphism) for h in space.basis)
+                assert all(
+                    h.source is space.source and h.target is space.target for h in space.basis
+                )
+        seen.append(cache.current)
+
+    class Recording(birkhoff._HomCache):
+        def __init__(self, catalog, x):
+            super().__init__(catalog, x)
+            check(self)
+
+        def restrict(self, e, comp_incl, comp_proj, complement):
+            super().restrict(e, comp_incl, comp_proj, complement)
+            assert self.current is complement
+            check(self)
+
+    monkeypatch.setattr(birkhoff, "_HomCache", Recording)
+    x = direct_sum([twisted_pair_representation(L2), all_free_representation(L2)]).rep
+    d = decompose_full(x, catalog_p2)
+    assert d.check()
+    # one check after construction and one after each restrict, ending on zero
+    assert len(seen) == len(d.summands) + 1
+    assert seen[0] is x and seen[-1].total_dim() == 0

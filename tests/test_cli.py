@@ -225,3 +225,54 @@ def test_catalog_command_poset_file(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "objects\t5" in table
     assert "FAIL" not in table
+
+
+# unreadable inputs exit 2 with one "parse error:" line, never a traceback
+
+
+def _assert_parse_error(capsys, argv, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_missing_input_file(tmp_path, capsys):
+    missing = str(tmp_path / "absent.rep")
+    _assert_parse_error(capsys, ["validate", missing], "absent.rep")
+    _assert_parse_error(capsys, ["birkhoff", str(tmp_path / "absent.sub")], "absent.sub")
+
+
+def test_missing_catalog_directory(tmp_path, capsys):
+    path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
+    argv = ["decompose", path, "--method", "chase", "--catalog", str(tmp_path / "nowhere")]
+    _assert_parse_error(capsys, argv, "catalog.json")
+
+
+def test_missing_catalog_index(tmp_path, capsys):
+    (tmp_path / "cat").mkdir()
+    _assert_parse_error(capsys, ["arquiver", "--catalog", str(tmp_path / "cat")], "catalog.json")
+
+
+@pytest.mark.parametrize(
+    "text", ['{"field": 2', "{}", "[1, 2]", '{"field": 4, "nilpotency": 2}']
+)
+def test_malformed_catalog_index(tmp_path, capsys, text):
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    (cat / "catalog.json").write_text(text)
+    _assert_parse_error(capsys, ["arquiver", "--catalog", str(cat)], "malformed catalog")
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    import subprocess
+    import sys
+
+    path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "subrep", "validate", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0 and run.stdout.strip() == "ok"

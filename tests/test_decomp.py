@@ -249,3 +249,13 @@ def test_evaluation_iso_check_identity_cases():
     )
     assert evaluation_iso_check([m, n], m) is None
     assert evaluation_iso_check([m, n], direct_sum([m, m, n]).rep) is None
+
+
+def test_fingerprint_is_memoized():
+    m = twisted_pair_representation(L2)
+    assert m._fingerprint is None
+    first = fingerprint(m)
+    assert m._fingerprint is first and fingerprint(m) is first
+    # a fresh copy of the same data computes the same value
+    copy = Representation(m.quiver, m.algebra, m.spaces, m.arrow_maps)
+    assert fingerprint(copy) == first

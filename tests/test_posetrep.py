@@ -388,3 +388,104 @@ def test_coefficients_recombine_targets(p):
         assert all(((c.a >= 0) & (c.a < p)).all() for c in f.components.values())
     c = homs.coefficients(targets)
     assert c == Matrix(field, coords)  # a basis: the coefficients are unique
+
+
+# batched arithmetic on the flat coordinate matrix of a HomSpace
+
+
+def _negated(x):
+    """x with T and every arrow negated (all paths of the example quiver
+    have length 2, so squares still commute): entries p - 1 where x has 1."""
+    neg = x.field.p - 1
+    return Representation(
+        x.quiver,
+        x.algebra,
+        {v: LambdaModule(x.algebra, x.spaces[v].t.scale(neg)) for v in x.quiver.vertices},
+        {a: m.scale(neg) for a, m in x.arrow_maps.items()},
+    )
+
+
+def _sample_reps(p):
+    from subrep.sampling import random_subspace_representation
+
+    alg = LambdaAlgebra(PrimeField(p), 2)
+    rng = np.random.default_rng(11)
+    twisted = twisted_pair_representation(alg)
+    # vertex 1 is zero-dimensional; dims differ from the others, so the
+    # vertex blocks of the homs between them are not square
+    sparse = random_subspace_representation(
+        example_quiver(), alg, {"1": 0, "2": 2, "3": 3, "*": 5}, rng
+    )
+    return rng, [twisted, _negated(twisted), all_free_representation(alg), sparse]
+
+
+def _combination(homs, coords):
+    acc = Morphism.zero(homs.source, homs.target)
+    for c, h in zip(coords, homs.basis):
+        acc = acc + h.scale(int(c))
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_batched_composition_matches_per_morphism(p):
+    rng, reps = _sample_reps(p)
+    assert 0 in reps[-1].dim_vector()
+    for x, y, z in ((reps[0], reps[1], reps[3]), (reps[3], reps[2], reps[1]), (reps[1], reps[1], reps[1])):
+        homs = hom_basis(x, y)
+        assert homs.dim
+        # maps with every coefficient p - 1 carry entries near p
+        g = _combination(hom_basis(y, z), [p - 1] * hom_basis(y, z).dim)
+        f = _combination(hom_basis(z, x), [p - 1] * hom_basis(z, x).dim)
+        post = homs.postcomposed(g)
+        pre = homs.precomposed(f)
+        assert (post.source, post.target, pre.source, pre.target) == (x, z, z, y)
+        assert post.basis == tuple(g @ h for h in homs.basis)
+        assert pre.basis == tuple(h @ f for h in homs.basis)
+        for span in (post, pre):
+            a = span.basis_matrix().a
+            assert a.dtype == np.int64 and ((a >= 0) & (a < p)).all()
+            assert all(h.is_valid() for h in span.basis)
+        coords = rng.integers(0, p, size=(homs.dim, 3))
+        coords[:, 0] = p - 1
+        coords[:, 1] = 0  # all-zero coefficients: the zero morphism
+        combos = homs.combinations(Matrix(PrimeField(p), coords))
+        for j in range(3):
+            ref = _combination(homs, coords[:, j])
+            assert combos.basis[j] == ref == homs.element(coords[:, j])
+        assert combos.basis[1] == Morphism.zero(x, y)
+
+
+def test_homspace_flat_layout_round_trip():
+    _, reps = _sample_reps(3)
+    for x, y in ((reps[0], reps[3]), (reps[3], reps[0]), (reps[2], reps[2])):
+        homs = hom_basis(x, y)
+        flat = homs.basis_matrix()
+        assert flat.a.shape == (sum(x.dim(v) * y.dim(v) for v in x.quiver.vertices), homs.dim)
+        # columns are the flattened basis morphisms, and the reverse
+        assert [h.flatten().tolist() for h in homs.basis] == flat.a.T.tolist()
+        assert HomSpace(x, y, homs.basis).basis_matrix() == flat
+        assert HomSpace.from_flat(x, y, flat).basis == homs.basis
+        joined = HomSpace.joined(x, y, [homs, homs])
+        assert joined.basis == homs.basis + homs.basis
+
+
+def test_batched_composition_empty_span():
+    _, reps = _sample_reps(2)
+    x, y = reps[0], reps[3]
+    field = x.field
+    empty = HomSpace(x, y, ())
+    size = sum(x.dim(v) * y.dim(v) for v in x.quiver.vertices)
+    assert empty.basis_matrix() == Matrix.zeros(field, size, 0)
+    post = empty.postcomposed(Morphism.identity(y))
+    pre = empty.precomposed(Morphism.identity(x))
+    for span in (post, pre):
+        assert span.dim == 0 and span.basis == ()
+        assert span.basis_matrix() == Matrix.zeros(field, size, 0)
+    assert empty.element([]) == Morphism.zero(x, y)
+    zeros = empty.combinations(Matrix.zeros(field, 0, 2))
+    assert zeros.basis == (Morphism.zero(x, y), Morphism.zero(x, y))
+    assert HomSpace.joined(x, y, []).basis_matrix() == empty.basis_matrix()
+    # the zero object: every block is empty
+    zero = Representation.zero(x.quiver, x.algebra)
+    homs = hom_basis(zero, y)
+    assert homs.postcomposed(Morphism.identity(y)).basis_matrix().a.shape == (0, homs.dim)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,28 @@ def test_subspace_roundtrip():
 def test_subspace_parse_error():
     with pytest.raises(ParseError):
         parse_subspace_config("field 2\ndim 1\nt\n0\nsubspace v1\n0 1\n")
+
+
+def test_save_catalog_writes_atomically(catalog_p2, tmp_path, monkeypatch):
+    from subrep import repfile
+
+    written = []
+    real = repfile.write_atomic
+
+    def recording(path, text):
+        written.append(os.path.basename(path))
+        real(path, text)
+
+    monkeypatch.setattr(repfile, "write_atomic", recording)
+    out = tmp_path / "cat"
+    repfile.save_catalog(catalog_p2, str(out))
+    # every file goes through the atomic writer, the index last, and no
+    # temporary file is left behind
+    assert sorted(written) == sorted(os.listdir(out))
+    assert written[-1] == "catalog.json"
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+    # the permissions a plain open() gives, not a private temporary file's
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    assert os.stat(out / "catalog.json").st_mode == os.stat(plain).st_mode
+    assert len(repfile.load_catalog(str(out)).objects) == len(catalog_p2.objects)
