@@ -28,6 +28,7 @@ from .posetrep import (
     hom_basis,
     postcompose,
     precompose,
+    subspace_representation,
 )
 
 
@@ -47,21 +48,9 @@ def left_approx(x: Representation) -> ApproxResult:
     """
     quiver = x.quiver
     field = x.field
-    star_mod = x.spaces[STAR]
-    images = {}
-    incls = {}
-    for v in quiver.vertices:
-        comp = x.composite_map(v, STAR)
-        mod, span = submodule(star_mod, column_space_basis(comp))
-        images[v] = mod
-        incls[v] = span  # basis of im X_{v*} inside X_*
-    maps = {}
-    for (s, t) in quiver.arrows:
-        if incls[t].cols:
-            maps[(s, t)] = solve(incls[t], incls[s])
-        else:
-            maps[(s, t)] = Matrix.zeros(field, 0, incls[s].cols)
-    approx = Representation(quiver, x.algebra, images, maps)
+    images = {v: column_space_basis(x.composite_map(v, STAR)) for v in quiver.poset.points}
+    # incls[v]: basis of im X_{v*} inside X_*
+    approx, incls = subspace_representation(quiver, x.spaces[STAR], images)
     comps = {}
     for v in quiver.vertices:
         comp = x.composite_map(v, STAR)

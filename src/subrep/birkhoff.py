@@ -32,7 +32,7 @@ from .ffmat import (
     rref,
     solve,
 )
-from .lambdamod import LambdaModule, submodule
+from .lambdamod import LambdaModule
 from .posetrep import (
     STAR,
     HomSpace,
@@ -40,6 +40,7 @@ from .posetrep import (
     Representation,
     hom_basis,
     split_by_retraction,
+    subspace_representation,
 )
 from .sampling import intersect_spans
 
@@ -281,28 +282,12 @@ def from_invariant_subspaces(cfg: SubspaceConfig) -> Representation:
     problems = cfg.validate()
     if problems:
         raise problems[0]
-    algebra = cfg.v.algebra
-    field = algebra.field
-    quiver = example_quiver()
     spans = {
         "1": column_space_basis(cfg.v1),
         "2": column_space_basis(cfg.v2),
         "3": column_space_basis(cfg.v3),
-        STAR: Matrix.identity(field, cfg.v.dim),
     }
-    spaces = {}
-    for v in quiver.vertices:
-        mod, span = submodule(cfg.v, spans[v])
-        spaces[v] = mod
-        spans[v] = span
-    spaces[STAR] = cfg.v
-    maps = {}
-    for (s, t) in quiver.arrows:
-        if spans[t].cols:
-            maps[(s, t)] = solve(spans[t], spans[s])
-        else:
-            maps[(s, t)] = Matrix.zeros(field, 0, spans[s].cols)
-    rep = Representation(quiver, algebra, spaces, maps)
+    rep, _ = subspace_representation(example_quiver(), cfg.v, spans)
     if not rep.is_subspace_rep():
         raise InternalContractViolation("subspace construction produced a non-mono arrow")
     return rep

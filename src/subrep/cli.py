@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     SubrepError,
 )
-from .examples import example_poset
+from .examples import example_poset, example_quiver
 from .ffmat import PrimeField
 from .lambdamod import LambdaAlgebra
 from .posetrep import Poset, QuiverStar
@@ -61,17 +61,37 @@ def _load_rep(path):
     return parse_representation(read_text(path))
 
 
-def _get_catalog(args, algebra=None):
+def _get_catalog(args, algebra=None, quiver=None):
+    """The catalog of `--catalog`, or one built for the input's algebra
+    and quiver (default: k[T]/T^2 over --field on the example poset).  A
+    saved catalog over another field, nilpotency or poset than the input
+    is a ParseError."""
     if getattr(args, "catalog", None):
-        return load_catalog(args.catalog)
-    algebra = algebra or LambdaAlgebra(PrimeField(args.field), 2)
-    quiver = QuiverStar(example_poset())
+        catalog = load_catalog(args.catalog)
+        if algebra is not None and (
+            catalog.algebra != algebra or catalog.quiver != quiver
+        ):
+            raise ParseError(
+                f"catalog {args.catalog} is over {catalog.algebra} on "
+                f"{catalog.quiver.poset!r}, the input over {algebra} on {quiver.poset!r}"
+            )
+        return catalog
+    algebra = algebra or LambdaAlgebra(args.field, 2)
+    quiver = quiver or example_quiver()
     print(
-        f"building catalog for the example poset over F_{algebra.field.p} "
+        f"building catalog for {quiver.poset!r} over F_{algebra.field.p} "
         "(pass --catalog to reuse a saved one)",
         file=sys.stderr,
     )
     return build_catalog(quiver, algebra, seed=getattr(args, "seed", 0))
+
+
+def _prime_field(text):
+    """argparse type of --field: a prime p <= 2^31, as a PrimeField."""
+    try:
+        return PrimeField(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_poset_file(path):
@@ -94,7 +114,10 @@ def _parse_poset_file(path):
             raise ParseError(f"unknown keyword {parts[0]!r}", line=no)
     if points is None:
         raise ParseError("poset file needs a 'points' line")
-    return Poset(points, covers)
+    try:
+        return Poset(points, covers)
+    except ValueError as exc:
+        raise ParseError(f"poset file {path}: {exc}") from None
 
 
 def cmd_validate(args):
@@ -153,7 +176,7 @@ def cmd_decompose(args):
                 file=sys.stderr,
             )
             return EXIT_DOMAIN
-        catalog = _get_catalog(args, rep.algebra)
+        catalog = _get_catalog(args, rep.algebra, rep.quiver)
         decomp = decompose_full(rep, catalog)
     table = {}
     for s in decomp.summands:
@@ -182,7 +205,7 @@ def cmd_catalog(args):
         poset = example_poset()
     else:
         poset = _parse_poset_file(args.poset)
-    algebra = LambdaAlgebra(PrimeField(args.field), args.nilpotency)
+    algebra = LambdaAlgebra(args.field, args.nilpotency)
     quiver = QuiverStar(poset)
     try:
         catalog = build_catalog(quiver, algebra, budget=args.budget, seed=args.seed)
@@ -227,7 +250,7 @@ def cmd_birkhoff(args):
         for p in problems:
             print(f"violation: {p}", file=sys.stderr)
         return EXIT_DOMAIN
-    catalog = _get_catalog(args, cfg.v.algebra)
+    catalog = _get_catalog(args, cfg.v.algebra, example_quiver())
     report = invariant_subspace_report(cfg, catalog)
     print("catalog_index\tdim_vector\tmultiplicity")
     for idx in sorted(report.multiplicities):
@@ -306,7 +329,7 @@ def build_parser():
 
     p = sub.add_parser("catalog", help="build and verify a catalog")
     p.add_argument("--poset", default="example", help="'example' or a poset file")
-    p.add_argument("--field", type=int, default=2)
+    p.add_argument("--field", type=_prime_field, default="2")
     p.add_argument("--nilpotency", type=int, default=2)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -337,7 +360,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--catalog")
-    p.add_argument("--field", type=int, default=2)
+    p.add_argument("--field", type=_prime_field, default="2")
     p.set_defaults(func=cmd_check)
     return parser
 

@@ -27,6 +27,7 @@ from .ffmat import (
     CoordinateSolver,
     Matrix,
     Poly,
+    _matmul_mod,
     char_poly,
     column_space_basis,
     factor,
@@ -119,54 +120,50 @@ def _verify_radical(end: EndAlgebra, rad: HomSpace):
     raise InternalContractViolation("radical candidate is not nilpotent")
 
 
-def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData, rng=None) -> bool:
-    """Check End/J is a division ring.
+def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData) -> bool:
+    """Check End/J is a division ring, exactly.
 
-    Exhaustive unit check when the quotient is small (every nonzero class
-    has an invertible representative); otherwise random sampling.
+    End/J is finite and semisimple, so it is a division ring iff it is a
+    field (Wedderburn's little theorem).  A commutative one is a product
+    of fields F_{p^d}, and the kernel of the F_p-linear map a -> a^p - a
+    has one dimension per factor (Berlekamp), so End/J is a field iff its
+    multiplication table is commutative and that kernel is a line.  The
+    table lives on a complement of J; p-th powers are repeated squaring
+    in it.
     """
     field = end.rep.field
     p = field.p
     q = rad.quotient_dim
     if q == 0:
         return False
-    # complement basis of the radical inside End
+    x = end.rep
+    flat = end.space.basis_matrix()
     comp_idx = independent_columns(rad.coeff_matrix, Matrix.identity(field, end.dim))
-    comp_ops = [end.basis[i].total_matrix() for i in comp_idx]
-    n = comp_ops[0].rows if comp_ops else 0
-    if p**q <= 2**16:
-        for code in range(1, p**q):
-            acc = Matrix.zeros(field, n, n)
-            c = code
-            for op in comp_ops:
-                digit = c % p
-                c //= p
-                if digit:
-                    acc = acc + op.scale(digit)
-            if acc.rank() < n:
-                return False
-        return True
-    rng = rng or np.random.default_rng(0)
-    for _ in range(10**4):
-        coords = rng.integers(0, p, size=q)
-        if not coords.any():
-            continue
-        acc = Matrix.zeros(field, n, n)
-        for digit, op in zip(coords, comp_ops):
-            if digit:
-                acc = acc + op.scale(int(digit))
-        if acc.rank() < n:
-            return False
-    # no nontrivial idempotent in any 2-dimensional subalgebra spanned by
-    # the identity and a basis element: e = a + b x with e^2 = e
-    ident = Matrix.identity(field, n)
-    for op in comp_ops:
-        for a in range(p):
-            for b in range(1, p):
-                e = ident.scale(a) + op.scale(b)
-                if e @ e == e and not e.is_zero() and e != ident:
-                    return False
-    return True
+    comp = HomSpace.from_flat(x, x, flat.take_columns(comp_idx))
+    # coordinates over complement | radical; the first q are those in End/J
+    solver = CoordinateSolver(comp.basis_matrix().hstack(rad.radical.basis_matrix()))
+    table = np.empty((q, q, q), dtype=np.int64)  # [i, j, :] = e_i e_j
+    for i, b in enumerate(comp.basis):
+        table[i] = solver.coords(comp.postcomposed(b).basis_matrix()).a[:q].T
+    if not np.array_equal(table, table.transpose(1, 0, 2)):
+        return False
+    by_left = table.reshape(q, q * q)
+
+    def times(u, v):
+        """Row-wise products u[r] v[r] of coordinate rows."""
+        left = _matmul_mod(u, by_left, p).reshape(-1, q, q)
+        return _matmul_mod(v[:, None, :], left, p)[:, 0, :]
+
+    basis = np.eye(q, dtype=np.int64)
+    power, square, e = None, basis, p
+    while e:
+        if e & 1:
+            power = square if power is None else times(power, square)
+        e >>= 1
+        if e:
+            square = times(square, square)
+    frobenius = Matrix(field, power - basis)  # row i: e_i^p - e_i
+    return q - frobenius.rank() == 1
 
 
 def is_local(end: EndAlgebra) -> bool:
@@ -225,17 +222,14 @@ def _crt_idempotents(theta: Morphism, factors, mp: Poly):
         if g.degree() != 0:
             raise InternalContractViolation("factors are not coprime")
         interp = (u * qk) % mp
-        out.append(_eval_poly_at_morphism(interp, theta))
+        out.append(
+            Morphism(
+                theta.source,
+                theta.target,
+                {v: interp.eval_matrix(m) for v, m in theta.components.items()},
+            )
+        )
     return out
-
-
-def _eval_poly_at_morphism(poly: Poly, theta: Morphism) -> Morphism:
-    x = theta.source
-    acc = Morphism.zero(x, x)
-    ident = Morphism.identity(x)
-    for c in reversed(poly.coeffs):
-        acc = acc @ theta + ident.scale(int(c))
-    return acc
 
 
 def indecompose(x: Representation, seed: int = 0) -> Decomposition:
@@ -249,7 +243,7 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
     trace = []
     summands = []
 
-    def recurse(rep, incl, proj, depth):
+    def recurse(rep, incl, proj):
         if rep.total_dim() == 0:
             return
         ends = end_algebra(rep)
@@ -294,7 +288,7 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
                             for v in rep.quiver.vertices
                         },
                     )
-                    recurse(part, incl @ part_incl, part_proj @ proj, depth + 1)
+                    recurse(part, incl @ part_incl, part_proj @ proj)
                 return
             if attempt >= 7 and not locality_checked:
                 locality_checked = True
@@ -302,15 +296,11 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
                     trace.append({"dims": rep.dim_vector(), "leaf": "local"})
                     summands.append(Summand(rep, incl, proj))
                     return
-        if not locality_checked and is_local(ends):
-            trace.append({"dims": rep.dim_vector(), "leaf": "local"})
-            summands.append(Summand(rep, incl, proj))
-            return
         raise BudgetExceededError(
             f"failed to split a non-local endomorphism algebra after {SPLIT_BUDGET} attempts"
         )
 
-    recurse(x, Morphism.identity(x), Morphism.identity(x), 0)
+    recurse(x, Morphism.identity(x), Morphism.identity(x))
     return Decomposition(x, summands, {"seed": seed, "method": "idempotent", "trace": trace})
 
 

@@ -555,13 +555,6 @@ def poly_xgcd(a: Poly, b: Poly):
     return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero(a.field)
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     result = Poly.one(base.field)
     base = base % mod
@@ -617,36 +610,27 @@ def char_poly(m: Matrix) -> Poly:
 
 
 def min_poly(m: Matrix) -> Poly:
-    """Minimal polynomial: lcm of the relative minimal polynomials of the
-    standard basis vectors (Krylov iteration)."""
+    """Minimal polynomial, read off one rref of the stacked powers.
+
+    Column k of the stack is vec(m^k), k = 0..n.  The first non-pivot
+    column d is the least power dependent on the lower ones, and rref
+    row i of that column is its coefficient on m^i (the pivot of row i
+    is column i), so the polynomial is x^d - sum_i rref[i, d] x^i.
+    """
     if m.rows != m.cols:
         raise ValueError("min_poly needs a square matrix")
     field = m.field
     p = field.p
     n = m.rows
-    if n == 0:
-        return Poly.one(field)
-    result = Poly.one(field)
-    for i in range(n):
-        if result.degree() >= n:
-            break
-        v = np.zeros((n, 1), dtype=np.int64)
-        v[i, 0] = 1
-        if not result.is_zero() and not result.eval_matrix(m).a[:, i].any():
-            continue
-        krylov = v
-        cur = v
-        while True:
-            cur = _matmul_mod(m.a, cur, p)
-            try:
-                c = solve(Matrix(field, krylov), Matrix(field, cur))
-            except NoSolutionError:
-                krylov = np.hstack([krylov, cur])
-                continue
-            coeffs = [(-int(c.a[j, 0])) % p for j in range(krylov.shape[1])] + [1]
-            result = poly_lcm(result, Poly(field, coeffs))
-            break
-    return result
+    powers = np.empty((n, n, n + 1), dtype=np.int64)
+    cur = np.eye(n, dtype=np.int64)
+    for k in range(n + 1):
+        powers[:, :, k] = cur
+        if k < n:
+            cur = _matmul_mod(cur, m.a, p)
+    stack = powers.reshape(n * n, n + 1)
+    _, d = _rref_inplace(stack, p)  # the rank is the degree
+    return Poly(field, [-int(c) for c in stack[:d, d]] + [1])
 
 
 # factorization: squarefree / distinct-degree / equal-degree splitting

@@ -147,9 +147,6 @@ class QuiverStar:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return self._index[v]
 
-    def linear_extension(self):
-        return self.vertices
-
     def arrows_from(self, v):
         return tuple(a for a in self.arrows if a[0] == v)
 
@@ -606,12 +603,11 @@ class EndAlgebra:
     """End(x) over the basis of the hom space `space` = Hom(x, x), with
     (lazily computed) structure constants."""
 
-    __slots__ = ("space", "_table", "_id_coords", "_solver")
+    __slots__ = ("space", "_table", "_solver")
 
     def __init__(self, space: HomSpace):
         self.space = space
         self._table = None
-        self._id_coords = None
         self._solver = None
 
     @property
@@ -631,10 +627,6 @@ class EndAlgebra:
             self._solver = CoordinateSolver(self.space.basis_matrix())
         return self._solver
 
-    def coords(self, f: Morphism) -> np.ndarray:
-        vec = Matrix(self.rep.field, f.flatten().reshape(-1, 1))
-        return self.solver().coords(vec).a[:, 0]
-
     def structure_constants(self) -> np.ndarray:
         """table[i, j, :] = coordinates of basis[i] . basis[j]."""
         if self._table is None:
@@ -646,11 +638,6 @@ class EndAlgebra:
                 table[i] = self.solver().coords(products).a.T
             self._table = table
         return self._table
-
-    def identity_coords(self) -> np.ndarray:
-        if self._id_coords is None:
-            self._id_coords = self.coords(Morphism.identity(self.rep))
-        return self._id_coords
 
     def element(self, coords) -> Morphism:
         return self.space.element(coords)
@@ -712,6 +699,29 @@ def direct_sum(xs) -> DirectSum:
         inclusions.append(Morphism(x, total, incl))
         projections.append(Morphism(total, x, proj))
     return DirectSum(total, inclusions, projections)
+
+
+def subspace_representation(quiver: QuiverStar, top: LambdaModule, spans) -> tuple:
+    """The representation with `top` at '*' and, at each poset point v,
+    the submodule of `top` spanned by spans[v]; every arrow is the
+    inclusion of its source span into its target span.
+
+    The spans must be T-invariant and nested along the arrows; raises
+    NoSolutionError otherwise.  Returns (rep, {v: basis of the space at v
+    inside top}), the bases being those `submodule` returns.
+    """
+    field = top.algebra.field
+    spaces = {STAR: top}
+    incls = {STAR: Matrix.identity(field, top.dim)}
+    for v in quiver.poset.points:
+        spaces[v], incls[v] = submodule(top, spans[v])
+    maps = {}
+    for (s, t) in quiver.arrows:
+        if incls[t].cols:
+            maps[(s, t)] = solve(incls[t], incls[s])
+        else:
+            maps[(s, t)] = Matrix.zeros(field, 0, incls[s].cols)
+    return Representation(quiver, top.algebra, spaces, maps), incls
 
 
 def subrep_from_bases(x: Representation, bases) -> tuple:
@@ -787,7 +797,6 @@ class SplitResult:
     complement: Representation
     complement_incl: Morphism
     complement_proj: Morphism
-    iso_witness: Morphism
 
 
 def split_by_retraction(x: Representation, mono: Morphism, retraction: Morphism) -> SplitResult:
@@ -795,8 +804,8 @@ def split_by_retraction(x: Representation, mono: Morphism, retraction: Morphism)
 
     `retraction . mono` must be the identity of mono.source.  The summand
     is mono.source transported into x; the complement is carried by
-    ker(e) with restricted maps.  iso_witness is the isomorphism
-    summand + complement -> x given by the two inclusions.
+    ker(e) with restricted maps; [mono | complement_incl] is an
+    isomorphism summand + complement -> x.
     """
     ident = retraction @ mono
     if ident != Morphism.identity(mono.source):
@@ -814,15 +823,4 @@ def split_by_retraction(x: Representation, mono: Morphism, retraction: Morphism)
         else:
             comp_proj_components[v] = CoordinateSolver(kb).coords(one_minus_e)
     comp_proj = Morphism(x, complement, comp_proj_components)
-    summand = mono.source
-    ds = direct_sum([summand, complement])
-    # iso: summand + complement -> x via [mono | comp_incl]
-    iso = Morphism(
-        ds.rep,
-        x,
-        {
-            v: mono.components[v].hstack(comp_incl.components[v])
-            for v in x.quiver.vertices
-        },
-    )
-    return SplitResult(summand, mono, retraction, complement, comp_incl, comp_proj, iso)
+    return SplitResult(mono.source, mono, retraction, complement, comp_incl, comp_proj)

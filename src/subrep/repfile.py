@@ -84,25 +84,27 @@ def _read_keyword(lines, keyword):
     return no, parts[1:]
 
 
+def _read_row(lines, cols, field, what):
+    """The next line as `cols` integers in [0, p)."""
+    no, body = lines.next(f"a row of {what}")
+    entries = body.split()
+    if len(entries) != cols:
+        raise ParseError(
+            f"{what}: expected {cols} entries, found {len(entries)}", line=no
+        )
+    try:
+        row = [int(e) for e in entries]
+    except ValueError:
+        raise ParseError(f"{what}: non-integer entry", line=no)
+    if any(not 0 <= e < field.p for e in row):
+        raise ParseError(f"{what}: entry out of range [0, {field.p})", line=no)
+    return row
+
+
 def _read_matrix(lines, rows, cols, field, what):
     if rows * cols == 0:
         return Matrix.zeros(field, rows, cols)
-    data = []
-    for _ in range(rows):
-        no, body = lines.next(f"matrix row of {what}")
-        entries = body.split()
-        if len(entries) != cols:
-            raise ParseError(
-                f"{what}: expected {cols} entries, found {len(entries)}", line=no
-            )
-        try:
-            row = [int(e) for e in entries]
-        except ValueError:
-            raise ParseError(f"{what}: non-integer entry", line=no)
-        if any(not 0 <= e < field.p for e in row):
-            raise ParseError(f"{what}: entry out of range [0, {field.p})", line=no)
-        data.append(row)
-    return Matrix(field, data)
+    return Matrix(field, [_read_row(lines, cols, field, what) for _ in range(rows)])
 
 
 def parse_representation(text: str) -> Representation:
@@ -233,13 +235,7 @@ def parse_subspace_config(text: str):
             _, body = lines.peek()
             if body.startswith("subspace"):
                 break
-            no2, body = lines.next("basis vector")
-            entries = body.split()
-            if len(entries) != dim:
-                raise ParseError(
-                    f"basis vector must have {dim} entries", line=no2
-                )
-            rows.append([int(e) for e in entries])
+            rows.append(_read_row(lines, dim, field, f"basis vector of {name}"))
         basis = (
             Matrix(field, np.array(rows, dtype=np.int64).T)
             if rows

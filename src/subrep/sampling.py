@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import NoSolutionError
 from .ffmat import Matrix, column_space_basis, kernel_basis, solve
-from .lambdamod import LambdaAlgebra, LambdaModule, direct_sum_modules, submodule
-from .posetrep import STAR, QuiverStar, Representation
+from .lambdamod import LambdaAlgebra, LambdaModule, direct_sum_modules
+from .posetrep import STAR, QuiverStar, Representation, subspace_representation
 
 
 def random_invertible(field, n, rng) -> Matrix:
@@ -87,18 +87,7 @@ def random_subspace_representation(
         above = [spans[t] for (s, t) in quiver.arrows_from(v)]
         ambient = intersect_spans(field, above) if above else spans[STAR]
         spans[v] = random_invariant_subspace(star, ambient, int(dim_caps[v]), rng)
-    spaces = {STAR: star}
-    for v in quiver.poset.points:
-        mod, span = submodule(star, spans[v])
-        spaces[v] = mod
-        spans[v] = span
-    maps = {}
-    for (s, t) in quiver.arrows:
-        if spans[t].cols:
-            maps[(s, t)] = solve(spans[t], spans[s])
-        else:
-            maps[(s, t)] = Matrix.zeros(field, 0, spans[s].cols)
-    return Representation(quiver, algebra, spaces, maps)
+    return subspace_representation(quiver, star, spans)[0]
 
 
 def random_representation(

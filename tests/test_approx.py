@@ -257,3 +257,22 @@ def test_different_linear_extension_gives_isomorphic_result():
         rb = right_approx(y).approx
         assert sorted(ra.dim_vector()) == sorted(rb.dim_vector())
         assert ra.total_dim() == rb.total_dim()
+
+
+def test_right_approx_nilpotency_3():
+    rng = np.random.default_rng(24)
+    for p in (2, 3):
+        algebra = LambdaAlgebra(PrimeField(p), 3)
+        quiver = example_quiver()
+        tests = [
+            random_subspace_representation(quiver, algebra, {"1": 2, "2": 3, "3": 3, "*": 4}, rng)
+            for _ in range(4)
+        ] + [all_free_representation(algebra)]
+        for _ in range(5):
+            x = random_representation(quiver, algebra, {"1": 3, "2": 3, "3": 3, "*": 3}, rng)
+            res = right_approx(x)
+            assert res.approx.validate() == []
+            assert res.approx.is_subspace_rep()
+            assert res.structure_map.is_valid()
+            assert verify_right_approx(res, tests) is None
+            assert right_approx(res.approx).structure_map == Morphism.identity(res.approx)

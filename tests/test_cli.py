@@ -276,3 +276,59 @@ def test_python_dash_m_entry_point(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 0 and run.stdout.strip() == "ok"
+
+
+# inputs that name a bad field, poset or catalog exit 2, never a traceback
+
+CATALOG_P2_ARGS = ["--catalog", CATALOG_P2]
+F3_FREE = all_free_representation(LambdaAlgebra(PrimeField(3), 2))
+
+
+def _sub_with_v2_row(row):
+    """A p = 2 `.sub` file whose subspace v2 has the single basis row `row`."""
+    return "field 2\ndim 2\nt\n0 0\n1 0\nsubspace v1\nsubspace v2\n" + row + "\nsubspace v3\n"
+
+
+def test_sub_file_non_integer_entry(tmp_path, capsys):
+    path = write(tmp_path, "bad.sub", _sub_with_v2_row("0 x"))
+    _assert_parse_error(capsys, ["birkhoff", path, *CATALOG_P2_ARGS], "non-integer entry")
+
+
+def test_sub_file_entry_out_of_range(tmp_path, capsys):
+    # 5 used to be reduced to 1 at p = 2 and run through to exit 0
+    path = write(tmp_path, "big.sub", _sub_with_v2_row("0 5"))
+    _assert_parse_error(capsys, ["birkhoff", path, *CATALOG_P2_ARGS], "out of range [0, 2)")
+
+
+def test_poset_file_points_not_a_linear_extension(tmp_path, capsys):
+    path = write(tmp_path, "poset.txt", "points 2 1\ncovers 1<2\n")
+    _assert_parse_error(capsys, ["catalog", "--poset", path], "linear extension")
+
+
+@pytest.mark.parametrize("field", ["4", "1", str(2**31 + 11), "two"])
+def test_catalog_bad_field_exits_2(capsys, field):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--field", field])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--field" in err and "Traceback" not in err
+
+
+def test_birkhoff_catalog_field_mismatch(tmp_path, capsys):
+    path = write(tmp_path, "m3.sub", serialize_subspace_config(subspace_data(F3_FREE)))
+    _assert_parse_error(capsys, ["birkhoff", path, *CATALOG_P2_ARGS], "F3[T]/T^2")
+
+
+def test_chase_catalog_field_mismatch(tmp_path, capsys):
+    path = write(tmp_path, "m3.rep", serialize_representation(F3_FREE))
+    argv = ["decompose", path, "--method", "chase", *CATALOG_P2_ARGS]
+    _assert_parse_error(capsys, argv, "F2[T]/T^2")
+
+
+def test_chase_catalog_poset_mismatch(tmp_path, capsys):
+    from subrep.posetrep import Poset, QuiverStar, Representation
+
+    zero = Representation.zero(QuiverStar(Poset(["1"], [])), L2)
+    path = write(tmp_path, "zero.rep", serialize_representation(zero))
+    argv = ["decompose", path, "--method", "chase", *CATALOG_P2_ARGS]
+    _assert_parse_error(capsys, argv, "Poset(1; )")

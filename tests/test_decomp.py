@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from subrep.decomp import (
     evaluation_iso_check,
@@ -9,6 +10,7 @@ from subrep.decomp import (
     is_isomorphic,
     is_local,
     iso_class_multiset,
+    quotient_is_division_ring,
     radical,
 )
 from subrep.examples import (
@@ -16,14 +18,17 @@ from subrep.examples import (
     example_quiver,
     twisted_pair_representation,
 )
-from subrep.ffmat import Matrix, PrimeField
+from subrep.ffmat import Matrix, PrimeField, independent_columns
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
     Morphism,
+    Poset,
+    QuiverStar,
     Representation,
     direct_sum,
     end_algebra,
     hom_basis,
+    subspace_representation,
 )
 from subrep.sampling import (
     random_invertible,
@@ -259,3 +264,135 @@ def test_fingerprint_is_memoized():
     # a fresh copy of the same data computes the same value
     copy = Representation(m.quiver, m.algebra, m.spaces, m.arrow_maps)
     assert fingerprint(copy) == first
+
+
+# locality certificate: the Frobenius-kernel test against enumeration
+
+
+def _division_ring_by_enumeration(end, rad):
+    """Reference: End/J is a division ring iff every nonzero combination
+    of a complement of J in End is invertible (p^q combinations)."""
+    field = end.rep.field
+    p, q = field.p, rad.quotient_dim
+    if q == 0:
+        return False
+    comp = independent_columns(rad.coeff_matrix, Matrix.identity(field, end.dim))
+    ops = [end.basis[i].total_matrix() for i in comp]
+    n = ops[0].rows
+    for code in range(1, p**q):
+        acc = Matrix.zeros(field, n, n)
+        rest = code
+        for op in ops:
+            rest, digit = divmod(rest, p)
+            acc = acc + op.scale(digit)
+        if acc.rank() < n:
+            return False
+    return True
+
+
+def test_division_ring_test_matches_enumeration():
+    rng = np.random.default_rng(21)
+    seen = {True: 0, False: 0}
+    for p in (2, 3):
+        algebra = LambdaAlgebra(PrimeField(p), 2)
+        caps = {"1": 2, "2": 2, "3": 2, "*": 3}
+        samples = [random_representation(example_quiver(), algebra, caps, rng) for _ in range(12)]
+        samples += [
+            random_subspace_representation(example_quiver(), algebra, caps, rng)
+            for _ in range(12)
+        ]
+        # decomposable ones: End/J is a product of at least two factors
+        samples += [direct_sum(samples[i : i + 2]).rep for i in range(0, 8, 2)]
+        for x in samples:
+            end = end_algebra(x)
+            if end.dim == 0:
+                continue
+            rad = radical(end)
+            if p**rad.quotient_dim > 2**12:
+                continue
+            expected = _division_ring_by_enumeration(end, rad)
+            assert quotient_is_division_ring(end, rad) == expected
+            seen[expected] += 1
+    assert seen[True] and seen[False]
+
+
+FOUR_POINTS = QuiverStar(Poset(("1", "2", "3", "4"), []))
+
+
+def quadratic_field_configuration(field):
+    """Four subspaces of k^2 + k^2 over the four-point antichain: the two
+    summands, the graph of 1 and the graph of the companion matrix C of
+    an irreducible quadratic, so End = k[C] = F_{p^2}."""
+    p = field.p
+    if p == 2:
+        c = [[0, 1], [1, 1]]  # x^2 + x + 1
+    else:
+        r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+        c = [[0, r], [1, 0]]  # x^2 - r, r a non-residue
+    eye, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+    spans = {
+        "1": Matrix(field, np.vstack([eye, zero])),
+        "2": Matrix(field, np.vstack([zero, eye])),
+        "3": Matrix(field, np.vstack([eye, eye])),
+        "4": Matrix(field, np.vstack([eye, np.array(c)])),
+    }
+    algebra = LambdaAlgebra(field, 1)
+    top = LambdaModule(algebra, Matrix.zeros(field, 4, 4))
+    return subspace_representation(FOUR_POINTS, top, spans)[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_quadratic_field_end_is_a_division_ring(p):
+    x = quadratic_field_configuration(PrimeField(p))
+    end = end_algebra(x)
+    rad = radical(end)
+    assert end.dim == 2 and rad.quotient_dim == 2
+    assert quotient_is_division_ring(end, rad)
+    # End/J = M_2(F_{p^2}) for the double: not commutative
+    double = end_algebra(direct_sum([x, x]).rep)
+    double_rad = radical(double)
+    assert double_rad.quotient_dim == 8
+    assert not quotient_is_division_ring(double, double_rad)
+    if p**8 <= 2**16:
+        assert _division_ring_by_enumeration(end, rad)
+        assert not _division_ring_by_enumeration(double, double_rad)
+
+
+# p = 2^31 - 1 and nilpotency 3
+
+P31_L2 = LambdaAlgebra(PrimeField(2**31 - 1), 2)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [("free",), ("twisted",), ("free", "twisted")],
+)
+def test_indecompose_large_prime(parts):
+    make = {"free": all_free_representation, "twisted": twisted_pair_representation}
+    pieces = [make[name](P31_L2) for name in parts]
+    x = direct_sum(pieces).rep
+    d = indecompose(x, seed=0)
+    assert d.check()
+    assert d.dim_multiset() == tuple(sorted(z.dim_vector() for z in pieces))
+    leaves = [step for step in d.certificate["trace"] if "leaf" in step]
+    assert len(leaves) == len(pieces)
+    for s in d.summands:
+        assert is_local(end_algebra(s.rep))
+    for s, z in zip(sorted(d.summands, key=lambda s: s.rep.dim_vector()),
+                    sorted(pieces, key=lambda z: z.dim_vector())):
+        assert indecomposables_isomorphic(z, s.rep)[0]
+
+
+def test_indecompose_nilpotency_3():
+    rng = np.random.default_rng(23)
+    for p in (2, 3):
+        algebra = LambdaAlgebra(PrimeField(p), 3)
+        caps = {"1": 2, "2": 3, "3": 3, "*": 4}
+        for _ in range(6):
+            x = random_subspace_representation(example_quiver(), algebra, caps, rng)
+            d = indecompose(x, seed=2)
+            assert d.check()
+            assert sum(s.rep.total_dim() for s in d.summands) == x.total_dim()
+            for s in d.summands:
+                assert is_local(end_algebra(s.rep))
+            assert indecompose(x, seed=5).dim_multiset() == d.dim_multiset()

@@ -19,7 +19,6 @@ from subrep.ffmat import (
     left_kernel_basis,
     min_poly,
     poly_gcd,
-    poly_lcm,
     poly_xgcd,
     rref,
     solve,
@@ -210,6 +209,61 @@ def test_min_poly_identity():
     assert min_poly(m) == Poly(F5, (-1, 1))  # x - 1
 
 
+def _krylov_min_poly(m: Matrix) -> Poly:
+    """Reference: lcm over the standard basis vectors of their relative
+    minimal polynomials, each from a Krylov sequence."""
+    field, n = m.field, m.rows
+    result = Poly.one(field)
+    for i in range(n):
+        krylov = Matrix.identity(field, n).column(i)
+        cur = krylov
+        while True:
+            cur = m @ cur
+            try:
+                c = solve(krylov, cur)
+            except NoSolutionError:
+                krylov = krylov.hstack(cur)
+                continue
+            rel = Poly(field, [-int(a) for a in c.a[:, 0]] + [1])
+            result = ((result * rel) // poly_gcd(result, rel)).monic()
+            break
+    return result
+
+
+def _min_poly_inputs(field, rng):
+    """Random, block-diagonal, scalar and nilpotent matrices, n = 0..8."""
+    p = field.p
+    for n in range(9):
+        yield random_matrix(field, n, n, rng)
+        k = n // 2
+        block = np.zeros((n, n), dtype=np.int64)
+        block[:k, :k] = rng.integers(0, p, size=(k, k))
+        # a Jordan block c I + N beside a random block
+        block[k:, k:] = int(rng.integers(0, p)) * np.eye(n - k, dtype=np.int64)
+        block[k:, k:] += np.eye(n - k, k=1, dtype=np.int64)
+        yield Matrix(field, block)
+        twice = np.zeros((n, n), dtype=np.int64)
+        twice[:k, :k] = block[:k, :k]
+        twice[k : 2 * k, k : 2 * k] = block[:k, :k]
+        yield Matrix(field, twice)
+        yield Matrix.identity(field, n).scale(int(rng.integers(0, p)))
+        yield Matrix(field, np.triu(rng.integers(0, p, size=(n, n)), 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_min_poly_matches_krylov_reference(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    for m in _min_poly_inputs(field, rng):
+        mp = min_poly(m)
+        assert mp == _krylov_min_poly(m)
+        assert mp.is_monic() and mp.eval_matrix(m).is_zero()
+
+
+def test_min_poly_empty_matrix():
+    assert min_poly(Matrix.zeros(F3, 0, 0)) == Poly.one(F3)
+
+
 def test_factor_x2_plus_x_f2():
     f = Poly(F2, (0, 1, 1))
     fs = factor(f)
@@ -292,9 +346,6 @@ def test_poly_gcd_xgcd_lcm():
         g, u, v = poly_xgcd(a, b)
         assert u * a + v * b == g
         assert (a % g).is_zero() and (b % g).is_zero()
-        l = poly_lcm(a, b)
-        assert (l % a).is_zero() and (l % b).is_zero()
-        assert (g * l).monic() == (a * b).monic()
 
 
 def test_matmul_large_prime_no_overflow():

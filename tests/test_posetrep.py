@@ -203,11 +203,18 @@ def test_split_by_retraction_roundtrip():
     assert res.summand.dim_vector() == m.dim_vector()
     assert res.complement.dim_vector() == n.dim_vector()
     assert res.complement.validate() == []
-    # the iso witness really is an isomorphism
-    assert all(
-        c.rank() == ds.rep.dim(v) for v, c in res.iso_witness.components.items()
+    # [mono | complement_incl]: summand + complement -> x is an isomorphism
+    both = direct_sum([res.summand, res.complement]).rep
+    iso = Morphism(
+        both,
+        ds.rep,
+        {
+            v: res.summand_incl.components[v].hstack(res.complement_incl.components[v])
+            for v in ds.rep.quiver.vertices
+        },
     )
-    assert res.iso_witness.is_valid()
+    assert all(c.rank() == ds.rep.dim(v) for v, c in iso.components.items())
+    assert iso.is_valid()
     # orthogonality of the two projections
     assert (res.complement_proj @ res.summand_incl).is_zero()
     assert res.complement_proj @ res.complement_incl == Morphism.identity(res.complement)
