@@ -21,7 +21,6 @@ from .artheory import (
     indecomposable_projectives,
     is_left_almost_split,
     is_right_almost_split,
-    relative_translate_candidate,
     verify_ar_sequence,
 )
 from .birkhoff import (

@@ -2,13 +2,16 @@
 
 The catalog is built by a closure process: seed with the indecomposable
 projectives, discover new indecomposables as summands of radicals of
-projectives, of translate candidates (the composite of the dual transpose
-with the right approximation), of mesh kernels and of socle-quotient
-approximations, and for every known non-projective object assemble a
-candidate almost-split sequence from lifts of irreducible maps.  No
-construction is trusted: every sequence must pass the lifting tests
-against all current objects plus random subspace representations before
-it counts as verified.
+projectives, of translate candidates (the right approximation of the dual
+transpose, which is the relative translate Mimo tau Cok of Ringel and
+Schmidmeier up to projective-injective summands), of mesh kernels and of
+socle-quotient approximations, and for every known non-projective object
+assemble a candidate almost-split sequence from lifts of irreducible maps.
+A candidate counts as verified only with an exact certificate, the socle
+criterion of Auslander-Reiten theory: it is exact and non-split, its
+kernel is a summand of the translate candidate of its end C, and every
+radical endomorphism of C factors through its right map.  Such a sequence
+stays almost split whatever objects are admitted later.
 """
 
 from __future__ import annotations
@@ -274,14 +277,6 @@ def dtr(x: Representation) -> Representation:
     return Representation(quiver, algebra, spaces, maps)
 
 
-def relative_translate_candidate(x: Representation, seed: int = 0):
-    """Candidate translate orbit members: decompose the right
-    approximation of the dual transpose.  No correctness claims; the
-    almost-split verifier is authoritative."""
-    image = right_approx(dtr(x)).approx
-    return [s.rep for s in indecompose(image, seed=seed).summands]
-
-
 def _radical_maps(
     x: Representation, y: Representation, rad_end: RadicalData, compose
 ) -> HomSpace:
@@ -536,49 +531,58 @@ def _assemble_right_mesh(catalog: Catalog, c_idx: int):
     return g, tuple(parts)
 
 
+def is_certified_mesh(catalog: Catalog, c_idx: int, seq: ARSequence, translate) -> bool:
+    """Exact certificate that seq, ending in objects[c_idx], is almost
+    split (the socle criterion, Auslander-Reiten-Smalo Ch. V 2, relative
+    to the subcategory): seq is exact and non-split, its kernel is the
+    catalog object at one of the indices `translate` of the summands of
+    right_approx(dtr(C)), and every radical endomorphism of C factors
+    through seq.g.  Membership rather than equality, since the
+    approximation need not be minimal: its extra summands are
+    projective-injective, so they start no non-split sequence."""
+    return (
+        catalog.find_isomorphic(seq.a) in translate
+        and sequence_is_exact_nonsplit(seq)
+        and _right_lifting(seq.g, seq.c, catalog.rad_end(c_idx))
+    )
+
+
 def build_catalog(
-    quiver: QuiverStar,
-    algebra: LambdaAlgebra,
-    budget: int = 200,
-    seed: int = 0,
-    random_mesh_tests: int = 20,
+    quiver: QuiverStar, algebra: LambdaAlgebra, budget: int = 200, seed: int = 0
 ) -> Catalog:
     """Closure process over projective seeds, translate candidates and
-    verified meshes.  Raises BudgetExceededError if the closure does not
-    stabilize within the round budget."""
+    meshes certified by is_certified_mesh; a certified mesh is final.
+    Raises BudgetExceededError if the closure does not stabilize within
+    the round budget."""
     rng = np.random.default_rng(seed)
     catalog = Catalog(quiver, algebra)
     for p in indecomposable_projectives(quiver, algebra):
         catalog.add(p, projective=True)
 
-    def admit(rep, _depth=0) -> bool:
+    def admit(rep) -> list:
+        """Catalog indices of the summands of rep, admitting new ones."""
         if rep.total_dim() == 0:
-            return False
-        new = False
+            return []
+        indices = []
         for s in indecompose(rep, seed=int(rng.integers(0, 2**31))).summands:
-            if catalog.find_isomorphic(s.rep) is None:
-                catalog.add(s.rep, projective=False)
-                new = True
-        return new
+            idx = catalog.find_isomorphic(s.rep)
+            indices.append(catalog.add(s.rep) if idx is None else idx)
+        return indices
 
-    translate_done = set()
+    translates = {}  # non-projective C -> summands of right_approx(dtr(C))
     socle_done = set()
-    mesh_scope = {}  # catalog size a mesh was last verified against
     for round_no in range(budget):
-        changed = False
+        size = len(catalog)
         # discovery: radicals of projectives
         if round_no == 0:
             for idx, rep in enumerate(catalog.objects):
                 if catalog.projective[idx]:
-                    rad_rep, _ = rad_subrep(rep)
-                    changed |= admit(rad_rep)
+                    admit(rad_subrep(rep)[0])
         # discovery: translate candidates and socle quotients
         for idx in range(len(catalog.objects)):
             rep = catalog.objects[idx]
-            if not catalog.projective[idx] and idx not in translate_done:
-                translate_done.add(idx)
-                approx_rep = right_approx(dtr(rep)).approx
-                changed |= admit(approx_rep)
+            if not catalog.projective[idx] and idx not in translates:
+                translates[idx] = admit(right_approx(dtr(rep)).approx)
             if idx not in socle_done:
                 socle_done.add(idx)
                 soc, soc_incl = socle_subrep(rep)
@@ -587,14 +591,10 @@ def build_catalog(
                         rep, {v: soc_incl.components[v] for v in quiver.vertices}
                     )
                     if quo.total_dim():
-                        changed |= admit(right_approx(quo).approx)
-        # mesh assembly for every non-projective whose mesh is missing or
-        # was verified against a smaller catalog
+                        admit(right_approx(quo).approx)
+        # mesh assembly for every non-projective without a certified mesh
         for c_idx in range(len(catalog.objects)):
-            if catalog.projective[c_idx]:
-                continue
-            stale = mesh_scope.get(c_idx, -1) < len(catalog.objects)
-            if c_idx in catalog.meshes and not stale:
+            if catalog.projective[c_idx] or c_idx in catalog.meshes:
                 continue
             assembled = _assemble_right_mesh(catalog, c_idx)
             if assembled is None:
@@ -604,35 +604,18 @@ def build_catalog(
             if not all(
                 g.components[v].rank() == c.dim(v) for v in quiver.vertices
             ):
-                catalog.meshes.pop(c_idx, None)
                 continue
             a_rep, f = kernel_subrep(g)
-            if a_rep.total_dim() == 0:
-                catalog.meshes.pop(c_idx, None)
-                continue
-            changed |= admit(a_rep)
-            if catalog.find_isomorphic(a_rep) is None:
-                catalog.meshes.pop(c_idx, None)
-                continue  # kernel decomposable: data not yet complete
+            admit(a_rep)
             seq = ARSequence(a_rep, g.source, c, f, g, middle_parts=parts)
-            if verify_ar_sequence(
-                seq,
-                catalog.members(),
-                rng=rng,
-                random_tests=random_mesh_tests,
-            ):
+            # an object admitted by this round's discovery has no translate
+            # yet, so its mesh waits for the next round
+            if is_certified_mesh(catalog, c_idx, seq, translates.get(c_idx, ())):
+                seq.verified = True
                 catalog.meshes[c_idx] = seq
-                mesh_scope[c_idx] = len(catalog.objects)
-                changed = True
-            else:
-                catalog.meshes.pop(c_idx, None)
-                mesh_scope.pop(c_idx, None)
-        done = all(
-            (catalog.projective[i] or i in catalog.meshes)
-            and (catalog.projective[i] or mesh_scope.get(i) == len(catalog.objects))
-            for i in range(len(catalog.objects))
-        )
-        if done and not changed:
+        if len(catalog) == size and all(
+            catalog.projective[i] or i in catalog.meshes for i in range(size)
+        ):
             break
     else:
         raise BudgetExceededError(
@@ -640,11 +623,11 @@ def build_catalog(
             f"{len(catalog.objects)} objects, "
             f"{len(catalog.meshes)} verified meshes"
         )
-    _build_left_maps(catalog, rng)
+    _build_left_maps(catalog)
     return catalog
 
 
-def _build_left_maps(catalog: Catalog, rng):
+def _build_left_maps(catalog: Catalog):
     """A verified left almost split map out of every object, for the
     projective chase: assembled from irreducible lifts out of the object."""
     for z in range(len(catalog.objects)):

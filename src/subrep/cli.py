@@ -94,6 +94,14 @@ def _prime_field(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _nilpotency(text):
+    """argparse type of --nilpotency: an integer n >= 1."""
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"nilpotency must be at least 1, got {n}")
+    return n
+
+
 def _parse_poset_file(path):
     points = None
     covers = []
@@ -330,7 +338,7 @@ def build_parser():
     p = sub.add_parser("catalog", help="build and verify a catalog")
     p.add_argument("--poset", default="example", help="'example' or a poset file")
     p.add_argument("--field", type=_prime_field, default="2")
-    p.add_argument("--nilpotency", type=int, default=2)
+    p.add_argument("--nilpotency", type=_nilpotency, default=2)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mesh-tests", type=int, default=20)

@@ -600,14 +600,13 @@ def precompose(f: Morphism, x: Representation) -> HomSpace:
 
 
 class EndAlgebra:
-    """End(x) over the basis of the hom space `space` = Hom(x, x), with
-    (lazily computed) structure constants."""
+    """End(x) over the basis of the hom space `space` = Hom(x, x), with a
+    (lazily built) coordinate solver."""
 
-    __slots__ = ("space", "_table", "_solver")
+    __slots__ = ("space", "_solver")
 
     def __init__(self, space: HomSpace):
         self.space = space
-        self._table = None
         self._solver = None
 
     @property
@@ -626,18 +625,6 @@ class EndAlgebra:
         if self._solver is None:
             self._solver = CoordinateSolver(self.space.basis_matrix())
         return self._solver
-
-    def structure_constants(self) -> np.ndarray:
-        """table[i, j, :] = coordinates of basis[i] . basis[j]."""
-        if self._table is None:
-            n = self.dim
-            table = np.zeros((n, n, n), dtype=np.int64)
-            for i, f in enumerate(self.basis):
-                # column j: coordinates of f . basis[j]
-                products = self.space.postcomposed(f).basis_matrix()
-                table[i] = self.solver().coords(products).a.T
-            self._table = table
-        return self._table
 
     def element(self, coords) -> Morphism:
         return self.space.element(coords)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from subrep.approx import right_approx
 from subrep.artheory import (
     ARSequence,
+    _right_lifting,
     dtr,
     export_quiver,
     indecomposable_projectives,
+    is_certified_mesh,
     is_left_almost_split,
     is_right_almost_split,
+    projective_cover,
     rad_subrep,
-    relative_translate_candidate,
     sequence_is_exact_nonsplit,
     socle_subrep,
     verify_ar_sequence,
@@ -28,10 +31,21 @@ from subrep.posetrep import (
     Representation,
     direct_sum,
     end_algebra,
+    kernel_subrep,
 )
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
+
+
+def translate_summands(x):
+    """Summands of right_approx(dtr(x)), the relative translate of x up
+    to projective-injective summands."""
+    return [s.rep for s in indecompose(right_approx(dtr(x)).approx).summands]
+
+
+def translate_indices(catalog, x):
+    return [catalog.find_isomorphic(s) for s in translate_summands(x)]
 
 
 def simple_at_star(algebra=L2):
@@ -122,7 +136,7 @@ def test_translate_candidate_on_subspace_translate():
     s = simple_at_star()
     d = dtr(s)
     assert d.is_subspace_rep()
-    cands = relative_translate_candidate(s)
+    cands = translate_summands(s)
     assert len(cands) == 1
     ok, _ = indecomposables_isomorphic(d, cands[0])
     assert ok
@@ -131,7 +145,7 @@ def test_translate_candidate_on_subspace_translate():
 def test_translate_candidate_rejects_projective():
     projs = indecomposable_projectives(example_quiver(), L2)
     with pytest.raises(HasProjectiveSummandError):
-        relative_translate_candidate(projs[0])
+        translate_summands(projs[0])
 
 
 def test_split_epi_rejected_by_right_almost_split():
@@ -245,6 +259,41 @@ def test_split_sequence_rejected(catalog_p2):
     seq = ARSequence(a, ds.rep, c, ds.inclusions[0], ds.projections[1])
     assert not sequence_is_exact_nonsplit(seq)
     assert not verify_ar_sequence(seq, catalog_p2.members(), random_tests=0)
+    # every catalog index passes as a translate: only exactness rejects
+    assert not is_certified_mesh(catalog_p2, 6, seq, range(len(catalog_p2)))
+
+
+def test_certificate_rejects_wrong_kernel(catalog_p2):
+    # the projective cover 0 -> K -> P -> C -> 0 is exact and non-split, and
+    # every radical endomorphism of C factors through P -> C, but K is a
+    # catalog object other than the translate of C
+    for c_idx in sorted(catalog_p2.meshes):
+        c = catalog_p2.objects[c_idx]
+        pi, _ = projective_cover(c)
+        k, incl = kernel_subrep(pi)
+        translate = translate_indices(catalog_p2, c)
+        if catalog_p2.find_isomorphic(k) in (None, *translate):
+            continue
+        seq = ARSequence(k, pi.source, c, incl, pi)
+        if sequence_is_exact_nonsplit(seq) and _right_lifting(
+            pi, c, catalog_p2.rad_end(c_idx)
+        ):
+            break
+    else:
+        pytest.fail("no projective cover sequence with a wrong kernel")
+    assert not is_certified_mesh(catalog_p2, c_idx, seq, translate)
+    assert not verify_ar_sequence(seq, catalog_p2.members(), random_tests=0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_certificate_agrees_with_lifting_tests(p, request):
+    catalog = request.getfixturevalue(f"catalog_p{p}")
+    rng = np.random.default_rng(p)
+    assert len(catalog.meshes) == 21
+    for c_idx, seq in sorted(catalog.meshes.items()):
+        translate = translate_indices(catalog, seq.c)
+        assert is_certified_mesh(catalog, c_idx, seq, translate)
+        assert verify_ar_sequence(seq, catalog.members(), rng=rng)
 
 
 def test_left_maps_cover_catalog(catalog_p2):
@@ -295,5 +344,5 @@ def test_export_empty_catalog():
 def test_translate_candidates_stay_in_catalog(catalog_p2):
     for c_idx in list(catalog_p2.meshes)[:6]:
         c = catalog_p2.objects[c_idx]
-        for cand in relative_translate_candidate(c):
+        for cand in translate_summands(c):
             assert catalog_p2.find_isomorphic(cand) is not None

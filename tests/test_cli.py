@@ -314,6 +314,16 @@ def test_catalog_bad_field_exits_2(capsys, field):
     assert "--field" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("nilpotency", ["0", "-1", "two"])
+def test_catalog_bad_nilpotency_exits_2(capsys, nilpotency):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--nilpotency", nilpotency])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--nilpotency" in err and "Traceback" not in err
+
+
 def test_birkhoff_catalog_field_mismatch(tmp_path, capsys):
     path = write(tmp_path, "m3.sub", serialize_subspace_config(subspace_data(F3_FREE)))
     _assert_parse_error(capsys, ["birkhoff", path, *CATALOG_P2_ARGS], "F3[T]/T^2")

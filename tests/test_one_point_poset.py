@@ -1,0 +1,56 @@
+"""S(n) as an external oracle: subspace representations of the one-point
+poset over k[T]/T^n form the invariant-subspace category of Ringel and
+Schmidmeier ("Invariant subspaces of nilpotent linear operators I", J.
+reine angew. Math. 614, 2008), with 2, 5, 10 and 20 indecomposables for
+n = 1, ..., 4 over any field."""
+
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from subrep.artheory import build_catalog, verify_ar_sequence
+from subrep.cli import main
+from subrep.ffmat import PrimeField
+from subrep.lambdamod import LambdaAlgebra
+from subrep.posetrep import Poset, QuiverStar
+
+ONE_POSET = Path(__file__).resolve().parent.parent / "fixtures" / "posets" / "one.poset"
+COUNTS = {1: 2, 2: 5, 3: 10, 4: 20}
+CASES = [(2, n) for n in (1, 2, 3, 4)] + [(3, n) for n in (1, 2, 3)]
+
+
+@lru_cache(maxsize=None)
+def s_catalog(p, n):
+    return build_catalog(QuiverStar(Poset(["1"], [])), LambdaAlgebra(PrimeField(p), n))
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_object_count(p, n):
+    assert len(s_catalog(p, n)) == COUNTS[n]
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_projectives_and_meshes(p, n):
+    catalog = s_catalog(p, n)
+    assert sum(catalog.projective) == 2
+    assert len(catalog.meshes) == COUNTS[n] - 2
+    assert all(seq.verified for seq in catalog.meshes.values())
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_meshes_pass_lifting_tests(p, n):
+    catalog = s_catalog(p, n)
+    rng = np.random.default_rng(n)
+    for seq in catalog.meshes.values():
+        assert verify_ar_sequence(seq, catalog.members(), rng=rng)
+
+
+def test_catalog_command_on_poset_fixture(capsys):
+    argv = ["catalog", "--poset", str(ONE_POSET), "--field", "3", "--nilpotency", "3"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    assert "objects\t10" in table
+    assert "projectives\t2" in table
+    assert "verified_meshes\t8" in table
