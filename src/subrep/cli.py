@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 domain violation, 2 parse error, 3 budget or
-contract violation.  All randomized commands take --seed and default to
+Exit codes: 0 ok, 1 domain violation, 2 parse or usage error, 3 budget
+or contract violation.  All randomized commands take --seed and default to
 seed 0, so runs are reproducible.
 """
 
@@ -35,6 +35,7 @@ from .errors import (
     NotNestedError,
     ParseError,
     SubrepError,
+    UnknownVertexError,
 )
 from .examples import example_poset, example_quiver
 from .ffmat import PrimeField
@@ -54,6 +55,7 @@ from .sampling import random_subspace_representation
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
+EXIT_USAGE = 2  # what argparse exits with on a bad command line
 EXIT_BUDGET = 3
 
 
@@ -94,12 +96,17 @@ def _prime_field(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _nilpotency(text):
-    """argparse type of --nilpotency: an integer n >= 1."""
-    n = int(text)  # argparse reports a ValueError as an invalid value
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"nilpotency must be at least 1, got {n}")
-    return n
+def _at_least_one(what):
+    """argparse type of an integer option that must be at least 1."""
+
+    def parse(text):
+        n = int(text)  # argparse reports a ValueError as an invalid value
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {n}")
+        return n
+
+    parse.__name__ = what  # argparse names the type in "invalid ... value"
+    return parse
 
 
 def _parse_poset_file(path):
@@ -142,10 +149,13 @@ def cmd_approx(args):
         res = right_approx(rep)
     else:
         if args.vertex is None:
-            print("--kind mimo requires --vertex", file=sys.stderr)
-            return EXIT_DOMAIN
+            print("usage error: --kind mimo requires --vertex", file=sys.stderr)
+            return EXIT_USAGE
         try:
             res = mimo_k(rep, args.vertex)
+        except UnknownVertexError as exc:
+            print(f"usage error: --vertex {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except SubrepError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
@@ -338,7 +348,7 @@ def build_parser():
     p = sub.add_parser("catalog", help="build and verify a catalog")
     p.add_argument("--poset", default="example", help="'example' or a poset file")
     p.add_argument("--field", type=_prime_field, default="2")
-    p.add_argument("--nilpotency", type=_nilpotency, default=2)
+    p.add_argument("--nilpotency", type=_at_least_one("nilpotency"), default=2)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mesh-tests", type=int, default=20)
@@ -365,7 +375,7 @@ def build_parser():
         "representations; evaluation: the evaluation from the relation "
         "quotient is bijective; harada-sai: long radical chains vanish",
     )
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_at_least_one("samples"), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--catalog")
     p.add_argument("--field", type=_prime_field, default="2")

@@ -11,10 +11,15 @@ shape check and the reduction; its argument must be a 2-D int64 array,
 already reduced mod p, that owns its data (a copy, never a view into a
 larger buffer that the wrapper would keep alive).
 
-Row reduction over F_2 runs on bit-packed rows: each row becomes a
-Python int and elimination is XOR.  The reduced row echelon form is
-unique, so pivots and reduced arrays are identical to the general
-elimination used for every other prime.
+Row reduction has three paths, all behind `_rref_inplace`, whose input
+entries must already be reduced to [0, p):
+- p = 2, bit-packed: each row is a Python int and adding rows is XOR;
+- p = 3, bit-sliced: each row is two Python ints, the bits of its 1s and
+  of its 2s, and adding rows takes six word operations (Boothby and
+  Bradshaw, arXiv:0901.1413);
+- every other prime: one numpy elimination step per pivot.
+The reduced row echelon form is unique, so the three give identical
+pivots and reduced arrays.
 
 Column selection is read off pivots: `independent_columns(prefix,
 candidates)` returns the candidates that are pivot columns of
@@ -226,10 +231,21 @@ def _rref_inplace(a: np.ndarray, p: int):
     """Row-reduce `a` in place; returns (pivot column list, rank).
 
     Deterministic convention: leftmost pivot column, topmost nonzero row,
-    pivot scaled to 1, full elimination above and below.
+    pivot scaled to 1, full elimination above and below.  Entries must
+    already be reduced to [0, p).  Three paths: bit-packed rows at p = 2,
+    bit-sliced rows at p = 3 and the numpy loop of `_rref_numpy_inplace`
+    at every other prime.  The reduced row echelon form is unique, so all
+    three return the same array and pivots.
     """
     if p == 2:
         return _rref_gf2_inplace(a)
+    if p == 3:
+        return _rref_gf3_inplace(a)
+    return _rref_numpy_inplace(a, p)
+
+
+def _rref_numpy_inplace(a: np.ndarray, p: int):
+    """`_rref_inplace` at any prime p: one numpy elimination per pivot."""
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -297,6 +313,63 @@ def _rref_gf2_inplace(a: np.ndarray):
     data = b"".join(basis[key].to_bytes(width, "little") for key in order)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(rank, width)
     a[:rank] = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+    a[rank:] = 0
+    return [key.bit_length() - 1 for key in order], rank
+
+
+def _rref_gf3_inplace(a: np.ndarray):
+    """`_rref_inplace` over F_3 on bit-sliced rows (Boothby-Bradshaw,
+    arXiv:0901.1413).
+
+    A row is two ints: x1 has the bits of the columns holding 1, x2 those
+    holding 2.  Negation swaps them, and (x1, x2) + (y1, y2) is
+    t = (x1 | y2) ^ (x2 | y1), ((x2 | y2) ^ t, (x1 | y1) ^ t).  The absorb
+    loop is `_rref_gf2_inplace`'s, on a basis whose pivot entries are 1.
+    """
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return [], 0
+    packed = np.packbits(np.concatenate([a == 1, a == 2]), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    planes = [
+        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+    ]
+    basis = {}
+    pivot_mask = 0
+    for x1, x2 in zip(planes[:rows], planes[rows:]):
+        hits = (x1 | x2) & pivot_mask
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            y1, y2 = basis[low]
+            if x1 & low:  # entry 1: subtract the basis row
+                y1, y2 = y2, y1
+            t = (x1 | y2) ^ (x2 | y1)
+            x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+        x = x1 | x2
+        if not x:
+            continue
+        low = x & -x
+        if x2 & low:  # scale the pivot entry to 1
+            x1, x2 = x2, x1
+        for key, (y1, y2) in basis.items():
+            if (y1 | y2) & low:  # y - y[low] x
+                z1, z2 = (x2, x1) if y1 & low else (x1, x2)
+                t = (y1 | z2) ^ (y2 | z1)
+                basis[key] = ((y2 | z2) ^ t, (y1 | z1) ^ t)
+        basis[low] = (x1, x2)
+        pivot_mask |= low
+        if len(basis) == cols:
+            break
+    order = sorted(basis)
+    rank = len(order)
+    data = b"".join(
+        basis[key][j].to_bytes(width, "little") for j in (0, 1) for key in order
+    )
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(2 * rank, width)
+    bits = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+    a[:rank] = bits[:rank] + 2 * bits[rank:]
     a[rank:] = 0
     return [key.bit_length() - 1 for key in order], rank
 

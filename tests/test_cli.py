@@ -324,6 +324,30 @@ def test_catalog_bad_nilpotency_exits_2(capsys, nilpotency):
     assert "--nilpotency" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "what,samples",
+    [("hom-span", "-1"), ("evaluation", "-3"), ("harada-sai", "0"), ("hom-span", "few")],
+)
+def test_check_bad_samples_exits_2(capsys, what, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", what, "--samples", samples, "--catalog", CATALOG_P2])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and captured.out == ""
+    assert "--samples" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("vertex", [[], ["--vertex", "9"], ["--vertex", "*"]])
+def test_approx_mimo_vertex_usage_errors_exit_2(tmp_path, capsys, vertex):
+    path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
+    out = tmp_path / "out"
+    assert main(["approx", path, "--kind", "mimo", *vertex, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+    assert "--vertex" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_birkhoff_catalog_field_mismatch(tmp_path, capsys):
     path = write(tmp_path, "m3.sub", serialize_subspace_config(subspace_data(F3_FREE)))
     _assert_parse_error(capsys, ["birkhoff", path, *CATALOG_P2_ARGS], "F3[T]/T^2")

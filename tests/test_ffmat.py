@@ -23,6 +23,7 @@ from subrep.ffmat import (
     rref,
     solve,
 )
+from subrep.ffmat import _rref_inplace, _rref_numpy_inplace
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -230,10 +231,10 @@ def _krylov_min_poly(m: Matrix) -> Poly:
     return result
 
 
-def _min_poly_inputs(field, rng):
+def _min_poly_inputs(field, rng, sizes=range(9)):
     """Random, block-diagonal, scalar and nilpotent matrices, n = 0..8."""
     p = field.p
-    for n in range(9):
+    for n in sizes:
         yield random_matrix(field, n, n, rng)
         k = n // 2
         block = np.zeros((n, n), dtype=np.int64)
@@ -358,9 +359,9 @@ def test_matmul_large_prime_no_overflow():
 
 
 # ---------------------------------------------------------------------------
-# F_2 elimination runs on bit-packed rows; these tests pin it to sympy's
-# GF(2) row reduction across shapes whose rows span several bytes and
-# several 64-bit words.
+# F_2 elimination runs on bit-packed rows and F_3 elimination on
+# bit-sliced rows; these tests pin both to sympy's GF(p) row reduction
+# across shapes whose rows span several bytes and several 64-bit words.
 
 F2_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 130)
 
@@ -376,28 +377,42 @@ def _sympy_rref(m):
     return out, tuple(pivots)
 
 
-def _f2_cases():
-    rng = np.random.default_rng(20)
+def _packed_cases(field, seed):
+    """Random, zero, all-ones, full-rank and reversed-identity matrices at
+    every width of F2_WIDTHS."""
+    p = field.p
+    rng = np.random.default_rng(seed)
     for cols in F2_WIDTHS:
         for rows in (1, 3, 8, 70):
             density = float(rng.choice([0.1, 0.5, 0.9]))
-            yield Matrix(F2, rng.random((rows, cols)) < density)
-        yield Matrix.zeros(F2, 4, cols)
-        yield Matrix(F2, np.ones((5, cols), dtype=np.int64))
+            nonzero = rng.random((rows, cols)) < density
+            if p > 2:
+                nonzero = nonzero * rng.integers(1, p, size=(rows, cols))
+            yield Matrix(field, nonzero)
+        yield Matrix.zeros(field, 4, cols)
+        yield Matrix(field, np.ones((5, cols), dtype=np.int64))
         # full rank: identity rows on a random column order, then mixed
         n = min(cols, 6)
         perm = rng.permutation(cols)[:n]
         full = np.zeros((n, cols), dtype=np.int64)
         full[np.arange(n), perm] = 1
-        mix = rng.integers(0, 2, size=(n, n))
+        mix = rng.integers(0, p, size=(n, n))
         np.fill_diagonal(mix, 1)
         mix = np.tril(mix)  # unit lower triangular, invertible
-        yield Matrix(F2, mix @ full)
-        yield Matrix(F2, np.eye(cols, dtype=np.int64)[::-1])  # square, full rank
+        yield Matrix(field, mix @ full)
+        yield Matrix(field, np.eye(cols, dtype=np.int64)[::-1])  # square, full rank
 
 
-def test_f2_rref_and_rank_against_sympy():
-    for m in _f2_cases():
+def _f2_cases():
+    return _packed_cases(F2, 20)
+
+
+def _f3_cases():
+    return _packed_cases(F3, 30)
+
+
+def _check_rref_against_sympy(cases):
+    for m in cases:
         r, pivots, rank = rref(m)
         expected, expected_pivots = _sympy_rref(m)
         assert np.array_equal(r.a, expected), m.a.shape
@@ -405,8 +420,8 @@ def test_f2_rref_and_rank_against_sympy():
         assert rank == len(expected_pivots) == m.rank()
 
 
-def test_f2_kernel_basis_identities():
-    for m in _f2_cases():
+def _check_kernel_basis_identities(cases):
+    for m in cases:
         k = kernel_basis(m)
         _, pivots, rank = rref(m)
         free = [c for c in range(m.cols) if c not in pivots]
@@ -415,16 +430,15 @@ def test_f2_kernel_basis_identities():
         assert np.array_equal(k.a[free], np.eye(len(free), dtype=np.int64))
 
 
-def test_f2_solve_and_coordinate_solver():
-    rng = np.random.default_rng(21)
-    for m in _f2_cases():
-        x0 = random_matrix(F2, m.cols, 2, rng)
+def _check_solve_and_coordinate_solver(cases, rng):
+    for m in cases:
+        x0 = random_matrix(m.field, m.cols, 2, rng)
         b = m @ x0
         x = solve(m, b)
         assert m @ x == b
         basis = column_space_basis(m)
         cs = CoordinateSolver(basis)
-        c = random_matrix(F2, basis.cols, 3, rng)
+        c = random_matrix(m.field, basis.cols, 3, rng)
         assert cs.coords(basis @ c) == c
         if m.rank() < m.rows:
             outside = _outside_column_space(m)
@@ -433,6 +447,28 @@ def test_f2_solve_and_coordinate_solver():
             assert not cs.contains(outside)
             with pytest.raises(NoSolutionError):
                 cs.coords(outside)
+
+
+def _check_empty_and_zero_shape(field, shape):
+    m = Matrix.zeros(field, *shape)
+    r, pivots, rank = rref(m)
+    assert r == m and pivots == () and rank == 0
+    k = kernel_basis(m)
+    assert k == Matrix.identity(field, shape[1])
+    x = solve(m, Matrix.zeros(field, shape[0], 1))
+    assert x == Matrix.zeros(field, shape[1], 1)
+
+
+def test_f2_rref_and_rank_against_sympy():
+    _check_rref_against_sympy(_f2_cases())
+
+
+def test_f2_kernel_basis_identities():
+    _check_kernel_basis_identities(_f2_cases())
+
+
+def test_f2_solve_and_coordinate_solver():
+    _check_solve_and_coordinate_solver(_f2_cases(), np.random.default_rng(21))
 
 
 def _outside_column_space(m):
@@ -451,15 +487,76 @@ def test_f2_inconsistent_system():
     assert solve(a, Matrix(F2, [[1], [1], [0]])) == Matrix(F2, [[0], [1], [0]])
 
 
-@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (3, 130), (130, 3)])
+EMPTY_AND_ZERO_SHAPES = [(0, 5), (5, 0), (0, 0), (3, 130), (130, 3)]
+
+
+@pytest.mark.parametrize("shape", EMPTY_AND_ZERO_SHAPES)
 def test_f2_empty_and_zero_shapes(shape):
-    m = Matrix.zeros(F2, *shape)
-    r, pivots, rank = rref(m)
-    assert r == m and pivots == () and rank == 0
-    k = kernel_basis(m)
-    assert k == Matrix.identity(F2, shape[1])
-    x = solve(m, Matrix.zeros(F2, shape[0], 1))
-    assert x == Matrix.zeros(F2, shape[1], 1)
+    _check_empty_and_zero_shape(F2, shape)
+
+
+def test_f3_rref_and_rank_against_sympy():
+    _check_rref_against_sympy(_f3_cases())
+
+
+def test_f3_kernel_basis_identities():
+    _check_kernel_basis_identities(_f3_cases())
+
+
+def test_f3_solve_and_coordinate_solver():
+    _check_solve_and_coordinate_solver(_f3_cases(), np.random.default_rng(31))
+
+
+def test_f3_inconsistent_system():
+    a = Matrix(F3, [[1, 2, 0], [0, 1, 2], [1, 0, 2]])  # row 3 = row 1 + row 2
+    with pytest.raises(NoSolutionError):
+        solve(a, Matrix(F3, [[1], [0], [0]]))
+    assert solve(a, Matrix(F3, [[1], [1], [2]])) == Matrix(F3, [[2], [1], [0]])
+
+
+@pytest.mark.parametrize("shape", EMPTY_AND_ZERO_SHAPES)
+def test_f3_empty_and_zero_shapes(shape):
+    _check_empty_and_zero_shape(F3, shape)
+
+
+def test_f3_independent_columns_against_sympy():
+    # the kept candidates are the pivot columns of rref(prefix | candidates)
+    rng = np.random.default_rng(32)
+    for m in _f3_cases():
+        k = int(rng.integers(0, m.cols + 1))
+        prefix = m.submatrix(slice(None), slice(0, k))
+        candidates = m.submatrix(slice(None), slice(k, None))
+        _, pivots = _sympy_rref(m)
+        assert independent_columns(prefix, candidates) == [c - k for c in pivots if c >= k]
+
+
+def test_f3_min_poly_on_larger_matrices():
+    # min_poly reduces the n^2 x (n + 1) stack of powers, up to 144 x 13 here
+    rng = np.random.default_rng(33)
+    for n in (6, 9, 12):
+        for m in _min_poly_inputs(F3, rng, sizes=(n,)):
+            mp = min_poly(m)
+            assert mp == _krylov_min_poly(m)
+            assert mp.is_monic() and mp.eval_matrix(m).is_zero()
+            assert (char_poly(m) % mp).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packed_paths_match_numpy_elimination(p):
+    # random matrices dense in p - 1 (pivots equal to 2 at p = 3) with
+    # rows that are multiples of earlier rows, so they cancel to zero
+    rng = np.random.default_rng(34 + p)
+    weights = [0.2, 0.8] if p == 2 else [0.2, 0.15, 0.65]
+    for _ in range(400):
+        rows = int(rng.integers(0, 30))
+        cols = int(rng.integers(0, 140))
+        a = rng.choice(p, size=(rows, cols), p=weights).astype(np.int64)
+        if rows > 1 and rng.random() < 0.5:
+            half = rows // 2
+            a[half:] = (a[: rows - half] * int(rng.integers(1, p))) % p
+        packed, generic = a.copy(), a.copy()
+        assert _rref_inplace(packed, p) == _rref_numpy_inplace(generic, p)
+        assert np.array_equal(packed, generic)
 
 
 # ---------------------------------------------------------------------------

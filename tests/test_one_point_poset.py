@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from subrep.artheory import build_catalog, verify_ar_sequence
+from subrep.birkhoff import chase_class_multiset, decompose_full
 from subrep.cli import main
+from subrep.decomp import indecompose, iso_class_multiset
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra
 from subrep.posetrep import Poset, QuiverStar
+from subrep.sampling import random_subspace_representation
 
 ONE_POSET = Path(__file__).resolve().parent.parent / "fixtures" / "posets" / "one.poset"
 COUNTS = {1: 2, 2: 5, 3: 10, 4: 20}
@@ -54,3 +57,20 @@ def test_catalog_command_on_poset_fixture(capsys):
     assert "objects\t10" in table
     assert "projectives\t2" in table
     assert "verified_meshes\t8" in table
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
+def test_chase_agrees_with_idempotent_split(p, n):
+    # criterion 6 on a poset the code was not written for
+    catalog = s_catalog(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    for _ in range(10):
+        x = random_subspace_representation(
+            catalog.quiver, catalog.algebra, {"1": 6, "*": 8}, rng
+        )
+        chase = decompose_full(x, catalog)
+        assert chase.check()
+        classes = chase_class_multiset(chase)
+        assert None not in classes
+        for seed in (0, 1):
+            assert iso_class_multiset(indecompose(x, seed=seed), catalog.objects) == classes
