@@ -47,17 +47,10 @@ def left_approx(x: Representation) -> ApproxResult:
     the identity at the top.
     """
     quiver = x.quiver
-    field = x.field
     images = {v: column_space_basis(x.composite_map(v, STAR)) for v in quiver.poset.points}
     # incls[v]: basis of im X_{v*} inside X_*
     approx, incls = subspace_representation(quiver, x.spaces[STAR], images)
-    comps = {}
-    for v in quiver.vertices:
-        comp = x.composite_map(v, STAR)
-        if incls[v].cols:
-            comps[v] = solve(incls[v], comp)
-        else:
-            comps[v] = Matrix.zeros(field, 0, x.dim(v))
+    comps = {v: solve(incls[v], x.composite_map(v, STAR)) for v in quiver.vertices}
     structure = Morphism(x, approx, comps)
     return ApproxResult(approx, structure, "left")
 

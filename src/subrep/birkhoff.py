@@ -220,10 +220,12 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
     incl = Morphism.identity(x)
     proj = Morphism.identity(x)
     current = x
-    cache = _HomCache(catalog, x) if x.total_dim() else None
+    classes = []
+    cache = _HomCache(catalog, x)
     while current.total_dim():
         idx, f, q, trace = split_off_summand(current, catalog, hom_cache=cache)
         traces.append(trace)
+        classes.append(idx)
         res = split_by_retraction(current, f, q)
         summands.append(
             Summand(rep=catalog.objects[idx], inclusion=incl @ f, projection=q @ proj)
@@ -236,7 +238,7 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
     cert = {
         "method": "chase",
         "traces": [t.steps for t in traces],
-        "classes": [catalog.find_isomorphic(s.rep) for s in summands],
+        "classes": classes,
     }
     return Decomposition(x, summands, cert)
 

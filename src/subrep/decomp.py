@@ -79,8 +79,6 @@ def radical(end: EndAlgebra) -> RadicalData:
     p = field.p
     n = x.total_dim()
     m = end.dim
-    if m == 0:
-        return RadicalData(end, end.space, 0, Matrix.zeros(field, 0, 0))
     coeff = Matrix.identity(field, m)  # columns: current ideal in basis coords
     k = 1
     while k <= n and coeff.cols:
@@ -103,8 +101,6 @@ def _verify_radical(end: EndAlgebra, rad: HomSpace):
     with the necessity of the vanishing conditions this certifies it as
     the radical."""
     x = end.rep
-    if not rad.dim:
-        return
     solver = CoordinateSolver(rad.basis_matrix())
     for b in rad.basis:
         for products in (end.space.postcomposed(b), end.space.precomposed(b)):
@@ -167,12 +163,7 @@ def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData) -> bool:
 
 
 def is_local(end: EndAlgebra) -> bool:
-    if end.dim == 0:
-        return False
-    if end.dim == 1:
-        return True
-    rad = radical(end)
-    return quotient_is_division_ring(end, rad)
+    return quotient_is_division_ring(end, radical(end))
 
 
 @dataclass
@@ -270,21 +261,11 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
                 )
                 for e in idems:
                     part, part_incl = image_subrep(e)
-                    solvers = {
-                        v: CoordinateSolver(part_incl.components[v])
-                        if part_incl.components[v].cols
-                        else None
-                        for v in rep.quiver.vertices
-                    }
                     part_proj = Morphism(
                         rep,
                         part,
                         {
-                            v: (
-                                solvers[v].coords(e.components[v])
-                                if solvers[v] is not None
-                                else Matrix.zeros(rep.field, 0, rep.dim(v))
-                            )
+                            v: CoordinateSolver(part_incl.components[v]).coords(e.components[v])
                             for v in rep.quiver.vertices
                         },
                     )
@@ -333,18 +314,12 @@ def indecomposables_isomorphic(x: Representation, y: Representation, rad_x: Radi
         return False, None
     if rad_x is None:
         rad_x = radical(end_algebra(x))
-    rad_solver = (
-        CoordinateSolver(rad_x.coeff_matrix) if rad_x.coeff_matrix.cols else None
-    )
+    rad_solver = CoordinateSolver(rad_x.coeff_matrix)
     end_solver = rad_x.algebra.solver()
     for f in hxy.basis:
         # g . f for every basis g, g inner
         composites = hyx.precomposed(f).basis_matrix()
-        if rad_solver:
-            in_rad = rad_solver.members(end_solver.coords(composites))
-        else:
-            in_rad = ~composites.a.any(axis=0)
-        if not in_rad.all():
+        if not rad_solver.members(end_solver.coords(composites)).all():
             if all(
                 f.components[v].rank() == x.dim(v) for v in x.quiver.vertices
             ):
@@ -428,7 +403,7 @@ def hom_image_span_check(m_summands, x: Representation):
     return None
 
 
-def evaluation_iso_check(m_summands, x: Representation, pair_homs=None, pair_rads=None):
+def evaluation_iso_check(m_summands, x: Representation, pair_homs=None):
     """Bijectivity of the evaluation from the relation quotient onto x.
 
     The quotient of Hom(M, x) (x) M_v by the balanced-bilinearity

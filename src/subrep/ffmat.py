@@ -25,6 +25,18 @@ Column selection is read off pivots: `independent_columns(prefix,
 candidates)` returns the candidates that are pivot columns of
 rref(prefix | candidates), which are exactly the columns a greedy
 left-to-right "keep it if the rank rises" pass would keep.
+
+Empty shapes are ordinary inputs.  Every primitive here accepts matrices
+with zero rows or zero columns and returns what the general formula
+gives, so callers do not special-case them:
+- `solve(a, b)` with a r x 0 returns the 0 x k zero matrix when b is
+  zero and raises NoSolutionError otherwise;
+- `CoordinateSolver` over a d x 0 basis has rank 0: `coords` of a zero
+  d x k matrix is 0 x k and of any other raises NoSolutionError, and
+  `members` marks exactly the zero columns;
+- `kernel_basis` of an L x 0 matrix is 0 x 0, and of a 0 x m matrix is
+  the identity I_m; so `left_kernel_basis` of an m x 0 matrix is I_m;
+- `column_space_basis` of a d x 0 matrix is d x 0.
 """
 
 from __future__ import annotations
@@ -32,8 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSolutionError
-
-_INV_TABLE_CAP = 1 << 16
 
 
 def _is_prime(p: int) -> bool:
@@ -54,7 +64,7 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """The prime field F_p, p <= 2**31."""
 
-    __slots__ = ("p", "_inv_table")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         p = int(p)
@@ -63,20 +73,12 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self._inv_table = None
 
     def inv(self, a: int) -> int:
         a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.p < _INV_TABLE_CAP:
-            if self._inv_table is None:
-                t = np.zeros(self.p, dtype=np.int64)
-                for x in range(1, self.p):
-                    t[x] = pow(x, self.p - 2, self.p)
-                self._inv_table = t
-            return int(self._inv_table[a])
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -233,8 +233,6 @@ def injective_envelope(m: LambdaModule):
             # chain vector t^r g_b  ->  T^(n-d+r) f_b
             emb_jordan[b * n + (n - d + r), col + r] = 1
         col += d
-    if m.dim == 0:
-        return env, Matrix.zeros(field, 0, 0)
     to_jordan = CoordinateSolver(j)
     emb = Matrix(field, emb_jordan) @ to_jordan.coords(Matrix.identity(field, m.dim))
     return env, emb
@@ -276,9 +274,6 @@ def submodule(m: LambdaModule, basis: Matrix):
     Returns (module in the basis coordinates, inclusion matrix).  Raises
     NoSolutionError if the span is not invariant.
     """
-    field = m.algebra.field
-    if basis.cols == 0:
-        return LambdaModule.zero(m.algebra), basis
     span = column_space_basis(basis)
     t_restricted = solve(span, m.t @ span)
     return LambdaModule(m.algebra, t_restricted), span
@@ -286,11 +281,8 @@ def submodule(m: LambdaModule, basis: Matrix):
 
 def quotient_module(m: LambdaModule, sub_basis: Matrix):
     """Quotient by an invariant subspace: (module, projection matrix)."""
-    field = m.algebra.field
     span = column_space_basis(sub_basis)
     proj = left_kernel_basis(span)  # rows: functionals vanishing on the span
-    if proj.rows == 0:
-        return LambdaModule.zero(m.algebra), proj
     # induced operator q with q . proj = proj . t
     q = solve(proj.transpose(), (proj @ m.t).transpose()).transpose()
     return LambdaModule(m.algebra, q), proj

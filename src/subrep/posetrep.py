@@ -511,11 +511,8 @@ class HomSpace:
         holds only the zero map."""
         if not isinstance(targets, HomSpace):
             targets = HomSpace(self.source, self.target, targets)
-        rhs = targets.basis_matrix()
-        if not self.dim:
-            return Matrix.zeros(rhs.field, 0, rhs.cols) if rhs.is_zero() else None
         try:
-            return solve(self._flat, rhs)
+            return solve(self._flat, targets.basis_matrix())
         except NoSolutionError:
             return None
 
@@ -704,10 +701,7 @@ def subspace_representation(quiver: QuiverStar, top: LambdaModule, spans) -> tup
         spaces[v], incls[v] = submodule(top, spans[v])
     maps = {}
     for (s, t) in quiver.arrows:
-        if incls[t].cols:
-            maps[(s, t)] = solve(incls[t], incls[s])
-        else:
-            maps[(s, t)] = Matrix.zeros(field, 0, incls[s].cols)
+        maps[(s, t)] = solve(incls[t], incls[s])
     return Representation(quiver, top.algebra, spaces, maps), incls
 
 
@@ -717,7 +711,6 @@ def subrep_from_bases(x: Representation, bases) -> tuple:
     The spans must be T-invariant and closed under the arrow maps; raises
     NoSolutionError otherwise.  Returns (rep, inclusion morphism).
     """
-    field = x.field
     spaces = {}
     incls = {}
     for v in x.quiver.vertices:
@@ -726,13 +719,7 @@ def subrep_from_bases(x: Representation, bases) -> tuple:
         incls[v] = span
     maps = {}
     for (s, t) in x.quiver.arrows:
-        image = x.arrow_maps[(s, t)] @ incls[s]
-        if incls[t].cols:
-            maps[(s, t)] = solve(incls[t], image)
-        else:
-            maps[(s, t)] = Matrix.zeros(field, 0, incls[s].cols)
-            if not image.is_zero():
-                raise NoSolutionError("spans are not closed under the arrow maps")
+        maps[(s, t)] = solve(incls[t], x.arrow_maps[(s, t)] @ incls[s])
     sub = Representation(x.quiver, x.algebra, spaces, maps)
     incl = Morphism(sub, x, incls)
     return sub, incl
@@ -755,7 +742,6 @@ def quotient_rep(x: Representation, sub_bases) -> tuple:
 
     Returns (quotient representation, projection morphism).
     """
-    field = x.field
     spaces = {}
     projs = {}
     for v in x.quiver.vertices:
@@ -766,12 +752,7 @@ def quotient_rep(x: Representation, sub_bases) -> tuple:
     for (s, t) in x.quiver.arrows:
         # induced map q with q . proj_s = proj_t . arrow
         rhs = projs[t] @ x.arrow_maps[(s, t)]
-        if projs[s].rows:
-            maps[(s, t)] = solve(
-                projs[s].transpose(), rhs.transpose()
-            ).transpose()
-        else:
-            maps[(s, t)] = Matrix.zeros(field, spaces[t].dim, 0)
+        maps[(s, t)] = solve(projs[s].transpose(), rhs.transpose()).transpose()
     quo = Representation(x.quiver, x.algebra, spaces, maps)
     return quo, Morphism(x, quo, projs)
 
@@ -803,11 +784,7 @@ def split_by_retraction(x: Representation, mono: Morphism, retraction: Morphism)
     # complement projection: coordinates of (1 - e) v in the kernel basis
     comp_proj_components = {}
     for v in x.quiver.vertices:
-        kb = comp_incl.components[v]
         one_minus_e = Matrix.identity(field, x.dim(v)) - e.components[v]
-        if kb.cols == 0:
-            comp_proj_components[v] = Matrix.zeros(field, 0, x.dim(v))
-        else:
-            comp_proj_components[v] = CoordinateSolver(kb).coords(one_minus_e)
+        comp_proj_components[v] = CoordinateSolver(comp_incl.components[v]).coords(one_minus_e)
     comp_proj = Morphism(x, complement, comp_proj_components)
     return SplitResult(mono.source, mono, retraction, complement, comp_incl, comp_proj)

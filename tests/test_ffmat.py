@@ -455,6 +455,8 @@ def _check_empty_and_zero_shape(field, shape):
     assert r == m and pivots == () and rank == 0
     k = kernel_basis(m)
     assert k == Matrix.identity(field, shape[1])
+    assert left_kernel_basis(m) == Matrix.identity(field, shape[0])
+    assert column_space_basis(m) == Matrix.zeros(field, shape[0], 0)
     x = solve(m, Matrix.zeros(field, shape[0], 1))
     assert x == Matrix.zeros(field, shape[1], 1)
 
@@ -517,6 +519,12 @@ def test_f3_inconsistent_system():
 @pytest.mark.parametrize("shape", EMPTY_AND_ZERO_SHAPES)
 def test_f3_empty_and_zero_shapes(shape):
     _check_empty_and_zero_shape(F3, shape)
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("shape", EMPTY_AND_ZERO_SHAPES)
+def test_empty_and_zero_shapes_at_other_primes(p, shape):
+    _check_empty_and_zero_shape(PrimeField(p), shape)
 
 
 def test_f3_independent_columns_against_sympy():
@@ -653,3 +661,59 @@ def test_matmul_rejects_field_and_shape_mismatch():
         a @ Matrix(F2, [[1, 0, 1]])
     # an equal field that is a different object is accepted
     assert a @ Matrix(PrimeField(2), [[1], [1]]) == Matrix(F2, [[1], [1]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+def test_field_inverse(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    values = {1, p - 1, p + 1, -1} | {int(a) for a in rng.integers(1, p, size=50)}
+    for a in values:
+        if a % p:
+            assert a * field.inv(a) % p == 1
+            assert 0 <= field.inv(a) < p
+    for zero in (0, p, -p):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+
+
+EMPTY_CONTRACT_PRIMES = [2, 3, 5, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", EMPTY_CONTRACT_PRIMES)
+@pytest.mark.parametrize("r", [0, 1, 4])
+def test_solve_with_no_unknowns(p, r):
+    """a x = b with a r x 0: the empty solution when b is zero, else no
+    solution."""
+    field = PrimeField(p)
+    a = Matrix.zeros(field, r, 0)
+    for k in (0, 1, 3):
+        assert solve(a, Matrix.zeros(field, r, k)) == Matrix.zeros(field, 0, k)
+    if r:
+        b = Matrix.zeros(field, r, 2).a.copy()
+        b[r - 1, 1] = p - 1
+        with pytest.raises(NoSolutionError):
+            solve(a, Matrix(field, b))
+
+
+@pytest.mark.parametrize("p", EMPTY_CONTRACT_PRIMES)
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_coordinate_solver_over_empty_basis(p, d):
+    """The span of no vectors is {0}: zero columns have empty coordinates
+    and are members, every other column is outside."""
+    field = PrimeField(p)
+    solver = CoordinateSolver(Matrix.zeros(field, d, 0))
+    assert solver.rank == 0
+    zero = Matrix.zeros(field, d, 3)
+    assert solver.coords(zero) == Matrix.zeros(field, 0, 3)
+    assert solver.members(zero).tolist() == [True] * 3
+    assert solver.contains(zero)
+    assert solver.members(Matrix.zeros(field, d, 0)).shape == (0,)
+    if d:
+        v = Matrix.zeros(field, d, 3).a.copy()
+        v[0, 1] = 1
+        v = Matrix(field, v)
+        assert solver.members(v).tolist() == [True, False, True]
+        assert not solver.contains(v)
+        with pytest.raises(NoSolutionError):
+            solver.coords(v)
