@@ -63,31 +63,54 @@ class RadicalData:
         return self.radical.basis
 
 
-def _sigma(op: Matrix, k_power: int) -> int:
-    """Elementary symmetric function of degree k_power of the eigenvalues,
-    up to sign: the coefficient of x^(n - k_power) in the characteristic
-    polynomial."""
-    cp = char_poly(op)
-    idx = op.rows - k_power
-    return cp.coeffs[idx] if 0 <= idx < len(cp.coeffs) else 0
+def _trace_form(space: HomSpace) -> np.ndarray:
+    """[r, c] = tr(b_c y_r) over the spanning endomorphisms of `space`.
+
+    Over the total space every map is block diagonal, so the trace is the
+    sum over vertices of tr(b_v y_v) = <vec b_v, vec y_v^T>: the flat
+    rows with each vertex block transposed, against the flat rows."""
+    x = space.source
+    perm = []
+    o = 0
+    for v in x.quiver.vertices:
+        d = x.dim(v)
+        perm.append(o + np.arange(d * d).reshape(d, d).T.ravel())
+        o += d * d
+    flat = space.basis_matrix().a
+    return _matmul_mod(flat[np.concatenate(perm)].T, flat, x.field.p)
 
 
 def radical(end: EndAlgebra) -> RadicalData:
-    """Jacobson radical of End(x), with post-hoc verification."""
+    """Jacobson radical of End(x), with post-hoc verification.
+
+    Stage k of the chain puts the coefficient of x^(n - k) in the
+    characteristic polynomial of every product b y of the current ideal
+    basis into the system.  At k = 1 that is -tr(b y), read from the
+    trace form (Cohen, Ivanyos and Wales, JPAA 117/118, 1997); later
+    stages take one characteristic polynomial per distinct product."""
     x = end.rep
     field = x.field
     p = field.p
     n = x.total_dim()
     m = end.dim
     coeff = Matrix.identity(field, m)  # columns: current ideal in basis coords
+    polys = {}  # characteristic polynomial of each product, by its bytes
     k = 1
     while k <= n and coeff.cols:
-        cur_ops = [h.total_matrix() for h in end.space.combinations(coeff).basis]
-        size = len(cur_ops)
-        system = np.zeros((size, size), dtype=np.int64)
-        for r, y in enumerate(cur_ops):
-            for c, b in enumerate(cur_ops):
-                system[r, c] = _sigma(b @ y, k)
+        ideal = end.space.combinations(coeff)
+        if k == 1:
+            system = -_trace_form(ideal) % p
+        else:
+            cur_ops = [h.total_matrix() for h in ideal.basis]
+            size = len(cur_ops)
+            system = np.zeros((size, size), dtype=np.int64)
+            for r, y in enumerate(cur_ops):
+                for c, b in enumerate(cur_ops):
+                    prod = b @ y
+                    key = prod.a.tobytes()
+                    if key not in polys:
+                        polys[key] = char_poly(prod).coeffs
+                    system[r, c] = polys[key][n - k]
         ker = kernel_basis(Matrix(field, system))
         coeff = column_space_basis(coeff @ ker)
         k *= p

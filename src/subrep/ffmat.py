@@ -690,7 +690,10 @@ def min_poly(m: Matrix) -> Poly:
     Column k of the stack is vec(m^k), k = 0..n.  The first non-pivot
     column d is the least power dependent on the lower ones, and rref
     row i of that column is its coefficient on m^i (the pivot of row i
-    is column i), so the polynomial is x^d - sum_i rref[i, d] x^i.
+    is column i), so the polynomial is x^d - sum_i rref[i, d] x^i.  Rows
+    that are zero in every power (off the diagonal blocks of a
+    block-diagonal m, say) are dropped first; the row space, and so the
+    rref rows read, stay the same.
     """
     if m.rows != m.cols:
         raise ValueError("min_poly needs a square matrix")
@@ -704,6 +707,7 @@ def min_poly(m: Matrix) -> Poly:
         if k < n:
             cur = _matmul_mod(cur, m.a, p)
     stack = powers.reshape(n * n, n + 1)
+    stack = stack[stack.any(axis=1)]
     _, d = _rref_inplace(stack, p)  # the rank is the degree
     return Poly(field, [-int(c) for c in stack[:d, d]] + [1])
 

@@ -486,6 +486,32 @@ class HomSpace:
             o += r * c
         return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)))
 
+    def composites(self, second: "HomSpace") -> "HomSpace":
+        """The span of t . u over the spanning u of self (x -> w, outer
+        loop) and t of second (w -> y, inner loop): column i*k2 + j is
+        t_j . u_i, the columns of `second.precomposed(u_i)` joined in
+        order.  One product per vertex: the u rows read as
+        (dim x_v, k1, dim w_v) times the t rows read as
+        (dim w_v, dim y_v * k2)."""
+        x, w, y = self.source, self.target, second.target
+        u, t, p = self._flat.a, second._flat.a, x.field.p
+        k1, k2 = self.dim, second.dim
+        # vertices where x or y is zero contribute no rows
+        parts = [np.zeros((0, k1 * k2), dtype=np.int64)]
+        ou = ot = 0
+        for v in x.quiver.vertices:
+            c, m, r = x.dim(v), w.dim(v), y.dim(v)
+            if c and r:
+                # [l, i, q] = u_i[q, l] times [q, s*k2 + j] = t_j[s, q] is
+                # [l, i, s, j] = (t_j u_i)[s, l], reordered to rows (l, s)
+                stack = u[ou : ou + m * c].reshape(c, m, k1).transpose(0, 2, 1)
+                side = t[ot : ot + r * m].reshape(m, r * k2)
+                prod = _matmul_mod(stack.reshape(c * k1, m), side, p).reshape(c, k1, r, k2)
+                parts.append(prod.transpose(0, 2, 1, 3).reshape(c * r, k1 * k2))
+            ou += m * c
+            ot += r * m
+        return HomSpace.from_flat(x, y, _wrap(x.field, np.concatenate(parts)))
+
     def combinations(self, coeffs: Matrix) -> "HomSpace":
         """The span of the combinations sum_i coeffs[i, j] basis[i], one
         per column j of coeffs."""
