@@ -248,7 +248,7 @@ def dtr(x: Representation) -> Representation:
         cokers[v] = (l, alive_rows)
         # T acts blockwise as multiplication by T on the free modules
         t_free = np.zeros((n * len(alive_rows),) * 2, dtype=np.int64)
-        shift = _lambda_mult_matrix(field, [0, 1] + [0] * (n - 2), n).a if n > 1 else np.zeros((1, 1), dtype=np.int64)
+        shift = _lambda_mult_matrix(field, [0, 1], n).a
         for ri in range(len(alive_rows)):
             t_free[ri * n : (ri + 1) * n, ri * n : (ri + 1) * n] = shift
         # the induced t_bar with t_bar . l = l . t_free acts on the dual
@@ -406,7 +406,10 @@ class Catalog:
         self.objects: list[Representation] = []
         self.projective: list[bool] = []
         self.meshes: dict[int, ARSequence] = {}
-        self.left_maps: dict[int, tuple[Morphism, tuple]] = {}
+        # z -> (lifts, parts): the left almost split map out of objects[z]
+        # one part at a time, lifts[k]: objects[z] -> objects[parts[k]];
+        # ((), ()) when no irreducible map leaves objects[z]
+        self.left_maps: dict[int, tuple[tuple[Morphism, ...], tuple[int, ...]]] = {}
         self._fps: dict = {}
         self._homs: dict = {}
         self._rad_ends: dict = {}
@@ -532,7 +535,7 @@ def is_certified_mesh(catalog: Catalog, c_idx: int, seq: ARSequence, translate) 
     return (
         catalog.find_isomorphic(seq.a) in translate
         and sequence_is_exact_nonsplit(seq)
-        and _right_lifting(seq.g, seq.c, catalog.rad_end(c_idx))
+        and postcompose(seq.g, seq.c).coefficients(catalog.rad_space(c_idx, c_idx)) is not None
     )
 
 
@@ -654,20 +657,11 @@ def _build_left_maps(catalog: Catalog):
             for h in catalog.irreducible_lifts(z, w):
                 parts.append(w)
                 lifts.append(h)
-        obj = catalog.objects[z]
-        if not parts:
-            catalog.left_maps[z] = (None, ())
-            continue
-        if not _is_left_almost_split_in_catalog(catalog, z, parts, lifts):
+        if parts and not _is_left_almost_split_in_catalog(catalog, z, parts, lifts):
             raise InternalContractViolation(
                 f"assembled left almost split map out of object {z} failed verification"
             )
-        ds = direct_sum([catalog.objects[w] for w in parts])
-        comps = {}
-        for v in catalog.quiver.vertices:
-            rows = [h.components[v].a for h in lifts]
-            comps[v] = Matrix(obj.field, np.vstack(rows))
-        catalog.left_maps[z] = (Morphism(obj, ds.rep, comps), tuple(parts))
+        catalog.left_maps[z] = (tuple(lifts), tuple(parts))
 
 
 def export_quiver(catalog: Catalog) -> str:

@@ -142,18 +142,18 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
             trace.steps.append({"object": current, "split": True})
             trace.outcome = "split"
             return current, f, q, trace
-        lass, parts = catalog.left_maps[current]
-        if lass is None:
+        lifts, parts = catalog.left_maps[current]
+        if not parts:
             raise InternalContractViolation(
                 f"no left almost split map out of object {current}"
             )
-        comps = _factor_through_left(f, lass, parts, cache)
+        comps = _factor_through_left(f, lifts, parts, cache)
         chosen = None
         for w_pos in sorted(range(len(parts)), key=lambda t: parts[t]):
             comp = comps[w_pos]
             if comp.is_zero():
                 continue
-            extended = _block_component(lass, parts, w_pos, catalog) @ composite
+            extended = lifts[w_pos] @ composite
             if not (comp @ extended).is_zero():
                 chosen = (parts[w_pos], comp, extended)
                 break
@@ -170,17 +170,14 @@ def _find_retraction(f: Morphism, backward: HomSpace):
     return None if c is None else backward.element(c.a[:, 0])
 
 
-def _factor_through_left(f: Morphism, lass: Morphism, parts, cache):
-    """Solve f = h' . lass with h' built from the cached forward homs of
-    the middle parts; returns the component of h' on each part."""
+def _factor_through_left(f: Morphism, lifts, parts, cache):
+    """Solve f = sum_k h'_k . lifts[k] with each h'_k built from the
+    cached forward homs of objects[parts[k]]; returns the h'_k."""
     spans = [cache.forward[w] for w in parts]
     composites = HomSpace.joined(
         f.source,
         f.target,
-        [
-            homs.precomposed(_block_component(lass, parts, pos, cache.catalog))
-            for pos, homs in enumerate(spans)
-        ],
+        [homs.precomposed(h) for homs, h in zip(spans, lifts)],
     )
     if not composites.dim:
         raise InternalContractViolation("left map has no middle homs to factor through")
@@ -192,20 +189,6 @@ def _factor_through_left(f: Morphism, lass: Morphism, parts, cache):
         homs.element(c.a[offsets[pos] : offsets[pos + 1], 0])
         for pos, homs in enumerate(spans)
     ]
-
-
-def _block_component(lass: Morphism, parts, pos, catalog) -> Morphism:
-    """Component z -> objects[parts[pos]] of the stacked left map."""
-    src = lass.source
-    part = catalog.objects[parts[pos]]
-    comps = {}
-    for v in src.quiver.vertices:
-        off = 0
-        for q in range(pos):
-            off += catalog.objects[parts[q]].dim(v)
-        d = part.dim(v)
-        comps[v] = lass.components[v].submatrix(slice(off, off + d), slice(None))
-    return Morphism(src, part, comps)
 
 
 def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:

@@ -264,27 +264,36 @@ def serialize_subspace_config(cfg) -> str:
 # catalog directories
 
 
-def _morphism_payload(m: Morphism):
-    return {
-        v: {
-            "rows": m.components[v].rows,
-            "cols": m.components[v].cols,
-            "data": m.components[v].tolist(),
-        }
-        for v in m.source.quiver.vertices
-    }
+def _morphisms_payload(source, morphisms):
+    """Payload of morphisms out of `source`: at each vertex their
+    components stacked, in order, into one matrix.  A mesh map is one
+    morphism; a left almost split map is its lifts, in parts order."""
+    payload = {}
+    for v in source.quiver.vertices:
+        a = np.vstack([m.components[v].a for m in morphisms])
+        payload[v] = {"rows": a.shape[0], "cols": a.shape[1], "data": a.tolist()}
+    return payload
 
 
-def _morphism_from_payload(payload, source, target):
-    field = source.field
-    comps = {}
+def _morphisms_from_payload(payload, source, targets):
+    """The morphisms source -> targets[k] whose stacked components
+    `payload` holds; each matrix must have the rows of all the targets
+    and the columns of the source."""
+    blocks = {}
     for v in source.quiver.vertices:
         item = payload[v]
-        arr = np.array(item["data"], dtype=np.int64).reshape(
-            (item["rows"], item["cols"])
-        )
-        comps[v] = Matrix(field, arr)
-    return Morphism(source, target, comps)
+        dims = [w.dim(v) for w in targets]
+        shape = (sum(dims), source.dim(v))
+        if (item["rows"], item["cols"]) != shape:
+            raise ValueError(
+                f"matrix at {v} is {item['rows']}x{item['cols']}, expected {shape[0]}x{shape[1]}"
+            )
+        arr = np.array(item["data"], dtype=np.int64).reshape(shape)
+        blocks[v] = np.split(arr, np.cumsum(dims)[:-1])
+    return tuple(
+        Morphism(source, w, {v: Matrix(source.field, blocks[v][k]) for v in blocks})
+        for k, w in enumerate(targets)
+    )
 
 
 def save_catalog(catalog, directory):
@@ -304,18 +313,18 @@ def save_catalog(catalog, directory):
                 "end": c_idx,
                 "kernel_file": name,
                 "parts": list(seq.middle_parts),
-                "f": _morphism_payload(seq.f),
-                "g": _morphism_payload(seq.g),
+                "f": _morphisms_payload(seq.a, [seq.f]),
+                "g": _morphisms_payload(seq.b, [seq.g]),
                 "verified": seq.verified,
             }
         )
     left = []
-    for z, (morph, parts) in sorted(catalog.left_maps.items()):
+    for z, (lifts, parts) in sorted(catalog.left_maps.items()):
         left.append(
             {
                 "object": z,
                 "parts": list(parts),
-                "matrix": _morphism_payload(morph) if morph is not None else None,
+                "matrix": _morphisms_payload(catalog.objects[z], lifts) if lifts else None,
             }
         )
     meta = {
@@ -362,18 +371,15 @@ def _catalog_from_meta(meta, directory):
         parts = tuple(mesh["parts"])
         middle = direct_sum([catalog.objects[i] for i in parts]).rep
         c_rep = catalog.objects[mesh["end"]]
-        f = _morphism_from_payload(mesh["f"], a_rep, middle)
-        g = _morphism_from_payload(mesh["g"], middle, c_rep)
+        (f,) = _morphisms_from_payload(mesh["f"], a_rep, [middle])
+        (g,) = _morphisms_from_payload(mesh["g"], middle, [c_rep])
         catalog.meshes[mesh["end"]] = ARSequence(
             a_rep, middle, c_rep, f, g, verified=mesh["verified"], middle_parts=parts
         )
     for item in meta["left_maps"]:
         z = item["object"]
         parts = tuple(item["parts"])
-        if item["matrix"] is None:
-            catalog.left_maps[z] = (None, parts)
-            continue
-        target = direct_sum([catalog.objects[i] for i in parts]).rep
-        morph = _morphism_from_payload(item["matrix"], catalog.objects[z], target)
-        catalog.left_maps[z] = (morph, parts)
+        targets = [catalog.objects[w] for w in parts]
+        lifts = _morphisms_from_payload(item["matrix"], catalog.objects[z], targets) if parts else ()
+        catalog.left_maps[z] = (lifts, parts)
     return catalog

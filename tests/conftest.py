@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 
 import pytest
 
@@ -26,3 +28,26 @@ def catalog_p2():
 @pytest.fixture(scope="session")
 def catalog_p3():
     return _catalog(3)
+
+
+@pytest.fixture
+def misshaped_catalog(tmp_path):
+    """Factory: a copy of fixtures/catalog_p2 in which the `*` component
+    of the first mesh's g ("mesh") or of object 24's left map ("left
+    map") has lost its last row, its row count lowered to match."""
+
+    def make(which):
+        path = tmp_path / "misshaped"
+        shutil.copytree(os.path.join(FIXTURES, "catalog_p2"), path)
+        index = path / "catalog.json"
+        meta = json.loads(index.read_text())
+        if which == "mesh":
+            item = meta["meshes"][0]["g"]["*"]
+        else:
+            item = next(m for m in meta["left_maps"] if m["object"] == 24)["matrix"]["*"]
+        item["data"].pop()
+        item["rows"] -= 1
+        index.write_text(json.dumps(meta))
+        return str(path)
+
+    return make

@@ -5,6 +5,7 @@ from subrep.approx import right_approx
 from subrep.artheory import (
     ARSequence,
     _right_lifting,
+    build_catalog,
     dtr,
     export_quiver,
     indecomposable_projectives,
@@ -298,9 +299,24 @@ def test_certificate_agrees_with_lifting_tests(p, request):
 
 def test_left_maps_cover_catalog(catalog_p2):
     for z in range(len(catalog_p2.objects)):
-        lass, parts = catalog_p2.left_maps[z]
-        assert lass is not None, f"object {z} lacks a left almost split map"
-        assert lass.is_valid()
+        lifts, parts = catalog_p2.left_maps[z]
+        assert parts, f"object {z} lacks a left almost split map"
+        assert len(lifts) == len(parts)
+        for h, w in zip(lifts, parts):
+            assert h.source is catalog_p2.objects[z]
+            assert h.target is catalog_p2.objects[w]
+            assert h.is_valid()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_catalog_at_nilpotency_one(p):
+    """Over k[T]/T the only non-projective of the example poset takes its
+    translate candidate from dtr at n = 1."""
+    catalog = build_catalog(example_quiver(), LambdaAlgebra(PrimeField(p), 1))
+    assert len(catalog) == 5 and sum(catalog.projective) == 4
+    (seq,) = catalog.meshes.values()
+    assert seq.verified
+    assert verify_ar_sequence(seq, catalog.members())
 
 
 def test_radical_chain_monotone(catalog_p2):

@@ -202,21 +202,6 @@ def test_trace_form_stage_matches_sigma_loop(p):
 # the left-map check on cached catalog spaces
 
 
-def _lifts_of(catalog, z):
-    """The stored left map out of objects[z], cut into its parts."""
-    f, parts = catalog.left_maps[z]
-    offsets = {v: 0 for v in catalog.quiver.vertices}
-    lifts = []
-    for w in parts:
-        comps = {}
-        for v in catalog.quiver.vertices:
-            d = catalog.objects[w].dim(v)
-            comps[v] = f.components[v].submatrix(slice(offsets[v], offsets[v] + d), slice(None))
-            offsets[v] += d
-        lifts.append(Morphism(catalog.objects[z], catalog.objects[w], comps))
-    return list(parts), lifts
-
-
 def _assembled(catalog, z, parts, lifts):
     obj = catalog.objects[z]
     target = direct_sum([catalog.objects[w] for w in parts]).rep
@@ -238,7 +223,7 @@ def test_left_map_check_agrees_with_is_left_almost_split(p, request):
     catalog = request.getfixturevalue(f"catalog_p{p}")
     dropped = split_mono = 0
     for z in range(len(catalog)):
-        parts, lifts = _lifts_of(catalog, z)
+        lifts, parts = map(list, catalog.left_maps[z])
         assert _both_verdicts(catalog, z, parts, lifts) == (True, True)
         # a part repeated keeps every factorization: still left almost
         # split, only not minimal

@@ -264,6 +264,13 @@ def test_malformed_catalog_index(tmp_path, capsys, text):
     _assert_parse_error(capsys, ["arquiver", "--catalog", str(cat)], "malformed catalog")
 
 
+@pytest.mark.parametrize("which", ["mesh", "left map"])
+def test_chase_on_misshaped_catalog_exits_2(misshaped_catalog, capsys, which):
+    path = os.path.join(CATALOG_P2, "obj_010.rep")
+    argv = ["decompose", path, "--method", "chase", "--catalog", misshaped_catalog(which)]
+    _assert_parse_error(capsys, argv, "expected")
+
+
 def test_python_dash_m_entry_point(tmp_path):
     import subprocess
     import sys

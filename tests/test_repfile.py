@@ -3,6 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from subrep.artheory import build_catalog
+from subrep.birkhoff import chase_class_multiset, decompose_full
+from subrep.decomp import indecompose, iso_class_multiset
 from subrep.errors import ParseError
 from subrep.examples import (
     all_free_representation,
@@ -11,15 +14,19 @@ from subrep.examples import (
 )
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra
+from subrep.posetrep import Poset, QuiverStar
 from subrep.repfile import (
+    load_catalog,
     parse_representation,
     parse_subspace_config,
+    save_catalog,
     serialize_representation,
     serialize_subspace_config,
 )
 from subrep.sampling import (
     random_subspace_config,
     random_representation,
+    random_subspace_representation,
 )
 
 F2 = PrimeField(2)
@@ -132,3 +139,46 @@ def test_save_catalog_writes_atomically(catalog_p2, tmp_path, monkeypatch):
     plain.write_text("x")
     assert os.stat(out / "catalog.json").st_mode == os.stat(plain).st_mode
     assert len(repfile.load_catalog(str(out)).objects) == len(catalog_p2.objects)
+
+
+def _saved_and_loaded(quiver, p, n, directory):
+    built = build_catalog(quiver, LambdaAlgebra(PrimeField(p), n))
+    save_catalog(built, str(directory))
+    return built, load_catalog(str(directory))
+
+
+ONE_POINT = QuiverStar(Poset(["1"], []))
+
+
+@pytest.mark.parametrize(
+    "quiver,p,n",
+    [(example_quiver(), 2, 2), (example_quiver(), 3, 2), (ONE_POINT, 3, 1)],
+    ids=["example-p2", "example-p3", "S1-p3"],
+)
+def test_left_maps_roundtrip(tmp_path, quiver, p, n):
+    """The stacked left-map matrices of catalog.json cut back into the
+    builder's lifts; S(1) has an object with no irreducible map out."""
+    built, loaded = _saved_and_loaded(quiver, p, n, tmp_path)
+    assert loaded.left_maps.keys() == built.left_maps.keys()
+    for z, (lifts, parts) in built.left_maps.items():
+        got_lifts, got_parts = loaded.left_maps[z]
+        assert got_parts == parts and got_lifts == lifts
+        assert all(h.target is loaded.objects[w] for h, w in zip(got_lifts, parts))
+    assert (((), ()) in built.left_maps.values()) == (n == 1)
+
+
+def test_chase_on_loaded_s1_catalog(tmp_path):
+    """The chase against a loaded catalog holding a ((), ()) left map."""
+    _, catalog = _saved_and_loaded(ONE_POINT, 3, 1, tmp_path)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        x = random_subspace_representation(ONE_POINT, catalog.algebra, {"1": 3, "*": 4}, rng)
+        chase = decompose_full(x, catalog)
+        assert chase.check()
+        assert iso_class_multiset(indecompose(x), catalog.objects) == chase_class_multiset(chase)
+
+
+@pytest.mark.parametrize("which", ["mesh", "left map"])
+def test_misshaped_catalog_matrix_is_parse_error(misshaped_catalog, which):
+    with pytest.raises(ParseError, match="expected"):
+        load_catalog(misshaped_catalog(which))
