@@ -23,13 +23,14 @@ import numpy as np
 from .approx import right_approx
 from .decomp import (
     RadicalData,
+    end_radical,
     fingerprint,
     indecompose,
     indecomposables_isomorphic,
-    radical,
 )
 from .errors import (
     BudgetExceededError,
+    ClosureStalledError,
     HasProjectiveSummandError,
     InternalContractViolation,
 )
@@ -44,7 +45,6 @@ from .ffmat import (
 from .lambdamod import LambdaAlgebra, LambdaModule, block_invariants
 from .posetrep import (
     STAR,
-    EndAlgebra,
     HomSpace,
     Morphism,
     QuiverStar,
@@ -270,11 +270,11 @@ def dtr(x: Representation) -> Representation:
 
 
 def _radical_maps(
-    x: Representation, y: Representation, rad_end: RadicalData, compose
+    x: Representation, y: Representation, rad: RadicalData, compose
 ) -> HomSpace:
     """Basis of the maps h: x -> y with h . u (compose =
     HomSpace.precomposed) or u . h (compose = HomSpace.postcomposed) in
-    the radical of rad_end's algebra for every u: y -> x; compose(homs, u)
+    the radical of rad's algebra for every u: y -> x; compose(homs, u)
     composes every h of a hom space with u.  Into an indecomposable C
     (y = C, h . u) or out of an indecomposable A (x = A, u . h) these are
     the non-split maps."""
@@ -284,11 +284,11 @@ def _radical_maps(
     back = hom_basis(y, x)
     if back.dim == 0:
         return homs
-    end = rad_end.algebra
+    end = rad.algebra
     # h in rad iff, for every u, the coordinates of compose(h, u) lie in
     # the radical span: project the coordinates to the quotient and
     # intersect the kernels over all u
-    proj = left_kernel_basis(rad_end.coeff_matrix)
+    proj = left_kernel_basis(rad.coeff_matrix)
     rows = []
     for u in back.basis:
         coords = end.solver().coords(compose(homs, u).basis_matrix())
@@ -302,39 +302,35 @@ def _is_split_epi(g: Morphism) -> bool:
     return postcompose(g, g.target).coefficients([Morphism.identity(g.target)]) is not None
 
 
-def _right_lifting(g: Morphism, test: Representation, rad_end_c: RadicalData) -> bool:
+def _right_lifting(g: Morphism, test: Representation) -> bool:
     """Every radical map test -> C factors through g: B -> C."""
-    maps = _radical_maps(test, g.target, rad_end_c, HomSpace.precomposed)
+    maps = _radical_maps(test, g.target, end_radical(g.target), HomSpace.precomposed)
     return not maps.dim or postcompose(g, test).coefficients(maps) is not None
 
 
-def _left_lifting(f: Morphism, test: Representation, rad_end_a: RadicalData) -> bool:
+def _left_lifting(f: Morphism, test: Representation) -> bool:
     """Every radical map A -> test factors through f: A -> B."""
-    maps = _radical_maps(f.source, test, rad_end_a, HomSpace.postcomposed)
+    maps = _radical_maps(f.source, test, end_radical(f.source), HomSpace.postcomposed)
     return not maps.dim or precompose(f, test).coefficients(maps) is not None
 
 
-def is_right_almost_split(g: Morphism, tests, rad_end_c: RadicalData = None) -> bool:
+def is_right_almost_split(g: Morphism, tests) -> bool:
     """g: B -> C is right almost split over the test objects: not a split
     epimorphism, and every non-split-epi map X -> C from a test object
     factors through g.  Non-split-epis into an indecomposable C form the
     radical subspace, so the factoring check runs on a radical basis."""
     if _is_split_epi(g):
         return False
-    if rad_end_c is None:
-        rad_end_c = radical(end_algebra(g.target))
-    return all(_right_lifting(g, test, rad_end_c) for test in tests)
+    return all(_right_lifting(g, test) for test in tests)
 
 
-def is_left_almost_split(f: Morphism, tests, rad_end_a: RadicalData = None) -> bool:
+def is_left_almost_split(f: Morphism, tests) -> bool:
     """Dual: f: A -> B is not a split monomorphism and every non-split-mono
     A -> X factors as h' . f."""
     a = f.source
     if precompose(f, a).coefficients([Morphism.identity(a)]) is not None:
         return False
-    if rad_end_a is None:
-        rad_end_a = radical(end_algebra(a))
-    return all(_left_lifting(f, test, rad_end_a) for test in tests)
+    return all(_left_lifting(f, test) for test in tests)
 
 
 @dataclass
@@ -373,12 +369,10 @@ def verify_ar_sequence(seq: ARSequence, tests, rng=None, random_tests: int = 20)
     if not sequence_is_exact_nonsplit(seq):
         seq.verified = False
         return False
-    rad_c = radical(end_algebra(seq.c))
-    rad_a = radical(end_algebra(seq.a))
-    if not is_right_almost_split(seq.g, tests, rad_end_c=rad_c):
+    if not is_right_almost_split(seq.g, tests):
         seq.verified = False
         return False
-    if not is_left_almost_split(seq.f, tests, rad_end_a=rad_a):
+    if not is_left_almost_split(seq.f, tests):
         seq.verified = False
         return False
     if random_tests:
@@ -387,9 +381,7 @@ def verify_ar_sequence(seq: ARSequence, tests, rng=None, random_tests: int = 20)
         caps = {v: 3 for v in quiver.poset.points} | {STAR: 5}
         for _ in range(random_tests):
             rnd = random_subspace_representation(quiver, seq.c.algebra, caps, rng)
-            if not (
-                _right_lifting(seq.g, rnd, rad_c) and _left_lifting(seq.f, rnd, rad_a)
-            ):
+            if not (_right_lifting(seq.g, rnd) and _left_lifting(seq.f, rnd)):
                 seq.verified = False
                 return False
     seq.verified = True
@@ -398,7 +390,7 @@ def verify_ar_sequence(seq: ARSequence, tests, rng=None, random_tests: int = 20)
 
 class Catalog:
     """Finite list of pairwise non-isomorphic indecomposables with mesh
-    data and cached hom/radical information."""
+    data and cached hom spaces; End and rad End are memoized per object."""
 
     def __init__(self, quiver: QuiverStar, algebra: LambdaAlgebra):
         self.quiver = quiver
@@ -412,9 +404,7 @@ class Catalog:
         self.left_maps: dict[int, tuple[tuple[Morphism, ...], tuple[int, ...]]] = {}
         self._fps: dict = {}
         self._homs: dict = {}
-        self._rad_ends: dict = {}
-        self._irr_cache: dict = {}
-        self._rad_squares: dict = {}  # (i, j) -> (rad^2 basis, catalog size covered)
+        self._rad_squares: dict = {}  # (i, j) -> (rad^2 basis, size covered, lifts or None)
 
     def __len__(self):
         return len(self.objects)
@@ -429,7 +419,7 @@ class Catalog:
     def find_isomorphic(self, rep: Representation):
         fp = fingerprint(rep)
         for idx in self._fps.get(fp, ()):
-            ok, _ = indecomposables_isomorphic(self.objects[idx], rep, rad_x=self.rad_end(idx))
+            ok, _ = indecomposables_isomorphic(self.objects[idx], rep)
             if ok:
                 return idx
         return None
@@ -437,27 +427,24 @@ class Catalog:
     def hom(self, i: int, j: int) -> HomSpace:
         key = (i, j)
         if key not in self._homs:
-            self._homs[key] = hom_basis(self.objects[i], self.objects[j])
+            x, y = self.objects[i], self.objects[j]
+            self._homs[key] = end_algebra(x).space if i == j else hom_basis(x, y)
         return self._homs[key]
-
-    def rad_end(self, i: int) -> RadicalData:
-        if i not in self._rad_ends:
-            self._rad_ends[i] = radical(EndAlgebra(self.hom(i, i)))
-        return self._rad_ends[i]
 
     def rad_space(self, i: int, j: int) -> HomSpace:
         """Basis of rad(objects[i], objects[j]): all homs when i != j,
         the endomorphism radical when i == j."""
         if i == j:
-            return self.rad_end(i).radical
+            return end_radical(self.objects[i]).radical
         return self.hom(i, j)
 
     def rad_square_span(self, i: int, j: int) -> Matrix:
         """Flattened basis of the span of rad^2(objects[i], objects[j])
         through the catalog: the composites t . u, u: objects[i] -> w and
         t: w -> objects[j] radical.  Kept per pair with the catalog size
-        it covers and extended only through the objects admitted since."""
-        basis, size = self._rad_squares.get((i, j), (None, 0))
+        it covers and the irreducible lifts, and extended only through
+        the objects admitted since."""
+        basis, size, lifts = self._rad_squares.get((i, j), (None, 0, None))
         if basis is not None and size == len(self.objects):
             return basis
         x, y = self.objects[i], self.objects[j]
@@ -466,25 +453,26 @@ class Catalog:
             first, second = self.rad_space(i, w), self.rad_space(w, j)
             if first.dim and second.dim:
                 spans.append(first.composites(second))
-        basis = column_space_basis(HomSpace.joined(x, y, spans).basis_matrix())
-        self._rad_squares[(i, j)] = (basis, len(self.objects))
-        return basis
+        grown = column_space_basis(HomSpace.joined(x, y, spans).basis_matrix())
+        if basis is not None and grown.cols != basis.cols:
+            lifts = None  # the bases are reduced: same span iff same dimension
+        self._rad_squares[(i, j)] = (grown, len(self.objects), lifts)
+        return grown
 
     def irreducible_lifts(self, i: int, j: int):
         """Morphism lifts of a basis of rad/rad^2 from objects[i] to
-        objects[j], deterministic.  Cached per catalog size since rad^2
-        grows as objects are admitted; the lifts are the candidate pivots
-        of rref(rad^2 | rad), which depend only on the span of rad^2, so
-        any basis of it gives the same lifts."""
-        key = (i, j, len(self.objects))
-        if key not in self._irr_cache:
-            rad = self.rad_space(i, j)
-            lifts = []
-            if rad.dim:
-                picked = independent_columns(self.rad_square_span(i, j), rad.basis_matrix())
-                lifts = [rad.basis[k] for k in picked]
-            self._irr_cache[key] = lifts
-        return self._irr_cache[key]
+        objects[j], deterministic: the candidate pivots of
+        rref(rad^2 | rad).  They depend only on the span of rad^2, so
+        they are kept in its `_rad_squares` entry."""
+        rad = self.rad_space(i, j)
+        if not rad.dim:
+            return []
+        basis = self.rad_square_span(i, j)
+        lifts = self._rad_squares[(i, j)][2]
+        if lifts is None:
+            lifts = [rad.basis[k] for k in independent_columns(basis, rad.basis_matrix())]
+            self._rad_squares[(i, j)] = (basis, len(self.objects), lifts)
+        return lifts
 
     def irreducible_dims(self):
         dims = {}
@@ -545,7 +533,10 @@ def build_catalog(
     """Closure process over projective seeds, translate candidates and
     meshes certified by is_certified_mesh; a certified mesh is final.
     Raises BudgetExceededError if the closure does not stabilize within
-    the round budget."""
+    the round budget, and ClosureStalledError as soon as a round admits
+    no object and certifies no mesh while some non-projective object
+    has none: discovery is then done and mesh assembly and certification
+    depend only on the catalog, so every later round would repeat it."""
     rng = np.random.default_rng(seed)
     catalog = Catalog(quiver, algebra)
     for p in indecomposable_projectives(quiver, algebra):
@@ -564,7 +555,7 @@ def build_catalog(
     translates = {}  # non-projective C -> summands of right_approx(dtr(C))
     socle_done = set()
     for round_no in range(budget):
-        size = len(catalog)
+        size, meshes = len(catalog), len(catalog.meshes)
         # discovery: radicals of projectives
         if round_no == 0:
             for idx, rep in enumerate(catalog.objects):
@@ -605,10 +596,17 @@ def build_catalog(
             if is_certified_mesh(catalog, c_idx, seq, translates.get(c_idx, ())):
                 seq.verified = True
                 catalog.meshes[c_idx] = seq
-        if len(catalog) == size and all(
-            catalog.projective[i] or i in catalog.meshes for i in range(size)
-        ):
-            break
+        if len(catalog) == size:
+            open_ends = [
+                i for i in range(size) if not (catalog.projective[i] or i in catalog.meshes)
+            ]
+            if not open_ends:
+                break
+            if len(catalog.meshes) == meshes:
+                raise ClosureStalledError(
+                    f"catalog closure stalled in round {round_no + 1}: {size} objects, "
+                    f"{meshes} verified meshes; no certified mesh ends at {open_ends}"
+                )
     else:
         raise BudgetExceededError(
             f"catalog closure did not stabilize within {budget} rounds; "

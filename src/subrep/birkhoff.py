@@ -204,8 +204,9 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
     proj = Morphism.identity(x)
     current = x
     classes = []
-    cache = _HomCache(catalog, x)
+    cache = None  # built at the first split, so a zero input solves no hom space
     while current.total_dim():
+        cache = cache or _HomCache(catalog, current)
         idx, f, q, trace = split_off_summand(current, catalog, hom_cache=cache)
         traces.append(trace)
         classes.append(idx)

@@ -159,9 +159,8 @@ def cmd_approx(args):
         except SubrepError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
-    out = args.out or "."
     write_atomic(
-        os.path.join(out, f"approx_{args.kind}.rep"),
+        os.path.join(args.out, f"approx_{args.kind}.rep"),
         serialize_representation(res.approx),
     )
     payload = {
@@ -173,7 +172,7 @@ def cmd_approx(args):
         "direction": "approx->input" if res.kind in ("right", "mimo") else "input->approx",
     }
     write_atomic(
-        os.path.join(out, f"approx_{args.kind}_map.json"), json.dumps(payload, indent=1)
+        os.path.join(args.out, f"approx_{args.kind}_map.json"), json.dumps(payload, indent=1)
     )
     dims = "\t".join(str(res.approx.dim(v)) for v in rep.quiver.vertices)
     print(f"vertex\t{chr(9).join(rep.quiver.vertices)}")
@@ -334,7 +333,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--kind", choices=("left", "right", "mimo"), required=True)
     p.add_argument("--vertex", help="poset vertex for --kind mimo")
-    p.add_argument("--out", help="output directory", default=None)
+    p.add_argument("--out", help="output directory", required=True)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("decompose", help="decompose into indecomposables")

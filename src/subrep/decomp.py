@@ -185,8 +185,15 @@ def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData) -> bool:
     return q - frobenius.rank() == 1
 
 
+def end_radical(x: Representation) -> RadicalData:
+    """rad End(x), memoized on x."""
+    if x._radical is None:
+        x._radical = radical(end_algebra(x))
+    return x._radical
+
+
 def is_local(end: EndAlgebra) -> bool:
-    return quotient_is_division_ring(end, radical(end))
+    return quotient_is_division_ring(end, end_radical(end.rep))
 
 
 @dataclass
@@ -320,7 +327,7 @@ def fingerprint(x: Representation):
     return x._fingerprint
 
 
-def indecomposables_isomorphic(x: Representation, y: Representation, rad_x: RadicalData = None):
+def indecomposables_isomorphic(x: Representation, y: Representation):
     """Isomorphism test for certified-indecomposable inputs.
 
     x and y are isomorphic iff some composite y -> x of basis morphisms in
@@ -335,10 +342,9 @@ def indecomposables_isomorphic(x: Representation, y: Representation, rad_x: Radi
     hyx = hom_basis(y, x)
     if hxy.dim == 0 or hyx.dim == 0:
         return False, None
-    if rad_x is None:
-        rad_x = radical(end_algebra(x))
-    rad_solver = CoordinateSolver(rad_x.coeff_matrix)
-    end_solver = rad_x.algebra.solver()
+    rad = end_radical(x)
+    rad_solver = CoordinateSolver(rad.coeff_matrix)
+    end_solver = rad.algebra.solver()
     for f in hxy.basis:
         # g . f for every basis g, g inner
         composites = hyx.precomposed(f).basis_matrix()

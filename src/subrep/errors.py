@@ -29,6 +29,11 @@ class BudgetExceededError(SubrepError):
     """An iteration budget was exhausted; indicates a bug or bad input."""
 
 
+class ClosureStalledError(BudgetExceededError):
+    """A catalog closure round changed nothing while some non-projective
+    object still has no mesh; every later round would repeat it."""
+
+
 class ChaseExhaustedError(SubrepError):
     """The projective chase exceeded its step bound; contract violation."""
 

@@ -166,22 +166,25 @@ class QuiverStar:
 class Representation:
     """Vertex modules plus arrow matrices on the augmented quiver.
 
-    Not mutated after construction, so derived data is memoized on the
-    instance on first use: `_paths` by `composite_map`, `_fingerprint` by
-    `decomp.fingerprint`."""
+    Not mutated after construction, so the vertex dimensions are read
+    once, into `_dims`, and derived data is memoized on the instance on
+    first use: `_paths` by `composite_map`, `_end` by `end_algebra`,
+    `_fingerprint` by `decomp.fingerprint` and `_radical` by
+    `decomp.end_radical`."""
 
-    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_paths", "_fingerprint")
+    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims",
+                 "_paths", "_end", "_fingerprint", "_radical")
 
     def __init__(self, quiver: QuiverStar, algebra: LambdaAlgebra, spaces, arrow_maps):
         self.quiver = quiver
         self.algebra = algebra
         self.spaces = dict(spaces)
         self.arrow_maps = dict(arrow_maps)
-        self._paths = None
-        self._fingerprint = None
+        self._paths = self._end = self._fingerprint = self._radical = None
         for v in quiver.vertices:
             if v not in self.spaces:
                 raise ValueError(f"missing space at vertex {v!r}")
+        self._dims = {v: self.spaces[v].dim for v in quiver.vertices}
         for a in quiver.arrows:
             if a not in self.arrow_maps:
                 raise ValueError(f"missing matrix for arrow {a[0]}->{a[1]}")
@@ -197,13 +200,13 @@ class Representation:
         return self.algebra.field
 
     def dim(self, v) -> int:
-        return self.spaces[v].dim
+        return self._dims[v]
 
     def dim_vector(self):
-        return tuple(self.spaces[v].dim for v in self.quiver.vertices)
+        return tuple(self._dims.values())
 
     def total_dim(self) -> int:
-        return sum(self.spaces[v].dim for v in self.quiver.vertices)
+        return sum(self._dims.values())
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
@@ -654,7 +657,10 @@ class EndAlgebra:
 
 
 def end_algebra(x: Representation) -> EndAlgebra:
-    return EndAlgebra(hom_basis(x, x))
+    """End(x), memoized on x."""
+    if x._end is None:
+        x._end = EndAlgebra(hom_basis(x, x))
+    return x._end
 
 
 @dataclass

@@ -352,6 +352,15 @@ def load_catalog(directory):
         raise ParseError(f"malformed catalog {directory}: {type(exc).__name__}: {exc}") from None
 
 
+def _object_index(value, catalog, what):
+    """`value` as an index into catalog.objects; anything outside
+    [0, len(objects)) is a ValueError, negative indices included."""
+    count = len(catalog.objects)
+    if not 0 <= value < count:
+        raise ValueError(f"{what} {value!r} is not an object index in [0, {count})")
+    return value
+
+
 def _catalog_from_meta(meta, directory):
     from .artheory import ARSequence, Catalog
     from .posetrep import direct_sum
@@ -368,17 +377,18 @@ def _catalog_from_meta(meta, directory):
         a_rep = parse_representation(
             read_text(os.path.join(directory, mesh["kernel_file"]), "catalog mesh")
         )
-        parts = tuple(mesh["parts"])
+        parts = tuple(_object_index(i, catalog, "mesh part") for i in mesh["parts"])
+        end = _object_index(mesh["end"], catalog, "mesh end")
         middle = direct_sum([catalog.objects[i] for i in parts]).rep
-        c_rep = catalog.objects[mesh["end"]]
+        c_rep = catalog.objects[end]
         (f,) = _morphisms_from_payload(mesh["f"], a_rep, [middle])
         (g,) = _morphisms_from_payload(mesh["g"], middle, [c_rep])
-        catalog.meshes[mesh["end"]] = ARSequence(
+        catalog.meshes[end] = ARSequence(
             a_rep, middle, c_rep, f, g, verified=mesh["verified"], middle_parts=parts
         )
     for item in meta["left_maps"]:
-        z = item["object"]
-        parts = tuple(item["parts"])
+        z = _object_index(item["object"], catalog, "left map object")
+        parts = tuple(_object_index(w, catalog, "left map part") for w in item["parts"])
         targets = [catalog.objects[w] for w in parts]
         lifts = _morphisms_from_payload(item["matrix"], catalog.objects[z], targets) if parts else ()
         catalog.left_maps[z] = (lifts, parts)

@@ -4,6 +4,7 @@ import pytest
 from subrep.approx import right_approx
 from subrep.artheory import (
     ARSequence,
+    Catalog,
     _right_lifting,
     build_catalog,
     dtr,
@@ -18,8 +19,8 @@ from subrep.artheory import (
     socle_subrep,
     verify_ar_sequence,
 )
-from subrep.decomp import indecompose, indecomposables_isomorphic, is_local
-from subrep.errors import HasProjectiveSummandError
+from subrep.decomp import end_radical, indecompose, indecomposables_isomorphic, is_local
+from subrep.errors import BudgetExceededError, ClosureStalledError, HasProjectiveSummandError
 from subrep.examples import (
     all_free_representation,
     example_quiver,
@@ -29,6 +30,8 @@ from subrep.ffmat import Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
     Morphism,
+    Poset,
+    QuiverStar,
     Representation,
     direct_sum,
     end_algebra,
@@ -276,9 +279,7 @@ def test_certificate_rejects_wrong_kernel(catalog_p2):
         if catalog_p2.find_isomorphic(k) in (None, *translate):
             continue
         seq = ARSequence(k, pi.source, c, incl, pi)
-        if sequence_is_exact_nonsplit(seq) and _right_lifting(
-            pi, c, catalog_p2.rad_end(c_idx)
-        ):
+        if sequence_is_exact_nonsplit(seq) and _right_lifting(pi, c):
             break
     else:
         pytest.fail("no projective cover sequence with a wrong kernel")
@@ -317,6 +318,66 @@ def test_catalog_at_nilpotency_one(p):
     (seq,) = catalog.meshes.values()
     assert seq.verified
     assert verify_ar_sequence(seq, catalog.members())
+
+
+# posets of finite type on which the closure stalls (ROADMAP item 1): the
+# 3-antichain (D_4) and (1, 2, 2), with the object and mesh counts it
+# stops at and the objects left without a mesh
+STALLS = {
+    "antichain3": (Poset(["1", "2", "3"], []), 6, 1, [4]),
+    "(1,2,2)": (Poset(["1", "2", "3", "4", "5"], [("2", "3"), ("4", "5")]), 26, 17, [6, 7, 8]),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", sorted(STALLS))
+def test_stalled_closure_raises(name, p):
+    poset, objects, meshes, open_ends = STALLS[name]
+    with pytest.raises(ClosureStalledError) as exc:
+        build_catalog(QuiverStar(poset), LambdaAlgebra(PrimeField(p), 1))
+    assert isinstance(exc.value, BudgetExceededError)
+    message = str(exc.value)
+    assert f"{objects} objects, {meshes} verified meshes" in message
+    assert f"ends at {open_ends}" in message
+    # it stops within a few rounds, far inside the default budget of 200
+    assert int(message.split("round ")[1].split(":")[0]) < 10
+
+
+def test_catalog_hom_and_radical_read_the_object_memo(catalog_p2):
+    for i, x in enumerate(catalog_p2.objects):
+        assert catalog_p2.hom(i, i) is end_algebra(x).space
+        assert catalog_p2.rad_space(i, i) is end_radical(x).radical
+
+
+def test_irreducible_lifts_are_kept_with_their_rad_square(catalog_p2):
+    # one entry per pair: the rad^2 basis, the catalog size it covers and
+    # the lifts, which are reused while the catalog does not grow
+    lifts = catalog_p2.irreducible_lifts(3, 9)
+    basis, size, kept = catalog_p2._rad_squares[(3, 9)]
+    assert lifts and size == len(catalog_p2) and kept is lifts
+    assert catalog_p2.irreducible_lifts(3, 9) is lifts
+    assert basis is catalog_p2.rad_square_span(3, 9)
+
+
+def test_irreducible_lifts_follow_catalog_growth(catalog_p2):
+    # lifts asked for after every admission, so kept across growth where
+    # the rad^2 span stays, equal those of a catalog filled at once
+    grown = Catalog(catalog_p2.quiver, catalog_p2.algebra)
+    changed = 0
+    for size, x in enumerate(catalog_p2.objects, start=1):
+        grown.add(x)
+        before = {key: len(entry[2]) for key, entry in grown._rad_squares.items()}
+        lifts = {(i, j): grown.irreducible_lifts(i, j) for i in range(size) for j in range(size)}
+        changed += sum(len(lifts[key]) != n for key, n in before.items())
+        if size % 5 == 0:
+            fresh = Catalog(catalog_p2.quiver, catalog_p2.algebra)
+            for y in catalog_p2.objects[:size]:
+                fresh.add(y)
+            for (i, j), got in lifts.items():
+                assert [h.flatten().tolist() for h in got] == [
+                    h.flatten().tolist() for h in fresh.irreducible_lifts(i, j)
+                ]
+    assert changed  # some rad^2 span grew under kept lifts
 
 
 def test_radical_chain_monotone(catalog_p2):

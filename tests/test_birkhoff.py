@@ -53,6 +53,25 @@ def test_decompose_full_zero(catalog_p2):
     assert d.summands == [] and d.check()
 
 
+def test_decompose_full_zero_solves_no_hom_space(catalog_p2, monkeypatch):
+    # the hom cache is built at the first split, and a zero input has none
+    from subrep import birkhoff
+
+    calls = []
+
+    def counting_hom_basis(source, target, real=birkhoff.hom_basis):
+        calls.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(birkhoff, "hom_basis", counting_hom_basis)
+    zero = Representation.zero(catalog_p2.quiver, catalog_p2.algebra)
+    assert decompose_full(zero, catalog_p2).summands == []
+    assert calls == []
+    # the same counter sees the cache of a nonzero input
+    decompose_full(all_free_representation(L2), catalog_p2)
+    assert len(calls) == 2 * len(catalog_p2)
+
+
 def test_decompose_full_multiset(catalog_p2):
     m = all_free_representation(L2)
     n = twisted_pair_representation(L2)

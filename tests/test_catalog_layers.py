@@ -214,7 +214,7 @@ def _assembled(catalog, z, parts, lifts):
 
 def _both_verdicts(catalog, z, parts, lifts):
     f = _assembled(catalog, z, parts, lifts)
-    full = is_left_almost_split(f, catalog.members(), rad_end_a=catalog.rad_end(z))
+    full = is_left_almost_split(f, catalog.members())
     return _is_left_almost_split_in_catalog(catalog, z, parts, lifts), full
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -269,6 +270,45 @@ def test_chase_on_misshaped_catalog_exits_2(misshaped_catalog, capsys, which):
     path = os.path.join(CATALOG_P2, "obj_010.rep")
     argv = ["decompose", path, "--method", "chase", "--catalog", misshaped_catalog(which)]
     _assert_parse_error(capsys, argv, "expected")
+
+
+def _tamper_object_24_parts(meta):
+    # the left map's parts [10, 12, 23] counted from the end
+    item = next(m for m in meta["left_maps"] if m["object"] == 24)
+    assert item["parts"] == [10, 12, 23]
+    item["parts"] = [w - 25 for w in item["parts"]]
+
+
+def _tamper_mesh_end(meta):
+    meta["meshes"][0]["end"] = 25
+
+
+def _tamper_left_map_object(meta):
+    meta["left_maps"][0]["object"] = -1
+
+
+@pytest.mark.parametrize(
+    "tamper", [_tamper_object_24_parts, _tamper_mesh_end, _tamper_left_map_object]
+)
+def test_catalog_index_out_of_range_exits_2(tmp_path, capsys, tamper):
+    copy = tmp_path / "tampered"
+    shutil.copytree(CATALOG_P2, copy)
+    meta = json.loads((copy / "catalog.json").read_text())
+    tamper(meta)
+    (copy / "catalog.json").write_text(json.dumps(meta))
+    path = os.path.join(CATALOG_P2, "obj_010.rep")
+    argv = ["decompose", path, "--method", "chase", "--catalog", str(copy)]
+    _assert_parse_error(capsys, argv, "is not an object index in [0, 25)")
+
+
+def test_approx_requires_out(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", path, "--kind", "left"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["m.rep"]
 
 
 def test_python_dash_m_entry_point(tmp_path):

@@ -266,6 +266,41 @@ def test_fingerprint_is_memoized():
     assert fingerprint(copy) == first
 
 
+def test_end_and_radical_are_solved_once_per_object(monkeypatch):
+    # End(x) and rad End(x) are memoized on x: repeated end_algebra,
+    # end_radical, is_local and catalog lookups solve Hom(x, x) and the
+    # radical once
+    from subrep import decomp, posetrep
+    from subrep.artheory import Catalog
+    from subrep.decomp import end_radical
+
+    x = twisted_pair_representation(L2)
+    copy = Representation(x.quiver, x.algebra, x.spaces, x.arrow_maps)
+    calls = {"hom(x, x)": 0, "radical": 0}
+
+    def counting_hom_basis(source, target, real=posetrep.hom_basis):
+        calls["hom(x, x)"] += source is x and target is x
+        return real(source, target)
+
+    def counting_radical(end, real=decomp.radical):
+        calls["radical"] += 1
+        return real(end)
+
+    for module in (posetrep, decomp):
+        monkeypatch.setattr(module, "hom_basis", counting_hom_basis)
+    monkeypatch.setattr(decomp, "radical", counting_radical)
+    catalog = Catalog(x.quiver, x.algebra)
+    catalog.add(x)
+    for _ in range(3):
+        assert end_algebra(x) is end_algebra(x)
+        assert end_radical(x) is end_radical(x)
+        assert is_local(end_algebra(x))
+        assert catalog.find_isomorphic(copy) == 0
+        assert catalog.hom(0, 0) is end_algebra(x).space
+    assert calls == {"hom(x, x)": 1, "radical": 1}
+    assert end_radical(x).algebra is end_algebra(x)
+
+
 # locality certificate: the Frobenius-kernel test against enumeration
 
 

@@ -235,6 +235,24 @@ def test_split_by_retraction_rejects_bad_pair():
         split_by_retraction(m, Morphism.zero(m, m), Morphism.zero(m, m))
 
 
+def test_dimension_vector_is_read_once(monkeypatch):
+    # the vertex dimensions are recorded at construction; dim, dim_vector
+    # and total_dim do not ask the vertex modules again
+    m = twisted_pair_representation(L2)
+    copy = Representation(m.quiver, m.algebra, m.spaces, m.arrow_maps)
+    reads = []
+    real = LambdaModule.dim
+
+    monkeypatch.setattr(LambdaModule, "dim", property(lambda self: reads.append(1) or real.fget(self)))
+    expected = m.dim_vector()
+    reads.clear()
+    for _ in range(3):
+        assert copy.dim_vector() == expected
+        assert tuple(copy.dim(v) for v in copy.quiver.vertices) == expected
+        assert copy.total_dim() == sum(expected)
+    assert reads == []
+
+
 def test_end_algebra_simple_at_star():
     q = example_quiver()
     zero = LambdaModule.zero(L2)
