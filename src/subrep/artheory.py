@@ -16,13 +16,13 @@ stays almost split whatever objects are admitted later.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .approx import right_approx
 from .decomp import (
-    RadicalData,
     end_radical,
     fingerprint,
     indecompose,
@@ -83,17 +83,17 @@ def indecomposable_projectives(quiver: QuiverStar, algebra: LambdaAlgebra):
     return out
 
 
+def _rad_span(x: Representation, v) -> Matrix:
+    """Basis of rad(x)_v: T times the space plus the images of the
+    arrows into v."""
+    cols = [x.spaces[v].t.a] + [x.arrow_maps[a].a for a in x.quiver.arrows_into(v)]
+    return column_space_basis(Matrix(x.field, np.hstack(cols)))
+
+
 def rad_subrep(x: Representation):
     """The radical subrepresentation: T times the space plus the images of
     incoming arrows, at each vertex."""
-    field = x.field
-    bases = {}
-    for v in x.quiver.vertices:
-        cols = [x.spaces[v].t.a]
-        for (s, t) in x.quiver.arrows_into(v):
-            cols.append(x.arrow_maps[(s, t)].a)
-        bases[v] = column_space_basis(Matrix(field, np.hstack(cols)))
-    return subrep_from_bases(x, bases)
+    return subrep_from_bases(x, {v: _rad_span(x, v) for v in x.quiver.vertices})
 
 
 def socle_subrep(x: Representation):
@@ -112,13 +112,8 @@ def socle_subrep(x: Representation):
 def top_complement(x: Representation, v) -> Matrix:
     """Deterministic basis lifting top(x) at vertex v: standard basis
     vectors completing rad(x)_v."""
-    field = x.field
-    cols = [x.spaces[v].t.a]
-    for (s, t) in x.quiver.arrows_into(v):
-        cols.append(x.arrow_maps[(s, t)].a)
-    rad_span = column_space_basis(Matrix(field, np.hstack(cols)))
-    ident = Matrix.identity(field, x.dim(v))
-    return ident.take_columns(independent_columns(rad_span, ident))
+    ident = Matrix.identity(x.field, x.dim(v))
+    return ident.take_columns(independent_columns(_rad_span(x, v), ident))
 
 
 def projective_cover(x: Representation):
@@ -164,9 +159,8 @@ def projective_cover(x: Representation):
             np.hstack(cols) if cols else np.zeros((x.dim(w), 0), dtype=np.int64),
         )
     pi = Morphism(p0, x, comps)
-    for v in quiver.vertices:
-        if comps[v].rank() != x.dim(v):
-            raise InternalContractViolation("projective cover is not surjective")
+    if not pi.is_epi():
+        raise InternalContractViolation("projective cover is not surjective")
     return pi, blocks
 
 
@@ -269,49 +263,45 @@ def dtr(x: Representation) -> Representation:
     return Representation(quiver, algebra, spaces, maps)
 
 
-def _radical_maps(
-    x: Representation, y: Representation, rad: RadicalData, compose
-) -> HomSpace:
-    """Basis of the maps h: x -> y with h . u (compose =
-    HomSpace.precomposed) or u . h (compose = HomSpace.postcomposed) in
-    the radical of rad's algebra for every u: y -> x; compose(homs, u)
-    composes every h of a hom space with u.  Into an indecomposable C
-    (y = C, h . u) or out of an indecomposable A (x = A, u . h) these are
-    the non-split maps."""
+def _radical_maps(end: Representation, test: Representation, into: bool) -> HomSpace:
+    """Basis of the maps h: test -> end (into) or h: end -> test with
+    h . u (into) or u . h in rad End(end) for every u the other way.
+    Into or out of an indecomposable end these are the non-split maps."""
+    rad = end_radical(end)
+    x, y = (test, end) if into else (end, test)
     homs = hom_basis(x, y)
     if homs.dim == 0:
         return homs
     back = hom_basis(y, x)
     if back.dim == 0:
         return homs
-    end = rad.algebra
+    compose = HomSpace.precomposed if into else HomSpace.postcomposed
     # h in rad iff, for every u, the coordinates of compose(h, u) lie in
     # the radical span: project the coordinates to the quotient and
     # intersect the kernels over all u
     proj = left_kernel_basis(rad.coeff_matrix)
     rows = []
     for u in back.basis:
-        coords = end.solver().coords(compose(homs, u).basis_matrix())
+        coords = rad.algebra.solver().coords(compose(homs, u).basis_matrix())
         rows.append((proj @ coords).a)
     k = kernel_basis(Matrix(x.field, np.vstack(rows)))
     return homs.combinations(k)
 
 
-def _is_split_epi(g: Morphism) -> bool:
-    """Does the identity of C factor as g . s?"""
-    return postcompose(g, g.target).coefficients([Morphism.identity(g.target)]) is not None
+def _splits(h: Morphism, into: bool) -> bool:
+    """Is h: B -> C a split epi (into: the identity of C factors as
+    h . s) or h: A -> B a split mono (the identity of A factors as s . h)?"""
+    end = h.target if into else h.source
+    through = postcompose if into else precompose
+    return through(h, end).coefficients([Morphism.identity(end)]) is not None
 
 
-def _right_lifting(g: Morphism, test: Representation) -> bool:
-    """Every radical map test -> C factors through g: B -> C."""
-    maps = _radical_maps(test, g.target, end_radical(g.target), HomSpace.precomposed)
-    return not maps.dim or postcompose(g, test).coefficients(maps) is not None
-
-
-def _left_lifting(f: Morphism, test: Representation) -> bool:
-    """Every radical map A -> test factors through f: A -> B."""
-    maps = _radical_maps(f.source, test, end_radical(f.source), HomSpace.postcomposed)
-    return not maps.dim or precompose(f, test).coefficients(maps) is not None
+def _lifting(h: Morphism, test: Representation, into: bool) -> bool:
+    """Every radical map test -> C factors through h: B -> C (into), or
+    every radical map A -> test factors through h: A -> B."""
+    maps = _radical_maps(h.target if into else h.source, test, into)
+    through = postcompose if into else precompose
+    return not maps.dim or through(h, test).coefficients(maps) is not None
 
 
 def is_right_almost_split(g: Morphism, tests) -> bool:
@@ -319,18 +309,13 @@ def is_right_almost_split(g: Morphism, tests) -> bool:
     epimorphism, and every non-split-epi map X -> C from a test object
     factors through g.  Non-split-epis into an indecomposable C form the
     radical subspace, so the factoring check runs on a radical basis."""
-    if _is_split_epi(g):
-        return False
-    return all(_right_lifting(g, test) for test in tests)
+    return not _splits(g, True) and all(_lifting(g, test, True) for test in tests)
 
 
 def is_left_almost_split(f: Morphism, tests) -> bool:
     """Dual: f: A -> B is not a split monomorphism and every non-split-mono
     A -> X factors as h' . f."""
-    a = f.source
-    if precompose(f, a).coefficients([Morphism.identity(a)]) is not None:
-        return False
-    return all(_left_lifting(f, test) for test in tests)
+    return not _splits(f, False) and all(_lifting(f, test, False) for test in tests)
 
 
 @dataclass
@@ -346,19 +331,13 @@ class ARSequence:
 
 def sequence_is_exact_nonsplit(seq: ARSequence) -> bool:
     f, g = seq.f, seq.g
-    if not all(
-        f.components[v].rank() == seq.a.dim(v) for v in seq.a.quiver.vertices
-    ):
-        return False
-    if not all(
-        g.components[v].rank() == seq.c.dim(v) for v in seq.c.quiver.vertices
-    ):
-        return False
-    if not (g @ f).is_zero():
-        return False
-    if seq.a.total_dim() + seq.c.total_dim() != seq.b.total_dim():
-        return False
-    return not _is_split_epi(g)
+    return (
+        f.is_mono()
+        and g.is_epi()
+        and (g @ f).is_zero()
+        and seq.a.total_dim() + seq.c.total_dim() == seq.b.total_dim()
+        and not _splits(g, True)
+    )
 
 
 def verify_ar_sequence(seq: ARSequence, tests, rng=None, random_tests: int = 20) -> bool:
@@ -381,7 +360,7 @@ def verify_ar_sequence(seq: ARSequence, tests, rng=None, random_tests: int = 20)
         caps = {v: 3 for v in quiver.poset.points} | {STAR: 5}
         for _ in range(random_tests):
             rnd = random_subspace_representation(quiver, seq.c.algebra, caps, rng)
-            if not (_right_lifting(seq.g, rnd) and _left_lifting(seq.f, rnd)):
+            if not (_lifting(seq.g, rnd, True) and _lifting(seq.f, rnd, False)):
                 seq.verified = False
                 return False
     seq.verified = True
@@ -474,14 +453,16 @@ class Catalog:
             self._rad_squares[(i, j)] = (basis, len(self.objects), lifts)
         return lifts
 
-    def irreducible_dims(self):
-        dims = {}
-        for i in range(len(self.objects)):
-            for j in range(len(self.objects)):
-                lifts = self.irreducible_lifts(i, j)
-                if lifts:
-                    dims[(i, j)] = len(lifts)
-        return dims
+    def irreducible_maps(self, i: int, into: bool):
+        """(lifts, parts): the irreducible lifts objects[parts[k]] ->
+        objects[i] (into) or objects[i] -> objects[parts[k]], in index
+        order of the other end."""
+        pairs = [
+            (h, k)
+            for k in range(len(self.objects))
+            for h in (self.irreducible_lifts(k, i) if into else self.irreducible_lifts(i, k))
+        ]
+        return tuple(h for h, _ in pairs), tuple(k for _, k in pairs)
 
     def max_length(self) -> int:
         return max((x.total_dim() for x in self.objects), default=0)
@@ -493,12 +474,7 @@ class Catalog:
 def _assemble_right_mesh(catalog: Catalog, c_idx: int):
     """Candidate minimal right almost split map into objects[c_idx]:
     one copy of objects[z] per irreducible lift z -> c, stacked."""
-    parts = []
-    lifts = []
-    for z in range(len(catalog.objects)):
-        for h in catalog.irreducible_lifts(z, c_idx):
-            parts.append(z)
-            lifts.append(h)
+    lifts, parts = catalog.irreducible_maps(c_idx, True)
     if not parts:
         return None
     ds = direct_sum([catalog.objects[z] for z in parts])
@@ -508,7 +484,7 @@ def _assemble_right_mesh(catalog: Catalog, c_idx: int):
         cols = [h.components[v].a for h in lifts]
         comps[v] = Matrix(c.field, np.hstack(cols))
     g = Morphism(ds.rep, c, comps)
-    return g, tuple(parts)
+    return g, parts
 
 
 def is_certified_mesh(catalog: Catalog, c_idx: int, seq: ARSequence, translate) -> bool:
@@ -583,14 +559,11 @@ def build_catalog(
             if assembled is None:
                 continue
             g, parts = assembled
-            c = catalog.objects[c_idx]
-            if not all(
-                g.components[v].rank() == c.dim(v) for v in quiver.vertices
-            ):
+            if not g.is_epi():
                 continue
             a_rep, f = kernel_subrep(g)
             admit(a_rep)
-            seq = ARSequence(a_rep, g.source, c, f, g, middle_parts=parts)
+            seq = ARSequence(a_rep, g.source, g.target, f, g, middle_parts=parts)
             # an object admitted by this round's discovery has no translate
             # yet, so its mesh waits for the next round
             if is_certified_mesh(catalog, c_idx, seq, translates.get(c_idx, ())):
@@ -649,23 +622,20 @@ def _build_left_maps(catalog: Catalog):
     projective chase: assembled from irreducible lifts out of the object
     and checked by _is_left_almost_split_in_catalog."""
     for z in range(len(catalog.objects)):
-        parts = []
-        lifts = []
-        for w in range(len(catalog.objects)):
-            for h in catalog.irreducible_lifts(z, w):
-                parts.append(w)
-                lifts.append(h)
+        lifts, parts = catalog.irreducible_maps(z, False)
         if parts and not _is_left_almost_split_in_catalog(catalog, z, parts, lifts):
             raise InternalContractViolation(
                 f"assembled left almost split map out of object {z} failed verification"
             )
-        catalog.left_maps[z] = (tuple(lifts), tuple(parts))
+        catalog.left_maps[z] = (lifts, parts)
 
 
 def export_quiver(catalog: Catalog) -> str:
     """DOT text: nodes carry dimension vectors and block invariants,
     solid arrows carry irreducible-map multiplicities, dashed edges
-    connect mesh ends to their translates."""
+    connect mesh ends to their translates.  The multiplicity of z -> w
+    is the number of lifts to w in the left map out of z, which holds
+    one per irreducible lift, so no rad^2 span is computed."""
     lines = ["digraph ar_quiver {"]
     for i, x in enumerate(catalog.objects):
         dims = ",".join(str(x.dim(v)) for v in catalog.quiver.vertices)
@@ -675,10 +645,10 @@ def export_quiver(catalog: Catalog) -> str:
         )
         shape = ", shape=box" if catalog.projective[i] else ""
         lines.append(f'  n{i} [label="({dims}) [{blocks}]"{shape}];')
-    dims_map = catalog.irreducible_dims()
-    for (i, j), mult in sorted(dims_map.items()):
-        attr = f' [label="{mult}"]' if mult > 1 else ""
-        lines.append(f"  n{i} -> n{j}{attr};")
+    for i, (_, parts) in sorted(catalog.left_maps.items()):
+        for j, mult in sorted(Counter(parts).items()):
+            attr = f' [label="{mult}"]' if mult > 1 else ""
+            lines.append(f"  n{i} -> n{j}{attr};")
     for c_idx, seq in sorted(catalog.meshes.items()):
         a_idx = catalog.find_isomorphic(seq.a)
         if a_idx is not None:

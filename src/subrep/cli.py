@@ -34,7 +34,6 @@ from .errors import (
     NotInvariantError,
     NotNestedError,
     ParseError,
-    SubrepError,
     UnknownVertexError,
 )
 from .examples import example_poset, example_quiver
@@ -156,9 +155,6 @@ def cmd_approx(args):
         except UnknownVertexError as exc:
             print(f"usage error: --vertex {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except SubrepError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
     write_atomic(
         os.path.join(args.out, f"approx_{args.kind}.rep"),
         serialize_representation(res.approx),
@@ -224,11 +220,7 @@ def cmd_catalog(args):
         poset = _parse_poset_file(args.poset)
     algebra = LambdaAlgebra(args.field, args.nilpotency)
     quiver = QuiverStar(poset)
-    try:
-        catalog = build_catalog(quiver, algebra, budget=args.budget, seed=args.seed)
-    except BudgetExceededError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    catalog = build_catalog(quiver, algebra, budget=args.budget, seed=args.seed)
     if args.out:
         save_catalog(catalog, args.out)
     print(f"objects\t{len(catalog.objects)}")

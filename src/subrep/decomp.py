@@ -349,9 +349,7 @@ def indecomposables_isomorphic(x: Representation, y: Representation):
         # g . f for every basis g, g inner
         composites = hyx.precomposed(f).basis_matrix()
         if not rad_solver.members(end_solver.coords(composites)).all():
-            if all(
-                f.components[v].rank() == x.dim(v) for v in x.quiver.vertices
-            ):
+            if f.is_mono():
                 return True, f
             raise InternalContractViolation(
                 "unit composite with singular forward map"

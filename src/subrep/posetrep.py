@@ -301,9 +301,6 @@ class Morphism:
             },
         )
 
-    def component(self, v) -> Matrix:
-        return self.components[v]
-
     def is_valid(self) -> bool:
         for v in self.source.quiver.vertices:
             f = self.components[v]
@@ -350,6 +347,18 @@ class Morphism:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
+
+    def is_mono(self) -> bool:
+        """Injective at every vertex."""
+        return all(
+            self.components[v].rank() == self.source.dim(v) for v in self.source.quiver.vertices
+        )
+
+    def is_epi(self) -> bool:
+        """Surjective at every vertex."""
+        return all(
+            self.components[v].rank() == self.target.dim(v) for v in self.source.quiver.vertices
+        )
 
     def flatten(self) -> np.ndarray:
         """Stacked entries in vertex order; the coordinate vector used by
@@ -571,45 +580,42 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
     # one row block per vertex (dx*dy rows) and per arrow s -> t (dy_t*dx_s
     # rows), skipping the empty ones
     height = sum(dx[v] * dy[v] for v in verts) + sum(dy[t] * dx[s] for s, t in arrows)
-    if height == 0:
-        k = Matrix.identity(field, total)
-    else:
-        system = np.zeros((height, total), dtype=np.int64)
+    system = np.zeros((height, total), dtype=np.int64)
 
-        def block(r, v, d1, d2):
-            # rows r .. r + d1*d2 and the columns of vec(f_v), viewed as
-            # [i, k, j, l] = (row r + i*d2 + k, column j*dy_v + l), where
-            # A kron B is [i, k, j, l] = A[i, j] B[k, l]: A kron I fills
-            # [:, k, :, k] and I kron B fills [i, :, i, :]
-            o = offsets[v]
-            return system[r : r + d1 * d2, o : o + dx[v] * dy[v]].reshape(
-                d1, d2, dx[v], dy[v]
-            )
+    def block(r, v, d1, d2):
+        # rows r .. r + d1*d2 and the columns of vec(f_v), viewed as
+        # [i, k, j, l] = (row r + i*d2 + k, column j*dy_v + l), where
+        # A kron B is [i, k, j, l] = A[i, j] B[k, l]: A kron I fills
+        # [:, k, :, k] and I kron B fills [i, :, i, :]
+        o = offsets[v]
+        return system[r : r + d1 * d2, o : o + dx[v] * dy[v]].reshape(
+            d1, d2, dx[v], dy[v]
+        )
 
-        r = 0
-        for v in verts:
-            n = dx[v] * dy[v]
-            if n == 0:
-                continue
-            # f tx - ty f = 0  ->  (tx^T kron I - I kron ty) vec(f) = 0
-            b = block(r, v, dx[v], dy[v])
-            ks, js = np.arange(dy[v]), np.arange(dx[v])
-            b[:, ks, :, ks] = x.spaces[v].t.a.T
-            b[js, :, js, :] -= y.spaces[v].t.a
-            r += n
-        for (s, t) in arrows:
-            n = dy[t] * dx[s]
-            if n == 0:
-                continue
-            # f_t X_a - Y_a f_s = 0: (X_a^T kron I) vec(f_t) - (I kron Y_a) vec(f_s)
-            if dx[t]:
-                ks = np.arange(dy[t])
-                block(r, t, dx[s], dy[t])[:, ks, :, ks] = x.arrow_maps[(s, t)].a.T
-            if dy[s]:
-                js = np.arange(dx[s])
-                block(r, s, dx[s], dy[t])[js, :, js, :] = -y.arrow_maps[(s, t)].a
-            r += n
-        k = kernel_basis(Matrix(field, system))
+    r = 0
+    for v in verts:
+        n = dx[v] * dy[v]
+        if n == 0:
+            continue
+        # f tx - ty f = 0  ->  (tx^T kron I - I kron ty) vec(f) = 0
+        b = block(r, v, dx[v], dy[v])
+        ks, js = np.arange(dy[v]), np.arange(dx[v])
+        b[:, ks, :, ks] = x.spaces[v].t.a.T
+        b[js, :, js, :] -= y.spaces[v].t.a
+        r += n
+    for (s, t) in arrows:
+        n = dy[t] * dx[s]
+        if n == 0:
+            continue
+        # f_t X_a - Y_a f_s = 0: (X_a^T kron I) vec(f_t) - (I kron Y_a) vec(f_s)
+        if dx[t]:
+            ks = np.arange(dy[t])
+            block(r, t, dx[s], dy[t])[:, ks, :, ks] = x.arrow_maps[(s, t)].a.T
+        if dy[s]:
+            js = np.arange(dx[s])
+            block(r, s, dx[s], dy[t])[js, :, js, :] = -y.arrow_maps[(s, t)].a
+        r += n
+    k = kernel_basis(Matrix(field, system))
     return HomSpace.from_flat(x, y, k)
 
 

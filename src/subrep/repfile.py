@@ -344,7 +344,8 @@ def save_catalog(catalog, directory):
 def load_catalog(directory):
     """Read a catalog directory written by `save_catalog`.  A missing
     directory or file, and a `catalog.json` that is not valid JSON or
-    lacks the expected structure, raise ParseError."""
+    lacks the expected structure, one left-map entry per object
+    included, raise ParseError."""
     text = read_text(os.path.join(directory, "catalog.json"), "catalog index")
     try:
         return _catalog_from_meta(json.loads(text), directory)
@@ -370,7 +371,7 @@ def _catalog_from_meta(meta, directory):
     poset = Poset(meta["points"], [tuple(c) for c in meta["covers"]])
     quiver = QuiverStar(poset)
     catalog = Catalog(quiver, algebra)
-    for name, proj in zip(meta["objects"], meta["projective"]):
+    for name, proj in zip(meta["objects"], meta["projective"], strict=True):
         rep = parse_representation(read_text(os.path.join(directory, name), "catalog object"))
         catalog.add(rep, projective=proj)
     for mesh in meta["meshes"]:
@@ -388,8 +389,13 @@ def _catalog_from_meta(meta, directory):
         )
     for item in meta["left_maps"]:
         z = _object_index(item["object"], catalog, "left map object")
+        if z in catalog.left_maps:
+            raise ValueError(f"object {z} has two left-map entries")
         parts = tuple(_object_index(w, catalog, "left map part") for w in item["parts"])
         targets = [catalog.objects[w] for w in parts]
         lifts = _morphisms_from_payload(item["matrix"], catalog.objects[z], targets) if parts else ()
         catalog.left_maps[z] = (lifts, parts)
+    missing = [z for z in range(len(catalog.objects)) if z not in catalog.left_maps]
+    if missing:
+        raise ValueError(f"objects {missing} have no left-map entry")
     return catalog

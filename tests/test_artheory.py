@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from subrep.approx import right_approx
 from subrep.artheory import (
     ARSequence,
     Catalog,
-    _right_lifting,
+    _lifting,
     build_catalog,
     dtr,
     export_quiver,
@@ -37,9 +39,11 @@ from subrep.posetrep import (
     end_algebra,
     kernel_subrep,
 )
+from subrep.repfile import load_catalog
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def translate_summands(x):
@@ -86,8 +90,13 @@ def test_rad_subrep_of_projectives():
     projs = indecomposable_projectives(example_quiver(), L2)
     rad_star, _ = rad_subrep(projs[3])
     assert rad_star.dim_vector() == (0, 0, 0, 1)
-    rad_m, _ = rad_subrep(projs[0])
+    rad_m, rad_incl = rad_subrep(projs[0])
     assert rad_m.dim_vector() == (1, 2, 2, 2)
+    assert rad_incl.is_mono() and not rad_incl.is_epi()
+    # P(*) covers the simple at *: onto, with the radical as kernel
+    pi, _ = projective_cover(simple_at_star())
+    assert pi.source.dim_vector() == (0, 0, 0, 2)
+    assert pi.is_epi() and not pi.is_mono()
 
 
 def test_socle_subrep_of_subspace_rep_sits_at_star():
@@ -279,7 +288,7 @@ def test_certificate_rejects_wrong_kernel(catalog_p2):
         if catalog_p2.find_isomorphic(k) in (None, *translate):
             continue
         seq = ARSequence(k, pi.source, c, incl, pi)
-        if sequence_is_exact_nonsplit(seq) and _right_lifting(pi, c):
+        if sequence_is_exact_nonsplit(seq) and _lifting(pi, c, True):
             break
     else:
         pytest.fail("no projective cover sequence with a wrong kernel")
@@ -408,6 +417,42 @@ def test_export_quiver(catalog_p2):
         mentioned.add(right.split("[")[0].strip().rstrip(";"))
     for i in range(25):
         assert f"n{i}" in mentioned
+
+
+def _solid_arrows(dot):
+    return [line for line in dot.splitlines() if "->" in line and "dashed" not in line]
+
+
+@pytest.mark.parametrize("source", ["fixture p=2", "fixture p=3", "build p=2"])
+def test_export_quiver_arrows_count_irreducible_lifts(source, request):
+    """The solid arrows read off the left maps equal the multiplicities
+    of irreducible_lifts over all pairs, the count they replace."""
+    if source == "build p=2":
+        catalog = build_catalog(example_quiver(), L2, seed=0)
+    else:
+        catalog = request.getfixturevalue(f"catalog_p{source[-1]}")
+    expected = []
+    for i in range(len(catalog)):
+        for j in range(len(catalog)):
+            mult = len(catalog.irreducible_lifts(i, j))
+            if mult:
+                label = f' [label="{mult}"]' if mult > 1 else ""
+                expected.append(f"  n{i} -> n{j}{label};")
+    assert _solid_arrows(export_quiver(catalog)) == expected
+
+
+def test_export_quiver_of_loaded_catalog_computes_no_lifts(monkeypatch):
+    catalog = load_catalog(os.path.join(FIXTURES, "catalog_p2"))
+    calls = []
+    lifts = Catalog.irreducible_lifts
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return lifts(self, i, j)
+
+    monkeypatch.setattr(Catalog, "irreducible_lifts", counted)
+    assert len(_solid_arrows(export_quiver(catalog))) > 25
+    assert calls == []
 
 
 def test_export_empty_catalog():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subrep.cli import main
+from subrep.errors import InternalContractViolation
 from subrep.examples import (
     all_free_representation,
     twisted_pair_representation,
@@ -287,10 +288,40 @@ def _tamper_left_map_object(meta):
     meta["left_maps"][0]["object"] = -1
 
 
+def _object_14_left_map(meta):
+    return next(m for m in meta["left_maps"] if m["object"] == 14)
+
+
+def _drop_left_map_14(meta):
+    meta["left_maps"].remove(_object_14_left_map(meta))
+
+
+def _repeat_left_map_14(meta):
+    meta["left_maps"].append(_object_14_left_map(meta))
+
+
+def _short_projective(meta):
+    meta["projective"].pop()
+
+
+OUT_OF_RANGE = "is not an object index in [0, 25)"
+
+
 @pytest.mark.parametrize(
-    "tamper", [_tamper_object_24_parts, _tamper_mesh_end, _tamper_left_map_object]
+    "tamper, message",
+    [
+        pytest.param(tamper, message, id=tamper.__name__)
+        for tamper, message in [
+            (_tamper_object_24_parts, OUT_OF_RANGE),
+            (_tamper_mesh_end, OUT_OF_RANGE),
+            (_tamper_left_map_object, OUT_OF_RANGE),
+            (_drop_left_map_14, "objects [14] have no left-map entry"),
+            (_repeat_left_map_14, "object 14 has two left-map entries"),
+            (_short_projective, "zip() argument 2 is shorter than argument 1"),
+        ]
+    ],
 )
-def test_catalog_index_out_of_range_exits_2(tmp_path, capsys, tamper):
+def test_catalog_index_out_of_range_exits_2(tmp_path, capsys, tamper, message):
     copy = tmp_path / "tampered"
     shutil.copytree(CATALOG_P2, copy)
     meta = json.loads((copy / "catalog.json").read_text())
@@ -298,7 +329,7 @@ def test_catalog_index_out_of_range_exits_2(tmp_path, capsys, tamper):
     (copy / "catalog.json").write_text(json.dumps(meta))
     path = os.path.join(CATALOG_P2, "obj_010.rep")
     argv = ["decompose", path, "--method", "chase", "--catalog", str(copy)]
-    _assert_parse_error(capsys, argv, "is not an object index in [0, 25)")
+    _assert_parse_error(capsys, argv, message)
 
 
 def test_approx_requires_out(tmp_path, capsys, monkeypatch):
@@ -392,6 +423,21 @@ def test_approx_mimo_vertex_usage_errors_exit_2(tmp_path, capsys, vertex):
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
     assert "--vertex" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_approx_mimo_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
+    # main holds the one exit-code table: a contract violation inside
+    # mimo_k exits 3, as it does from left_approx and right_approx
+    def broken(rep, vertex):
+        raise InternalContractViolation("broken mimo")
+
+    monkeypatch.setattr("subrep.cli.mimo_k", broken)
+    path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
+    out = tmp_path / "out"
+    assert main(["approx", path, "--kind", "mimo", "--vertex", "3", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "budget/contract error: broken mimo\n" and captured.out == ""
     assert not out.exists()
 
 

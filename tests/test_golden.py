@@ -10,10 +10,12 @@ seeded random inputs:
 - approx: `left_approx`, `right_approx` and every `mimo_k`, with their
   structure maps;
 - dtr: `dtr` of every non-projective catalog object;
-- birkhoff: `invariant_subspace_report` on seeded subspace configurations.
+- birkhoff: `invariant_subspace_report` on seeded subspace configurations;
+- dot: `export_quiver` of the catalog.
 
 The digests were recorded before the zero-dimension special cases around
-`ffmat`'s solvers were removed.  A change that alters one on purpose must
+`ffmat`'s solvers were removed; the dot digest before the DOT arrows
+were read off the stored left maps.  A change that alters one on purpose must
 say so and record the new digest.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from subrep.approx import left_approx, mimo_k, right_approx
-from subrep.artheory import dtr
+from subrep.artheory import dtr, export_quiver
 from subrep.birkhoff import decompose_full, invariant_subspace_report
 from subrep.decomp import indecompose
 from subrep.examples import example_quiver
@@ -59,7 +61,7 @@ def _inputs(catalog, seed):
 def golden_digests(catalog) -> dict:
     p = catalog.algebra.field.p
     subs, general = _inputs(catalog, 1000 + p)
-    hashes = {k: hashlib.sha256() for k in ("chase", "idempotent", "approx", "dtr", "birkhoff")}
+    hashes = {k: hashlib.sha256() for k in ("chase", "idempotent", "approx", "dtr", "birkhoff", "dot")}
 
     def put(kind, text):
         hashes[kind].update(text.encode())
@@ -93,6 +95,7 @@ def golden_digests(catalog) -> dict:
         put("birkhoff", json.dumps(sorted(report.multiplicities.items())))
         put("birkhoff", json.dumps([report.compatible, report.details]))
         put("birkhoff", json.dumps(report.decomposition.certificate, default=str))
+    put("dot", export_quiver(catalog))
     return {k: h.hexdigest() for k, h in hashes.items()}
 
 
@@ -103,6 +106,7 @@ GOLDEN = {
         "approx": "080b019ac7b7a4f8dd3a1beb307890cc253ef7fa2a9eb1e8b3b22f5b0f41db42",
         "dtr": "68f28dbd8b00dd84942393a87a6a622a9db45d1bd2b2d7df43e4f03e48737068",
         "birkhoff": "c9f1a5b7ff4753c003eda33af13f94ce1609362f934a7482d8590e6645d297ee",
+        "dot": "b456ce499a2bf169948d11c1426d1ac03d092b60d4727ad0c1f9153571a622ad",
     },
     3: {
         "chase": "2988477ae31b48f07e067119fd3beb5f3020480e09f7d168e1623c320a73088a",
@@ -110,6 +114,7 @@ GOLDEN = {
         "approx": "9cb46c4ef4539530fc3c965ddafcb01091808b956bdc3e30525824e974af36a7",
         "dtr": "4a035d8170d0ce6809a78cf6589bd8c297816ea5e8d624035e75c2fc26f4678e",
         "birkhoff": "4d479997221d63effdfaa442a27c0584e6cdde267a11c4de2a08aad8fc82b349",
+        "dot": "b456ce499a2bf169948d11c1426d1ac03d092b60d4727ad0c1f9153571a622ad",
     },
 }
 

@@ -397,6 +397,8 @@ def test_coefficients_identity_split_epi_and_mono():
     zero_map = Morphism.zero(m, m)
     assert postcompose(zero_map, m).coefficients([ident]) is None
     assert precompose(zero_map, m).coefficients([ident]) is None
+    assert ident.is_mono() and ident.is_epi()
+    assert not zero_map.is_mono() and not zero_map.is_epi()
 
 
 @pytest.mark.parametrize("p", [2, 2**31 - 1])
