@@ -18,9 +18,15 @@ from subrep.examples import (
     example_quiver,
     twisted_pair_representation,
 )
-from subrep.ffmat import Matrix, PrimeField
+from subrep.ffmat import Matrix, PrimeField, kernel_basis, rref
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
-from subrep.posetrep import Representation, direct_sum
+from subrep.posetrep import (
+    HomSpace,
+    Representation,
+    direct_sum,
+    hom_basis,
+    split_by_retraction,
+)
 from subrep.sampling import random_subspace_config, random_subspace_representation
 
 F2 = PrimeField(2)
@@ -54,7 +60,8 @@ def test_decompose_full_zero(catalog_p2):
 
 
 def test_decompose_full_zero_solves_no_hom_space(catalog_p2, monkeypatch):
-    # the hom cache is built at the first split, and a zero input has none
+    # the hom cache solves a space only when the chase reads it, and the
+    # chase never runs on a zero input
     from subrep import birkhoff
 
     calls = []
@@ -67,9 +74,15 @@ def test_decompose_full_zero_solves_no_hom_space(catalog_p2, monkeypatch):
     zero = Representation.zero(catalog_p2.quiver, catalog_p2.algebra)
     assert decompose_full(zero, catalog_p2).summands == []
     assert calls == []
-    # the same counter sees the cache of a nonzero input
-    decompose_full(all_free_representation(L2), catalog_p2)
-    assert len(calls) == 2 * len(catalog_p2)
+    # the same counter sees the cache of a nonzero input: the free module
+    # is projective object 0, so the chase reads Hom(P_0, x), finds a
+    # retraction in Hom(x, P_0) and solves nothing else
+    x = all_free_representation(L2)
+    decompose_full(x, catalog_p2)
+    p0 = catalog_p2.objects[0]
+    assert len(calls) == 2 < 2 * len(catalog_p2)
+    assert calls[0][0] is p0 and calls[0][1] is x
+    assert calls[1][0] is x and calls[1][1] is p0
 
 
 def test_decompose_full_multiset(catalog_p2):
@@ -250,3 +263,165 @@ def test_hom_cache_attribute_contract(catalog_p2, monkeypatch):
     # one check after construction and one after each restrict, ending on zero
     assert len(seen) == len(d.summands) + 1
     assert seen[0] is x and seen[-1].total_dim() == 0
+
+
+def _eager_hom_caches(catalog, x, steps):
+    """Reference for the lazy `_HomCache`: the eager cache it replaced,
+    which solved all 2 x len(catalog) spaces up front and restricted every
+    one at every step.  Yields (forward, backward) before the first step
+    and after each one."""
+    objs = catalog.objects
+    forward = {z: hom_basis(objs[z], x) for z in range(len(objs))}
+    backward = {z: hom_basis(x, objs[z]) for z in range(len(objs))}
+    yield dict(forward), dict(backward)
+    for e, comp_incl, comp_proj, complement in steps:
+        for z, homs in forward.items():
+            if homs.dim:
+                homs = homs.combinations(kernel_basis(homs.postcomposed(e).basis_matrix()))
+            forward[z] = homs.postcomposed(comp_proj)
+        for z, homs in backward.items():
+            homs = homs.precomposed(comp_incl)
+            if homs.dim:
+                flat = homs.basis_matrix()
+                _, pivots, _ = rref(flat)
+                homs = HomSpace.from_flat(complement, homs.target, flat.take_columns(pivots))
+            backward[z] = homs
+        yield dict(forward), dict(backward)
+
+
+def _chase_steps(catalog, x, monkeypatch):
+    """The restrict steps, in order, that the chase's cache takes while
+    decomposing x."""
+    from subrep import birkhoff
+
+    steps = []
+
+    class Recording(birkhoff._HomCache):
+        def restrict(self, *step):
+            steps.append(step)
+            super().restrict(*step)
+
+    with monkeypatch.context() as m:
+        m.setattr(birkhoff, "_HomCache", Recording)
+        decompose_full(x, catalog)
+    return steps
+
+
+def _chase_inputs(catalog):
+    """The chase inputs of tests/test_golden.py, then larger seeded
+    subspace representations."""
+    quiver, algebra = catalog.quiver, catalog.algebra
+    caps = {"1": 2, "2": 3, "3": 3, "*": 5}
+    rng = np.random.default_rng(1000 + algebra.field.p)
+    golden = [random_subspace_representation(quiver, algebra, caps, rng) for _ in range(14)]
+    rng = np.random.default_rng(13)
+    caps = {"1": 2, "2": 3, "3": 3, "*": 7}
+    larger = [random_subspace_representation(quiver, algebra, caps, rng) for _ in range(6)]
+    return [Representation.zero(quiver, algebra)] + golden + larger
+
+
+def _assert_same_space(lazy, eager):
+    assert lazy.source is eager.source and lazy.target is eager.target
+    a, b = lazy.basis_matrix().a, eager.basis_matrix().a
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lazy_hom_cache_matches_eager(p, request, monkeypatch):
+    # one lazy cache is read in full after every split, so each read
+    # replays one step; the other is read at random, so reads solve late
+    # and replay several steps at once
+    from subrep.birkhoff import _HomCache
+
+    catalog = request.getfixturevalue(f"catalog_p{p}")
+    rng = np.random.default_rng(p)
+    for x in _chase_inputs(catalog):
+        steps = _chase_steps(catalog, x, monkeypatch)
+        every, sampled = _HomCache(catalog, x), _HomCache(catalog, x)
+        for i, (forward, backward) in enumerate(_eager_hom_caches(catalog, x, steps)):
+            if i:
+                every.restrict(*steps[i - 1])
+                sampled.restrict(*steps[i - 1])
+            last = i == len(steps)
+            for z in forward:
+                _assert_same_space(every.forward[z], forward[z])
+                _assert_same_space(every.backward[z], backward[z])
+                if last or rng.random() < 0.3:
+                    _assert_same_space(sampled.forward[z], forward[z])
+                if last or rng.random() < 0.3:
+                    _assert_same_space(sampled.backward[z], backward[z])
+
+
+def test_lazy_hom_cache_solves_once_and_replays_each_step_once(catalog_p2, monkeypatch):
+    from subrep import birkhoff
+
+    n, m = twisted_pair_representation(L2), all_free_representation(L2)
+    x = direct_sum([n, n, m]).rep
+    steps = _chase_steps(catalog_p2, x, monkeypatch)
+    assert len(steps) >= 3
+    objs = catalog_p2.objects
+    solved, replayed = [], []
+
+    def index(obj):
+        return next(z for z, o in enumerate(objs) if o is obj)
+
+    def counting_hom_basis(source, target, real=birkhoff.hom_basis):
+        solved.append(("forward", index(source)) if target is x else ("backward", index(target)))
+        return real(source, target)
+
+    def counting(direction, real):
+        def step(homs, *args):
+            obj = homs.source if direction == "forward" else homs.target
+            i = next(i for i, s in enumerate(steps) if s[0] is args[0])
+            replayed.append((direction, index(obj), i))
+            return real(homs, *args)
+
+        return step
+
+    monkeypatch.setattr(birkhoff, "hom_basis", counting_hom_basis)
+    monkeypatch.setattr(birkhoff, "_forward_step", counting("forward", birkhoff._forward_step))
+    monkeypatch.setattr(birkhoff, "_backward_step", counting("backward", birkhoff._backward_step))
+    cache = birkhoff._HomCache(catalog_p2, x)
+    assert solved == []
+
+    def read_all(zs):
+        for z in zs:
+            cache.forward[z], cache.backward[z]
+
+    early, late = range(0, len(objs), 2), range(1, len(objs), 2)
+    read_all(early)  # before any step: solved, nothing to replay
+    assert replayed == []
+    cache.restrict(*steps[0])
+    cache.restrict(*steps[1])
+    read_all(early)  # steps 0 and 1, each once
+    read_all(early)  # nothing new
+    read_all(late)  # solved late, then steps 0 and 1
+    cache.restrict(*steps[2])
+    read_all(early)  # step 2 only
+    read_all(late)
+    entries = [(d, z) for z in range(len(objs)) for d in ("forward", "backward")]
+    assert sorted(solved) == sorted(entries)
+    for d, z in entries:
+        assert [i for dd, zz, i in replayed if (dd, zz) == (d, z)] == [0, 1, 2]
+    assert len(replayed) == 3 * len(entries)
+
+
+def test_split_off_summand_rejects_a_cache_of_another_representation(catalog_p2):
+    from subrep.birkhoff import _HomCache
+    from subrep.errors import InternalContractViolation
+
+    def make():
+        return direct_sum([twisted_pair_representation(L2), all_free_representation(L2)]).rep
+
+    x = make()
+    # a cache of an equal representation that is not x
+    with pytest.raises(InternalContractViolation):
+        split_off_summand(x, catalog_p2, hom_cache=_HomCache(catalog_p2, make()))
+    # a cache of x that has already moved on to a complement
+    cache = _HomCache(catalog_p2, x)
+    _, f, q, _ = split_off_summand(x, catalog_p2, hom_cache=cache)
+    res = split_by_retraction(x, f, q)
+    cache.restrict(f @ q, res.complement_incl, res.complement_proj, res.complement)
+    with pytest.raises(InternalContractViolation):
+        split_off_summand(x, catalog_p2, hom_cache=cache)
+    split_off_summand(res.complement, catalog_p2, hom_cache=cache)

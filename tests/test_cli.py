@@ -174,6 +174,15 @@ def test_birkhoff_named(tmp_path, capsys):
     assert "compatible\tTrue" in out
 
 
+@pytest.mark.parametrize("name", ["five_summands.sub", "zero.sub"])
+def test_birkhoff_config_fixtures(name, capsys):
+    # the configurations the CI smoke step runs: five summands, and the
+    # zero one (dim 0, three empty subspaces)
+    path = os.path.join(os.path.dirname(CATALOG_P2), "configs", name)
+    assert main(["birkhoff", path, "--catalog", CATALOG_P2]) == 0
+    assert "compatible\tTrue" in capsys.readouterr().out
+
+
 def test_birkhoff_invalid_invariance(tmp_path, capsys):
     free = LambdaModule.free(L2)
     cfg = SubspaceConfig(
