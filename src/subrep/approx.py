@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UnknownVertexError
-from .ffmat import Matrix, column_space_basis, kernel_basis, solve
+from .ffmat import Matrix, block_diag, column_space_basis, kernel_basis, solve
 from .lambdamod import (
     direct_sum_modules,
     injective_envelope,
@@ -90,20 +88,14 @@ def mimo_k(x: Representation, k) -> ApproxResult:
         elif not augmented(s):
             maps[(s, t)] = a.vstack(e_k @ x.composite_map(s, k))
         else:
-            block = np.zeros((a.rows + d_env, a.cols + d_env), dtype=np.int64)
-            block[: a.rows, : a.cols] = a.a
-            block[a.rows :, a.cols :] = np.eye(d_env, dtype=np.int64)
-            maps[(s, t)] = Matrix(field, block)
+            maps[(s, t)] = block_diag(field, [a, Matrix.identity(field, d_env)])
     approx = Representation(quiver, x.algebra, spaces, maps)
     comps = {}
     for v in quiver.vertices:
-        d = x.dim(v)
+        comps[v] = Matrix.identity(field, x.dim(v))
         if augmented(v):
-            proj = np.zeros((d, d + d_env), dtype=np.int64)
-            proj[:, :d] = np.eye(d, dtype=np.int64)
-            comps[v] = Matrix(field, proj)
-        else:
-            comps[v] = Matrix.identity(field, d)
+            # [I | 0]: the envelope block has no rows
+            comps[v] = block_diag(field, [comps[v], Matrix.zeros(field, 0, d_env)])
     structure = Morphism(approx, x, comps)
     return ApproxResult(approx, structure, "mimo")
 

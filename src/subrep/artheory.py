@@ -135,12 +135,7 @@ def projective_cover(x: Representation):
     proj_list = indecomposable_projectives(quiver, algebra)
     proj_by_vertex = dict(zip(quiver.vertices, proj_list))
     parts = [proj_by_vertex[v] for v, _ in blocks]
-    if parts:
-        ds = direct_sum(parts)
-        p0 = ds.rep
-    else:
-        p0 = Representation.zero(quiver, algebra)
-        ds = None
+    p0 = direct_sum(parts).rep if parts else Representation.zero(quiver, algebra)
     comps = {}
     for w in quiver.vertices:
         cols = []
@@ -240,24 +235,18 @@ def dtr(x: Representation) -> Representation:
         cmat = Matrix(field, c)
         l = left_kernel_basis(cmat)  # rows: coker coordinates
         cokers[v] = (l, alive_rows)
-        # T acts blockwise as multiplication by T on the free modules
-        t_free = np.zeros((n * len(alive_rows),) * 2, dtype=np.int64)
-        shift = _lambda_mult_matrix(field, [0, 1], n).a
-        for ri in range(len(alive_rows)):
-            t_free[ri * n : (ri + 1) * n, ri * n : (ri + 1) * n] = shift
-        # the induced t_bar with t_bar . l = l . t_free acts on the dual
-        # by its transpose
-        t_dual = solve(l.transpose(), (l @ Matrix(field, t_free)).transpose())
+        # T acts on the free module by T; the induced t_bar with
+        # t_bar . l = l . T acts on the dual by its transpose
+        t_free = LambdaModule.free(algebra, len(alive_rows)).t
+        t_dual = solve(l.transpose(), (l @ t_free).transpose())
         spaces[v] = LambdaModule(algebra, t_dual)
     maps = {}
     for (i, j) in quiver.arrows:
         li, rows_i = cokers[i]
         lj, rows_j = cokers[j]
         # free-level inclusion of blocks alive at j into blocks alive at i
-        e = np.zeros((n * len(rows_i), n * len(rows_j)), dtype=np.int64)
-        for cj, s in enumerate(rows_j):
-            ci = rows_i.index(s)
-            e[ci * n : (ci + 1) * n, cj * n : (cj + 1) * n] = np.eye(n, dtype=np.int64)
+        selection = np.equal.outer(rows_i, rows_j).astype(np.int64)
+        e = np.kron(selection, np.eye(n, dtype=np.int64))
         # psi: coker_j -> coker_i with psi . lj = li . e, transposed
         maps[(i, j)] = solve(lj.transpose(), (li @ Matrix(field, e)).transpose())
     return Representation(quiver, algebra, spaces, maps)

@@ -95,13 +95,13 @@ def _prime_field(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _at_least_one(what):
-    """argparse type of an integer option that must be at least 1."""
+def _at_least(low, what):
+    """argparse type of an integer option that must be at least `low`."""
 
     def parse(text):
         n = int(text)  # argparse reports a ValueError as an invalid value
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {n}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {n}")
         return n
 
     parse.__name__ = what  # argparse names the type in "invalid ... value"
@@ -339,10 +339,10 @@ def build_parser():
     p = sub.add_parser("catalog", help="build and verify a catalog")
     p.add_argument("--poset", default="example", help="'example' or a poset file")
     p.add_argument("--field", type=_prime_field, default="2")
-    p.add_argument("--nilpotency", type=_at_least_one("nilpotency"), default=2)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--nilpotency", type=_at_least(1, "nilpotency"), default=2)
+    p.add_argument("--budget", type=_at_least(1, "budget"), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mesh-tests", type=int, default=20)
+    p.add_argument("--mesh-tests", type=_at_least(0, "mesh-tests"), default=20)
     p.add_argument("--out", help="save the catalog here", default=None)
     p.add_argument("--verify", action="store_true", help="re-run all lifting tests")
     p.set_defaults(func=cmd_catalog)
@@ -366,10 +366,12 @@ def build_parser():
         "representations; evaluation: the evaluation from the relation "
         "quotient is bijective; harada-sai: long radical chains vanish",
     )
-    p.add_argument("--samples", type=_at_least_one("samples"), default=100)
+    p.add_argument("--samples", type=_at_least(1, "samples"), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--catalog")
-    p.add_argument("--field", type=_prime_field, default="2")
+    # a saved catalog carries its own field
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--catalog")
+    source.add_argument("--field", type=_prime_field, default="2")
     p.set_defaults(func=cmd_check)
     return parser
 

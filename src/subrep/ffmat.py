@@ -207,6 +207,15 @@ def _wrap(field: PrimeField, a: np.ndarray) -> Matrix:
 
 
 def block_diag(field, mats):
+    """The block-diagonal matrix with the given blocks, in order.
+
+    This is the one layout of a direct sum's coordinates: summand i
+    occupies the rows and columns after those of summands 0..i-1.  Blocks
+    may have zero rows or columns; such a block only shifts the blocks
+    after it, so `[]` gives the 0 x 0 matrix and `[I_d, 0_{0 x e}]` gives
+    `[I | 0]`, the projection of a (d + e)-space onto its first d
+    coordinates.
+    """
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
     out = np.zeros((rows, cols), dtype=np.int64)

@@ -17,6 +17,8 @@ from .ffmat import (
     Matrix,
     PrimeField,
     _matmul_mod,
+    _wrap,
+    block_diag,
     column_space_basis,
     independent_columns,
     kernel_basis,
@@ -50,6 +52,11 @@ class LambdaAlgebra:
         return f"{self.field}[T]/T^{self.n}"
 
 
+def _shift(field, size: int) -> Matrix:
+    """T on the cyclic block g, Tg, ..., T^(size-1)g."""
+    return _wrap(field, np.eye(size, k=-1, dtype=np.int64))
+
+
 class LambdaModule:
     """A module over k[T]/T^n: the matrix of the T-action."""
 
@@ -81,22 +88,15 @@ class LambdaModule:
     @classmethod
     def free(cls, algebra, rank: int = 1):
         """Lambda^rank with basis g, Tg, ..., T^(n-1)g per free generator."""
-        n = algebra.n
-        t = np.zeros((n * rank, n * rank), dtype=np.int64)
-        for b in range(rank):
-            for j in range(n - 1):
-                t[b * n + j + 1, b * n + j] = 1
-        return cls(algebra, Matrix(algebra.field, t))
+        field = algebra.field
+        return cls(algebra, block_diag(field, [_shift(field, algebra.n)] * rank))
 
     @classmethod
     def block(cls, algebra, size: int):
         """A single cyclic module of dimension size <= n."""
         if not 1 <= size <= algebra.n:
             raise ValueError("block size out of range")
-        t = np.zeros((size, size), dtype=np.int64)
-        for j in range(size - 1):
-            t[j + 1, j] = 1
-        return cls(algebra, Matrix(algebra.field, t))
+        return cls(algebra, _shift(algebra.field, size))
 
     def __eq__(self, other):
         return (
@@ -114,15 +114,7 @@ class LambdaModule:
 
 def direct_sum_modules(mods):
     algebra = mods[0].algebra
-    field = algebra.field
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    t = np.zeros((total, total), dtype=np.int64)
-    o = 0
-    for m in mods:
-        t[o : o + m.dim, o : o + m.dim] = m.t.a
-        o += m.dim
-    return LambdaModule(algebra, Matrix(field, t))
+    return LambdaModule(algebra, block_diag(algebra.field, [m.t for m in mods]))
 
 
 def is_equivariant(f: Matrix, src: LambdaModule, dst: LambdaModule) -> bool:
@@ -224,17 +216,13 @@ def injective_envelope(m: LambdaModule):
     field = algebra.field
     n = algebra.n
     j, sizes = jordan_basis(m)
-    s = len(sizes)
-    env = LambdaModule.free(algebra, s)
-    emb_jordan = np.zeros((n * s, m.dim), dtype=np.int64)
-    col = 0
-    for b, d in enumerate(sizes):
-        for r in range(d):
-            # chain vector t^r g_b  ->  T^(n-d+r) f_b
-            emb_jordan[b * n + (n - d + r), col + r] = 1
-        col += d
+    env = LambdaModule.free(algebra, len(sizes))
+    # per chain of size d: chain vector t^r g_b  ->  T^(n-d+r) f_b
+    emb_jordan = block_diag(
+        field, [_wrap(field, np.eye(n, d, k=d - n, dtype=np.int64)) for d in sizes]
+    )
     to_jordan = CoordinateSolver(j)
-    emb = Matrix(field, emb_jordan) @ to_jordan.coords(Matrix.identity(field, m.dim))
+    emb = emb_jordan @ to_jordan.coords(Matrix.identity(field, m.dim))
     return env, emb
 
 

@@ -689,35 +689,19 @@ def direct_sum(xs) -> DirectSum:
     spaces = {
         v: direct_sum_modules([x.spaces[v] for x in xs]) for v in quiver.vertices
     }
-    maps = {}
-    for (s, t) in quiver.arrows:
-        rows = sum(x.dim(t) for x in xs)
-        cols = sum(x.dim(s) for x in xs)
-        m = np.zeros((rows, cols), dtype=np.int64)
-        ro = co = 0
-        for x in xs:
-            a = x.arrow_maps[(s, t)]
-            m[ro : ro + a.rows, co : co + a.cols] = a.a
-            ro += a.rows
-            co += a.cols
-        maps[(s, t)] = Matrix(field, m)
+    maps = {a: block_diag(field, [x.arrow_maps[a] for x in xs]) for a in quiver.arrows}
     total = Representation(quiver, algebra, spaces, maps)
     inclusions = []
     projections = []
-    offsets = {v: 0 for v in quiver.vertices}
-    for x in xs:
+    for i, x in enumerate(xs):
         incl = {}
         proj = {}
         for v in quiver.vertices:
-            d, dt = x.dim(v), total.dim(v)
-            o = offsets[v]
-            im = np.zeros((dt, d), dtype=np.int64)
-            pm = np.zeros((d, dt), dtype=np.int64)
-            im[o : o + d] = np.eye(d, dtype=np.int64)
-            pm[:, o : o + d] = np.eye(d, dtype=np.int64)
-            incl[v] = Matrix(field, im)
-            proj[v] = Matrix(field, pm)
-            offsets[v] = o + d
+            # every other summand is a block with no rows: it only shifts I
+            blocks = [Matrix.zeros(field, 0, y.dim(v)) for y in xs]
+            blocks[i] = Matrix.identity(field, x.dim(v))
+            proj[v] = block_diag(field, blocks)
+            incl[v] = proj[v].transpose()
         inclusions.append(Morphism(x, total, incl))
         projections.append(Morphism(total, x, proj))
     return DirectSum(total, inclusions, projections)

@@ -49,7 +49,8 @@ def test_validate_non_commuting(tmp_path, capsys):
 
 
 def test_field_flag_only_where_used(tmp_path, capsys):
-    # decompose and birkhoff take the field from their input file
+    # decompose and birkhoff take the field from their input file, check
+    # from its --catalog when it has one
     path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
     with pytest.raises(SystemExit) as exc:
         main(["decompose", path, "--field", "3"])
@@ -58,6 +59,11 @@ def test_field_flag_only_where_used(tmp_path, capsys):
         main(["birkhoff", path, "--field", "3"])
     assert exc.value.code == 2
     assert "--field" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "harada-sai", "--catalog", CATALOG_P2, "--field", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--field" in captured.err and captured.out == ""
 
 
 def test_validate_malformed(tmp_path, capsys):
@@ -401,14 +407,27 @@ def test_catalog_bad_field_exits_2(capsys, field):
     assert "--field" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("nilpotency", ["0", "-1", "two"])
-def test_catalog_bad_nilpotency_exits_2(capsys, nilpotency):
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--nilpotency", "0"),
+        ("--nilpotency", "-1"),
+        ("--nilpotency", "two"),
+        # the other bounded counts of catalog: a budget of no rounds, and
+        # a negative number of random tests per mesh under --verify
+        ("--budget", "0"),
+        ("--budget", "-3"),
+        ("--mesh-tests", "-4"),
+    ],
+    ids=["0", "-1", "two", "budget-0", "budget--3", "mesh-tests--4"],
+)
+def test_catalog_bad_nilpotency_exits_2(capsys, option, value):
     with pytest.raises(SystemExit) as exc:
-        main(["catalog", "--nilpotency", nilpotency])
+        main(["catalog", "--verify", option, value])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:")
-    assert "--nilpotency" in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and captured.out == ""
+    assert option in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from subrep.ffmat import (
     Matrix,
     Poly,
     PrimeField,
+    block_diag,
     char_poly,
     column_space_basis,
     factor,
@@ -459,6 +460,14 @@ def _check_empty_and_zero_shape(field, shape):
     assert column_space_basis(m) == Matrix.zeros(field, shape[0], 0)
     x = solve(m, Matrix.zeros(field, shape[0], 1))
     assert x == Matrix.zeros(field, shape[1], 1)
+    # a block with no rows or columns only shifts the blocks after it:
+    # [] is 0 x 0, and at shape (0, 5) [I_2, m] is [I | 0]
+    eye = Matrix.identity(field, 2)
+    assert block_diag(field, []) == Matrix.zeros(field, 0, 0)
+    after = np.pad(eye.a, ((0, shape[0]), (0, shape[1])))
+    before = np.pad(eye.a, ((shape[0], 0), (shape[1], 0)))
+    assert block_diag(field, [eye, m]) == Matrix(field, after)
+    assert block_diag(field, [m, eye]) == Matrix(field, before)
 
 
 def test_f2_rref_and_rank_against_sympy():
