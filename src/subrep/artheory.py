@@ -36,13 +36,14 @@ from .errors import (
 )
 from .ffmat import (
     Matrix,
+    _wrap,
     column_space_basis,
     independent_columns,
     kernel_basis,
     left_kernel_basis,
     solve,
 )
-from .lambdamod import LambdaAlgebra, LambdaModule, block_invariants
+from .lambdamod import LambdaAlgebra, LambdaModule, block_invariants, quotient_module
 from .posetrep import (
     STAR,
     HomSpace,
@@ -64,21 +65,15 @@ from .sampling import random_subspace_representation
 def indecomposable_projectives(quiver: QuiverStar, algebra: LambdaAlgebra):
     """One projective P(i) per vertex: the free rank-one module at every
     vertex above i, zero elsewhere, with identity arrows."""
-    field = algebra.field
-    n = algebra.n
+    free, zero = LambdaModule.free(algebra), LambdaModule.zero(algebra)
     out = []
     for i in quiver.vertices:
-        spaces = {}
-        for v in quiver.vertices:
-            above = v == i or quiver.leq(i, v)
-            spaces[v] = LambdaModule.free(algebra) if above else LambdaModule.zero(algebra)
-        maps = {}
-        for (s, t) in quiver.arrows:
-            ds, dt = spaces[s].dim, spaces[t].dim
-            if ds == dt and ds:
-                maps[(s, t)] = Matrix.identity(field, n)
-            else:
-                maps[(s, t)] = Matrix.zeros(field, dt, ds)
+        spaces = {v: free if quiver.leq(i, v) else zero for v in quiver.vertices}
+        # the identity where both ends are free, the empty map elsewhere
+        maps = {
+            (s, t): _wrap(algebra.field, np.eye(spaces[t].dim, spaces[s].dim, dtype=np.int64))
+            for (s, t) in quiver.arrows
+        }
         out.append(Representation(quiver, algebra, spaces, maps))
     return out
 
@@ -125,57 +120,47 @@ def projective_cover(x: Representation):
     """
     quiver = x.quiver
     algebra = x.algebra
-    field = x.field
     n = algebra.n
     blocks = []  # (vertex, generator column in x)
     for v in quiver.vertices:
         tops = top_complement(x, v)
         for j in range(tops.cols):
             blocks.append((v, tops.column(j)))
-    proj_list = indecomposable_projectives(quiver, algebra)
-    proj_by_vertex = dict(zip(quiver.vertices, proj_list))
+    proj_by_vertex = dict(zip(quiver.vertices, indecomposable_projectives(quiver, algebra)))
     parts = [proj_by_vertex[v] for v, _ in blocks]
     p0 = direct_sum(parts).rep if parts else Representation.zero(quiver, algebra)
     comps = {}
     for w in quiver.vertices:
-        cols = []
+        t = x.spaces[w].t
+        cols = [np.zeros((x.dim(w), 0), dtype=np.int64)]
         for (v, gen) in blocks:
-            block_rep = proj_by_vertex[v]
-            if block_rep.dim(w) == 0:
-                cols.append(np.zeros((x.dim(w), 0), dtype=np.int64))
-                continue
-            image = x.composite_map(v, w) @ gen  # image of the free generator
-            sub_cols = [image.a]
-            for _ in range(n - 1):
-                sub_cols.append((x.spaces[w].t @ Matrix(field, sub_cols[-1])).a)
-            cols.append(np.hstack(sub_cols))
-        comps[w] = Matrix(
-            field,
-            np.hstack(cols) if cols else np.zeros((x.dim(w), 0), dtype=np.int64),
-        )
+            if quiver.leq(v, w):
+                # the image g of the free generator, then Tg, ..., T^(n-1)g
+                g = x.composite_map(v, w) @ gen
+                cols.append(g.a)
+                for _ in range(n - 1):
+                    g = t @ g
+                    cols.append(g.a)
+        comps[w] = Matrix(x.field, np.hstack(cols))
     pi = Morphism(p0, x, comps)
     if not pi.is_epi():
         raise InternalContractViolation("projective cover is not surjective")
     return pi, blocks
 
 
-def _lambda_mult_matrix(field, coeffs, n) -> Matrix:
-    """Matrix of multiplication by sum coeffs[r] T^r on basis 1..T^(n-1)."""
-    m = np.zeros((n, n), dtype=np.int64)
-    for r, c in enumerate(coeffs):
-        for s in range(n - r):
-            m[r + s, s] = c
-    return Matrix(field, m)
-
-
 def dtr(x: Representation) -> Representation:
     """Dual of the transpose of a minimal projective presentation.
 
-    Computes P1 -> P0 -> x -> 0 via projective covers, applies
-    Hom(-, algebra) blockwise (each block map becomes multiplication by a
-    ring element on the opposite projectives), takes vertex-wise
-    cokernels, and dualizes back.  Raises HasProjectiveSummandError when x
-    has a projective direct summand.
+    Computes P1 -> P0 -> x -> 0 via projective covers.  At a vertex v,
+    P0_v is one n-row slab (basis 1, T, ..., T^(n-1)) per P0 block alive
+    at v, in block order, the layout of `direct_sum`.  So the image of
+    the s-th P1 generator, read at its vertex, holds in slab t the
+    coefficients lam[:, s, t] of the ring element by which the
+    presentation sends block s to block t.  Hom(-, algebra) turns each
+    element into multiplication on the opposite projectives, the lower
+    triangular block whose [i, j] entry is lam[i - j, s, t]; the result
+    is the vertex-wise cokernel of that transpose, dualized back.  Raises
+    HasProjectiveSummandError when x has a projective direct summand.
     """
     quiver = x.quiver
     algebra = x.algebra
@@ -187,59 +172,32 @@ def dtr(x: Representation) -> Representation:
     k_rep, k_incl = kernel_subrep(pi0)
     if k_rep.total_dim() == 0:
         raise HasProjectiveSummandError("the module is projective")
-    pi1, blocks1 = projective_cover(k_rep)
-    d = k_incl @ pi1  # presentation map P1 -> P0
+    _, blocks1 = projective_cover(k_rep)
     b_verts = [v for v, _ in blocks0]  # P0 block vertices
     a_verts = [v for v, _ in blocks1]  # P1 block vertices
-
-    def offsets_at(verts_list, v):
-        # column/row offset of each block alive at vertex v
-        offs = {}
-        o = 0
-        for idx, bv in enumerate(verts_list):
-            if quiver.leq(bv, v):
-                offs[idx] = o
-                o += n
-        return offs
-
-    # lambda coefficients of each block component of d: the generator of
-    # the s-th P1 block is the first column of its block at vertex a_s
-    lam = {}
-    for s, av in enumerate(a_verts):
-        offs1 = offsets_at(a_verts, av)
-        offs0 = offsets_at(b_verts, av)
-        col = d.components[av].column(offs1[s])
-        for t, bv in enumerate(b_verts):
-            if t in offs0:
-                coeffs = [int(col.a[offs0[t] + r, 0]) for r in range(n)]
-                lam[(t, s)] = coeffs
-    # projective summand detection: a P0 block hit by no relation
+    lam = np.zeros((n, len(a_verts), len(b_verts)), dtype=np.int64)
+    for s, (av, gen) in enumerate(blocks1):
+        alive = [t for t, bv in enumerate(b_verts) if quiver.leq(bv, av)]
+        lam[:, s, alive] = (k_incl.components[av] @ gen).a.reshape(-1, n).T
+    # a P0 block hit by no relation is a projective summand
     for t, bv in enumerate(b_verts):
-        if not any(any(lam.get((t, s), ())) for s in range(len(a_verts))):
+        if not lam[:, :, t].any():
             raise HasProjectiveSummandError(
                 f"projective summand attached at vertex {bv!r}"
             )
-    # vertex-wise transpose complex and cokernels
+    # the transpose presentation: [s, i, t, j] = lam[i - j, s, t] for i >= j
+    shift = np.subtract.outer(np.arange(n), np.arange(n))
+    pres = (lam[shift] * (shift >= 0)[:, :, None, None]).transpose(2, 0, 3, 1)
     cokers = {}
     spaces = {}
     for v in quiver.vertices:
-        alive_rows = [s for s, av in enumerate(a_verts) if quiver.leq(v, av)]
-        alive_cols = [t for t, bv in enumerate(b_verts) if quiver.leq(v, bv)]
-        c = np.zeros((n * len(alive_rows), n * len(alive_cols)), dtype=np.int64)
-        for ri, s in enumerate(alive_rows):
-            for ci, t in enumerate(alive_cols):
-                if (t, s) in lam:
-                    c[ri * n : (ri + 1) * n, ci * n : (ci + 1) * n] = (
-                        _lambda_mult_matrix(field, lam[(t, s)], n).a
-                    )
-        cmat = Matrix(field, c)
-        l = left_kernel_basis(cmat)  # rows: coker coordinates
-        cokers[v] = (l, alive_rows)
-        # T acts on the free module by T; the induced t_bar with
-        # t_bar . l = l . T acts on the dual by its transpose
-        t_free = LambdaModule.free(algebra, len(alive_rows)).t
-        t_dual = solve(l.transpose(), (l @ t_free).transpose())
-        spaces[v] = LambdaModule(algebra, t_dual)
+        rows = [s for s, av in enumerate(a_verts) if quiver.leq(v, av)]
+        cols = [t for t, bv in enumerate(b_verts) if quiver.leq(v, bv)]
+        c = pres[rows][:, :, cols].reshape(n * len(rows), n * len(cols))
+        coker, l = quotient_module(LambdaModule.free(algebra, len(rows)), Matrix(field, c))
+        cokers[v] = (l, rows)
+        # the dual of the cokernel: T acts by the transpose
+        spaces[v] = LambdaModule(algebra, coker.t.transpose())
     maps = {}
     for (i, j) in quiver.arrows:
         li, rows_i = cokers[i]

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 1 domain violation, 2 parse or usage error, 3 budget
-or contract violation.  All randomized commands take --seed and default to
-seed 0, so runs are reproducible.
+or contract violation.  All randomized commands take a non-negative --seed
+and default to seed 0, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def build_parser():
     p = sub.add_parser("decompose", help="decompose into indecomposables")
     p.add_argument("file")
     p.add_argument("--method", choices=("idempotent", "chase"), default="idempotent")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     p.add_argument("--catalog", help="catalog directory for --method chase")
     p.add_argument("--out", help="write summand files here", default=None)
     p.set_defaults(func=cmd_decompose)
@@ -341,7 +341,7 @@ def build_parser():
     p.add_argument("--field", type=_prime_field, default="2")
     p.add_argument("--nilpotency", type=_at_least(1, "nilpotency"), default=2)
     p.add_argument("--budget", type=_at_least(1, "budget"), default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     p.add_argument("--mesh-tests", type=_at_least(0, "mesh-tests"), default=20)
     p.add_argument("--out", help="save the catalog here", default=None)
     p.add_argument("--verify", action="store_true", help="re-run all lifting tests")
@@ -355,7 +355,7 @@ def build_parser():
     p = sub.add_parser("birkhoff", help="decompose an invariant-subspace configuration")
     p.add_argument("file")
     p.add_argument("--catalog")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     p.set_defaults(func=cmd_birkhoff)
 
     p = sub.add_parser("check", help="finite-scale property checks")
@@ -367,7 +367,7 @@ def build_parser():
         "quotient is bijective; harada-sai: long radical chains vanish",
     )
     p.add_argument("--samples", type=_at_least(1, "samples"), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     # a saved catalog carries its own field
     source = p.add_mutually_exclusive_group()
     source.add_argument("--catalog")

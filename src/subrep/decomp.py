@@ -447,9 +447,7 @@ def evaluation_iso_check(m_summands, x: Representation, pair_homs=None):
         return span_fail[0]
     k = len(m_summands)
     homs_to_x = [hom_basis(z, x) for z in m_summands]
-    solvers = [
-        CoordinateSolver(h.basis_matrix()) if h.dim else None for h in homs_to_x
-    ]
+    solvers = [CoordinateSolver(h.basis_matrix()) for h in homs_to_x]
     if pair_homs is None:
         pair_homs = {
             (i, j): hom_basis(m_summands[j], m_summands[i])
@@ -461,7 +459,7 @@ def evaluation_iso_check(m_summands, x: Representation, pair_homs=None):
         dims_d = [z.dim(v) for z in m_summands]
         offsets = np.cumsum([0] + [a * d for a, d in zip(dims_a, dims_d)])
         total = int(offsets[-1])
-        rows = []
+        rows = [np.zeros((0, total), dtype=np.int64)]
         for i in range(k):
             for j in range(k):
                 hs = pair_homs[(i, j)]
@@ -469,28 +467,17 @@ def evaluation_iso_check(m_summands, x: Representation, pair_homs=None):
                     continue
                 for s in hs.basis:  # s: M_j -> M_i
                     # coords of phi . s in Hom(M_j, x) for each basis phi of Hom(M_i, x)
-                    if dims_a[j]:
-                        r_mat = solvers[j].coords(
-                            homs_to_x[i].precomposed(s).basis_matrix()
-                        )
-                    else:
-                        r_mat = Matrix.zeros(field, 0, dims_a[i])
+                    r_mat = solvers[j].coords(homs_to_x[i].precomposed(s).basis_matrix())
                     s_v = s.components[v]  # (d_iv x d_jv)
                     block = np.zeros((dims_a[i] * dims_d[j], total), dtype=np.int64)
-                    if dims_a[j] * dims_d[j]:
-                        block[:, offsets[j] : offsets[j + 1]] += np.kron(
-                            np.eye(dims_d[j], dtype=np.int64), r_mat.a.T
-                        )
-                    if dims_a[i] * dims_d[i]:
-                        block[:, offsets[i] : offsets[i + 1]] -= np.kron(
-                            s_v.a.T, np.eye(dims_a[i], dtype=np.int64)
-                        )
+                    block[:, offsets[j] : offsets[j + 1]] += np.kron(
+                        np.eye(dims_d[j], dtype=np.int64), r_mat.a.T
+                    )
+                    block[:, offsets[i] : offsets[i + 1]] -= np.kron(
+                        s_v.a.T, np.eye(dims_a[i], dtype=np.int64)
+                    )
                     rows.append(block)
-        if rows:
-            system = Matrix(field, np.vstack(rows))
-            q = kernel_basis(system).cols
-        else:
-            q = total
+        q = kernel_basis(Matrix(field, np.vstack(rows))).cols
         if q != x.dim(v):
             return v
     return None

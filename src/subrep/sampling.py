@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSolutionError
-from .ffmat import Matrix, column_space_basis, kernel_basis, solve
+from .ffmat import Matrix, _matmul_mod, column_space_basis, kernel_basis, solve
 from .lambdamod import LambdaAlgebra, LambdaModule, direct_sum_modules
 from .posetrep import STAR, QuiverStar, Representation, subspace_representation
 
@@ -129,7 +129,8 @@ def random_representation(
             k = kernel_basis(system)
             vec = particular.a[:, 0]
             if k.cols:
-                vec = (vec + k.a @ rng.integers(0, p, size=k.cols)) % p
+                coeffs = rng.integers(0, p, size=(k.cols, 1))
+                vec = (vec + _matmul_mod(k.a, coeffs, p)[:, 0]) % p
             m = Matrix(field, vec.reshape((dt, ds), order="F"))
             maps[(s, t)] = m
             for u in quiver.vertices:

@@ -443,6 +443,27 @@ def test_check_bad_samples_exits_2(capsys, what, samples):
     assert "--samples" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", os.path.join(CATALOG_P2, "obj_024.rep")],
+        ["catalog", "--budget", "1"],
+        ["birkhoff", os.path.join(os.path.dirname(CATALOG_P2), "configs", "five_summands.sub")],
+        ["check", "hom-span", "--samples", "1", "--catalog", CATALOG_P2],
+    ],
+    ids=["decompose", "catalog", "birkhoff", "check"],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    # np.random.default_rng rejects a negative seed with a ValueError, so
+    # the parser must stop it first
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and captured.out == ""
+    assert "--seed" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("vertex", [[], ["--vertex", "9"], ["--vertex", "*"]])
 def test_approx_mimo_vertex_usage_errors_exit_2(tmp_path, capsys, vertex):
     path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))

@@ -127,3 +127,15 @@ def test_left_approx_factors_every_test_map():
         assert verify_left_approx(res, tests) is None
         maps += sum(hom_basis(x, t).dim for t in tests)
     assert maps
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_representation_commutes(n):
+    # the sampler adds a random kernel combination to a particular
+    # solution; a plain int64 product of kernel columns and coefficients
+    # near 2^31 overflows and gives arrows that do not commute
+    algebra = LambdaAlgebra(P31, n)
+    rng = np.random.default_rng(4000 * n + 647)
+    caps = {"1": 2, "2": 3, "3": 3, "*": 4}
+    for _ in range(30):
+        assert random_representation(QUIVER, algebra, caps, rng).validate() == []

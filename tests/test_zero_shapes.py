@@ -18,6 +18,7 @@ from subrep.approx import (
 from subrep.artheory import dtr
 from subrep.birkhoff import decompose_full
 from subrep.decomp import (
+    evaluation_iso_check,
     indecompose,
     indecomposables_isomorphic,
     is_local,
@@ -40,6 +41,7 @@ from subrep.posetrep import (
     Representation,
     direct_sum,
     end_algebra,
+    hom_basis,
     quotient_rep,
     split_by_retraction,
     subrep_from_bases,
@@ -222,6 +224,29 @@ def test_dtr_with_zero_vertices(catalog):
         assert y.validate() == []
         zero_vertex += 0 in y.dim_vector()
     assert zero_vertex  # some cokernel is zero
+
+
+def test_evaluation_iso_check_with_zero_hom_spaces(catalog):
+    """The relation system of the evaluation check on inputs with zero
+    spaces: the zero representation (every Hom(M_j, x) and every block
+    column is empty, so a vertex has no relation rows), P(*) (zero at
+    every poset point, and Hom(M_j, P(*)) is zero for most j), and a
+    failing pair with one zero Hom(M_j, x)."""
+    members = catalog.members()
+    zero = Representation.zero(QUIVER, catalog.algebra)
+    assert evaluation_iso_check(members, zero) is None
+    x = _obj_003(catalog)
+    assert any(hom_basis(m, x).dim == 0 for m in members)
+    assert evaluation_iso_check(members, x) is None
+    assert evaluation_iso_check([x], x) is None
+    assert evaluation_iso_check([], zero) is None
+
+
+def test_evaluation_iso_check_fails_with_a_zero_hom_space(catalog_p2):
+    x = catalog_p2.objects[5]
+    m = [catalog_p2.objects[0], catalog_p2.objects[9]]
+    assert [hom_basis(z, x).dim for z in m] == [0, 2]
+    assert evaluation_iso_check(m, x) == "3"
 
 
 def test_is_local_and_radical_of_small_endomorphism_algebras():
