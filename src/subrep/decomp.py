@@ -28,6 +28,7 @@ from .ffmat import (
     Matrix,
     Poly,
     _matmul_mod,
+    _wrap,
     char_poly,
     column_space_basis,
     factor,
@@ -229,10 +230,15 @@ class Decomposition:
         return tuple(sorted(s.rep.dim_vector() for s in self.summands))
 
 
-def _crt_idempotents(theta: Morphism, factors, mp: Poly):
+def _crt_idempotents(theta: Morphism, total: Matrix, factors, mp: Poly):
     """Orthogonal idempotents from the coprime factorization of the
-    minimal polynomial of theta."""
+    minimal polynomial of theta, whose block-diagonal total matrix is
+    `total`: each interpolant is evaluated once on `total` and its vertex
+    blocks are cut out."""
     field = mp.field
+    x = theta.source
+    ends = zip(x.quiver.vertices, x.dim_vector(), np.cumsum(x.dim_vector()))
+    blocks = [(v, slice(o - d, o)) for v, d, o in ends]
     out = []
     for irr, mult in factors:
         pk = Poly.one(field)
@@ -242,14 +248,8 @@ def _crt_idempotents(theta: Morphism, factors, mp: Poly):
         g, u, _ = poly_xgcd(qk, pk)
         if g.degree() != 0:
             raise InternalContractViolation("factors are not coprime")
-        interp = (u * qk) % mp
-        out.append(
-            Morphism(
-                theta.source,
-                theta.target,
-                {v: interp.eval_matrix(m) for v, m in theta.components.items()},
-            )
-        )
+        e = ((u * qk) % mp).eval_matrix(total).a
+        out.append(Morphism(x, x, {v: _wrap(field, e[b, b].copy()) for v, b in blocks}))
     return out
 
 
@@ -278,10 +278,11 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
             if not coords.any():
                 continue
             theta = ends.element(coords)
-            mp = min_poly(theta.total_matrix())
+            total = theta.total_matrix()
+            mp = min_poly(total)
             factors = factor(mp, seed=int(rng.integers(0, 2**31)))
             if len(factors) >= 2:
-                idems = _crt_idempotents(theta, factors, mp)
+                idems = _crt_idempotents(theta, total, factors, mp)
                 trace.append(
                     {
                         "dims": rep.dim_vector(),
@@ -290,15 +291,7 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
                     }
                 )
                 for e in idems:
-                    part, part_incl = image_subrep(e)
-                    part_proj = Morphism(
-                        rep,
-                        part,
-                        {
-                            v: CoordinateSolver(part_incl.components[v]).coords(e.components[v])
-                            for v in rep.quiver.vertices
-                        },
-                    )
+                    part, part_incl, part_proj = image_subrep(e)
                     recurse(part, incl @ part_incl, part_proj @ proj)
                 return
             if attempt >= 7 and not locality_checked:

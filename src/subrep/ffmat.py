@@ -36,6 +36,7 @@ gives, so callers do not special-case them:
   `members` marks exactly the zero columns;
 - `kernel_basis` of an L x 0 matrix is 0 x 0, and of a 0 x m matrix is
   the identity I_m; so `left_kernel_basis` of an m x 0 matrix is I_m;
+  `kernel_frame` returns that K with free = [] and free = 0..m-1 respectively;
 - `column_space_basis` of a d x 0 matrix is d x 0.
 """
 
@@ -392,8 +393,9 @@ def rref(m: Matrix):
     return _wrap(m.field, a), tuple(pivots), rank
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the null space {v : m v = 0}."""
+def kernel_frame(m: Matrix):
+    """(K, free): the columns of K are a basis of {v : m v = 0}, one per
+    free column of rref(m), and K[free] = I, so a kernel vector w is K w[free]."""
     a = m.a.copy()
     p = m.field.p
     pivots, rank = _rref_inplace(a, p)
@@ -403,7 +405,12 @@ def kernel_basis(m: Matrix) -> Matrix:
     basis = np.zeros((m.cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
     basis[pivots] = (-a[:rank, free]) % p
-    return _wrap(m.field, basis)
+    return _wrap(m.field, basis), free
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns form a basis of the null space {v : m v = 0}."""
+    return kernel_frame(m)[0]
 
 
 def independent_columns(prefix: Matrix, candidates: Matrix):

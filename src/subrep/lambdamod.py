@@ -127,14 +127,15 @@ def block_invariants(m: LambdaModule):
     """Multiset of block sizes, sorted descending.
 
     The count of blocks of size exactly s is
-    rank(t^(s-1)) - 2 rank(t^s) + rank(t^(s+1)).
+    rank(t^(s-1)) - 2 rank(t^s) + rank(t^(s+1)); the constructor checks t^n = 0.
     """
     n = m.algebra.n
     ranks = [m.dim]
-    power = Matrix.identity(m.algebra.field, m.dim)
-    for _ in range(n + 1):
-        power = power @ m.t
+    power = m.t
+    for _ in range(n - 1):
         ranks.append(power.rank())
+        power = power @ m.t
+    ranks += [0, 0]
     out = []
     for s in range(1, n + 1):
         count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]

@@ -4,7 +4,8 @@ A representation assigns a k[T]/T^n-module to every vertex of the
 augmented quiver (the poset plus a largest point "*") and a T-equivariant
 matrix to every arrow (Hasse covers plus maximal -> *), such that parallel
 paths commute.  Subspace representations are those where every arrow
-matrix has full column rank.
+matrix, equivalently every composite v -> '*', has full column rank; a
+morphism into one is determined by its component at '*' (see `hom_basis`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from .ffmat import (
     CoordinateSolver,
     Matrix,
     _matmul_mod,
+    _rref_inplace,
     _wrap,
     block_diag,
-    column_space_basis,
     kernel_basis,
+    kernel_frame,
+    rref,
     solve,
 )
 from .lambdamod import (
@@ -168,19 +171,19 @@ class Representation:
 
     Not mutated after construction, so the vertex dimensions are read
     once, into `_dims`, and derived data is memoized on the instance on
-    first use: `_paths` by `composite_map`, `_end` by `end_algebra`,
-    `_fingerprint` by `decomp.fingerprint` and `_radical` by
-    `decomp.end_radical`."""
+    first use: `_paths` by `composite_map`, `_top` by `top_frames`, `_end`
+    by `end_algebra`, `_fingerprint` by `decomp.fingerprint` and
+    `_radical` by `decomp.end_radical`."""
 
     __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims",
-                 "_paths", "_end", "_fingerprint", "_radical")
+                 "_paths", "_top", "_end", "_fingerprint", "_radical")
 
     def __init__(self, quiver: QuiverStar, algebra: LambdaAlgebra, spaces, arrow_maps):
         self.quiver = quiver
         self.algebra = algebra
         self.spaces = dict(spaces)
         self.arrow_maps = dict(arrow_maps)
-        self._paths = self._end = self._fingerprint = self._radical = None
+        self._paths = self._top = self._end = self._fingerprint = self._radical = None
         for v in quiver.vertices:
             if v not in self.spaces:
                 raise ValueError(f"missing space at vertex {v!r}")
@@ -265,9 +268,23 @@ class Representation:
                 raise NotComparableError(f"no path from {i!r} to {j!r}")
         return self._paths[key]
 
+    def top_frames(self) -> dict:
+        """{v: (L_v, C_v)} over the poset points from one rref of [Y_v | I],
+        Y_v the composite v -> '*': L_v Y_v = I and the rows of C_v are a
+        basis of the left kernel of Y_v; None where Y_v is not injective."""
+        if self._top is None:
+            self._top = {}
+            for v in self.quiver.poset.points:
+                y = self.composite_map(v, STAR).a
+                u, d = np.hstack([y, np.eye(len(y), dtype=np.int64)]), y.shape[1]
+                mono = _rref_inplace(u, self.field.p)[0][:d] == list(range(d))
+                frame = (_wrap(self.field, u[:d, d:].copy()), _wrap(self.field, u[d:, d:].copy()))
+                self._top[v] = frame if mono else None
+        return self._top
+
     def is_subspace_rep(self) -> bool:
-        """True iff every arrow matrix has full column rank."""
-        return all(m.rank() == m.cols for m in self.arrow_maps.values())
+        """True iff every arrow, equivalently every composite v -> '*', is injective."""
+        return None not in self.top_frames().values()
 
     def __repr__(self):
         dims = ",".join(str(self.dim(v)) for v in self.quiver.vertices)
@@ -563,10 +580,17 @@ def _flat_size(x: Representation, y: Representation) -> int:
 def hom_basis(x: Representation, y: Representation) -> HomSpace:
     """Basis of the space of morphisms x -> y.
 
-    Solves the linear system consisting of T-equivariance at every vertex
-    and naturality for every arrow, in the flattened coordinates of
-    morphism_from_flat.  Deterministic.
+    Into a subspace representation y (`top_frames` has no None), f_v is
+    L_v f_* X_v, X_v the composite v -> '*', so only vec(f_*) is solved
+    for: T-equivariance at '*' and (X_v^T kron C_v) vec(f_*) = 0 at each
+    poset point.  As '*' is last and f -> f_* injective, the lift is the
+    kernel basis of the full system, which other targets get:
+    T-equivariance at every vertex and naturality for every arrow, in the
+    flattened coordinates of morphism_from_flat.
     """
+    frames = y.top_frames()
+    if None not in frames.values():
+        return _hom_basis_from_top(x, y, frames)
     field = x.field
     verts = x.quiver.vertices
     arrows = x.quiver.arrows
@@ -617,6 +641,33 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
         r += n
     k = kernel_basis(Matrix(field, system))
     return HomSpace.from_flat(x, y, k)
+
+
+def _hom_basis_from_top(x: Representation, y: Representation, frames) -> HomSpace:
+    """`hom_basis` into a subspace representation y."""
+    field, p, points = x.field, x.field.p, x.quiver.poset.points
+    c, r = x.dim(STAR), y.dim(STAR)
+    xs = {v: x.composite_map(v, STAR).a.T for v in points}
+    # T-equivariance at '*', in the [i, k, j, l] view of `hom_basis`
+    eq = np.zeros((c, r, c, r), dtype=np.int64)
+    ks, js = np.arange(r), np.arange(c)
+    eq[:, ks, :, ks] = x.spaces[STAR].t.a.T
+    eq[js, :, js, :] -= y.spaces[STAR].t.a
+    rows = [eq.reshape(c * r, c * r)]
+    for v in points:
+        # vec(C_v f X_v) = (X_v^T kron C_v) vec(f), the kron as an outer
+        # product [i, k, j, l] = X_v[j, i] C_v[k, l]; entries stay below p^2
+        outer = xs[v][:, None, :, None] * frames[v][1].a[None, :, None, :]
+        rows.append(outer.reshape(x.dim(v) * (r - y.dim(v)), c * r))
+    k = kernel_basis(Matrix(field, np.vstack(rows))).a
+    m = k.shape[1]
+    parts = []
+    for v in points:
+        # [l, i, j] = f_j[i, l]; X_v^T times it is f_j X_v, L_v times that f_v
+        fx = _matmul_mod(xs[v], k.reshape(c, r * m), p).reshape(x.dim(v), r, m)
+        parts.append(_matmul_mod(frames[v][0].a, fx, p).reshape(x.dim(v) * y.dim(v), m))
+    parts.append(k)
+    return HomSpace.from_flat(x, y, _wrap(field, np.concatenate(parts)))
 
 
 def postcompose(g: Morphism, x: Representation) -> HomSpace:
@@ -747,16 +798,48 @@ def subrep_from_bases(x: Representation, bases) -> tuple:
     return sub, incl
 
 
+def _restricted(x: Representation, cut) -> Representation:
+    """Operator cut(v, v, T_v) at each vertex v and cut(t, s, X_a) on each
+    arrow s -> t; `cut` returns a new reduced array."""
+    field, verts = x.field, x.quiver.vertices
+    spaces = {v: LambdaModule(x.algebra, _wrap(field, cut(v, v, x.spaces[v].t.a))) for v in verts}
+    maps = {(s, t): _wrap(field, cut(t, s, x.arrow_maps[(s, t)].a)) for s, t in x.quiver.arrows}
+    return Representation(x.quiver, x.algebra, spaces, maps)
+
+
+def _kernel_frames(f: Morphism) -> tuple:
+    """`kernel_subrep` plus the free coordinates F_v of each kernel basis
+    K_v (`ffmat.kernel_frame`): K_v[F_v] is the identity, so the kernel
+    carries T[F_v] K_v at v and X_a[F_t] K_s on a = s -> t."""
+    x, p = f.source, f.source.field.p
+    incl, free = {}, {}
+    for v in x.quiver.vertices:
+        incl[v], free[v] = kernel_frame(f.components[v])
+    sub = _restricted(x, lambda t, s, a: _matmul_mod(a[free[t]], incl[s].a, p))
+    return sub, Morphism(sub, x, incl), free
+
+
 def kernel_subrep(f: Morphism) -> tuple:
     """Vertex-wise kernel of a morphism as a subrepresentation of the source."""
-    bases = {v: kernel_basis(f.components[v]) for v in f.source.quiver.vertices}
-    return subrep_from_bases(f.source, bases)
+    return _kernel_frames(f)[:2]
 
 
 def image_subrep(f: Morphism) -> tuple:
-    """Vertex-wise image of a morphism as a subrepresentation of the target."""
-    bases = {v: column_space_basis(f.components[v]) for v in f.source.quiver.vertices}
-    return subrep_from_bases(f.target, bases)
+    """Vertex-wise image of f: x -> y as a subrepresentation of y:
+    (rep, inclusion, corestriction) with f = inclusion . corestriction.
+    With pivot columns P_v and nonzero rows R_v of rref(f_v),
+    f_v = f_v[:, P_v] R_v: the inclusion is f_v[:, P_v], the
+    corestriction R_v, and the image carries R_v T_v[:, P_v] and
+    R_t X_a[:, P_s]."""
+    x, p = f.source, f.source.field.p
+    rows, pivots = {}, {}
+    for v in x.quiver.vertices:
+        r, piv, rank = rref(f.components[v])
+        rows[v], pivots[v] = r.a[:rank].copy(), list(piv)
+    sub = _restricted(x, lambda t, s, a: _matmul_mod(rows[t], a[:, pivots[s]], p))
+    incl = {v: f.components[v].take_columns(pivots[v]) for v in x.quiver.vertices}
+    cores = {v: _wrap(x.field, rows[v]) for v in x.quiver.vertices}
+    return sub, Morphism(sub, f.target, incl), Morphism(x, sub, cores)
 
 
 def quotient_rep(x: Representation, sub_bases) -> tuple:
@@ -801,12 +884,12 @@ def split_by_retraction(x: Representation, mono: Morphism, retraction: Morphism)
     if ident != Morphism.identity(mono.source):
         raise NotARetractionError("retraction . mono is not the identity")
     e = mono @ retraction  # idempotent endomorphism of x
-    complement, comp_incl = kernel_subrep(e)
-    field = x.field
-    # complement projection: coordinates of (1 - e) v in the kernel basis
-    comp_proj_components = {}
+    complement, comp_incl, free = _kernel_frames(e)
+    # complement projection: coordinates of (1 - e) v in the kernel basis,
+    # which are its entries at the free coordinates
+    comp_proj = {}
     for v in x.quiver.vertices:
-        one_minus_e = Matrix.identity(field, x.dim(v)) - e.components[v]
-        comp_proj_components[v] = CoordinateSolver(comp_incl.components[v]).coords(one_minus_e)
-    comp_proj = Morphism(x, complement, comp_proj_components)
+        one_minus_e = np.eye(x.dim(v), dtype=np.int64) - e.components[v].a
+        comp_proj[v] = Matrix(x.field, one_minus_e[free[v]])
+    comp_proj = Morphism(x, complement, comp_proj)
     return SplitResult(mono.source, mono, retraction, complement, comp_incl, comp_proj)

@@ -318,8 +318,8 @@ def test_kernel_image_quotient_subreps():
     ker, ker_incl = kernel_subrep(f)
     assert ker.validate() == []
     assert (f @ ker_incl).is_zero()
-    img, img_incl = image_subrep(f)
-    assert img.validate() == []
+    img, img_incl, img_core = image_subrep(f)
+    assert img.validate() == [] and img_incl @ img_core == f
     assert img.is_subspace_rep() or True  # images inside subspace reps stay valid
     quo, proj = quotient_rep(n, {v: ker_incl.components[v] for v in n.quiver.vertices})
     assert quo.validate() == []

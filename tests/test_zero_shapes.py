@@ -26,7 +26,7 @@ from subrep.decomp import (
 )
 from subrep.errors import HasProjectiveSummandError, NoSolutionError
 from subrep.examples import all_free_representation, example_quiver
-from subrep.ffmat import Matrix, PrimeField
+from subrep.ffmat import Matrix, PrimeField, kernel_basis, kernel_frame
 from subrep.lambdamod import (
     LambdaAlgebra,
     LambdaModule,
@@ -42,6 +42,8 @@ from subrep.posetrep import (
     direct_sum,
     end_algebra,
     hom_basis,
+    image_subrep,
+    kernel_subrep,
     quotient_rep,
     split_by_retraction,
     subrep_from_bases,
@@ -99,6 +101,52 @@ def test_lambda_module_empty_shapes(p):
     assert quo == zero and proj == Matrix.zeros(field, 0, 4)
     quo, proj = quotient_module(free, Matrix.zeros(field, 4, 0))
     assert quo == free and proj == Matrix.identity(field, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_kernel_frame_empty_shapes(p):
+    field = PrimeField(p)
+    for rows, cols in ((0, 0), (3, 0), (0, 3)):
+        k, free = kernel_frame(Matrix.zeros(field, rows, cols))
+        assert k == Matrix.identity(field, cols) and list(free) == list(range(cols))
+        assert k == kernel_basis(Matrix.zeros(field, rows, cols))
+    k, free = kernel_frame(Matrix.identity(field, 3))
+    assert k == Matrix.zeros(field, 3, 0) and list(free) == []
+    k, free = kernel_frame(Matrix(field, [[0, 1, 1], [0, 0, 0]]))
+    assert list(free) == [0, 2] and k == Matrix(field, [[1, 0], [0, -1], [0, 1]])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_top_frames_of_zero_vertices(p):
+    algebra = _algebra(p)
+    x = _simple_at_star(algebra)
+    frames = x.top_frames()
+    assert set(frames) == set(QUIVER.poset.points) and x.is_subspace_rep()
+    for left, coker in frames.values():
+        assert left.a.shape == (0, 1) and coker == Matrix.identity(x.field, 1)
+    zero = Representation.zero(QUIVER, algebra)
+    assert all(f[0].a.shape == f[1].a.shape == (0, 0) for f in zero.top_frames().values())
+    # a nonzero space with a zero arrow has no left inverse there
+    spaces = dict(x.spaces) | {"2": LambdaModule.simple(algebra)}
+    maps = dict(x.arrow_maps) | {
+        ("1", "2"): Matrix.zeros(x.field, 1, 0),
+        ("2", STAR): Matrix.zeros(x.field, 1, 1),
+    }
+    bad = Representation(QUIVER, algebra, spaces, maps)
+    assert bad.validate() == [] and bad.top_frames()["2"] is None
+    assert bad.top_frames()["3"] is not None and not bad.is_subspace_rep()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kernel_and_image_of_maps_with_zero_vertices(p):
+    x = _simple_at_star(_algebra(p))
+    zero = Representation.zero(QUIVER, x.algebra)
+    for f in (Morphism.identity(x), Morphism.zero(x, x), Morphism.zero(x, zero)):
+        ker, incl = kernel_subrep(f)
+        img, img_incl, core = image_subrep(f)
+        assert incl.is_valid() and img_incl.is_valid() and core.is_valid()
+        assert ker.total_dim() + img.total_dim() == 1
+        assert img_incl @ core == f and (f @ incl).is_zero()
 
 
 @pytest.mark.parametrize("p", [2, 3])
