@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownVertexError
-from .ffmat import Matrix, block_diag, column_space_basis, kernel_basis, solve
+from .ffmat import Matrix, block_diag, kernel_basis
 from .lambdamod import (
     direct_sum_modules,
     injective_envelope,
@@ -24,9 +24,9 @@ from .posetrep import (
     Morphism,
     Representation,
     hom_basis,
+    image_subrep,
     postcompose,
     precompose,
-    subspace_representation,
 )
 
 
@@ -38,18 +38,13 @@ class ApproxResult:
 
 
 def left_approx(x: Representation) -> ApproxResult:
-    """Replace each vertex space by its image inside the top space.
-
-    The result has inclusion arrows, hence is a subspace representation;
-    the structure map collects the corestricted composites to the top and
-    the identity at the top.
-    """
-    quiver = x.quiver
-    images = {v: column_space_basis(x.composite_map(v, STAR)) for v in quiver.poset.points}
-    # incls[v]: basis of im X_{v*} inside X_*
-    approx, incls = subspace_representation(quiver, x.spaces[STAR], images)
-    comps = {v: solve(incls[v], x.composite_map(v, STAR)) for v in quiver.vertices}
-    structure = Morphism(x, approx, comps)
+    """Replace each vertex space by its image inside the top space: the
+    image of the composites v -> '*' in the constant representation at
+    the top.  It has inclusion arrows, hence is a subspace representation;
+    the structure map is the corestriction."""
+    top = Representation.constant(x.quiver, x.spaces[STAR])
+    composites = {v: x.composite_map(v, STAR) for v in x.quiver.vertices}
+    approx, _, structure = image_subrep(Morphism(x, top, composites))
     return ApproxResult(approx, structure, "left")
 
 

@@ -50,6 +50,7 @@ from .posetrep import (
     Morphism,
     QuiverStar,
     Representation,
+    _kernel_frames,
     direct_sum,
     end_algebra,
     hom_basis,
@@ -79,10 +80,10 @@ def indecomposable_projectives(quiver: QuiverStar, algebra: LambdaAlgebra):
 
 
 def _rad_span(x: Representation, v) -> Matrix:
-    """Basis of rad(x)_v: T times the space plus the images of the
-    arrows into v."""
+    """Columns spanning rad(x)_v: T times the space plus the images of
+    the arrows into v."""
     cols = [x.spaces[v].t.a] + [x.arrow_maps[a].a for a in x.quiver.arrows_into(v)]
-    return column_space_basis(Matrix(x.field, np.hstack(cols)))
+    return _wrap(x.field, np.hstack(cols))
 
 
 def rad_subrep(x: Representation):
@@ -93,15 +94,10 @@ def rad_subrep(x: Representation):
 
 def socle_subrep(x: Representation):
     """The largest semisimple subrepresentation: vectors killed by T and
-    by all outgoing arrows."""
-    field = x.field
-    bases = {}
-    for v in x.quiver.vertices:
-        rows = [x.spaces[v].t.a]
-        for (s, t) in x.quiver.arrows_from(v):
-            rows.append(x.arrow_maps[(s, t)].a)
-        bases[v] = kernel_basis(Matrix(field, np.vstack(rows)))
-    return subrep_from_bases(x, bases)
+    by all outgoing arrows, the kernel of [T_v; X_a for a out of v]."""
+    arrows = {v: [x.arrow_maps[a].a for a in x.quiver.arrows_from(v)] for v in x.quiver.vertices}
+    stacks = {v: _wrap(x.field, np.vstack([x.spaces[v].t.a, *arrows[v]])) for v in arrows}
+    return _kernel_frames(x, stacks)[:2]
 
 
 def top_complement(x: Representation, v) -> Matrix:

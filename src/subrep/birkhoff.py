@@ -20,17 +20,17 @@ from .decomp import Decomposition, Summand
 from .errors import (
     ChaseExhaustedError,
     InternalContractViolation,
-    NoSolutionError,
     NotInvariantError,
     NotNestedError,
 )
 from .examples import example_quiver
 from .ffmat import (
     Matrix,
+    _matmul_mod,
     column_space_basis,
     kernel_basis,
     rref,
-    solve,
+    span_frame,
 )
 from .lambdamod import LambdaModule
 from .posetrep import (
@@ -265,23 +265,19 @@ class SubspaceConfig:
     v3: Matrix
 
     def validate(self):
-        problems = []
+        """NotInvariantError for the first column of each subspace that T
+        moves out of it, then NotNestedError for the first column of v1
+        outside v2 and v3, read off one `span_frame` per subspace."""
         spans = {1: self.v1, 2: self.v2, 3: self.v3}
-        for j, span in spans.items():
-            for col in range(span.cols):
-                image = self.v.t @ span.column(col)
-                try:
-                    solve(span, image)
-                except NoSolutionError:
-                    problems.append(NotInvariantError(j, span.column(col)))
-                    break
-        for j in (2, 3):
-            for col in range(self.v1.cols):
-                try:
-                    solve(spans[j], self.v1.column(col))
-                except NoSolutionError:
-                    problems.append(NotNestedError(j, self.v1.column(col)))
-                    break
+        frames = {j: span_frame(span) for j, span in spans.items()}
+        tests = [(NotInvariantError, j, span, self.v.t @ span) for j, span in spans.items()]
+        tests += [(NotNestedError, j, self.v1, self.v1) for j in (2, 3)]
+        problems = []
+        for error, j, cols, w in tests:
+            pivots, u = frames[j]
+            out = np.flatnonzero(_matmul_mod(u.a[len(pivots) :], w.a, u.field.p).any(axis=0))
+            if out.size:
+                problems.append(error(j, cols.column(int(out[0]))))
         return problems
 
 
@@ -291,11 +287,7 @@ def from_invariant_subspaces(cfg: SubspaceConfig) -> Representation:
     problems = cfg.validate()
     if problems:
         raise problems[0]
-    spans = {
-        "1": column_space_basis(cfg.v1),
-        "2": column_space_basis(cfg.v2),
-        "3": column_space_basis(cfg.v3),
-    }
+    spans = {"1": cfg.v1, "2": cfg.v2, "3": cfg.v3}
     rep, _ = subspace_representation(example_quiver(), cfg.v, spans)
     if not rep.is_subspace_rep():
         raise InternalContractViolation("subspace construction produced a non-mono arrow")

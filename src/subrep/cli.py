@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 1 domain violation, 2 parse or usage error, 3 budget
-or contract violation.  All randomized commands take a non-negative --seed
-and default to seed 0, so runs are reproducible.
+or contract violation (running out of memory included).  All randomized
+commands take a non-negative --seed and default to seed 0, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -387,8 +388,9 @@ def main(argv=None):
     except (NotInvariantError, NotNestedError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (BudgetExceededError, ChaseExhaustedError, InternalContractViolation) as exc:
-        print(f"budget/contract error: {exc}", file=sys.stderr)
+    # MemoryError: numpy's failed allocations, from a budget too large
+    except (BudgetExceededError, ChaseExhaustedError, InternalContractViolation, MemoryError) as exc:
+        print(f"budget/contract error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -26,14 +26,20 @@ candidates)` returns the candidates that are pivot columns of
 rref(prefix | candidates), which are exactly the columns a greedy
 left-to-right "keep it if the rank rises" pass would keep.
 
+Coordinates in a span and membership of it are read off one elimination,
+`span_frame(m)`, the rref of [m | I], the only one of its kind here:
+`CoordinateSolver`, `submodule`, `subrep_from_bases` and the top frames
+of a representation all use it.
+
 Empty shapes are ordinary inputs.  Every primitive here accepts matrices
 with zero rows or zero columns and returns what the general formula
 gives, so callers do not special-case them:
 - `solve(a, b)` with a r x 0 returns the 0 x k zero matrix when b is
   zero and raises NoSolutionError otherwise;
-- `CoordinateSolver` over a d x 0 basis has rank 0: `coords` of a zero
-  d x k matrix is 0 x k and of any other raises NoSolutionError, and
-  `members` marks exactly the zero columns;
+- `span_frame` of a d x 0 matrix has no pivots and U = I_d, so
+  `CoordinateSolver` over it has rank 0: `coords` of a zero d x k matrix
+  is 0 x k and of any other raises NoSolutionError, and `members` marks
+  exactly the zero columns; of a 0 x k matrix U is 0 x 0;
 - `kernel_basis` of an L x 0 matrix is 0 x 0, and of a 0 x m matrix is
   the identity I_m; so `left_kernel_basis` of an m x 0 matrix is I_m;
   `kernel_frame` returns that K with free = [] and free = 0..m-1 respectively;
@@ -452,32 +458,41 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     return _wrap(a.field, x)
 
 
+def span_frame(m: Matrix):
+    """(pivots, U) from one rref of [m | I]: m[:, pivots] is
+    `column_space_basis(m)`, the first len(pivots) rows of U w are the
+    coordinates of w over it, and the other rows vanish exactly when w
+    lies in the span.  The only place this elimination is written."""
+    aug = np.hstack([m.a, np.eye(m.rows, dtype=np.int64)])
+    pivots, _ = _rref_inplace(aug, m.field.p)
+    return [c for c in pivots if c < m.cols], _wrap(m.field, aug[:, m.cols :].copy())
+
+
+def _span_coords(frame, w: np.ndarray) -> np.ndarray:
+    """Coordinates of the columns of w over the pivot columns of a
+    `span_frame`; raises NoSolutionError when w leaves the span."""
+    pivots, u = frame
+    uw = _matmul_mod(u.a, w, u.field.p)
+    if uw[len(pivots) :].any():
+        raise NoSolutionError("vector not in span of basis")
+    return uw[: len(pivots)].copy()
+
+
 class CoordinateSolver:
-    """Reusable coordinate extractor for a fixed full-column-rank basis.
+    """Coordinates over a fixed full-column-rank basis, by its `span_frame`."""
 
-    rref([B | I]) records row operations U with U B in echelon form; for a
-    vector v in the span, the first `rank` entries of U v are the
-    coordinates and the remaining entries vanish.
-    """
-
-    __slots__ = ("field", "rank", "_u")
+    __slots__ = ("field", "rank", "_frame")
 
     def __init__(self, basis: Matrix):
-        field = basis.field
-        aug = np.hstack([basis.a, np.eye(basis.rows, dtype=np.int64)])
-        pivots, _ = _rref_inplace(aug, field.p)
-        if sum(1 for c in pivots if c < basis.cols) != basis.cols:
+        self._frame = span_frame(basis)
+        if len(self._frame[0]) != basis.cols:
             raise ValueError("basis columns are not linearly independent")
-        self.field = field
+        self.field = basis.field
         self.rank = basis.cols
-        self._u = aug[:, basis.cols :]
 
     def coords(self, v: Matrix) -> Matrix:
         """Coordinates of each column of v; raises if v is not in the span."""
-        w = _matmul_mod(self._u, v.a, self.field.p)
-        if w[self.rank :].any():
-            raise NoSolutionError("vector not in span of basis")
-        return _wrap(self.field, w[: self.rank].copy())
+        return _wrap(self.field, _span_coords(self._frame, v.a))
 
     def contains(self, v: Matrix) -> bool:
         """Does every column of v lie in the span?"""
@@ -485,8 +500,7 @@ class CoordinateSolver:
 
     def members(self, v: Matrix) -> np.ndarray:
         """Boolean per column of v: does it lie in the span?"""
-        w = _matmul_mod(self._u, v.a, self.field.p)
-        return ~w[self.rank :].any(axis=0)
+        return ~_matmul_mod(self._frame[1].a[self.rank :], v.a, self.field.p).any(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +619,13 @@ class Poly:
         return acc
 
     def eval_matrix(self, m: Matrix) -> Matrix:
-        acc = Matrix.zeros(m.field, m.rows, m.cols)
+        """self(m) by Horner's rule on the reduced array."""
+        p, diag = m.field.p, np.arange(m.rows)
+        acc = np.zeros(m.a.shape, dtype=np.int64)
         for c in reversed(self.coeffs):
-            acc = acc @ m + Matrix.identity(m.field, m.rows).scale(c)
-        return acc
+            acc = _matmul_mod(acc, m.a, p)
+            acc[diag, diag] = (acc[diag, diag] + c) % p
+        return _wrap(m.field, acc)
 
     def derivative(self):
         return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])

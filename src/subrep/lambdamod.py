@@ -17,6 +17,7 @@ from .ffmat import (
     Matrix,
     PrimeField,
     _matmul_mod,
+    _span_coords,
     _wrap,
     block_diag,
     column_space_basis,
@@ -24,6 +25,7 @@ from .ffmat import (
     kernel_basis,
     left_kernel_basis,
     solve,
+    span_frame,
 )
 
 
@@ -263,9 +265,10 @@ def submodule(m: LambdaModule, basis: Matrix):
     Returns (module in the basis coordinates, inclusion matrix).  Raises
     NoSolutionError if the span is not invariant.
     """
-    span = column_space_basis(basis)
-    t_restricted = solve(span, m.t @ span)
-    return LambdaModule(m.algebra, t_restricted), span
+    frame = span_frame(basis)
+    span = basis.take_columns(frame[0])
+    t = _span_coords(frame, _matmul_mod(m.t.a, span.a, m.algebra.field.p))
+    return LambdaModule(m.algebra, _wrap(span.field, t)), span
 
 
 def quotient_module(m: LambdaModule, sub_basis: Matrix):

@@ -24,20 +24,20 @@ from .ffmat import (
     CoordinateSolver,
     Matrix,
     _matmul_mod,
-    _rref_inplace,
+    _span_coords,
     _wrap,
     block_diag,
     kernel_basis,
     kernel_frame,
     rref,
     solve,
+    span_frame,
 )
 from .lambdamod import (
     LambdaAlgebra,
     LambdaModule,
     direct_sum_modules,
     quotient_module,
-    submodule,
 )
 
 STAR = "*"
@@ -194,9 +194,14 @@ class Representation:
 
     @classmethod
     def zero(cls, quiver, algebra):
-        spaces = {v: LambdaModule.zero(algebra) for v in quiver.vertices}
-        maps = {a: Matrix.zeros(algebra.field, 0, 0) for a in quiver.arrows}
-        return cls(quiver, algebra, spaces, maps)
+        return cls.constant(quiver, LambdaModule.zero(algebra))
+
+    @classmethod
+    def constant(cls, quiver, module):
+        """`module` at every vertex, the identity on every arrow."""
+        ident = Matrix.identity(module.algebra.field, module.dim)
+        spaces = dict.fromkeys(quiver.vertices, module)
+        return cls(quiver, module.algebra, spaces, dict.fromkeys(quiver.arrows, ident))
 
     @property
     def field(self):
@@ -269,17 +274,16 @@ class Representation:
         return self._paths[key]
 
     def top_frames(self) -> dict:
-        """{v: (L_v, C_v)} over the poset points from one rref of [Y_v | I],
-        Y_v the composite v -> '*': L_v Y_v = I and the rows of C_v are a
+        """{v: (L_v, C_v)} over the poset points from the `span_frame` of
+        Y_v, the composite v -> '*': L_v Y_v = I and the rows of C_v are a
         basis of the left kernel of Y_v; None where Y_v is not injective."""
         if self._top is None:
             self._top = {}
             for v in self.quiver.poset.points:
-                y = self.composite_map(v, STAR).a
-                u, d = np.hstack([y, np.eye(len(y), dtype=np.int64)]), y.shape[1]
-                mono = _rref_inplace(u, self.field.p)[0][:d] == list(range(d))
-                frame = (_wrap(self.field, u[:d, d:].copy()), _wrap(self.field, u[d:, d:].copy()))
-                self._top[v] = frame if mono else None
+                pivots, u = span_frame(self.composite_map(v, STAR))
+                d = len(pivots)
+                frame = (_wrap(self.field, u.a[:d].copy()), _wrap(self.field, u.a[d:].copy()))
+                self._top[v] = frame if d == self.dim(v) else None
         return self._top
 
     def is_subspace_rep(self) -> bool:
@@ -765,37 +769,26 @@ def subspace_representation(quiver: QuiverStar, top: LambdaModule, spans) -> tup
 
     The spans must be T-invariant and nested along the arrows; raises
     NoSolutionError otherwise.  Returns (rep, {v: basis of the space at v
-    inside top}), the bases being those `submodule` returns.
+    inside top}): `subrep_from_bases` of the constant representation.
     """
-    field = top.algebra.field
-    spaces = {STAR: top}
-    incls = {STAR: Matrix.identity(field, top.dim)}
-    for v in quiver.poset.points:
-        spaces[v], incls[v] = submodule(top, spans[v])
-    maps = {}
-    for (s, t) in quiver.arrows:
-        maps[(s, t)] = solve(incls[t], incls[s])
-    return Representation(quiver, top.algebra, spaces, maps), incls
+    bases = {**spans, STAR: Matrix.identity(top.algebra.field, top.dim)}
+    rep, incl = subrep_from_bases(Representation.constant(quiver, top), bases)
+    return rep, incl.components
 
 
 def subrep_from_bases(x: Representation, bases) -> tuple:
     """Subrepresentation spanned by given per-vertex column bases.
 
-    The spans must be T-invariant and closed under the arrow maps; raises
-    NoSolutionError otherwise.  Returns (rep, inclusion morphism).
-    """
-    spaces = {}
-    incls = {}
-    for v in x.quiver.vertices:
-        mod, span = submodule(x.spaces[v], bases[v])
-        spaces[v] = mod
-        incls[v] = span
-    maps = {}
-    for (s, t) in x.quiver.arrows:
-        maps[(s, t)] = solve(incls[t], x.arrow_maps[(s, t)] @ incls[s])
-    sub = Representation(x.quiver, x.algebra, spaces, maps)
-    incl = Morphism(sub, x, incls)
-    return sub, incl
+    With (P_v, U_v) the `span_frame` of bases[v], the basis at v is
+    B_v = bases[v][:, P_v] and the arrow a = s -> t carries the first
+    |P_t| rows of U_t X_a B_s (T_v likewise at v); the other rows vanish
+    when the spans are T-invariant and closed under the arrow maps, and
+    NoSolutionError is raised otherwise.  Returns (rep, inclusion morphism)."""
+    p, verts = x.field.p, x.quiver.vertices
+    frames = {v: span_frame(bases[v]) for v in verts}
+    incls = {v: bases[v].take_columns(frames[v][0]) for v in verts}
+    sub = _restricted(x, lambda t, s, a: _span_coords(frames[t], _matmul_mod(a, incls[s].a, p)))
+    return sub, Morphism(sub, x, incls)
 
 
 def _restricted(x: Representation, cut) -> Representation:
@@ -807,21 +800,22 @@ def _restricted(x: Representation, cut) -> Representation:
     return Representation(x.quiver, x.algebra, spaces, maps)
 
 
-def _kernel_frames(f: Morphism) -> tuple:
-    """`kernel_subrep` plus the free coordinates F_v of each kernel basis
-    K_v (`ffmat.kernel_frame`): K_v[F_v] is the identity, so the kernel
+def _kernel_frames(x: Representation, mats) -> tuple:
+    """The subrepresentation of x on the kernels K_v of mats[v], which the
+    maps of x must preserve, plus the free coordinates F_v of each K_v
+    (`ffmat.kernel_frame`): K_v[F_v] is the identity, so the kernel
     carries T[F_v] K_v at v and X_a[F_t] K_s on a = s -> t."""
-    x, p = f.source, f.source.field.p
+    p = x.field.p
     incl, free = {}, {}
     for v in x.quiver.vertices:
-        incl[v], free[v] = kernel_frame(f.components[v])
+        incl[v], free[v] = kernel_frame(mats[v])
     sub = _restricted(x, lambda t, s, a: _matmul_mod(a[free[t]], incl[s].a, p))
     return sub, Morphism(sub, x, incl), free
 
 
 def kernel_subrep(f: Morphism) -> tuple:
     """Vertex-wise kernel of a morphism as a subrepresentation of the source."""
-    return _kernel_frames(f)[:2]
+    return _kernel_frames(f.source, f.components)[:2]
 
 
 def image_subrep(f: Morphism) -> tuple:
@@ -884,7 +878,7 @@ def split_by_retraction(x: Representation, mono: Morphism, retraction: Morphism)
     if ident != Morphism.identity(mono.source):
         raise NotARetractionError("retraction . mono is not the identity")
     e = mono @ retraction  # idempotent endomorphism of x
-    complement, comp_incl, free = _kernel_frames(e)
+    complement, comp_incl, free = _kernel_frames(x, e.components)
     # complement projection: coordinates of (1 - e) v in the kernel basis,
     # which are its entries at the free coordinates
     comp_proj = {}

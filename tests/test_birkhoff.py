@@ -425,3 +425,22 @@ def test_split_off_summand_rejects_a_cache_of_another_representation(catalog_p2)
     with pytest.raises(InternalContractViolation):
         split_off_summand(x, catalog_p2, hom_cache=cache)
     split_off_summand(res.complement, catalog_p2, hom_cache=cache)
+
+
+def test_validate_reports_each_kind_with_its_first_witness():
+    """Free of rank two, T e0 = e1 and T e2 = e3.  Each span reports its
+    first column that T moves out (v1: e2, v3: e0, not the later e2), then
+    v1 its first column outside v2 (e2) and outside v3 (e1)."""
+    e = Matrix.identity(F2, 4)
+
+    def cols(*idx):
+        return e.take_columns(idx)
+
+    cfg = SubspaceConfig(LambdaModule.free(L2, 2), cols(1, 2), cols(1, 3, 0), cols(3, 0, 2))
+    got = [(type(p), p.which, p.vector) for p in cfg.validate()]
+    assert got == [
+        (NotInvariantError, 1, cols(2)),
+        (NotInvariantError, 3, cols(0)),
+        (NotNestedError, 2, cols(2)),
+        (NotNestedError, 3, cols(1)),
+    ]

@@ -490,6 +490,25 @@ def test_approx_mimo_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "exc,line",
+    [
+        (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_out_of_memory_exits_3(capsys, monkeypatch, exc, line):
+    # a budget too large for the memory at hand ends in numpy's
+    # MemoryError; main reports it in one line instead of a traceback
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("subrep.cli.build_catalog", exhausted)
+    assert main(["catalog", "--budget", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"budget/contract error: {line}\n" and captured.out == ""
+
+
 def test_birkhoff_catalog_field_mismatch(tmp_path, capsys):
     path = write(tmp_path, "m3.sub", serialize_subspace_config(subspace_data(F3_FREE)))
     _assert_parse_error(capsys, ["birkhoff", path, *CATALOG_P2_ARGS], "F3[T]/T^2")

@@ -1,22 +1,34 @@
-"""Hom spaces, kernels, images and idempotents from fewer eliminations.
+"""Hom spaces, subrepresentations, kernels, images and idempotents from
+fewer eliminations.
 
 `hom_basis` into a subspace representation solves for the component at
 '*' only and lifts it; `kernel_subrep`, `split_by_retraction` and
 `image_subrep` read everything off one rref of each component;
+`subrep_from_bases`, `subspace_representation`, `left_approx`,
+`socle_subrep` and `SubspaceConfig.validate` read coordinates and
+membership off one `span_frame` per vertex or subspace;
 `decomp._crt_idempotents` evaluates each interpolant once on the total
 matrix.  The earlier constructions are kept here as the reference: the
 full hom system (equivariance at every vertex, naturality on every
-arrow), `subrep_from_bases` with a `CoordinateSolver` per vertex for the
-projections, and one `eval_matrix` per vertex.  The library's results
-must equal them byte for byte at nilpotency 1..4 and p = 2, 3 and
-2^31 - 1, on seeded subspace and general representations, with zero
-vertices, non-subspace targets and non-idempotent maps included.
+arrow), `submodule` plus one `solve` per arrow for subrepresentations,
+one `solve` per vertex for the left approximation's structure map, one
+`solve` per column for `validate`, a `CoordinateSolver` per vertex for
+the projections, and one `eval_matrix` per vertex.  The references call
+none of the constructions they check.  The library's results must equal
+them byte for byte at nilpotency 1..4 and p = 2, 3 and 2^31 - 1, on
+seeded subspace and general representations, with zero vertices, the
+zero representation, non-subspace targets and non-idempotent maps
+included.
 """
 
 import numpy as np
 import pytest
 
+from subrep.approx import left_approx
+from subrep.artheory import socle_subrep
+from subrep.birkhoff import SubspaceConfig
 from subrep.decomp import _crt_idempotents, indecompose
+from subrep.errors import NoSolutionError, NotInvariantError, NotNestedError
 from subrep.examples import example_quiver
 from subrep.ffmat import (
     CoordinateSolver,
@@ -28,8 +40,9 @@ from subrep.ffmat import (
     kernel_basis,
     min_poly,
     poly_xgcd,
+    solve,
 )
-from subrep.lambdamod import LambdaAlgebra
+from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
     STAR,
     Morphism,
@@ -41,8 +54,14 @@ from subrep.posetrep import (
     kernel_subrep,
     split_by_retraction,
     subrep_from_bases,
+    subspace_representation,
 )
-from subrep.sampling import random_representation, random_subspace_representation
+from subrep.sampling import (
+    random_module,
+    random_representation,
+    random_subspace_config,
+    random_subspace_representation,
+)
 
 QUIVER = example_quiver()
 CAPS = {"1": 2, "2": 3, "3": 3, STAR: 4}
@@ -85,12 +104,72 @@ def _ref_is_subspace_rep(x):
     return all(m.rank() == m.cols for m in x.arrow_maps.values())
 
 
+def _ref_submodule(m, basis):
+    span = column_space_basis(basis)
+    return LambdaModule(m.algebra, solve(span, m.t @ span)), span
+
+
+def _ref_subrep_from_bases(x, bases):
+    spaces, incls = {}, {}
+    for v in QUIVER.vertices:
+        spaces[v], incls[v] = _ref_submodule(x.spaces[v], bases[v])
+    maps = {(s, t): solve(incls[t], x.arrow_maps[(s, t)] @ incls[s]) for s, t in QUIVER.arrows}
+    sub = Representation(QUIVER, x.algebra, spaces, maps)
+    return sub, Morphism(sub, x, incls)
+
+
+def _ref_subspace_representation(top, spans):
+    spaces = {STAR: top}
+    incls = {STAR: Matrix.identity(top.algebra.field, top.dim)}
+    for v in QUIVER.poset.points:
+        spaces[v], incls[v] = _ref_submodule(top, spans[v])
+    maps = {(s, t): solve(incls[t], incls[s]) for s, t in QUIVER.arrows}
+    return Representation(QUIVER, top.algebra, spaces, maps), incls
+
+
+def _ref_left_approx(x):
+    images = {v: column_space_basis(x.composite_map(v, STAR)) for v in QUIVER.poset.points}
+    approx, incls = _ref_subspace_representation(x.spaces[STAR], images)
+    comps = {v: solve(incls[v], x.composite_map(v, STAR)) for v in QUIVER.vertices}
+    return approx, Morphism(x, approx, comps)
+
+
+def _ref_socle(x):
+    bases = {}
+    for v in QUIVER.vertices:
+        rows = [x.spaces[v].t.a] + [x.arrow_maps[a].a for a in QUIVER.arrows_from(v)]
+        bases[v] = kernel_basis(Matrix(x.field, np.vstack(rows)))
+    return _ref_subrep_from_bases(x, bases)
+
+
+def _ref_validate(cfg):
+    problems = []
+    spans = {1: cfg.v1, 2: cfg.v2, 3: cfg.v3}
+    for j, span in spans.items():
+        for col in range(span.cols):
+            try:
+                solve(span, cfg.v.t @ span.column(col))
+            except NoSolutionError:
+                problems.append(NotInvariantError(j, span.column(col)))
+                break
+    for j in (2, 3):
+        for col in range(cfg.v1.cols):
+            try:
+                solve(spans[j], cfg.v1.column(col))
+            except NoSolutionError:
+                problems.append(NotNestedError(j, cfg.v1.column(col)))
+                break
+    return problems
+
+
 def _ref_kernel(f):
-    return subrep_from_bases(f.source, {v: kernel_basis(m) for v, m in f.components.items()})
+    return _ref_subrep_from_bases(
+        f.source, {v: kernel_basis(m) for v, m in f.components.items()}
+    )
 
 
 def _ref_image(f):
-    sub, incl = subrep_from_bases(
+    sub, incl = _ref_subrep_from_bases(
         f.target, {v: column_space_basis(m) for v, m in f.components.items()}
     )
     core = {
@@ -238,3 +317,98 @@ def test_crt_idempotents_match_per_vertex_evaluation(p, n):
             for e, ref in zip(got, want):
                 assert all(_same(e.components[v], ref[v]) for v in QUIVER.vertices)
     assert split
+
+
+def _outcome(build, *args):
+    """build(*args), or NoSolutionError when it raises that."""
+    try:
+        return build(*args)
+    except NoSolutionError:
+        return NoSolutionError
+
+
+def _random_columns(field, rows, cols, rng):
+    return Matrix(field, rng.integers(0, field.p, size=(rows, cols)))
+
+
+def _problems(problems):
+    return [(type(e), e.which, e.vector.a.shape, e.vector.a.tobytes()) for e in problems]
+
+
+@pytest.mark.parametrize("p,n", ALGEBRAS)
+def test_subrep_from_bases_matches_solve_per_arrow(p, n):
+    rng, subs, general = _samples(p, n, 11000 * n + p % 1000)
+    accepted = rejected = 0
+    for x in subs + general:
+        field = x.field
+        candidates = [{v: _random_columns(field, x.dim(v), 2, rng) for v in QUIVER.vertices}]
+        for y in (subs[0], general[0]):
+            # images of maps into x (dependent columns), kernels of maps out of x
+            candidates.append(_random_map(hom_basis(y, x), rng).components)
+            out = _random_map(hom_basis(x, y), rng).components
+            candidates.append({v: kernel_basis(m) for v, m in out.items()})
+        for bases in candidates:
+            got = _outcome(subrep_from_bases, x, bases)
+            want = _outcome(_ref_subrep_from_bases, x, bases)
+            if want is NoSolutionError:
+                assert got is NoSolutionError
+                rejected += 1
+            else:
+                assert _same_rep(got[0], want[0]) and _same_map(got[1], want[1])
+                accepted += 1
+    assert accepted and rejected
+
+
+@pytest.mark.parametrize("p,n", ALGEBRAS)
+def test_subspace_representation_matches_solve_per_arrow(p, n):
+    rng, subs, general = _samples(p, n, 12000 * n + p % 1000)
+    rejected = 0
+    for x in subs + general:
+        top = x.spaces[STAR]
+        # the images of the composites are invariant and nested; in the
+        # general samples their columns are dependent
+        images = {v: x.composite_map(v, STAR) for v in QUIVER.poset.points}
+        shuffled = {v: _random_columns(x.field, top.dim, 1, rng) for v in QUIVER.poset.points}
+        for spans in (images, shuffled):
+            got = _outcome(subspace_representation, QUIVER, top, spans)
+            want = _outcome(_ref_subspace_representation, top, spans)
+            if want is NoSolutionError:
+                assert got is NoSolutionError
+                rejected += 1
+                continue
+            assert _same_rep(got[0], want[0])
+            assert all(_same(got[1][v], want[1][v]) for v in QUIVER.vertices)
+    assert rejected
+
+
+@pytest.mark.parametrize("p,n", ALGEBRAS)
+def test_left_approx_and_socle_match_solve_per_vertex(p, n):
+    _, subs, general = _samples(p, n, 13000 * n + p % 1000)
+    for x in subs + general:
+        res = left_approx(x)
+        approx, structure = _ref_left_approx(x)
+        assert _same_rep(res.approx, approx) and _same_map(res.structure_map, structure)
+        soc, soc_incl = socle_subrep(x)
+        ref_soc, ref_incl = _ref_socle(x)
+        assert _same_rep(soc, ref_soc) and _same_map(soc_incl, ref_incl)
+
+
+@pytest.mark.parametrize("p,n", ALGEBRAS)
+def test_validate_matches_solve_per_column(p, n):
+    rng, subs, general = _samples(p, n, 14000 * n + p % 1000)
+    configs = [random_subspace_config(PrimeField(p), 4, rng) for _ in range(3)]
+    for x in subs + general:
+        v, d = x.spaces[STAR], x.dim(STAR)
+        spans = [x.composite_map(u, STAR) for u in ("1", "2", "3")]
+        configs.append(SubspaceConfig(v, *spans))
+        configs.append(SubspaceConfig(v, *(_random_columns(x.field, d, 2, rng) for _ in range(3))))
+        configs.append(SubspaceConfig(v, _random_columns(x.field, d, 1, rng), *spans[1:]))
+    module = random_module(LambdaAlgebra(PrimeField(p), n), 3, rng)
+    configs.append(SubspaceConfig(module, *(_random_columns(module.t.field, 3, 0, rng),) * 3))
+    kinds = set()
+    for cfg in configs:
+        got = _problems(cfg.validate())
+        assert got == _problems(_ref_validate(cfg))
+        kinds.update(kind for kind, *_ in got)
+    # at n = 1, T = 0 leaves every subspace invariant
+    assert kinds == {NotNestedError} | ({NotInvariantError} if n > 1 else set())

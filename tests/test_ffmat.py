@@ -23,6 +23,7 @@ from subrep.ffmat import (
     poly_xgcd,
     rref,
     solve,
+    span_frame,
 )
 from subrep.ffmat import _rref_inplace, _rref_numpy_inplace
 
@@ -726,3 +727,47 @@ def test_coordinate_solver_over_empty_basis(p, d):
         assert not solver.contains(v)
         with pytest.raises(NoSolutionError):
             solver.coords(v)
+
+
+@pytest.mark.parametrize("p", EMPTY_CONTRACT_PRIMES)
+def test_span_frame_reads_coordinates_and_membership(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    for rows, cols in ((5, 3), (4, 6), (6, 6)):
+        m = rng.integers(0, p, size=(rows, cols))
+        m[:, -1] = m[:, 0]  # a dependent column
+        m = Matrix(field, m)
+        pivots, u = span_frame(m)
+        basis = m.take_columns(pivots)
+        assert basis == column_space_basis(m) and u.rank() == rows
+        rank = len(pivots)
+        c = Matrix(field, rng.integers(0, p, size=(rank, 4)))
+        uw = u @ (basis @ c)
+        assert uw.submatrix(slice(rank), slice(None)) == c
+        assert uw.submatrix(slice(rank, None), slice(None)).is_zero()
+        for i in range(rows):
+            ei = Matrix.identity(field, rows).column(i)
+            inside = basis.hstack(ei).rank() == rank
+            assert (u @ ei).submatrix(slice(rank, None), slice(None)).is_zero() == inside
+
+
+def _matrix_horner(poly, m):
+    acc = Matrix.zeros(m.field, m.rows, m.cols)
+    for c in reversed(poly.coeffs):
+        acc = acc @ m + Matrix.identity(m.field, m.rows).scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_eval_matrix_matches_matrix_horner(p):
+    """Horner on the reduced array equals Horner on `Matrix` objects, on
+    the zero polynomial and the 0 x 0 matrix too; at 2^31 - 1 the 4 x 4
+    products take the overflow-safe path."""
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000 + 1)
+    for d in (0, 1, 4):
+        m = Matrix(field, rng.integers(0, p, size=(d, d)))
+        for coeffs in ((), (p - 1,), (0, 0, 1), tuple(rng.integers(0, p, size=6))):
+            got, want = Poly(field, coeffs).eval_matrix(m), _matrix_horner(Poly(field, coeffs), m)
+            assert got.a.dtype == np.int64 and got.a.shape == want.a.shape == (d, d)
+            assert got.a.tobytes() == want.a.tobytes()

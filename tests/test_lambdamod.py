@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from subrep.errors import InternalContractViolation
+from subrep.errors import InternalContractViolation, NoSolutionError
 from subrep.ffmat import Matrix, PrimeField, kernel_basis, solve
 from subrep.lambdamod import (
     LambdaAlgebra,
@@ -211,3 +211,15 @@ def test_non_injective_target_raises():
     nonzero_to_simple = Matrix(F2, [[1]])
     with pytest.raises(InternalContractViolation):
         lift_through_mono(incl, nonzero_to_simple, free, simple)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_submodule_rejects_a_span_that_is_not_invariant(p):
+    field = PrimeField(p)
+    free = LambdaModule.free(LambdaAlgebra(field, 2))
+    # span{g}: T g = Tg leaves it
+    with pytest.raises(NoSolutionError):
+        submodule(free, Matrix(field, [[1], [0]]))
+    # the socle span{Tg}, given twice: one basis column, on which T is 0
+    sub, span = submodule(free, Matrix(field, [[0, 0], [1, 2]]))
+    assert span == Matrix(field, [[0], [1]]) and sub.t == Matrix.zeros(field, 1, 1)

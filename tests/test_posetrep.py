@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subrep.errors import NotARetractionError, NotComparableError
+from subrep.errors import NoSolutionError, NotARetractionError, NotComparableError
 from subrep.examples import (
     all_free_representation,
     example_quiver,
@@ -10,6 +10,7 @@ from subrep.examples import (
 from subrep.ffmat import CoordinateSolver, Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, block_invariants
 from subrep.posetrep import (
+    STAR,
     HomSpace,
     Morphism,
     Poset,
@@ -24,6 +25,7 @@ from subrep.posetrep import (
     precompose,
     quotient_rep,
     split_by_retraction,
+    subrep_from_bases,
 )
 
 F2 = PrimeField(2)
@@ -516,3 +518,18 @@ def test_batched_composition_empty_span():
     zero = Representation.zero(x.quiver, x.algebra)
     homs = hom_basis(zero, y)
     assert homs.postcomposed(Morphism.identity(y)).basis_matrix().a.shape == (0, homs.dim)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_subrep_from_bases_rejects_a_span_not_invariant_at_one_vertex(p):
+    """Free rank one at every vertex, zero at 1, everything at 2 and '*':
+    every arrow closes up, so only the span at 3 decides.  span{Tg} is
+    invariant there, span{g} is not."""
+    field = PrimeField(p)
+    x = all_free_representation(LambdaAlgebra(field, 2))
+    full = Matrix.identity(field, 2)
+    bases = {"1": Matrix.zeros(field, 2, 0), "2": full, STAR: full}
+    sub, incl = subrep_from_bases(x, bases | {"3": Matrix(field, [[0], [1]])})
+    assert sub.dim_vector() == (0, 2, 1, 2) and sub.validate() == [] and incl.is_valid()
+    with pytest.raises(NoSolutionError):
+        subrep_from_bases(x, bases | {"3": Matrix(field, [[1], [0]])})

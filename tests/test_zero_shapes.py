@@ -26,7 +26,7 @@ from subrep.decomp import (
 )
 from subrep.errors import HasProjectiveSummandError, NoSolutionError
 from subrep.examples import all_free_representation, example_quiver
-from subrep.ffmat import Matrix, PrimeField, kernel_basis, kernel_frame
+from subrep.ffmat import Matrix, PrimeField, kernel_basis, kernel_frame, span_frame
 from subrep.lambdamod import (
     LambdaAlgebra,
     LambdaModule,
@@ -114,6 +114,18 @@ def test_kernel_frame_empty_shapes(p):
     assert k == Matrix.zeros(field, 3, 0) and list(free) == []
     k, free = kernel_frame(Matrix(field, [[0, 1, 1], [0, 0, 0]]))
     assert list(free) == [0, 2] and k == Matrix(field, [[1, 0], [0, -1], [0, 1]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_span_frame_empty_shapes(p):
+    """No columns: no pivots and U = I_d, so only the zero vector is in
+    the span.  No rows: U is 0 x 0."""
+    field = PrimeField(p)
+    pivots, u = span_frame(Matrix.zeros(field, 3, 0))
+    assert pivots == [] and u == Matrix.identity(field, 3)
+    for cols in (3, 0):
+        pivots, u = span_frame(Matrix.zeros(field, 0, cols))
+        assert pivots == [] and u == Matrix.zeros(field, 0, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3])
