@@ -36,12 +36,12 @@ from .errors import (
 )
 from .ffmat import (
     Matrix,
+    _cokernel_coords,
+    _matmul_mod,
     _wrap,
     column_space_basis,
     independent_columns,
     kernel_basis,
-    left_kernel_basis,
-    solve,
 )
 from .lambdamod import LambdaAlgebra, LambdaModule, block_invariants, quotient_module
 from .posetrep import (
@@ -190,19 +190,20 @@ def dtr(x: Representation) -> Representation:
         rows = [s for s, av in enumerate(a_verts) if quiver.leq(v, av)]
         cols = [t for t, bv in enumerate(b_verts) if quiver.leq(v, bv)]
         c = pres[rows][:, :, cols].reshape(n * len(rows), n * len(cols))
-        coker, l = quotient_module(LambdaModule.free(algebra, len(rows)), Matrix(field, c))
-        cokers[v] = (l, rows)
+        coker, frame = quotient_module(LambdaModule.free(algebra, len(rows)), Matrix(field, c))
+        cokers[v] = (frame, rows)
         # the dual of the cokernel: T acts by the transpose
         spaces[v] = LambdaModule(algebra, coker.t.transpose())
     maps = {}
     for (i, j) in quiver.arrows:
-        li, rows_i = cokers[i]
-        lj, rows_j = cokers[j]
+        (li, _), rows_i = cokers[i]
+        frame_j, rows_j = cokers[j]
         # free-level inclusion of blocks alive at j into blocks alive at i
         selection = np.equal.outer(rows_i, rows_j).astype(np.int64)
         e = np.kron(selection, np.eye(n, dtype=np.int64))
         # psi: coker_j -> coker_i with psi . lj = li . e, transposed
-        maps[(i, j)] = solve(lj.transpose(), (li @ Matrix(field, e)).transpose())
+        psi = _cokernel_coords(frame_j, _matmul_mod(li.a, e, field.p))
+        maps[(i, j)] = _wrap(field, psi.T.copy())
     return Representation(quiver, algebra, spaces, maps)
 
 
@@ -219,14 +220,9 @@ def _radical_maps(end: Representation, test: Representation, into: bool) -> HomS
     if back.dim == 0:
         return homs
     compose = HomSpace.precomposed if into else HomSpace.postcomposed
-    # h in rad iff, for every u, the coordinates of compose(h, u) lie in
-    # the radical span: project the coordinates to the quotient and
-    # intersect the kernels over all u
-    proj = left_kernel_basis(rad.coeff_matrix)
-    rows = []
-    for u in back.basis:
-        coords = rad.algebra.solver().coords(compose(homs, u).basis_matrix())
-        rows.append((proj @ coords).a)
+    # h in rad iff, for every u, compose(h, u) lies in the radical: its
+    # End/J coordinates vanish, so intersect the kernels over all u
+    rows = [rad.quotient_coords(compose(homs, u)) for u in back.basis]
     k = kernel_basis(Matrix(x.field, np.vstack(rows)))
     return homs.combinations(k)
 
@@ -489,9 +485,7 @@ def build_catalog(
                 socle_done.add(idx)
                 soc, soc_incl = socle_subrep(rep)
                 if 0 < soc.total_dim():
-                    quo, _ = quotient_rep(
-                        rep, {v: soc_incl.components[v] for v in quiver.vertices}
-                    )
+                    quo, _ = quotient_rep(rep, soc_incl.components)
                     if quo.total_dim():
                         admit(right_approx(quo).approx)
         # mesh assembly for every non-projective without a certified mesh

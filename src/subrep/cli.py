@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 domain violation, 2 parse or usage error, 3 budget
-or contract violation (running out of memory included).  All randomized
-commands take a non-negative --seed and default to seed 0, so runs are
-reproducible.
+Exit codes: 0 ok (also when the reader closes stdout early), 1 domain
+violation, 2 parse or usage error (an output path that cannot be written
+included), 3 budget or contract violation (running out of memory
+included).  All randomized commands take a non-negative --seed and
+default to seed 0, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -381,7 +382,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone away shows here, not at exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -392,6 +395,13 @@ def main(argv=None):
     except (BudgetExceededError, ChaseExhaustedError, InternalContractViolation, MemoryError) as exc:
         print(f"budget/contract error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:  # an OSError, so first: the reader closed stdout
+        # what is left goes to devnull, so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except OSError as exc:  # an output path that cannot be written
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -30,9 +30,9 @@ from .ffmat import (
     _matmul_mod,
     _wrap,
     char_poly,
+    cokernel_frame,
     column_space_basis,
     factor,
-    independent_columns,
     kernel_basis,
     min_poly,
     poly_xgcd,
@@ -58,10 +58,17 @@ class RadicalData:
     radical: HomSpace  # a basis of the radical, inside Hom(x, x)
     quotient_dim: int
     coeff_matrix: Matrix  # coordinates of the radical basis in the algebra basis
+    frame: tuple  # cokernel_frame(coeff_matrix): End/J coordinates P c
 
     @property
     def radical_basis(self) -> tuple:
         return self.radical.basis
+
+    def quotient_coords(self, maps: HomSpace) -> np.ndarray:
+        """End/J coordinates of the spanning maps, one column each, over
+        the End basis elements at the frame's free coordinates."""
+        coords = self.algebra.solver().coords(maps.basis_matrix())
+        return _matmul_mod(self.frame[0].a, coords.a, coords.field.p)
 
 
 def _trace_form(space: HomSpace) -> np.ndarray:
@@ -116,19 +123,19 @@ def radical(end: EndAlgebra) -> RadicalData:
         coeff = column_space_basis(coeff @ ker)
         k *= p
     rad = end.space.combinations(coeff)
-    _verify_radical(end, rad)
-    return RadicalData(end, rad, m - coeff.cols, coeff)
+    data = RadicalData(end, rad, m - coeff.cols, coeff, cokernel_frame(coeff))
+    _verify_radical(data)
+    return data
 
 
-def _verify_radical(end: EndAlgebra, rad: HomSpace):
+def _verify_radical(data: RadicalData):
     """The computed space must be a nilpotent two-sided ideal; combined
     with the necessity of the vanishing conditions this certifies it as
     the radical."""
-    x = end.rep
-    solver = CoordinateSolver(rad.basis_matrix())
+    end, rad, x = data.algebra, data.radical, data.algebra.rep
     for b in rad.basis:
         for products in (end.space.postcomposed(b), end.space.precomposed(b)):
-            if not solver.contains(products.basis_matrix()):
+            if data.quotient_coords(products).any():
                 raise InternalContractViolation("radical candidate is not an ideal")
     # nilpotency of the subspace under iterated products f . b, f outer
     current = rad
@@ -151,20 +158,14 @@ def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData) -> bool:
     table lives on a complement of J; p-th powers are repeated squaring
     in it.
     """
-    field = end.rep.field
+    field, x, q = end.rep.field, end.rep, rad.quotient_dim
     p = field.p
-    q = rad.quotient_dim
     if q == 0:
         return False
-    x = end.rep
-    flat = end.space.basis_matrix()
-    comp_idx = independent_columns(rad.coeff_matrix, Matrix.identity(field, end.dim))
-    comp = HomSpace.from_flat(x, x, flat.take_columns(comp_idx))
-    # coordinates over complement | radical; the first q are those in End/J
-    solver = CoordinateSolver(comp.basis_matrix().hstack(rad.radical.basis_matrix()))
+    comp = HomSpace.from_flat(x, x, end.space.basis_matrix().take_columns(rad.frame[1]))
     table = np.empty((q, q, q), dtype=np.int64)  # [i, j, :] = e_i e_j
     for i, b in enumerate(comp.basis):
-        table[i] = solver.coords(comp.postcomposed(b).basis_matrix()).a[:q].T
+        table[i] = rad.quotient_coords(comp.postcomposed(b)).T
     if not np.array_equal(table, table.transpose(1, 0, 2)):
         return False
     by_left = table.reshape(q, q * q)
@@ -336,12 +337,9 @@ def indecomposables_isomorphic(x: Representation, y: Representation):
     if hxy.dim == 0 or hyx.dim == 0:
         return False, None
     rad = end_radical(x)
-    rad_solver = CoordinateSolver(rad.coeff_matrix)
-    end_solver = rad.algebra.solver()
     for f in hxy.basis:
-        # g . f for every basis g, g inner
-        composites = hyx.precomposed(f).basis_matrix()
-        if not rad_solver.members(end_solver.coords(composites)).all():
+        # g . f for every basis g, g inner; one outside the radical is a unit
+        if rad.quotient_coords(hyx.precomposed(f)).any():
             if f.is_mono():
                 return True, f
             raise InternalContractViolation(

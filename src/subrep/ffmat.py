@@ -29,7 +29,10 @@ left-to-right "keep it if the rank rises" pass would keep.
 Coordinates in a span and membership of it are read off one elimination,
 `span_frame(m)`, the rref of [m | I], the only one of its kind here:
 `CoordinateSolver`, `submodule`, `subrep_from_bases` and the top frames
-of a representation all use it.
+of a representation all use it.  Maps out of a quotient are read off its
+mirror, `cokernel_frame(m)` = (P, free) with P[:, free] = I and the rows
+of P a basis of {u : u m = 0}: a map w with w m = 0 is q P, q = w[:, free]
+(`_cokernel_coords`).  Quotients, `dtr` and End/J all use it.
 
 Empty shapes are ordinary inputs.  Every primitive here accepts matrices
 with zero rows or zero columns and returns what the general formula
@@ -41,8 +44,9 @@ gives, so callers do not special-case them:
   is 0 x k and of any other raises NoSolutionError, and `members` marks
   exactly the zero columns; of a 0 x k matrix U is 0 x 0;
 - `kernel_basis` of an L x 0 matrix is 0 x 0, and of a 0 x m matrix is
-  the identity I_m; so `left_kernel_basis` of an m x 0 matrix is I_m;
-  `kernel_frame` returns that K with free = [] and free = 0..m-1 respectively;
+  the identity I_m; `kernel_frame` returns that K with free = [] and
+  free = 0..m-1 respectively; so `cokernel_frame` of an m x 0 matrix is
+  (I_m, 0..m-1);
 - `column_space_basis` of a d x 0 matrix is d x 0.
 """
 
@@ -428,9 +432,11 @@ def independent_columns(prefix: Matrix, candidates: Matrix):
     return [c - prefix.cols for c in pivots if c >= prefix.cols]
 
 
-def left_kernel_basis(m: Matrix) -> Matrix:
-    """Rows form a basis of {u : u m = 0}."""
-    return kernel_basis(m.transpose()).transpose()
+def cokernel_frame(m: Matrix):
+    """(P, free): the `kernel_frame` of m^T, transposed.  The rows of P
+    are a basis of {u : u m = 0} and P[:, free] = I."""
+    k, free = kernel_frame(m.transpose())
+    return k.transpose(), free
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -476,6 +482,15 @@ def _span_coords(frame, w: np.ndarray) -> np.ndarray:
     if uw[len(pivots) :].any():
         raise NoSolutionError("vector not in span of basis")
     return uw[: len(pivots)].copy()
+
+
+def _cokernel_coords(frame, w: np.ndarray) -> np.ndarray:
+    """The q = w[:, free] with q P = w over the `cokernel_frame` (P, free)
+    of m; raises NoSolutionError unless w m = 0, as P m = 0."""
+    q = w[:, frame[1]]
+    if not np.array_equal(_matmul_mod(q, frame[0].a, frame[0].field.p), w):
+        raise NoSolutionError("map does not factor through the quotient")
+    return q
 
 
 class CoordinateSolver:

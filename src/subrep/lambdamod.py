@@ -16,14 +16,14 @@ from .ffmat import (
     CoordinateSolver,
     Matrix,
     PrimeField,
+    _cokernel_coords,
     _matmul_mod,
     _span_coords,
     _wrap,
     block_diag,
-    column_space_basis,
+    cokernel_frame,
     independent_columns,
     kernel_basis,
-    left_kernel_basis,
     solve,
     span_frame,
 )
@@ -272,9 +272,9 @@ def submodule(m: LambdaModule, basis: Matrix):
 
 
 def quotient_module(m: LambdaModule, sub_basis: Matrix):
-    """Quotient by an invariant subspace: (module, projection matrix)."""
-    span = column_space_basis(sub_basis)
-    proj = left_kernel_basis(span)  # rows: functionals vanishing on the span
-    # induced operator q with q . proj = proj . t
-    q = solve(proj.transpose(), (proj @ m.t).transpose()).transpose()
-    return LambdaModule(m.algebra, q), proj
+    """Quotient by an invariant subspace: (module, `cokernel_frame` of
+    sub_basis, its P the projection); NoSolutionError if not invariant."""
+    frame = cokernel_frame(sub_basis)
+    # induced operator q with q . P = P . t
+    q = _cokernel_coords(frame, _matmul_mod(frame[0].a, m.t.a, m.algebra.field.p))
+    return LambdaModule(m.algebra, _wrap(m.t.field, q)), frame

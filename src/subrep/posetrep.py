@@ -23,6 +23,7 @@ from .errors import (
 from .ffmat import (
     CoordinateSolver,
     Matrix,
+    _cokernel_coords,
     _matmul_mod,
     _span_coords,
     _wrap,
@@ -842,18 +843,16 @@ def quotient_rep(x: Representation, sub_bases) -> tuple:
     Returns (quotient representation, projection morphism).
     """
     spaces = {}
-    projs = {}
+    frames = {}
     for v in x.quiver.vertices:
-        mod, proj = quotient_module(x.spaces[v], sub_bases[v])
-        spaces[v] = mod
-        projs[v] = proj
+        spaces[v], frames[v] = quotient_module(x.spaces[v], sub_bases[v])
     maps = {}
     for (s, t) in x.quiver.arrows:
         # induced map q with q . proj_s = proj_t . arrow
-        rhs = projs[t] @ x.arrow_maps[(s, t)]
-        maps[(s, t)] = solve(projs[s].transpose(), rhs.transpose()).transpose()
+        rhs = _matmul_mod(frames[t][0].a, x.arrow_maps[(s, t)].a, x.field.p)
+        maps[(s, t)] = _wrap(x.field, _cokernel_coords(frames[s], rhs))
     quo = Representation(x.quiver, x.algebra, spaces, maps)
-    return quo, Morphism(x, quo, projs)
+    return quo, Morphism(x, quo, {v: frame[0] for v, frame in frames.items()})
 
 
 @dataclass

@@ -28,7 +28,7 @@ def write_atomic(path, text):
     """Write `text` to `path` through a temporary file in the same
     directory, so readers see the old file or the new one, never a
     partial one.  The file gets the permissions `open(path, "w")` would
-    give it (0o666 less the umask)."""
+    give it (0o666 less the umask).  No OSError names the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
@@ -37,10 +37,11 @@ def write_atomic(path, text):
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def read_text(path, what="input file"):

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from subrep.birkhoff import SubspaceConfig, subspace_data
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
 CATALOG_P2 = os.path.join(os.path.dirname(__file__), "..", "fixtures", "catalog_p2")
+ONE_POSET = os.path.join(os.path.dirname(__file__), "..", "fixtures", "posets", "one.poset")
 
 
 def write(tmp_path, name, text):
@@ -358,9 +361,6 @@ def test_approx_requires_out(tmp_path, capsys, monkeypatch):
 
 
 def test_python_dash_m_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     path = write(tmp_path, "m.rep", serialize_representation(all_free_representation(L2)))
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -369,6 +369,52 @@ def test_python_dash_m_entry_point(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 0 and run.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_reader_closing_stdout_early_exits_0(unbuffered):
+    """`subrep catalog ... | (exit 0)`: unbuffered, a print meets the
+    closed pipe; buffered, the flush at the end does."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the first write
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "subrep", "catalog", "--poset", ONE_POSET,
+             "--nilpotency", "3", "--field", "3"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert run.returncode == 0 and run.stderr == ""
+
+
+# an output path that cannot be written exits 2 with one line naming it,
+# never a traceback, and leaves no temporary file
+
+
+@pytest.mark.parametrize("command", ["approx", "decompose", "catalog", "arquiver"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    if command == "arquiver":
+        taken.mkdir()  # --dot names a file, not a directory
+    else:
+        taken.write_text("")  # --out names a directory, not a file
+    rep = os.path.join(CATALOG_P2, "obj_024.rep")
+    argv = {
+        "approx": ["approx", rep, "--kind", "left", "--out", str(taken)],
+        "decompose": ["decompose", rep, "--out", str(taken)],
+        "catalog": ["catalog", "--poset", ONE_POSET, "--nilpotency", "1", "--out", str(taken)],
+        "arquiver": ["arquiver", "--catalog", CATALOG_P2, "--dot", str(taken)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {taken}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["taken"]
+    assert (os.listdir(taken) == []) if command == "arquiver" else taken.read_text() == ""
 
 
 # inputs that name a bad field, poset or catalog exit 2, never a traceback

@@ -17,7 +17,7 @@ import pytest
 from subrep.artheory import dtr, indecomposable_projectives, projective_cover, top_complement
 from subrep.errors import HasProjectiveSummandError
 from subrep.examples import example_quiver
-from subrep.ffmat import Matrix, PrimeField, left_kernel_basis, solve
+from subrep.ffmat import Matrix, PrimeField, cokernel_frame, solve
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import Morphism, Representation, direct_sum, kernel_subrep
 from subrep.repfile import serialize_representation
@@ -137,7 +137,7 @@ def _ref_dtr(x):
                     c[ri * n : (ri + 1) * n, ci * n : (ci + 1) * n] = _lambda_mult_matrix(
                         field, lam[(t, s)], n
                     ).a
-        l = left_kernel_basis(Matrix(field, c))
+        l = cokernel_frame(Matrix(field, c))[0]
         cokers[v] = (l, alive_rows)
         t_free = LambdaModule.free(algebra, len(alive_rows)).t
         spaces[v] = LambdaModule(algebra, solve(l.transpose(), (l @ t_free).transpose()))

@@ -8,17 +8,22 @@ fewer eliminations.
 `socle_subrep` and `SubspaceConfig.validate` read coordinates and
 membership off one `span_frame` per vertex or subspace;
 `decomp._crt_idempotents` evaluates each interpolant once on the total
-matrix.  The earlier constructions are kept here as the reference: the
-full hom system (equivariance at every vertex, naturality on every
-arrow), `submodule` plus one `solve` per arrow for subrepresentations,
-one `solve` per vertex for the left approximation's structure map, one
-`solve` per column for `validate`, a `CoordinateSolver` per vertex for
-the projections, and one `eval_matrix` per vertex.  The references call
-none of the constructions they check.  The library's results must equal
-them byte for byte at nilpotency 1..4 and p = 2, 3 and 2^31 - 1, on
-seeded subspace and general representations, with zero vertices, the
-zero representation, non-subspace targets and non-idempotent maps
-included.
+matrix; `quotient_module` and `quotient_rep` read the induced maps off
+one `cokernel_frame` per vertex, and `quotient_is_division_ring` the
+End/J coordinates off the radical's.  The earlier constructions are
+kept here as the reference: the full hom system (equivariance at every
+vertex, naturality on every arrow), `submodule` plus one `solve` per
+arrow for subrepresentations, one `solve` per vertex for the left
+approximation's structure map, one `solve` per column for `validate`, a
+`CoordinateSolver` per vertex for the projections, one `eval_matrix`
+per vertex, a column basis, its left kernel and one `solve` per vertex
+and per arrow for quotients, and a complement of the radical chosen by
+`independent_columns` with its own `CoordinateSolver` for End/J.  The
+references call none of the constructions they check.  The library's
+results must equal them byte for byte (End/J: the same locality verdict)
+at nilpotency 1..4 and p = 2, 3 and 2^31 - 1, on seeded subspace and
+general representations, with zero vertices, the zero representation,
+non-subspace targets and non-idempotent maps included.
 """
 
 import numpy as np
@@ -27,7 +32,12 @@ import pytest
 from subrep.approx import left_approx
 from subrep.artheory import socle_subrep
 from subrep.birkhoff import SubspaceConfig
-from subrep.decomp import _crt_idempotents, indecompose
+from subrep.decomp import (
+    _crt_idempotents,
+    end_radical,
+    indecompose,
+    quotient_is_division_ring,
+)
 from subrep.errors import NoSolutionError, NotInvariantError, NotNestedError
 from subrep.examples import example_quiver
 from subrep.ffmat import (
@@ -35,16 +45,19 @@ from subrep.ffmat import (
     Matrix,
     Poly,
     PrimeField,
+    _matmul_mod,
     column_space_basis,
     factor,
+    independent_columns,
     kernel_basis,
     min_poly,
     poly_xgcd,
     solve,
 )
-from subrep.lambdamod import LambdaAlgebra, LambdaModule
+from subrep.lambdamod import LambdaAlgebra, LambdaModule, quotient_module
 from subrep.posetrep import (
     STAR,
+    HomSpace,
     Morphism,
     Representation,
     direct_sum,
@@ -52,11 +65,13 @@ from subrep.posetrep import (
     hom_basis,
     image_subrep,
     kernel_subrep,
+    quotient_rep,
     split_by_retraction,
     subrep_from_bases,
     subspace_representation,
 )
 from subrep.sampling import (
+    random_invariant_subspace,
     random_module,
     random_representation,
     random_subspace_config,
@@ -160,6 +175,60 @@ def _ref_validate(cfg):
                 problems.append(NotNestedError(j, cfg.v1.column(col)))
                 break
     return problems
+
+
+def _ref_quotient_module(m, sub_basis):
+    span = column_space_basis(sub_basis)
+    proj = kernel_basis(span.transpose()).transpose()  # rows vanish on the span
+    # induced operator q with q . proj = proj . t
+    q = solve(proj.transpose(), (proj @ m.t).transpose()).transpose()
+    return LambdaModule(m.algebra, q), proj
+
+
+def _ref_quotient_rep(x, sub_bases):
+    spaces, projs = {}, {}
+    for v in QUIVER.vertices:
+        spaces[v], projs[v] = _ref_quotient_module(x.spaces[v], sub_bases[v])
+    maps = {}
+    for s, t in QUIVER.arrows:
+        rhs = projs[t] @ x.arrow_maps[(s, t)]
+        maps[(s, t)] = solve(projs[s].transpose(), rhs.transpose()).transpose()
+    quo = Representation(QUIVER, x.algebra, spaces, maps)
+    return quo, Morphism(x, quo, projs)
+
+
+def _ref_quotient_is_division_ring(end, rad):
+    field = end.rep.field
+    p = field.p
+    q = rad.quotient_dim
+    if q == 0:
+        return False
+    x = end.rep
+    flat = end.space.basis_matrix()
+    comp_idx = independent_columns(rad.coeff_matrix, Matrix.identity(field, end.dim))
+    comp = HomSpace.from_flat(x, x, flat.take_columns(comp_idx))
+    # coordinates over complement | radical; the first q are those in End/J
+    solver = CoordinateSolver(comp.basis_matrix().hstack(rad.radical.basis_matrix()))
+    table = np.empty((q, q, q), dtype=np.int64)  # [i, j, :] = e_i e_j
+    for i, b in enumerate(comp.basis):
+        table[i] = solver.coords(comp.postcomposed(b).basis_matrix()).a[:q].T
+    if not np.array_equal(table, table.transpose(1, 0, 2)):
+        return False
+    by_left = table.reshape(q, q * q)
+
+    def times(u, v):
+        left = _matmul_mod(u, by_left, p).reshape(-1, q, q)
+        return _matmul_mod(v[:, None, :], left, p)[:, 0, :]
+
+    basis = np.eye(q, dtype=np.int64)
+    power, square, e = None, basis, p
+    while e:
+        if e & 1:
+            power = square if power is None else times(power, square)
+        e >>= 1
+        if e:
+            square = times(square, square)
+    return q - Matrix(field, power - basis).rank() == 1
 
 
 def _ref_kernel(f):
@@ -412,3 +481,85 @@ def test_validate_matches_solve_per_column(p, n):
         kinds.update(kind for kind, *_ in got)
     # at n = 1, T = 0 leaves every subspace invariant
     assert kinds == {NotNestedError} | ({NotInvariantError} if n > 1 else set())
+
+
+@pytest.mark.parametrize("p,n", ALGEBRAS)
+def test_quotient_module_matches_solve(p, n):
+    algebra = LambdaAlgebra(PrimeField(p), n)
+    rng = np.random.default_rng(15000 * n + p % 1000)
+    accepted = rejected = 0
+    for d in range(6):
+        m = random_module(algebra, d, rng)
+        ident = Matrix.identity(algebra.field, d)
+        power = ident
+        subs = [_random_columns(algebra.field, d, k, rng) for k in range(3)]
+        subs += [random_invariant_subspace(m, ident, d, rng) for _ in range(2)]
+        for _ in range(n):
+            power = power @ m.t
+            subs += [power, kernel_basis(power)]  # T^k: dependent columns, invariant
+        for sub in subs:
+            got = _outcome(quotient_module, m, sub)
+            want = _outcome(_ref_quotient_module, m, sub)
+            if want is NoSolutionError:
+                assert got is NoSolutionError
+                rejected += 1
+            else:
+                assert _same(got[0].t, want[0].t) and _same(got[1][0], want[1])
+                accepted += 1
+    # at n = 1, T = 0 leaves every subspace invariant
+    assert accepted and (rejected or n == 1)
+
+
+@pytest.mark.parametrize("p,n", ALGEBRAS)
+def test_quotient_rep_matches_solve_per_arrow(p, n):
+    rng, subs, general = _samples(p, n, 16000 * n + p % 1000)
+    accepted = rejected = 0
+    for x in subs + general:
+        field = x.field
+        candidates = [{v: _random_columns(field, x.dim(v), 1, rng) for v in QUIVER.vertices}]
+        # everything at the points, nothing at '*': the arrows into '*' leave it
+        full = {v: Matrix.identity(field, x.dim(v)) for v in QUIVER.vertices}
+        candidates.append(full | {STAR: Matrix.zeros(field, x.dim(STAR), 0)})
+        for y in (subs[0], general[0]):
+            # images of maps into x (dependent columns), kernels of maps out of x
+            candidates.append(_random_map(hom_basis(y, x), rng).components)
+            out = _random_map(hom_basis(x, y), rng).components
+            candidates.append({v: kernel_basis(m) for v, m in out.items()})
+        for bases in candidates:
+            got = _outcome(quotient_rep, x, bases)
+            want = _outcome(_ref_quotient_rep, x, bases)
+            if want is NoSolutionError:
+                assert got is NoSolutionError
+                rejected += 1
+            else:
+                assert _same_rep(got[0], want[0]) and _same_map(got[1], want[1])
+                accepted += 1
+    assert accepted and rejected
+
+
+@pytest.mark.parametrize("p,n", ALGEBRAS)
+def test_is_local_matches_complement_solver(p, n):
+    """End/J read off the radical's cokernel frame gives the same
+    locality as the complement picked by `independent_columns`, the same
+    projection as the left kernel of the radical coordinates, and the
+    same radical membership as a `CoordinateSolver` over them."""
+    rng, subs, general = _samples(p, n, 17000 * n + p % 1000)
+    reps = subs + general
+    reps += [s.rep for x in (subs[1], general[1]) for s in indecompose(x, seed=1).summands]
+    seen = set()
+    for x in reps:
+        end, rad = end_algebra(x), end_radical(x)
+        local = quotient_is_division_ring(end, rad)
+        assert local == _ref_quotient_is_division_ring(end, rad)
+        seen.add(local)
+        assert _same(rad.frame[0], kernel_basis(rad.coeff_matrix.transpose()).transpose())
+        # random elements, and radical ones
+        field, r = x.field, rad.coeff_matrix.cols
+        coeffs = Matrix(field, rng.integers(0, p, size=(end.dim, 3))).hstack(
+            rad.coeff_matrix @ Matrix(field, rng.integers(0, p, size=(r, 2)))
+        )
+        elements = end.space.combinations(coeffs)
+        in_rad = ~rad.quotient_coords(elements).any(axis=0)
+        coords = end.solver().coords(elements.basis_matrix())
+        assert np.array_equal(in_rad, CoordinateSolver(rad.coeff_matrix).members(coords))
+    assert seen == {True, False}

@@ -13,11 +13,11 @@ from subrep.ffmat import (
     PrimeField,
     block_diag,
     char_poly,
+    cokernel_frame,
     column_space_basis,
     factor,
     independent_columns,
     kernel_basis,
-    left_kernel_basis,
     min_poly,
     poly_gcd,
     poly_xgcd,
@@ -25,7 +25,7 @@ from subrep.ffmat import (
     solve,
     span_frame,
 )
-from subrep.ffmat import _rref_inplace, _rref_numpy_inplace
+from subrep.ffmat import _cokernel_coords, _rref_inplace, _rref_numpy_inplace
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -183,7 +183,7 @@ def test_column_space_and_left_kernel():
         m = random_matrix(field, int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
         c = column_space_basis(m)
         assert c.rank() == c.cols == m.rank()
-        lk = left_kernel_basis(m)
+        lk = cokernel_frame(m)[0]
         assert (lk @ m).is_zero()
         assert lk.rows == m.rows - m.rank()
 
@@ -457,7 +457,7 @@ def _check_empty_and_zero_shape(field, shape):
     assert r == m and pivots == () and rank == 0
     k = kernel_basis(m)
     assert k == Matrix.identity(field, shape[1])
-    assert left_kernel_basis(m) == Matrix.identity(field, shape[0])
+    assert cokernel_frame(m)[0] == Matrix.identity(field, shape[0])
     assert column_space_basis(m) == Matrix.zeros(field, shape[0], 0)
     x = solve(m, Matrix.zeros(field, shape[0], 1))
     assert x == Matrix.zeros(field, shape[1], 1)
@@ -485,7 +485,7 @@ def test_f2_solve_and_coordinate_solver():
 
 def _outside_column_space(m):
     """A unit vector e_i with (left kernel) e_i != 0, so e_i is not m c."""
-    left = left_kernel_basis(m)
+    left = cokernel_frame(m)[0]
     i = int(np.flatnonzero(left.a.any(axis=0))[0])
     e = np.zeros((m.rows, 1), dtype=np.int64)
     e[i] = 1
@@ -749,6 +749,29 @@ def test_span_frame_reads_coordinates_and_membership(p):
             ei = Matrix.identity(field, rows).column(i)
             inside = basis.hstack(ei).rank() == rank
             assert (u @ ei).submatrix(slice(rank, None), slice(None)).is_zero() == inside
+
+
+@pytest.mark.parametrize("p", EMPTY_CONTRACT_PRIMES)
+def test_cokernel_frame_reads_maps_through_the_quotient(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000 + 1)
+    for rows, cols in ((5, 3), (4, 6), (6, 6)):
+        m = rng.integers(0, p, size=(rows, cols))
+        m[:, -1] = m[:, 0]  # a dependent column
+        m = Matrix(field, m)
+        proj, free = cokernel_frame(m)
+        assert (proj @ m).is_zero() and proj.rows == proj.rank() == rows - m.rank()
+        assert proj.take_columns(free) == Matrix.identity(field, proj.rows)
+        q = rng.integers(0, p, size=(3, proj.rows))
+        assert np.array_equal(_cokernel_coords((proj, free), (Matrix(field, q) @ proj).a), q)
+        for i in range(rows):
+            # e_i^T factors through proj exactly when it vanishes on m
+            ei = Matrix.identity(field, rows).submatrix(slice(i, i + 1), slice(None))
+            if (ei @ m).is_zero():
+                assert np.array_equal(_cokernel_coords((proj, free), ei.a) @ proj.a, ei.a)
+            else:
+                with pytest.raises(NoSolutionError):
+                    _cokernel_coords((proj, free), ei.a)
 
 
 def _matrix_horner(poly, m):

@@ -15,6 +15,7 @@ from subrep.lambdamod import (
     is_injective_module,
     jordan_basis,
     lift_through_mono,
+    quotient_module,
     socle,
     submodule,
 )
@@ -223,3 +224,15 @@ def test_submodule_rejects_a_span_that_is_not_invariant(p):
     # the socle span{Tg}, given twice: one basis column, on which T is 0
     sub, span = submodule(free, Matrix(field, [[0, 0], [1, 2]]))
     assert span == Matrix(field, [[0], [1]]) and sub.t == Matrix.zeros(field, 1, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_quotient_module_rejects_a_span_that_is_not_invariant(p):
+    field = PrimeField(p)
+    free = LambdaModule.free(LambdaAlgebra(field, 2))
+    # span{g}: T g = Tg leaves it, so T induces no operator on the quotient
+    with pytest.raises(NoSolutionError):
+        quotient_module(free, Matrix(field, [[1], [0]]))
+    # by the socle span{Tg}, given twice: the simple quotient
+    quo, _ = quotient_module(free, Matrix(field, [[0, 0], [1, 2]]))
+    assert quo.t == Matrix.zeros(field, 1, 1)

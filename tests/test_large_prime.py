@@ -65,7 +65,7 @@ def test_submodule_is_equivariant_inclusion(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_quotient_module_is_exact(n):
     for m, sub in _modules(n, 8, seed=10 + n):
-        q, proj = quotient_module(m, sub)
+        q, (proj, _) = quotient_module(m, sub)
         assert proj @ m.t == q.t @ proj
         # 0 -> sub -> m -> q -> 0: proj is onto and its kernel is the span
         assert proj.rank() == q.dim == m.dim - sub.rank()

@@ -533,3 +533,19 @@ def test_subrep_from_bases_rejects_a_span_not_invariant_at_one_vertex(p):
     assert sub.dim_vector() == (0, 2, 1, 2) and sub.validate() == [] and incl.is_valid()
     with pytest.raises(NoSolutionError):
         subrep_from_bases(x, bases | {"3": Matrix(field, [[1], [0]])})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_quotient_rep_rejects_bases_an_arrow_maps_out_of_the_span(p):
+    """Free rank one at every vertex with identity arrows, span{Tg} at
+    each vertex: invariant everywhere and closed under the arrows.  With
+    zero at 2 instead, the arrow 1 -> 2 carries Tg out of the span there,
+    so it induces no map on the quotients."""
+    field = PrimeField(p)
+    x = all_free_representation(LambdaAlgebra(field, 2))
+    socle = {v: Matrix(field, [[0], [1]]) for v in x.quiver.vertices}
+    quo, proj = quotient_rep(x, socle)
+    assert quo.dim_vector() == (1, 1, 1, 1) and quo.validate() == [] and proj.is_valid()
+    assert all(m == Matrix.identity(field, 1) for m in quo.arrow_maps.values())
+    with pytest.raises(NoSolutionError):
+        quotient_rep(x, socle | {"2": Matrix.zeros(field, 2, 0)})

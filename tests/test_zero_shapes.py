@@ -26,7 +26,14 @@ from subrep.decomp import (
 )
 from subrep.errors import HasProjectiveSummandError, NoSolutionError
 from subrep.examples import all_free_representation, example_quiver
-from subrep.ffmat import Matrix, PrimeField, kernel_basis, kernel_frame, span_frame
+from subrep.ffmat import (
+    Matrix,
+    PrimeField,
+    cokernel_frame,
+    kernel_basis,
+    kernel_frame,
+    span_frame,
+)
 from subrep.lambdamod import (
     LambdaAlgebra,
     LambdaModule,
@@ -97,9 +104,9 @@ def test_lambda_module_empty_shapes(p):
     free = LambdaModule.free(algebra, 2)
     sub, span = submodule(free, Matrix.zeros(field, 4, 0))
     assert sub == zero and span == Matrix.zeros(field, 4, 0)
-    quo, proj = quotient_module(free, Matrix.identity(field, 4))
+    quo, (proj, _) = quotient_module(free, Matrix.identity(field, 4))
     assert quo == zero and proj == Matrix.zeros(field, 0, 4)
-    quo, proj = quotient_module(free, Matrix.zeros(field, 4, 0))
+    quo, (proj, _) = quotient_module(free, Matrix.zeros(field, 4, 0))
     assert quo == free and proj == Matrix.identity(field, 4)
 
 
@@ -110,6 +117,8 @@ def test_kernel_frame_empty_shapes(p):
         k, free = kernel_frame(Matrix.zeros(field, rows, cols))
         assert k == Matrix.identity(field, cols) and list(free) == list(range(cols))
         assert k == kernel_basis(Matrix.zeros(field, rows, cols))
+        proj, free = cokernel_frame(Matrix.zeros(field, rows, cols))
+        assert proj == Matrix.identity(field, rows) and list(free) == list(range(rows))
     k, free = kernel_frame(Matrix.identity(field, 3))
     assert k == Matrix.zeros(field, 3, 0) and list(free) == []
     k, free = kernel_frame(Matrix(field, [[0, 1, 1], [0, 0, 0]]))
