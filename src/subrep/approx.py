@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownVertexError
-from .ffmat import Matrix, block_diag, kernel_basis
+from .ffmat import Matrix, _matmul_mod, _wrap, block_diag, kernel_frame
 from .lambdamod import (
+    LambdaModule,
     direct_sum_modules,
     injective_envelope,
     lift_through_mono,
-    submodule,
 )
 from .posetrep import (
     STAR,
@@ -60,10 +60,10 @@ def mimo_k(x: Representation, k) -> ApproxResult:
     if k not in quiver.vertices or k == STAR:
         raise UnknownVertexError(f"{k!r} is not a poset vertex")
     field = x.field
-    comp_to_star = x.composite_map(k, STAR)
-    ker = kernel_basis(comp_to_star)
-    ker_mod, kappa = submodule(x.spaces[k], ker)
-    env, ebar = injective_envelope(ker_mod)
+    # the kernel K, with K[F] = I, carries T_k[F] K (`posetrep._kernel_frames`)
+    kappa, free = kernel_frame(x.composite_map(k, STAR))
+    t_ker = _matmul_mod(x.spaces[k].t.a[free], kappa.a, field.p)
+    env, ebar = injective_envelope(LambdaModule(x.algebra, _wrap(field, t_ker)))
     e_k = lift_through_mono(kappa, ebar, x.spaces[k], env)
     d_env = env.dim
 

@@ -4,8 +4,11 @@ Splitting strategy: a random endomorphism whose minimal polynomial has at
 least two coprime factors yields exact orthogonal idempotents (evaluate
 the CRT interpolants at the endomorphism), which cut the representation
 into direct summands.  A summand that refuses to split is certified
-indecomposable by checking that its endomorphism algebra modulo its
-radical is a division ring.
+indecomposable in one of two ways, both traced as `"leaf": "local"`:
+a failed attempt whose minimal polynomial, a prime power q^m, has
+degree dim End proves End = k[theta] = k[x]/(q^m), which is local;
+otherwise its endomorphism algebra modulo its radical is checked to be
+a division ring.
 
 The radical of an endomorphism algebra is computed by the
 characteristic-coefficient chain: over the prime field, x lies in the
@@ -257,6 +260,14 @@ def _crt_idempotents(theta: Morphism, total: Matrix, factors, mp: Poly):
 def indecompose(x: Representation, seed: int = 0) -> Decomposition:
     """Complete decomposition into certified-indecomposable summands.
 
+    A leaf's End is local either because a failed attempt had a minimal
+    polynomial of degree dim End (End = k[theta]) or because End/J is a
+    division ring (`is_local`, tested once at the first failed attempt
+    >= 7); the trace marks both `"leaf": "local"`.  Once an attempt has
+    shown End = k[theta], the loop draws but computes nothing, so the
+    random stream, and with it every later summand, is the same whichever
+    certificate a leaf gets.
+
     Deterministic given the seed; the multiset of isomorphism classes is
     seed-independent by the uniqueness of direct-sum decompositions into
     summands with local endomorphism rings.
@@ -274,30 +285,36 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
             summands.append(Summand(rep, incl, proj))
             return
         locality_checked = False
+        generated = False  # End = k[theta] for a theta that failed to split
         for attempt in range(SPLIT_BUDGET):
             coords = rng.integers(0, rep.field.p, size=ends.dim)
             if not coords.any():
                 continue
-            theta = ends.element(coords)
-            total = theta.total_matrix()
-            mp = min_poly(total)
-            factors = factor(mp, seed=int(rng.integers(0, 2**31)))
-            if len(factors) >= 2:
-                idems = _crt_idempotents(theta, total, factors, mp)
-                trace.append(
-                    {
-                        "dims": rep.dim_vector(),
-                        "split": [f.coeffs for f, _ in factors],
-                        "attempt": attempt,
-                    }
-                )
-                for e in idems:
-                    part, part_incl, part_proj = image_subrep(e)
-                    recurse(part, incl @ part_incl, part_proj @ proj)
-                return
+            factor_seed = int(rng.integers(0, 2**31))
+            if not generated:
+                theta = ends.element(coords)
+                total = theta.total_matrix()
+                mp = min_poly(total)
+                factors = factor(mp, seed=factor_seed)
+                if len(factors) >= 2:
+                    idems = _crt_idempotents(theta, total, factors, mp)
+                    trace.append(
+                        {
+                            "dims": rep.dim_vector(),
+                            "split": [f.coeffs for f, _ in factors],
+                            "attempt": attempt,
+                        }
+                    )
+                    for e in idems:
+                        part, part_incl, part_proj = image_subrep(e)
+                        recurse(part, incl @ part_incl, part_proj @ proj)
+                    return
+                # k[theta] has dimension deg mp; if that is dim End, then
+                # End = k[theta] = k[x]/(q^m), which is local
+                generated = mp.degree() == ends.dim
             if attempt >= 7 and not locality_checked:
                 locality_checked = True
-                if is_local(ends):
+                if generated or is_local(ends):
                     trace.append({"dims": rep.dim_vector(), "leaf": "local"})
                     summands.append(Summand(rep, incl, proj))
                     return
