@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .artheory import Catalog
+from .artheory import Catalog, _through_left
 from .decomp import Decomposition, Summand
 from .errors import (
     ChaseExhaustedError,
@@ -29,7 +29,6 @@ from .ffmat import (
     _matmul_mod,
     column_space_basis,
     kernel_basis,
-    rref,
     span_frame,
 )
 from .lambdamod import LambdaModule
@@ -113,9 +112,7 @@ def _backward_step(homs, e, comp_incl, comp_proj, complement):
     """Backward homs restricted along the inclusion of the complement."""
     homs = homs.precomposed(comp_incl)
     if homs.dim:
-        flat = homs.basis_matrix()
-        _, pivots, _ = rref(flat)
-        homs = HomSpace.from_flat(complement, homs.target, flat.take_columns(pivots))
+        homs = HomSpace.from_flat(complement, homs.target, column_space_basis(homs.basis_matrix()))
     return homs
 
 
@@ -338,72 +335,53 @@ def invariant_subspace_report(cfg: SubspaceConfig, catalog: Catalog) -> Subspace
     return SubspaceReport(mults, compatible, details, decomp)
 
 
-def harada_sai_check(catalog: Catalog, samples: int, seed: int = 0):
-    """Random composable chains of 2^m - 1 radical morphisms compose to
-    zero.  Returns (None, witness) on success where witness is a nonzero
-    radical chain of length < m, else (counterexample, witness)."""
-    rng = np.random.default_rng(seed)
+def harada_sai_check(catalog: Catalog):
+    """The radical filtration of the catalog, exactly, against the
+    Harada-Sai bound: composites of 2^m - 1 radical maps between
+    indecomposables of length at most m vanish.
+
+    It is read off the catalog's left almost split maps, trusted as the
+    chase trusts them.  A left map (lifts[k]: Z -> W_k) gives
+    rad(Z, -) = sum_k Hom(W_k, -) . lifts[k], so
+    rad^(k+1)(Z, T) = sum_k rad^k(W_k, T) . lifts[k], from
+    rad^1 = `rad_space`.  Each layer is reduced by `column_space_basis`,
+    so every basis column is a nonzero composite of k radical maps.
+
+    Returns (counterexample, (witness, wlen), layers).  `layers` holds
+    the total dimensions of rad^1, rad^2, ..., ending at the first zero
+    one, rad^L.  witness is a basis column of layer wlen, the number of
+    nonzero layers (L - 1) capped at m - 1, or None when wlen is 0.
+    counterexample is None, or a basis column of the layer `layers` ends
+    at instead: a nonzero one with the dimension of the layer before it
+    (the filtration never vanishes), or a nonzero layer 2^m - 1."""
     m_len = catalog.max_length()
     bound = 2**m_len - 1
-    field = catalog.algebra.field
-    n_obj = len(catalog.objects)
-    rad_bases = {}
-    targets = {}
-    for i in range(n_obj):
-        outs = []
-        for j in range(n_obj):
-            homs = catalog.rad_space(i, j)
-            if homs.dim:
-                rad_bases[(i, j)] = homs
-                outs.append(j)
-        targets[i] = outs
-
-    def random_radical(i, j):
-        homs = rad_bases[(i, j)]
-        while True:
-            coeffs = rng.integers(0, field.p, size=homs.dim)
-            if coeffs.any():
-                return homs.element(coeffs)
-
+    objs = range(len(catalog))
+    layer = {(z, t): catalog.rad_space(z, t) for z in objs for t in objs}
+    layers, kept = [], []  # kept[k - 1] is rad^k, for k < m
     counterexample = None
-    for _ in range(samples):
-        z = int(rng.integers(0, n_obj))
-        composite = None
-        length = 0
-        while length < bound:
-            outs = targets[z]
-            if not outs:
-                break  # no radical maps out: composite cannot be extended
-            nxt = int(outs[rng.integers(0, len(outs))])
-            h = random_radical(z, nxt)
-            composite = h if composite is None else h @ composite
-            z = nxt
-            length += 1
-            if composite.is_zero():
-                break  # stays zero for the remaining steps
-        if length >= bound and composite is not None and not composite.is_zero():
-            counterexample = composite
+    while True:
+        layers.append(sum(homs.dim for homs in layer.values()))
+        if len(layers) < m_len:
+            kept.append(layer)
+        if not layers[-1]:
             break
-    # non-vacuity: greedily extend nonzero radical chains from every start
-    witness_len = 0
-    witness = None
-    for i in range(n_obj):
-        for j in targets[i]:
-            for h in rad_bases[(i, j)].basis:
-                if h.is_zero():
-                    continue
-                cur, cur_len, z = h, 1, j
-                improved = True
-                while improved and cur_len < m_len - 1:
-                    improved = False
-                    for w in targets[z]:
-                        # the first h2 . cur over the basis h2 that is nonzero
-                        cands = rad_bases[(z, w)].precomposed(cur)
-                        nonzero = np.flatnonzero(cands.basis_matrix().a.any(axis=0))
-                        if nonzero.size:
-                            cur, cur_len, z = cands.basis[nonzero[0]], cur_len + 1, w
-                            improved = True
-                            break
-                if cur_len > witness_len:
-                    witness_len, witness = cur_len, cur
-    return counterexample, (witness, witness_len)
+        if (len(layers) > 1 and layers[-1] == layers[-2]) or len(layers) == bound:
+            counterexample = _first_column(layer)
+            break
+        prev, layer = layer, {}
+        for (z, t), homs in prev.items():
+            # rad being an ideal, rad^(k+1)(Z, T) lies in rad^k(Z, T)
+            if homs.dim:
+                homs = _through_left(catalog, z, t, lambda w, s: prev[w, s], catalog.left_maps[z])
+                flat = column_space_basis(homs.basis_matrix())
+                homs = HomSpace.from_flat(homs.source, homs.target, flat)
+            layer[z, t] = homs
+    wlen = min(sum(1 for d in layers if d), m_len - 1)
+    witness = _first_column(kept[wlen - 1]) if wlen else None
+    return counterexample, (witness, wlen), layers
+
+
+def _first_column(layer):
+    """The first basis column of the first nonzero pair of a layer."""
+    return next(homs.basis[0] for homs in layer.values() if homs.dim)

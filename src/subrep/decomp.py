@@ -328,11 +328,13 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
 
 def fingerprint(x: Representation):
     """Cheap isomorphism invariant: dimension vector, block invariants per
-    vertex, and ranks of all composites to the top.  Memoized on x."""
+    vertex, and ranks of all composites to the top (at the top itself the
+    identity, of rank dim x_*).  Memoized on x."""
     if x._fingerprint is None:
         blocks = tuple(block_invariants(x.spaces[v]) for v in x.quiver.vertices)
         ranks = tuple(
-            x.composite_map(v, STAR).rank() for v in x.quiver.vertices
+            x.dim(v) if v == STAR else x.composite_map(v, STAR).rank()
+            for v in x.quiver.vertices
         )
         x._fingerprint = (x.dim_vector(), blocks, ranks)
     return x._fingerprint

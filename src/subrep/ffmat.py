@@ -41,8 +41,8 @@ gives, so callers do not special-case them:
   zero and raises NoSolutionError otherwise;
 - `span_frame` of a d x 0 matrix has no pivots and U = I_d, so
   `CoordinateSolver` over it has rank 0: `coords` of a zero d x k matrix
-  is 0 x k and of any other raises NoSolutionError, and `members` marks
-  exactly the zero columns; of a 0 x k matrix U is 0 x 0;
+  is 0 x k and of any other raises NoSolutionError; of a 0 x k matrix U
+  is 0 x 0;
 - `kernel_basis` of an L x 0 matrix is 0 x 0, and of a 0 x m matrix is
   the identity I_m; `kernel_frame` returns that K with free = [] and
   free = 0..m-1 respectively; so `cokernel_frame` of an m x 0 matrix is
@@ -508,14 +508,6 @@ class CoordinateSolver:
     def coords(self, v: Matrix) -> Matrix:
         """Coordinates of each column of v; raises if v is not in the span."""
         return _wrap(self.field, _span_coords(self._frame, v.a))
-
-    def contains(self, v: Matrix) -> bool:
-        """Does every column of v lie in the span?"""
-        return bool(self.members(v).all())
-
-    def members(self, v: Matrix) -> np.ndarray:
-        """Boolean per column of v: does it lie in the span?"""
-        return ~_matmul_mod(self._frame[1].a[self.rank :], v.a, self.field.p).any(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from subrep.artheory import build_catalog
 from subrep.examples import example_quiver
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra
+from subrep.posetrep import STAR
 from subrep.repfile import load_catalog
+from subrep.sampling import random_subspace_representation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -28,6 +31,24 @@ def catalog_p2():
 @pytest.fixture(scope="session")
 def catalog_p3():
     return _catalog(3)
+
+
+@pytest.fixture
+def lifting_tests():
+    """Factory: catalog.members() followed by `count` random subspace
+    representations drawn from rng (a fresh default_rng(0) when None),
+    of dimension at most 3 at each poset point and 5 at `*`: test objects
+    for `verify_ar_sequence` beyond the catalog."""
+
+    def draw(catalog, rng=None, count=20):
+        rng = rng if rng is not None else np.random.default_rng(0)
+        caps = {v: 3 for v in catalog.quiver.poset.points} | {STAR: 5}
+        return catalog.members() + [
+            random_subspace_representation(catalog.quiver, catalog.algebra, caps, rng)
+            for _ in range(count)
+        ]
+
+    return draw
 
 
 @pytest.fixture

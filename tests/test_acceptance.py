@@ -109,7 +109,7 @@ def test_criterion_3_property_suite():
     _report(3, passed == 25, f"{passed}/25 objects satisfy all three structural properties")
 
 
-def test_criterion_4_mesh_verification():
+def test_criterion_4_mesh_verification(lifting_tests):
     catalog = _built_catalog(2)
     rng = np.random.default_rng(4)
     non_projectives = [
@@ -120,7 +120,7 @@ def test_criterion_4_mesh_verification():
         seq = catalog.meshes.get(c_idx)
         if seq is None:
             continue
-        if verify_ar_sequence(seq, catalog.members(), rng=rng, random_tests=20):
+        if verify_ar_sequence(seq, lifting_tests(catalog, rng, 20)):
             verified += 1
     ok = verified == len(non_projectives)
     _report(
@@ -192,12 +192,13 @@ def test_criterion_6_decomposition_cross_validation():
 def test_criterion_7_harada_sai():
     catalog = _built_catalog(2)
     m = catalog.max_length()
-    counterexample, (witness, wlen) = harada_sai_check(catalog, samples=10**4, seed=7)
+    counterexample, (witness, wlen), layers = harada_sai_check(catalog)
     ok = counterexample is None and witness is not None and 1 <= wlen < m
     _report(
         7,
         ok,
-        f"10^4 radical chains of length 2^{m}-1 all compose to zero; a nonzero "
+        f"the radical filtration of the catalog vanishes at rad^{len(layers)}, below "
+        f"2^{m}-1 (total dimensions {','.join(map(str, layers))}); a nonzero "
         f"chain of length {wlen} < {m} witnesses non-vacuity",
     )
 

@@ -252,7 +252,6 @@ def test_unique_mesh_per_end(catalog_p2):
 
 def test_mutated_mesh_fails_verification(catalog_p2):
     # replace the middle by a wrong sum: at least one lifting must fail
-    rng = np.random.default_rng(13)
     c_idx, seq = next(iter(sorted(catalog_p2.meshes.items())))
     m = all_free_representation(L2)
     wrong_middle = direct_sum([seq.a, catalog_p2.objects[3]]).rep
@@ -262,7 +261,7 @@ def test_mutated_mesh_fails_verification(catalog_p2):
     # fall back to zero: verification must reject either way
     g_wrong = Morphism.zero(wrong_middle, seq.c)
     bad = ARSequence(seq.a, wrong_middle, seq.c, f_wrong, g_wrong)
-    assert not verify_ar_sequence(bad, catalog_p2.members(), rng=rng, random_tests=0)
+    assert not verify_ar_sequence(bad, catalog_p2.members())
 
 
 def test_split_sequence_rejected(catalog_p2):
@@ -271,7 +270,7 @@ def test_split_sequence_rejected(catalog_p2):
     ds = direct_sum([a, c])
     seq = ARSequence(a, ds.rep, c, ds.inclusions[0], ds.projections[1])
     assert not sequence_is_exact_nonsplit(seq)
-    assert not verify_ar_sequence(seq, catalog_p2.members(), random_tests=0)
+    assert not verify_ar_sequence(seq, catalog_p2.members())
     # every catalog index passes as a translate: only exactness rejects
     assert not is_certified_mesh(catalog_p2, 6, seq, range(len(catalog_p2)))
 
@@ -293,18 +292,18 @@ def test_certificate_rejects_wrong_kernel(catalog_p2):
     else:
         pytest.fail("no projective cover sequence with a wrong kernel")
     assert not is_certified_mesh(catalog_p2, c_idx, seq, translate)
-    assert not verify_ar_sequence(seq, catalog_p2.members(), random_tests=0)
+    assert not verify_ar_sequence(seq, catalog_p2.members())
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_certificate_agrees_with_lifting_tests(p, request):
+def test_certificate_agrees_with_lifting_tests(p, request, lifting_tests):
     catalog = request.getfixturevalue(f"catalog_p{p}")
     rng = np.random.default_rng(p)
     assert len(catalog.meshes) == 21
     for c_idx, seq in sorted(catalog.meshes.items()):
         translate = translate_indices(catalog, seq.c)
         assert is_certified_mesh(catalog, c_idx, seq, translate)
-        assert verify_ar_sequence(seq, catalog.members(), rng=rng)
+        assert verify_ar_sequence(seq, lifting_tests(catalog, rng))
 
 
 def test_left_maps_cover_catalog(catalog_p2):
@@ -319,14 +318,14 @@ def test_left_maps_cover_catalog(catalog_p2):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_catalog_at_nilpotency_one(p):
+def test_catalog_at_nilpotency_one(p, lifting_tests):
     """Over k[T]/T the only non-projective of the example poset takes its
     translate candidate from dtr at n = 1."""
     catalog = build_catalog(example_quiver(), LambdaAlgebra(PrimeField(p), 1))
     assert len(catalog) == 5 and sum(catalog.projective) == 4
     (seq,) = catalog.meshes.values()
     assert seq.verified
-    assert verify_ar_sequence(seq, catalog.members())
+    assert verify_ar_sequence(seq, lifting_tests(catalog))
 
 
 # posets of finite type on which the closure stalls (ROADMAP item 1): the

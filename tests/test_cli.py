@@ -206,11 +206,14 @@ def test_birkhoff_invalid_invariance(tmp_path, capsys):
 
 
 def test_check_harada_sai(capsys):
+    # exact: --samples is accepted and ignored
     assert main(
         ["check", "harada-sai", "--samples", "50", "--catalog", CATALOG_P2]
     ) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "bound" in out
+    assert "nonzero_chain_below_bound\t10\n" in out
+    assert "radical_layers\t899,857,797," in out and ",7,3,1,0\n" in out
 
 
 def test_check_hom_span(capsys):
@@ -239,8 +242,7 @@ def test_catalog_command_poset_file(tmp_path, capsys):
     path = write(tmp_path, "poset.txt", "points 1\ncovers\n")
     out = tmp_path / "cat"
     assert main(
-        ["catalog", "--poset", path, "--field", "2", "--out", str(out), "--verify",
-         "--mesh-tests", "5"]
+        ["catalog", "--poset", path, "--field", "2", "--out", str(out), "--verify"]
     ) == 0
     table = capsys.readouterr().out
     assert "objects\t5" in table
@@ -459,8 +461,8 @@ def test_catalog_bad_field_exits_2(capsys, field):
         ("--nilpotency", "0"),
         ("--nilpotency", "-1"),
         ("--nilpotency", "two"),
-        # the other bounded counts of catalog: a budget of no rounds, and
-        # a negative number of random tests per mesh under --verify
+        # the other bounded count of catalog, a budget of no rounds, and
+        # --mesh-tests, an option catalog no longer has
         ("--budget", "0"),
         ("--budget", "-3"),
         ("--mesh-tests", "-4"),

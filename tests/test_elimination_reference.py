@@ -53,6 +53,7 @@ from subrep.ffmat import (
     min_poly,
     poly_xgcd,
     solve,
+    span_frame,
 )
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, quotient_module
 from subrep.posetrep import (
@@ -542,7 +543,7 @@ def test_is_local_matches_complement_solver(p, n):
     """End/J read off the radical's cokernel frame gives the same
     locality as the complement picked by `independent_columns`, the same
     projection as the left kernel of the radical coordinates, and the
-    same radical membership as a `CoordinateSolver` over them."""
+    same radical membership as the `span_frame` of them."""
     rng, subs, general = _samples(p, n, 17000 * n + p % 1000)
     reps = subs + general
     reps += [s.rep for x in (subs[1], general[1]) for s in indecompose(x, seed=1).summands]
@@ -561,5 +562,6 @@ def test_is_local_matches_complement_solver(p, n):
         elements = end.space.combinations(coeffs)
         in_rad = ~rad.quotient_coords(elements).any(axis=0)
         coords = end.solver().coords(elements.basis_matrix())
-        assert np.array_equal(in_rad, CoordinateSolver(rad.coeff_matrix).members(coords))
+        pivots, u = span_frame(rad.coeff_matrix)
+        assert np.array_equal(in_rad, ~(u @ coords).a[len(pivots) :].any(axis=0))
     assert seen == {True, False}

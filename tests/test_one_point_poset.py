@@ -43,11 +43,11 @@ def test_projectives_and_meshes(p, n):
 
 
 @pytest.mark.parametrize("p,n", CASES)
-def test_meshes_pass_lifting_tests(p, n):
+def test_meshes_pass_lifting_tests(p, n, lifting_tests):
     catalog = s_catalog(p, n)
     rng = np.random.default_rng(n)
     for seq in catalog.meshes.values():
-        assert verify_ar_sequence(seq, catalog.members(), rng=rng)
+        assert verify_ar_sequence(seq, lifting_tests(catalog, rng))
 
 
 def test_catalog_command_on_poset_fixture(capsys):

@@ -370,7 +370,8 @@ def test_hom_basis_large_prime_entries():
     end_y = hom_basis(y, y)
     assert end_y.dim == hom_basis(x, x).dim
     ident = Morphism.identity(y).flatten().reshape(-1, 1)
-    assert CoordinateSolver(end_y.basis_matrix()).contains(Matrix(field, ident))
+    # coords raises NoSolutionError outside the span
+    assert CoordinateSolver(end_y.basis_matrix()).coords(Matrix(field, ident)).cols == 1
 
 
 # HomSpace.coefficients: the one solver behind the split and factoring tests
