@@ -344,17 +344,21 @@ class Catalog:
         through the catalog: the composites t . u, u: objects[i] -> w and
         t: w -> objects[j] radical.  Kept per pair with the catalog size
         it covers and the irreducible lifts, and extended only through
-        the objects admitted since."""
+        the objects admitted since, one middle object at a time until it
+        spans all of rad."""
         basis, size, lifts = self._rad_squares.get((i, j), (None, 0, None))
         if basis is not None and size == len(self.objects):
             return basis
         x, y = self.objects[i], self.objects[j]
-        spans = [] if basis is None else [HomSpace.from_flat(x, y, basis)]
+        rad = self.rad_space(i, j).dim
+        grown = HomSpace(x, y, ()).basis_matrix() if basis is None else basis
         for w in range(size, len(self.objects)):
+            if grown.cols == rad:
+                break  # rad^2 = rad: no composite can extend the span
             first, second = self.rad_space(i, w), self.rad_space(w, j)
             if first.dim and second.dim:
-                spans.append(first.composites(second))
-        grown = column_space_basis(HomSpace.joined(x, y, spans).basis_matrix())
+                spans = [HomSpace.from_flat(x, y, grown), first.composites(second)]
+                grown = column_space_basis(HomSpace.joined(x, y, spans).basis_matrix())
         if basis is not None and grown.cols != basis.cols:
             lifts = None  # the bases are reduced: same span iff same dimension
         self._rad_squares[(i, j)] = (grown, len(self.objects), lifts)

@@ -142,7 +142,7 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
     current = start
     # prefer a starting map that already splits (the trivial case)
     for h in cache.forward[start].basis:
-        q = _find_retraction(h, cache.backward[start])
+        q = _find_retraction(h, cache.backward[start]) if _mono_at_star(h) else None
         if q is not None:
             trace.steps.append({"object": start, "split": True})
             trace.outcome = "split"
@@ -157,8 +157,10 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
             raise ChaseExhaustedError(
                 f"chase exceeded the step bound 2^{m_len} - 1 = {bound}"
             )
-        # split test: q . f = id for q in the backward hom space
-        q = _find_retraction(f, cache.backward[current])
+        # split test: q . f = id for q in the backward hom space; a split
+        # mono is a mono, so a map that is not injective at `*` goes
+        # straight to the factorization and its backward space is not read
+        q = _find_retraction(f, cache.backward[current]) if _mono_at_star(f) else None
         if q is not None:
             trace.steps.append({"object": current, "split": True})
             trace.outcome = "split"
@@ -182,6 +184,12 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
             raise InternalContractViolation("factorization through the left map vanished")
         trace.steps.append({"object": current, "split": False, "next": chosen[0]})
         current, f, composite = chosen
+
+
+def _mono_at_star(f: Morphism) -> bool:
+    """f is injective at `*`: necessary for f to be mono, and for maps
+    between subspace representations also sufficient."""
+    return f.components[STAR].rank() == f.source.dim(STAR)
 
 
 def _find_retraction(f: Morphism, backward: HomSpace):

@@ -146,6 +146,39 @@ def test_incremental_rad_square_matches_rebuild(p, request):
         assert tuple(got) == parts
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_saturated_rad_square_forms_no_composites(p, request, monkeypatch):
+    """A pair whose kept span already equals rad forms no composite when
+    the catalog grows, and every kept basis is byte for byte the one
+    reduced from all composites at once."""
+    shipped = request.getfixturevalue(f"catalog_p{p}")
+    catalog = Catalog(shipped.quiver, shipped.algebra)
+    formed = []
+
+    def counting_composites(first, second, real=HomSpace.composites):
+        formed.append((first, second))
+        return real(first, second)
+
+    monkeypatch.setattr(HomSpace, "composites", counting_composites)
+    saturated = set()
+    for idx, obj in enumerate(shipped.objects):
+        catalog.add(obj, projective=shipped.projective[idx])
+        for i in range(len(catalog)):
+            for j in range(len(catalog)):
+                before = len(formed)
+                kept = catalog.rad_square_span(i, j)
+                if (i, j) in saturated:
+                    assert len(formed) == before
+                elif kept.cols == catalog.rad_space(i, j).dim:
+                    saturated.add((i, j))
+    assert len(saturated) > len(catalog) ** 2 // 2
+    monkeypatch.undo()
+    for i in range(len(catalog)):
+        for j in range(len(catalog)):
+            kept, fresh = catalog.rad_square_span(i, j), _rad_square_from_scratch(catalog, i, j)
+            assert kept.a.shape == fresh.a.shape and kept.a.tobytes() == fresh.a.tobytes()
+
+
 # the trace-form stage of `radical`
 
 
