@@ -42,6 +42,7 @@ from .ffmat import (
     column_space_basis,
     independent_columns,
     kernel_basis,
+    kron,
 )
 from .lambdamod import LambdaAlgebra, LambdaModule, block_invariants, quotient_module
 from .posetrep import (
@@ -198,7 +199,7 @@ def dtr(x: Representation) -> Representation:
         frame_j, rows_j = cokers[j]
         # free-level inclusion of blocks alive at j into blocks alive at i
         selection = np.equal.outer(rows_i, rows_j).astype(np.int64)
-        e = np.kron(selection, np.eye(n, dtype=np.int64))
+        e = kron(selection, np.eye(n, dtype=np.int64))
         # psi: coker_j -> coker_i with psi . lj = li . e, transposed
         psi = _cokernel_coords(frame_j, _matmul_mod(li.a, e, field.p))
         maps[(i, j)] = _wrap(field, psi.T.copy())
@@ -443,6 +444,11 @@ def build_catalog(
     catalog = Catalog(quiver, algebra)
     for p in indecomposable_projectives(quiver, algebra):
         catalog.add(p, projective=True)
+    # I(*): every object maps into copies of it, so discovery must reach it;
+    # End = Lambda is local, so it needs no split
+    injective = Representation.constant(quiver, LambdaModule.free(algebra))
+    if catalog.find_isomorphic(injective) is None:
+        catalog.add(injective)
 
     def admit(rep) -> list:
         """Catalog indices of the summands of rep, admitting new ones."""

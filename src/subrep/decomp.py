@@ -37,6 +37,7 @@ from .ffmat import (
     column_space_basis,
     factor,
     kernel_basis,
+    kron,
     min_poly,
     poly_xgcd,
 )
@@ -47,6 +48,7 @@ from .posetrep import (
     HomSpace,
     Morphism,
     Representation,
+    _flat_rows,
     end_algebra,
     hom_basis,
     image_subrep,
@@ -81,12 +83,7 @@ def _trace_form(space: HomSpace) -> np.ndarray:
     sum over vertices of tr(b_v y_v) = <vec b_v, vec y_v^T>: the flat
     rows with each vertex block transposed, against the flat rows."""
     x = space.source
-    perm = []
-    o = 0
-    for v in x.quiver.vertices:
-        d = x.dim(v)
-        perm.append(o + np.arange(d * d).reshape(d, d).T.ravel())
-        o += d * d
+    perm = [np.arange(r.start, r.stop).reshape(d, d).T.ravel() for _, r, d, _ in _flat_rows(x, x)]
     flat = space.basis_matrix().a
     return _matmul_mod(flat[np.concatenate(perm)].T, flat, x.field.p)
 
@@ -480,10 +477,10 @@ def evaluation_iso_check(m_summands, x: Representation, pair_homs=None):
                     r_mat = solvers[j].coords(homs_to_x[i].precomposed(s).basis_matrix())
                     s_v = s.components[v]  # (d_iv x d_jv)
                     block = np.zeros((dims_a[i] * dims_d[j], total), dtype=np.int64)
-                    block[:, offsets[j] : offsets[j + 1]] += np.kron(
+                    block[:, offsets[j] : offsets[j + 1]] += kron(
                         np.eye(dims_d[j], dtype=np.int64), r_mat.a.T
                     )
-                    block[:, offsets[i] : offsets[i + 1]] -= np.kron(
+                    block[:, offsets[i] : offsets[i + 1]] -= kron(
                         s_v.a.T, np.eye(dims_a[i], dtype=np.int64)
                     )
                     rows.append(block)

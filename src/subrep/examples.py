@@ -17,17 +17,12 @@ def example_quiver() -> QuiverStar:
 
 
 def all_free_representation(algebra: LambdaAlgebra) -> Representation:
-    """The rank-one free module at every vertex with identity arrows.
+    """I(*): the rank-one free module at every vertex with identity arrows.
 
     This is the indecomposable projective attached to the bottom point,
     the unique catalog member whose space at vertex 1 has dimension n.
     """
-    quiver = example_quiver()
-    free = LambdaModule.free(algebra)
-    spaces = {v: free for v in quiver.vertices}
-    eye = Matrix.identity(algebra.field, algebra.n)
-    maps = {a: eye for a in quiver.arrows}
-    return Representation(quiver, algebra, spaces, maps)
+    return Representation.constant(example_quiver(), LambdaModule.free(algebra))
 
 
 def twisted_pair_representation(algebra: LambdaAlgebra) -> Representation:

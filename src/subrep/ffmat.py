@@ -2,7 +2,9 @@
 
 Matrices act on column vectors: a map from a d-dimensional space to an
 e-dimensional space is an e x d matrix.  All entries are stored reduced
-mod p in int64 numpy arrays.
+mod p in int64 numpy arrays.  An unknown matrix x enters a linear system
+as vec(x), its columns stacked (column-major), and vec(b x a^T) =
+(a kron b) vec(x); `kron` is the one writer of that product.
 
 `Matrix(field, data)` accepts any integer data and reduces it.  Results
 computed here from matrices that are already reduced are wrapped by the
@@ -236,6 +238,14 @@ def block_diag(field, mats):
         r += m.rows
         c += m.cols
     return _wrap(field, out)
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two 2-D int64 arrays, as `np.kron`: the
+    outer product [i, k, j, l] = a[i, j] b[k, l] read as a matrix.  On
+    reduced entries it stays below p^2."""
+    outer = a[:, None, :, None] * b[None, :, None, :]
+    return outer.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from .ffmat import (
     cokernel_frame,
     independent_columns,
     kernel_basis,
+    kron,
     solve,
     span_frame,
 )
@@ -229,6 +230,19 @@ def injective_envelope(m: LambdaModule):
     return env, emb
 
 
+def equivariance_system(src: LambdaModule, dst: LambdaModule) -> np.ndarray:
+    """The matrix of vec(f) -> vec(f t_src - t_dst f) for f: src -> dst,
+    t_src^T kron I - I kron t_dst: its kernel is the T-equivariant maps.
+    Written entry by entry into the [i, k, j, l] view of `kron`, where
+    A kron I fills [:, k, :, k] and I kron B fills [i, :, i, :]."""
+    c, r = src.dim, dst.dim
+    eq = np.zeros((c, r, c, r), dtype=np.int64)
+    ks, js = np.arange(r), np.arange(c)
+    eq[:, ks, :, ks] = src.t.a.T
+    eq[js, :, js, :] -= dst.t.a
+    return eq.reshape(c * r, c * r)
+
+
 def lift_through_mono(
     a_to_b: Matrix, a_to_i: Matrix, b: LambdaModule, i_mod: LambdaModule
 ) -> Matrix:
@@ -241,13 +255,8 @@ def lift_through_mono(
     """
     field = b.algebra.field
     db, di = b.dim, i_mod.dim
-    # unknowns vec(e) in column-major order; vec(X e Y) = (Y^T kron X) vec(e)
-    eye_b = np.eye(db, dtype=np.int64)
-    eye_i = np.eye(di, dtype=np.int64)
-    rows = [np.kron(a_to_b.a.T, eye_i)]
-    rhs = [a_to_i.a.flatten(order="F").reshape(-1, 1)]
-    rows.append(np.kron(eye_b, i_mod.t.a) - np.kron(b.t.a.T, eye_i))
-    rhs.append(np.zeros((db * di, 1), dtype=np.int64))
+    rows = [kron(a_to_b.a.T, np.eye(di, dtype=np.int64)), equivariance_system(b, i_mod)]
+    rhs = [a_to_i.a.reshape(-1, 1, order="F"), np.zeros((db * di, 1), dtype=np.int64)]
     system = Matrix(field, np.vstack(rows))
     target = Matrix(field, np.vstack(rhs))
     try:

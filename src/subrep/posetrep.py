@@ -30,6 +30,7 @@ from .ffmat import (
     block_diag,
     kernel_basis,
     kernel_frame,
+    kron,
     rref,
     solve,
     span_frame,
@@ -38,6 +39,7 @@ from .lambdamod import (
     LambdaAlgebra,
     LambdaModule,
     direct_sum_modules,
+    equivariance_system,
     quotient_module,
 )
 
@@ -383,13 +385,10 @@ class Morphism:
         )
 
     def flatten(self) -> np.ndarray:
-        """Stacked entries in vertex order; the coordinate vector used by
-        hom-space bases."""
-        parts = [
-            self.components[v].a.flatten(order="F")
-            for v in self.source.quiver.vertices
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        """vec(f_v) stacked in vertex order (see `_flat_rows`); the
+        coordinate vector used by hom-space bases."""
+        parts = [self.components[v].a.flatten(order="F") for v in self.source.quiver.vertices]
+        return np.concatenate(parts)
 
     def total_matrix(self) -> Matrix:
         """Block-diagonal matrix on the direct sum of all vertex spaces."""
@@ -410,25 +409,31 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r})"
 
 
+def _flat_rows(x: Representation, y: Representation):
+    """(v, rows, dim x_v, dim y_v) per vertex v, in order: the slice
+    `rows` of a flattened morphism x -> y holds vec(f_v)."""
+    o = 0
+    for v in x.quiver.vertices:
+        c, r = x.dim(v), y.dim(v)
+        yield v, slice(o, o + r * c), c, r
+        o += r * c
+
+
 def morphism_from_flat(x, y, vec) -> Morphism:
     """Inverse of Morphism.flatten; `vec` is an int64 vector already
     reduced mod p."""
-    comps = {}
-    o = 0
-    for v in x.quiver.vertices:
-        r, c = y.dim(v), x.dim(v)
-        # column-major (r, c) is the transpose of row-major (c, r)
-        comps[v] = _wrap(x.field, vec[o : o + r * c].reshape((c, r)).T.copy())
-        o += r * c
+    comps = {
+        v: _wrap(x.field, vec[rows].reshape((c, r)).T.copy()) for v, rows, c, r in _flat_rows(x, y)
+    }
     return Morphism(x, y, comps)
 
 
 class HomSpace:
     """A span of morphisms source -> target, held as one flat coordinate
     matrix: column j is the j-th spanning morphism flattened in
-    `Morphism.flatten` order (vertex by vertex, each component
-    column-major).  The columns may be dependent (a list of composites,
-    say); `hom_basis` returns an actual basis.
+    `Morphism.flatten` order (`_flat_rows`).  The columns may be
+    dependent (a list of composites, say); `hom_basis` returns an actual
+    basis.
 
     `source`, `target` and `basis` (the spanning morphisms, built from
     the columns on first read) are the public contract: the content
@@ -496,28 +501,22 @@ class HomSpace:
         """The span of g . h over the spanning h, in order; g: target -> z."""
         x, z = self.source, g.target
         a, k, p = self._flat.a, self.dim, x.field.p
-        parts = []
-        o = 0
-        for v in x.quiver.vertices:
-            c, r = x.dim(v), self.target.dim(v)
-            # [l, i, j] = h_j[i, l]; g_v @ stack is [l, i', j] = (g_v h_j)[i', l]
-            stack = a[o : o + r * c].reshape(c, r, k)
-            parts.append(_matmul_mod(g.components[v].a, stack, p).reshape(c * z.dim(v), k))
-            o += r * c
+        # [l, i, j] = h_j[i, l]; g_v @ stack is [l, i', j] = (g_v h_j)[i', l]
+        parts = [
+            _matmul_mod(g.components[v].a, a[rows].reshape(c, r, k), p).reshape(c * z.dim(v), k)
+            for v, rows, c, r in _flat_rows(x, self.target)
+        ]
         return HomSpace.from_flat(x, z, _wrap(x.field, np.concatenate(parts)))
 
     def precomposed(self, f: Morphism) -> "HomSpace":
         """The span of h . f over the spanning h, in order; f: w -> source."""
         w, y = f.source, self.target
         a, k, p = self._flat.a, self.dim, w.field.p
-        parts = []
-        o = 0
-        for v in w.quiver.vertices:
-            c, r = self.source.dim(v), y.dim(v)
-            # [l, i*k + j] = h_j[i, l]; f_v^T times it is (h_j f_v)^T
-            side = a[o : o + r * c].reshape(c, r * k)
-            parts.append(_matmul_mod(f.components[v].a.T, side, p).reshape(w.dim(v) * r, k))
-            o += r * c
+        # [l, i*k + j] = h_j[i, l]; f_v^T times it is (h_j f_v)^T
+        parts = [
+            _matmul_mod(f.components[v].a.T, a[rows].reshape(c, r * k), p).reshape(w.dim(v) * r, k)
+            for v, rows, c, r in _flat_rows(self.source, y)
+        ]
         return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)))
 
     def composites(self, second: "HomSpace") -> "HomSpace":
@@ -532,18 +531,14 @@ class HomSpace:
         k1, k2 = self.dim, second.dim
         # vertices where x or y is zero contribute no rows
         parts = [np.zeros((0, k1 * k2), dtype=np.int64)]
-        ou = ot = 0
-        for v in x.quiver.vertices:
-            c, m, r = x.dim(v), w.dim(v), y.dim(v)
+        for (_, ru, c, m), (_, rt, _, r) in zip(_flat_rows(x, w), _flat_rows(w, y)):
             if c and r:
                 # [l, i, q] = u_i[q, l] times [q, s*k2 + j] = t_j[s, q] is
                 # [l, i, s, j] = (t_j u_i)[s, l], reordered to rows (l, s)
-                stack = u[ou : ou + m * c].reshape(c, m, k1).transpose(0, 2, 1)
-                side = t[ot : ot + r * m].reshape(m, r * k2)
+                stack = u[ru].reshape(c, m, k1).transpose(0, 2, 1)
+                side = t[rt].reshape(m, r * k2)
                 prod = _matmul_mod(stack.reshape(c * k1, m), side, p).reshape(c, k1, r, k2)
                 parts.append(prod.transpose(0, 2, 1, 3).reshape(c * r, k1 * k2))
-            ou += m * c
-            ot += r * m
         return HomSpace.from_flat(x, y, _wrap(x.field, np.concatenate(parts)))
 
     def combinations(self, coeffs: Matrix) -> "HomSpace":
@@ -596,56 +591,21 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
     frames = y.top_frames()
     if None not in frames.values():
         return _hom_basis_from_top(x, y, frames)
-    field = x.field
-    verts = x.quiver.vertices
-    arrows = x.quiver.arrows
-    dx = {v: x.dim(v) for v in verts}
-    dy = {v: y.dim(v) for v in verts}
-    offsets = {}
-    total = 0
-    for v in verts:
-        offsets[v] = total
-        total += dy[v] * dx[v]
-    # one row block per vertex (dx*dy rows) and per arrow s -> t (dy_t*dx_s
-    # rows), skipping the empty ones
-    height = sum(dx[v] * dy[v] for v in verts) + sum(dy[t] * dx[s] for s, t in arrows)
-    system = np.zeros((height, total), dtype=np.int64)
-
-    def block(r, v, d1, d2):
-        # rows r .. r + d1*d2 and the columns of vec(f_v), viewed as
-        # [i, k, j, l] = (row r + i*d2 + k, column j*dy_v + l), where
-        # A kron B is [i, k, j, l] = A[i, j] B[k, l]: A kron I fills
-        # [:, k, :, k] and I kron B fills [i, :, i, :]
-        o = offsets[v]
-        return system[r : r + d1 * d2, o : o + dx[v] * dy[v]].reshape(
-            d1, d2, dx[v], dy[v]
-        )
-
-    r = 0
-    for v in verts:
-        n = dx[v] * dy[v]
-        if n == 0:
-            continue
-        # f tx - ty f = 0  ->  (tx^T kron I - I kron ty) vec(f) = 0
-        b = block(r, v, dx[v], dy[v])
-        ks, js = np.arange(dy[v]), np.arange(dx[v])
-        b[:, ks, :, ks] = x.spaces[v].t.a.T
-        b[js, :, js, :] -= y.spaces[v].t.a
-        r += n
+    dx, dy, arrows, total = x.dim, y.dim, x.quiver.arrows, _flat_size(x, y)
+    # one row block per vertex (T-equivariance) and per arrow s -> t
+    # (f_t X_a - Y_a f_s = 0), in the columns of vec(f_s) and vec(f_t)
+    system = np.zeros((total + sum(dy(t) * dx(s) for s, t in arrows), total), dtype=np.int64)
+    cols = {}
+    for v, rows, _, _ in _flat_rows(x, y):
+        system[rows, rows] = equivariance_system(x.spaces[v], y.spaces[v])
+        cols[v] = rows
+    r = total
     for (s, t) in arrows:
-        n = dy[t] * dx[s]
-        if n == 0:
-            continue
-        # f_t X_a - Y_a f_s = 0: (X_a^T kron I) vec(f_t) - (I kron Y_a) vec(f_s)
-        if dx[t]:
-            ks = np.arange(dy[t])
-            block(r, t, dx[s], dy[t])[:, ks, :, ks] = x.arrow_maps[(s, t)].a.T
-        if dy[s]:
-            js = np.arange(dx[s])
-            block(r, s, dx[s], dy[t])[js, :, js, :] = -y.arrow_maps[(s, t)].a
+        n = dy(t) * dx(s)
+        system[r : r + n, cols[t]] = kron(x.arrow_maps[(s, t)].a.T, np.eye(dy(t), dtype=np.int64))
+        system[r : r + n, cols[s]] = -kron(np.eye(dx(s), dtype=np.int64), y.arrow_maps[(s, t)].a)
         r += n
-    k = kernel_basis(Matrix(field, system))
-    return HomSpace.from_flat(x, y, k)
+    return HomSpace.from_flat(x, y, kernel_basis(Matrix(x.field, system)))
 
 
 def _hom_basis_from_top(x: Representation, y: Representation, frames) -> HomSpace:
@@ -653,17 +613,8 @@ def _hom_basis_from_top(x: Representation, y: Representation, frames) -> HomSpac
     field, p, points = x.field, x.field.p, x.quiver.poset.points
     c, r = x.dim(STAR), y.dim(STAR)
     xs = {v: x.composite_map(v, STAR).a.T for v in points}
-    # T-equivariance at '*', in the [i, k, j, l] view of `hom_basis`
-    eq = np.zeros((c, r, c, r), dtype=np.int64)
-    ks, js = np.arange(r), np.arange(c)
-    eq[:, ks, :, ks] = x.spaces[STAR].t.a.T
-    eq[js, :, js, :] -= y.spaces[STAR].t.a
-    rows = [eq.reshape(c * r, c * r)]
-    for v in points:
-        # vec(C_v f X_v) = (X_v^T kron C_v) vec(f), the kron as an outer
-        # product [i, k, j, l] = X_v[j, i] C_v[k, l]; entries stay below p^2
-        outer = xs[v][:, None, :, None] * frames[v][1].a[None, :, None, :]
-        rows.append(outer.reshape(x.dim(v) * (r - y.dim(v)), c * r))
+    rows = [equivariance_system(x.spaces[STAR], y.spaces[STAR])]
+    rows += [kron(xs[v], frames[v][1].a) for v in points]
     k = kernel_basis(Matrix(field, np.vstack(rows))).a
     m = k.shape[1]
     parts = []

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSolutionError
-from .ffmat import Matrix, _matmul_mod, column_space_basis, kernel_basis, solve
-from .lambdamod import LambdaAlgebra, LambdaModule, direct_sum_modules
+from .ffmat import Matrix, _matmul_mod, column_space_basis, kernel_basis, kron, solve
+from .lambdamod import LambdaAlgebra, LambdaModule, direct_sum_modules, equivariance_system
 from .posetrep import STAR, QuiverStar, Representation, subspace_representation
 
 
@@ -110,15 +110,12 @@ def random_representation(
         ok = True
         for (s, t) in quiver.arrows:
             ds, dt = dims[s], dims[t]
-            rows = [
-                np.kron(spaces[s].t.a.T, np.eye(dt, dtype=np.int64))
-                - np.kron(np.eye(ds, dtype=np.int64), spaces[t].t.a)
-            ]
+            rows = [equivariance_system(spaces[s], spaces[t])]
             rhs = [np.zeros((ds * dt, 1), dtype=np.int64)]
             for u in quiver.vertices:
                 if s in comp[u] and t in comp[u]:
-                    rows.append(np.kron(comp[u][s].a.T, np.eye(dt, dtype=np.int64)))
-                    rhs.append(comp[u][t].a.flatten(order="F").reshape(-1, 1))
+                    rows.append(kron(comp[u][s].a.T, np.eye(dt, dtype=np.int64)))
+                    rhs.append(comp[u][t].a.reshape(-1, 1, order="F"))
             system = Matrix(field, np.vstack(rows))
             target = Matrix(field, np.vstack(rhs))
             try:
