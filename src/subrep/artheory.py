@@ -62,20 +62,25 @@ from .posetrep import (
 )
 
 
+def _projective_sum(quiver: QuiverStar, algebra: LambdaAlgebra, verts) -> Representation:
+    """P(verts[0]) + P(verts[1]) + ... in the layout of `direct_sum`: at
+    each vertex v the free module on the blocks k with verts[k] <= v, in
+    order, and on each arrow the selection of the source's blocks among
+    the target's, tensored with the identity of Lambda."""
+    alive = {v: [k for k, i in enumerate(verts) if quiver.leq(i, v)] for v in quiver.vertices}
+    spaces = {v: LambdaModule.free(algebra, len(ks)) for v, ks in alive.items()}
+    ident = np.eye(algebra.n, dtype=np.int64)
+    maps = {
+        (s, t): _wrap(algebra.field, kron(np.equal.outer(alive[t], alive[s]).astype(np.int64), ident))
+        for (s, t) in quiver.arrows
+    }
+    return Representation(quiver, algebra, spaces, maps)
+
+
 def indecomposable_projectives(quiver: QuiverStar, algebra: LambdaAlgebra):
     """One projective P(i) per vertex: the free rank-one module at every
     vertex above i, zero elsewhere, with identity arrows."""
-    free, zero = LambdaModule.free(algebra), LambdaModule.zero(algebra)
-    out = []
-    for i in quiver.vertices:
-        spaces = {v: free if quiver.leq(i, v) else zero for v in quiver.vertices}
-        # the identity where both ends are free, the empty map elsewhere
-        maps = {
-            (s, t): _wrap(algebra.field, np.eye(spaces[t].dim, spaces[s].dim, dtype=np.int64))
-            for (s, t) in quiver.arrows
-        }
-        out.append(Representation(quiver, algebra, spaces, maps))
-    return out
+    return [_projective_sum(quiver, algebra, [i]) for i in quiver.vertices]
 
 
 def _rad_span(x: Representation, v) -> Matrix:
@@ -121,9 +126,7 @@ def projective_cover(x: Representation):
         tops = top_complement(x, v)
         for j in range(tops.cols):
             blocks.append((v, tops.column(j)))
-    proj_by_vertex = dict(zip(quiver.vertices, indecomposable_projectives(quiver, algebra)))
-    parts = [proj_by_vertex[v] for v, _ in blocks]
-    p0 = direct_sum(parts).rep if parts else Representation.zero(quiver, algebra)
+    p0 = _projective_sum(quiver, algebra, [v for v, _ in blocks])
     comps = {}
     for w in quiver.vertices:
         t = x.spaces[w].t

@@ -41,9 +41,10 @@ from .errors import (
 from .examples import example_poset, example_quiver
 from .ffmat import PrimeField
 from .lambdamod import LambdaAlgebra
-from .posetrep import Poset, QuiverStar
+from .posetrep import QuiverStar
 from .repfile import (
     load_catalog,
+    parse_poset,
     parse_representation,
     parse_subspace_config,
     read_text,
@@ -108,32 +109,6 @@ def _at_least(low, what):
 
     parse.__name__ = what  # argparse names the type in "invalid ... value"
     return parse
-
-
-def _parse_poset_file(path):
-    points = None
-    covers = []
-    for no, raw in enumerate(read_text(path, "poset file").splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if parts[0] == "points":
-            points = parts[1:]
-        elif parts[0] == "covers":
-            for item in parts[1:]:
-                if "<" not in item:
-                    raise ParseError(f"bad cover {item!r}", line=no)
-                a, b = item.split("<", 1)
-                covers.append((a, b))
-        else:
-            raise ParseError(f"unknown keyword {parts[0]!r}", line=no)
-    if points is None:
-        raise ParseError("poset file needs a 'points' line")
-    try:
-        return Poset(points, covers)
-    except ValueError as exc:
-        raise ParseError(f"poset file {path}: {exc}") from None
 
 
 def cmd_validate(args):
@@ -219,7 +194,7 @@ def cmd_catalog(args):
     if args.poset == "example":
         poset = example_poset()
     else:
-        poset = _parse_poset_file(args.poset)
+        poset = parse_poset(read_text(args.poset, "poset file"))
     algebra = LambdaAlgebra(args.field, args.nilpotency)
     quiver = QuiverStar(poset)
     catalog = build_catalog(quiver, algebra, budget=args.budget, seed=args.seed)

@@ -68,8 +68,9 @@ class LambdaModule:
     def __init__(self, algebra: LambdaAlgebra, t: Matrix):
         if t.rows != t.cols:
             raise ValueError("operator matrix must be square")
+        # a d x d matrix with t^n = 0 for some n >= d has t^d = 0
         power = Matrix.identity(algebra.field, t.rows)
-        for _ in range(algebra.n):
+        for _ in range(min(algebra.n, t.rows)):
             power = power @ t
         if not power.is_zero():
             raise ValueError(f"operator does not satisfy t^{algebra.n} = 0")

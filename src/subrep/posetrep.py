@@ -28,6 +28,7 @@ from .ffmat import (
     _span_coords,
     _wrap,
     block_diag,
+    cokernel_frame,
     kernel_basis,
     kernel_frame,
     kron,
@@ -40,7 +41,6 @@ from .lambdamod import (
     LambdaModule,
     direct_sum_modules,
     equivariance_system,
-    quotient_module,
 )
 
 STAR = "*"
@@ -791,19 +791,15 @@ def image_subrep(f: Morphism) -> tuple:
 def quotient_rep(x: Representation, sub_bases) -> tuple:
     """Quotient of x by the subrepresentation spanned by sub_bases.
 
-    Returns (quotient representation, projection morphism).
+    With (P_v, free_v) the `cokernel_frame` of sub_bases[v], the quotient
+    carries the q with q P_s = P_t X_a on a = s -> t (T_v likewise at v);
+    NoSolutionError when the spans are not invariant.  Returns (quotient
+    representation, projection morphism with components P_v).
     """
-    spaces = {}
-    frames = {}
-    for v in x.quiver.vertices:
-        spaces[v], frames[v] = quotient_module(x.spaces[v], sub_bases[v])
-    maps = {}
-    for (s, t) in x.quiver.arrows:
-        # induced map q with q . proj_s = proj_t . arrow
-        rhs = _matmul_mod(frames[t][0].a, x.arrow_maps[(s, t)].a, x.field.p)
-        maps[(s, t)] = _wrap(x.field, _cokernel_coords(frames[s], rhs))
-    quo = Representation(x.quiver, x.algebra, spaces, maps)
-    return quo, Morphism(x, quo, {v: frame[0] for v, frame in frames.items()})
+    p, verts = x.field.p, x.quiver.vertices
+    frames = {v: cokernel_frame(sub_bases[v]) for v in verts}
+    quo = _restricted(x, lambda t, s, a: _cokernel_coords(frames[s], _matmul_mod(frames[t][0].a, a, p)))
+    return quo, Morphism(x, quo, {v: frames[v][0] for v in verts})
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Text file formats: representations, subspace configurations, catalogs.
+"""Text file formats: representations, subspace configurations, posets,
+catalogs.
 
 Representation files are line-oriented: a header fixing the field, the
 nilpotency bound and the poset (points in linear-extension order plus
@@ -7,7 +8,9 @@ operator matrix, and one `arrow` section per quiver arrow.  Matrices act
 on column vectors, so a map from a d-dimensional space to an
 e-dimensional one is written as e rows of d entries.  Matrices with no
 entries occupy no lines.  `#` starts a comment; serialization is
-canonical, so parse -> serialize -> parse is the identity.
+canonical, so parse -> serialize -> parse is the identity.  A poset file
+is the poset lines of that header alone, and all three formats share one
+reader per section.
 """
 
 from __future__ import annotations
@@ -85,6 +88,12 @@ def _read_keyword(lines, keyword):
     return no, parts[1:]
 
 
+def _at(lines, keyword):
+    """Whether the next line starts with `keyword`."""
+    body = lines.peek()[1]
+    return body is not None and body.split()[0] == keyword
+
+
 def _read_row(lines, cols, field, what):
     """The next line as `cols` integers in [0, p)."""
     no, body = lines.next(f"a row of {what}")
@@ -108,31 +117,92 @@ def _read_matrix(lines, rows, cols, field, what):
     return Matrix(field, [_read_row(lines, cols, field, what) for _ in range(rows)])
 
 
-def parse_representation(text: str) -> Representation:
-    lines = _Lines(text)
+# one reader per section, shared by `.rep`, `.sub` and `.poset` files
+
+
+def _read_field(lines):
+    """`field <p>`."""
     no, args = _read_keyword(lines, "field")
     try:
-        field = PrimeField(int(args[0]))
+        return PrimeField(int(args[0]))
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad field modulus: {exc}", line=no)
+
+
+def _read_poset(lines):
+    """A `points` line in linear-extension order, then any number of
+    `covers` lines of a<b tokens."""
+    no, points = _read_keyword(lines, "points")
+    covers = []
+    while _at(lines, "covers"):
+        no, items = _read_keyword(lines, "covers")
+        for item in items:
+            if "<" not in item:
+                raise ParseError(f"cover relation {item!r} must look like a<b", line=no)
+            a, b = item.split("<", 1)
+            covers.append((a, b))
+    try:
+        return Poset(points, covers)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=no)
+
+
+def _dimension(token, no):
+    """`token` as a dimension, an integer >= 0."""
+    try:
+        dim = int(token)
+    except ValueError:
+        raise ParseError(f"bad dimension {token!r}", line=no)
+    if dim < 0:
+        raise ParseError(f"dimension must be >= 0, found {dim}", line=no)
+    return dim
+
+
+def _read_module(lines, algebra, dim, what):
+    """The `t` section of a `dim`-dimensional module: nothing when dim is
+    0, else `t` and dim rows; an operator with t^n != 0 is a ParseError."""
+    if not dim:
+        return LambdaModule.zero(algebra)
+    no, _ = _read_keyword(lines, "t")
+    t = _read_matrix(lines, dim, dim, algebra.field, what)
+    try:
+        return LambdaModule(algebra, t)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}", line=no)
+
+
+def _expect_end(lines):
+    if not lines.done():
+        no, body = lines.peek()
+        raise ParseError(f"trailing content {body!r}", line=no)
+
+
+def _matrix_lines(m: Matrix):
+    """The rows of m, one line each; a matrix with no entries has none."""
+    return [" ".join(map(str, row)) for row in m.tolist()] if m.rows * m.cols else []
+
+
+def _module_lines(module):
+    return ["t", *_matrix_lines(module.t)] if module.dim else []
+
+
+def parse_poset(text: str) -> Poset:
+    """A `.poset` file: the poset lines of a `.rep` header."""
+    lines = _Lines(text)
+    poset = _read_poset(lines)
+    _expect_end(lines)
+    return poset
+
+
+def parse_representation(text: str) -> Representation:
+    lines = _Lines(text)
+    field = _read_field(lines)
     no, args = _read_keyword(lines, "nilpotency")
     try:
         algebra = LambdaAlgebra(field, int(args[0]))
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad nilpotency bound: {exc}", line=no)
-    no, points = _read_keyword(lines, "points")
-    no, cover_args = _read_keyword(lines, "covers")
-    covers = []
-    for item in cover_args:
-        if "<" not in item:
-            raise ParseError(f"cover relation {item!r} must look like a<b", line=no)
-        a, b = item.split("<", 1)
-        covers.append((a, b))
-    try:
-        poset = Poset(points, covers)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=no)
-    quiver = QuiverStar(poset)
+    quiver = QuiverStar(_read_poset(lines))
     spaces = {}
     for v in quiver.vertices:
         no, args = _read_keyword(lines, "vertex")
@@ -143,19 +213,7 @@ def parse_representation(text: str) -> Representation:
                 f"vertex sections must follow the linear extension; expected {v!r}, found {args[0]!r}",
                 line=no,
             )
-        try:
-            dim = int(args[2])
-        except ValueError:
-            raise ParseError("bad vertex dimension", line=no)
-        if dim < 0:
-            raise ParseError("vertex dimension must be >= 0", line=no)
-        if dim:
-            _read_keyword(lines, "t")
-        t = _read_matrix(lines, dim, dim, field, f"t-matrix at {v}")
-        try:
-            spaces[v] = LambdaModule(algebra, t)
-        except ValueError as exc:
-            raise ParseError(f"vertex {v}: {exc}", line=no)
+        spaces[v] = _read_module(lines, algebra, _dimension(args[2], no), f"t-matrix at {v}")
     maps = {}
     for (s, t) in quiver.arrows:
         no, args = _read_keyword(lines, "arrow")
@@ -170,9 +228,7 @@ def parse_representation(text: str) -> Representation:
         maps[(s, t)] = _read_matrix(
             lines, spaces[t].dim, spaces[s].dim, field, f"arrow {s}->{t}"
         )
-    if not lines.done():
-        no, body = lines.peek()
-        raise ParseError(f"trailing content {body!r}", line=no)
+    _expect_end(lines)
     rep = Representation(quiver, algebra, spaces, maps)
     problems = rep.validate()
     if problems:
@@ -181,84 +237,50 @@ def parse_representation(text: str) -> Representation:
 
 
 def serialize_representation(rep: Representation) -> str:
-    out = []
-    out.append(f"field {rep.field.p}")
-    out.append(f"nilpotency {rep.algebra.n}")
-    out.append("points " + " ".join(rep.quiver.poset.points))
-    out.append(
-        "covers " + " ".join(f"{a}<{b}" for a, b in rep.quiver.poset.covers())
-    )
+    poset = rep.quiver.poset
+    out = [
+        f"field {rep.field.p}",
+        f"nilpotency {rep.algebra.n}",
+        "points " + " ".join(poset.points),
+        "covers " + " ".join(f"{a}<{b}" for a, b in poset.covers()),
+    ]
     for v in rep.quiver.vertices:
-        d = rep.dim(v)
-        out.append(f"vertex {v} dim {d}")
-        if d:
-            out.append("t")
-            for row in rep.spaces[v].t.tolist():
-                out.append(" ".join(map(str, row)))
+        out.append(f"vertex {v} dim {rep.dim(v)}")
+        out += _module_lines(rep.spaces[v])
     for (s, t) in rep.quiver.arrows:
         out.append(f"arrow {s}->{t}")
-        m = rep.arrow_maps[(s, t)]
-        if m.rows * m.cols:
-            for row in m.tolist():
-                out.append(" ".join(map(str, row)))
+        out += _matrix_lines(rep.arrow_maps[(s, t)])
     return "\n".join(out) + "\n"
 
 
 def parse_subspace_config(text: str):
+    """A `.sub` file: field, `dim`, the operator (n = 2) and three
+    `subspace` sections of basis vectors, one per line."""
     from .birkhoff import SubspaceConfig
 
     lines = _Lines(text)
-    no, args = _read_keyword(lines, "field")
-    try:
-        field = PrimeField(int(args[0]))
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad field modulus: {exc}", line=no)
+    field = _read_field(lines)
     no, args = _read_keyword(lines, "dim")
-    try:
-        dim = int(args[0])
-    except (IndexError, ValueError):
-        raise ParseError("bad dimension", line=no)
-    if dim:
-        _read_keyword(lines, "t")
-    t = _read_matrix(lines, dim, dim, field, "t-matrix")
-    algebra = LambdaAlgebra(field, 2)
-    try:
-        module = LambdaModule(algebra, t)
-    except ValueError as exc:
-        raise ParseError(str(exc))
-    vecs = {}
+    dim = _dimension(" ".join(args), no)
+    module = _read_module(lines, LambdaAlgebra(field, 2), dim, "t-matrix")
+    vecs = []
     for name in ("v1", "v2", "v3"):
         no, args = _read_keyword(lines, "subspace")
         if args != [name]:
             raise ParseError(f"expected 'subspace {name}'", line=no)
         rows = []
-        while not lines.done():
-            _, body = lines.peek()
-            if body.startswith("subspace"):
-                break
+        while not lines.done() and not _at(lines, "subspace"):
             rows.append(_read_row(lines, dim, field, f"basis vector of {name}"))
-        basis = (
-            Matrix(field, np.array(rows, dtype=np.int64).T)
-            if rows
-            else Matrix.zeros(field, dim, 0)
-        )
-        vecs[name] = basis
-    if not lines.done():
-        no, body = lines.peek()
-        raise ParseError(f"trailing content {body!r}", line=no)
-    return SubspaceConfig(module, vecs["v1"], vecs["v2"], vecs["v3"])
+        vecs.append(Matrix(field, np.array(rows, dtype=np.int64).reshape(len(rows), dim).T))
+    _expect_end(lines)
+    return SubspaceConfig(module, *vecs)
 
 
 def serialize_subspace_config(cfg) -> str:
-    out = [f"field {cfg.v.algebra.field.p}", f"dim {cfg.v.dim}"]
-    if cfg.v.dim:
-        out.append("t")
-        for row in cfg.v.t.tolist():
-            out.append(" ".join(map(str, row)))
+    out = [f"field {cfg.v.algebra.field.p}", f"dim {cfg.v.dim}", *_module_lines(cfg.v)]
     for name, basis in (("v1", cfg.v1), ("v2", cfg.v2), ("v3", cfg.v3)):
         out.append(f"subspace {name}")
-        for col in range(basis.cols):
-            out.append(" ".join(str(int(v)) for v in basis.a[:, col]))
+        out += _matrix_lines(basis.transpose())
     return "\n".join(out) + "\n"
 
 

@@ -446,6 +446,64 @@ def test_poset_file_points_not_a_linear_extension(tmp_path, capsys):
     _assert_parse_error(capsys, ["catalog", "--poset", path], "linear extension")
 
 
+# malformed `.sub`, `.rep` and `.poset` files: (command, file name, text,
+# a piece of the one `parse error:` line); `.poset` files are read with the
+# same poset reader as a `.rep` header, so their lines come in that order
+MALFORMED_INPUTS = {
+    "sub-dim-negative": (
+        "birkhoff", "bad.sub", "field 2\ndim -1\nt\nsubspace v1\nsubspace v2\nsubspace v3\n",
+        "dimension must be >= 0",
+    ),
+    "rep-vertex-dim-negative": (
+        "validate", "bad.rep", "field 2\nnilpotency 2\npoints 1\ncovers\nvertex 1 dim -1\n",
+        "dimension must be >= 0",
+    ),
+    "poset-covers-before-points": (
+        "catalog", "bad.poset", "covers 1<2\npoints 1 2\n", "expected 'points', found 'covers'",
+    ),
+    "poset-two-points-lines": (
+        "catalog", "bad.poset", "points 1 2\npoints 2 1\n", "trailing content 'points 2 1'",
+    ),
+    "poset-cover-without-less-than": (
+        "catalog", "bad.poset", "points 1 2\ncovers 1-2\n", "'1-2' must look like a<b",
+    ),
+    "poset-unknown-keyword": (
+        "catalog", "bad.poset", "points 1 2\nedges 1<2\n", "trailing content 'edges 1<2'",
+    ),
+    "poset-empty": ("catalog", "bad.poset", "", "expected points"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    command, name, text, needle = MALFORMED_INPUTS[case]
+    path = write(tmp_path, name, text)
+    argv = {
+        "birkhoff": ["birkhoff", path, *CATALOG_P2_ARGS],
+        "validate": ["validate", path],
+        "catalog": ["catalog", "--poset", path],
+    }[command]
+    _assert_parse_error(capsys, argv, needle)
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["decompose", "--method", "idempotent"]])
+def test_large_nilpotency_bound_finishes(tmp_path, argv):
+    """The t^n = 0 check takes min(n, dim) products, so a bound of 10^9
+    on a two-vertex file costs no more than n = 2."""
+    text = (
+        "field 2\nnilpotency 1000000000\npoints 1\ncovers\nvertex 1 dim 1\nt\n0\n"
+        "vertex * dim 2\nt\n0 0\n1 0\narrow 1->*\n0\n1\n"
+    )
+    path = write(tmp_path, "big.rep", text)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "subrep", argv[0], path, *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout == ("ok\n" if argv == ["validate"] else "dim_vector\tmultiplicity\n(1,2)\t1\n")
+
+
 @pytest.mark.parametrize("field", ["4", "1", str(2**31 + 11), "two"])
 def test_catalog_bad_field_exits_2(capsys, field):
     with pytest.raises(SystemExit) as exc:

@@ -49,6 +49,22 @@ def test_rejects_non_nilpotent():
         LambdaModule(L2, Matrix.identity(F2, 2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10**9])
+def test_nilpotency_check_is_exact_at_any_bound(n):
+    """t^n = 0 is checked with min(n, dim) products; the verdict is that
+    of t^n itself: the shift of size d satisfies it exactly when d <= n."""
+    algebra = LambdaAlgebra(F2, n)
+    for d in range(1, 5):
+        shift = Matrix(F2, np.eye(d, k=-1, dtype=np.int64))
+        if d <= n:
+            assert LambdaModule(algebra, shift).dim == d
+        else:
+            with pytest.raises(ValueError, match=f"t\\^{n} = 0"):
+                LambdaModule(algebra, shift)
+        with pytest.raises(ValueError):
+            LambdaModule(algebra, Matrix.identity(F2, d))
+
+
 def test_block_invariants_examples():
     one_block = LambdaModule(L2, Matrix(F2, [[0, 0], [1, 0]]))
     assert block_invariants(one_block) == (2,)

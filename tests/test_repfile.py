@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -17,6 +19,7 @@ from subrep.lambdamod import LambdaAlgebra
 from subrep.posetrep import Poset, QuiverStar
 from subrep.repfile import (
     load_catalog,
+    parse_poset,
     parse_representation,
     parse_subspace_config,
     save_catalog,
@@ -182,3 +185,81 @@ def test_chase_on_loaded_s1_catalog(tmp_path):
 def test_misshaped_catalog_matrix_is_parse_error(misshaped_catalog, which):
     with pytest.raises(ParseError, match="expected"):
         load_catalog(misshaped_catalog(which))
+
+
+# every shipped `.rep`, `.sub` and `.poset` file
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURE_DIGEST = "21adb47a64c0f1628d25147c766c9d9648ea98309f1e3bde870e23f0921dfd41"
+
+
+def _fixture_paths(suffix):
+    return sorted(
+        os.path.relpath(os.path.join(d, name), FIXTURES)
+        for d, _, names in os.walk(FIXTURES)
+        for name in names
+        if name.endswith(suffix)
+    )
+
+
+def _read_fixture(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return fh.read()
+
+
+def _matrix_entry(m):
+    return [list(m.a.shape), m.tolist()]
+
+
+def _fixture_digest():
+    """SHA-256 over what every fixture parses to, written out from the
+    parsed objects' arrays and labels, never through a serializer."""
+    h = hashlib.sha256()
+
+    def put(name, value):
+        h.update(json.dumps([name, value]).encode())
+        h.update(b"\0")
+
+    for name in _fixture_paths(".rep"):
+        rep = parse_representation(_read_fixture(name))
+        poset = rep.quiver.poset
+        put(name, [
+            rep.field.p, rep.algebra.n, list(poset.points), sorted(poset.le),
+            [_matrix_entry(rep.spaces[v].t) for v in rep.quiver.vertices],
+            [_matrix_entry(rep.arrow_maps[a]) for a in rep.quiver.arrows],
+        ])
+    for name in _fixture_paths(".sub"):
+        cfg = parse_subspace_config(_read_fixture(name))
+        put(name, [cfg.v.algebra.field.p, cfg.v.algebra.n]
+            + [_matrix_entry(m) for m in (cfg.v.t, cfg.v1, cfg.v2, cfg.v3)])
+    for name in _fixture_paths(".poset"):
+        poset = parse_poset(_read_fixture(name))
+        put(name, [list(poset.points), sorted(poset.le)])
+    return h.hexdigest()
+
+
+def test_fixtures_parse_to_the_recorded_objects():
+    # recorded with the readers that `.rep`, `.sub` and `.poset` files had
+    # before they shared one set of section readers
+    assert len(_fixture_paths(".rep")) == 92
+    assert len(_fixture_paths(".sub")) == 2 and len(_fixture_paths(".poset")) == 3
+    assert _fixture_digest() == FIXTURE_DIGEST
+
+
+def test_poset_fixtures():
+    assert parse_poset(_read_fixture("posets/one.poset")) == Poset(["1"], [])
+    assert parse_poset(_read_fixture("posets/antichain3.poset")) == Poset(["1", "2", "3"], [])
+    v = Poset(["1", "2", "3"], [("1", "3"), ("2", "3")])
+    assert parse_poset(_read_fixture("posets/v.poset")) == v
+    # covers may spread over several lines, or be left out
+    assert parse_poset("points 1 2 3\ncovers 1<3\ncovers 2<3\n") == v
+    assert parse_poset("points 1 2 3\n") == Poset(["1", "2", "3"], [])
+
+
+@pytest.mark.parametrize("name", _fixture_paths(".rep") + _fixture_paths(".sub"))
+def test_fixture_text_roundtrip(name):
+    text = _read_fixture(name)
+    if name.endswith(".sub"):
+        assert serialize_subspace_config(parse_subspace_config(text)) == text
+    else:
+        assert serialize_representation(parse_representation(text)) == text
