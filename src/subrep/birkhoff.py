@@ -6,7 +6,9 @@ representation by starting with any nonzero map from a projective and
 repeatedly factoring through verified left almost split maps until a
 split monomorphism appears; composites of radical maps between the
 finitely many indecomposables vanish after 2^m - 1 steps (m the maximal
-length), so the walk terminates within that bound.
+length), so the walk terminates within that bound.  Every object it
+meets is a subspace representation, so it works on `*` blocks: its hom
+spaces are star-form `HomSpace`s, lifted on the first read of `basis`.
 """
 
 from __future__ import annotations
@@ -60,9 +62,13 @@ class _HomCache:
     A first read solves the entry by `hom_basis` against the original
     input.  `restrict` only records its step; a read replays, for that
     entry alone, the steps it has not yet seen, with the operations an
-    eager cache would run, so every basis is the same.  The content digest
+    eager cache would run, so every basis is the same.  Entries are
+    star-form `HomSpace`s (every target is a subspace representation; the
+    constructor raises ValueError naming the first point of x whose
+    composite to `*` is not injective): replays run on the `*` blocks,
+    and a read of `basis` lifts the other vertices.  The content digest
     of `perfbench/layertrace.py` reads every entry (a traced run solves
-    them all), and Tier-1 tests check these attributes:
+    and lifts them all), and Tier-1 tests check these attributes:
     - `catalog`: the Catalog the chase runs against;
     - `current`: the Representation still to be decomposed;
     - `forward`: dict, catalog index z -> HomSpace from
@@ -72,17 +78,20 @@ class _HomCache:
     """
 
     def __init__(self, catalog: Catalog, x: Representation):
+        bad = next((v for v, frame in x.top_frames().items() if frame is None), None)
+        if bad is not None:
+            raise ValueError(f"not a subspace representation: {bad} -> * is not injective")
         self.catalog = catalog
         self.current = x
-        self.steps = []  # (e, comp_incl, comp_proj, complement) per restrict
+        self.steps = []  # (q, comp_incl, comp_proj, complement) per restrict
         objs = catalog.objects
         self.forward = _Replayed(self, _forward_step, lambda z: hom_basis(objs[z], x))
         self.backward = _Replayed(self, _backward_step, lambda z: hom_basis(x, objs[z]))
 
-    def restrict(self, e: Morphism, comp_incl: Morphism, comp_proj: Morphism, complement):
-        """Pass to the kernel of the idempotent e inside the current
-        object; the entries follow when they are next read."""
-        self.steps.append((e, comp_incl, comp_proj, complement))
+    def restrict(self, q: Morphism, comp_incl: Morphism, comp_proj: Morphism, complement):
+        """Pass to the complement of the summand a retraction q splits off
+        the current object; the entries follow when they are next read."""
+        self.steps.append((q, comp_incl, comp_proj, complement))
         self.current = complement
 
 
@@ -101,18 +110,21 @@ class _Replayed(dict):
         return homs
 
 
-def _forward_step(homs, e, comp_incl, comp_proj, complement):
-    """Forward homs killed by e, corestricted to the complement."""
+def _forward_step(homs, q, comp_incl, comp_proj, complement):
+    """Forward homs killed by the idempotent e = f . q, corestricted to
+    the complement.  f is mono, so e . h and q . h vanish together, and
+    the kernel is read off the `*` blocks of q . h."""
     if homs.dim:
-        homs = homs.combinations(kernel_basis(homs.postcomposed(e).basis_matrix()))
+        homs = homs.combinations(kernel_basis(homs.postcomposed(q).star_block()))
     return homs.postcomposed(comp_proj)
 
 
-def _backward_step(homs, e, comp_incl, comp_proj, complement):
+def _backward_step(homs, q, comp_incl, comp_proj, complement):
     """Backward homs restricted along the inclusion of the complement."""
     homs = homs.precomposed(comp_incl)
     if homs.dim:
-        homs = HomSpace.from_flat(complement, homs.target, column_space_basis(homs.basis_matrix()))
+        cols = column_space_basis(homs.star_block())
+        homs = HomSpace.from_flat(complement, homs.target, cols, star=True)
     return homs
 
 
@@ -120,7 +132,10 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
     """Extract a summand of a nonzero subspace representation.
 
     Returns (catalog index, mono, retraction, trace) where mono embeds
-    the catalog object into x and retraction splits it.
+    the catalog object into x and retraction splits it.  Raises
+    ValueError when x is not a subspace representation and no cache is
+    given.  The walk holds every map as the star form of its own span and
+    lifts only the pair it returns.
     """
     if x.total_dim() == 0:
         raise ValueError("cannot split a summand off the zero representation")
@@ -140,18 +155,20 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
             "no projective maps into a nonzero representation"
         )
     current = start
+    maps = _one_maps(cache.forward[start])
     # prefer a starting map that already splits (the trivial case)
-    for h in cache.forward[start].basis:
+    for h in maps:
         q = _find_retraction(h, cache.backward[start]) if _mono_at_star(h) else None
         if q is not None:
             trace.steps.append({"object": start, "split": True})
             trace.outcome = "split"
-            return start, h, q, trace
-    f = cache.forward[start].basis[0]
+            return start, h.basis[0], q, trace
+    f = maps[0]
     # running composite of the chosen radical maps from the starting
     # projective; keeping f . composite nonzero is what makes the
     # radical-chain bound terminate the walk
-    composite = Morphism.identity(catalog.objects[start])
+    obj = catalog.objects[start]
+    composite = _one_maps(HomSpace(obj, obj, [Morphism.identity(obj)]))[0]
     while True:
         if len(trace.steps) > bound:
             raise ChaseExhaustedError(
@@ -164,7 +181,7 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         if q is not None:
             trace.steps.append({"object": current, "split": True})
             trace.outcome = "split"
-            return current, f, q, trace
+            return current, f.basis[0], q, trace
         lifts, parts = catalog.left_maps[current]
         if not parts:
             raise InternalContractViolation(
@@ -174,10 +191,10 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         chosen = None
         for w_pos in sorted(range(len(parts)), key=lambda t: parts[t]):
             comp = comps[w_pos]
-            if comp.is_zero():
+            if comp.star_block().is_zero():
                 continue
-            extended = lifts[w_pos] @ composite
-            if not (comp @ extended).is_zero():
+            extended = composite.postcomposed(lifts[w_pos])
+            if not extended.composites(comp).star_block().is_zero():
                 chosen = (parts[w_pos], comp, extended)
                 break
         if chosen is None:
@@ -186,22 +203,31 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         current, f, composite = chosen
 
 
-def _mono_at_star(f: Morphism) -> bool:
-    """f is injective at `*`: necessary for f to be mono, and for maps
-    between subspace representations also sufficient."""
-    return f.components[STAR].rank() == f.source.dim(STAR)
+def _one_maps(homs: HomSpace) -> list:
+    """The spanning maps of a star-form space, each as its own span."""
+    x, y, star = homs.source, homs.target, homs.star_block()
+    return [HomSpace.from_flat(x, y, star.column(j), star=True) for j in range(homs.dim)]
 
 
-def _find_retraction(f: Morphism, backward: HomSpace):
+def _mono_at_star(f: HomSpace) -> bool:
+    """The map f spans is injective at `*`: necessary for it to be mono,
+    and for maps between subspace representations also sufficient.  Its
+    `*` block read as a (dim source_*, dim target_*) array is f_*^T."""
+    c, r = f.source.dim(STAR), f.target.dim(STAR)
+    return Matrix(f.source.field, f.star_block().a.reshape(c, r)).rank() == c
+
+
+def _find_retraction(f: HomSpace, backward: HomSpace):
     """Some q in the span of `backward` (maps f.target -> f.source) with
-    q . f = id, or None."""
-    c = backward.precomposed(f).coefficients([Morphism.identity(f.source)])
+    q . f = id for the map f spans, or None; solved at `*`."""
+    c = f.composites(backward).coefficients([Morphism.identity(f.source)])
     return None if c is None else backward.element(c.a[:, 0])
 
 
-def _factor_through_left(f: Morphism, lifts, parts, cache):
-    """Solve f = sum_k h'_k . lifts[k] with each h'_k built from the
-    cached forward homs of objects[parts[k]]; returns the h'_k."""
+def _factor_through_left(f: HomSpace, lifts, parts, cache):
+    """Solve f = sum_k h'_k . lifts[k] at `*` with each h'_k built from
+    the cached forward homs of objects[parts[k]]; returns the h'_k, each
+    as its own span."""
     spans = [cache.forward[w] for w in parts]
     composites = HomSpace.joined(
         f.source,
@@ -210,12 +236,12 @@ def _factor_through_left(f: Morphism, lifts, parts, cache):
     )
     if not composites.dim:
         raise InternalContractViolation("left map has no middle homs to factor through")
-    c = composites.coefficients([f])
+    c = composites.coefficients(f)
     if c is None:
         raise InternalContractViolation("map does not factor through the left almost split map")
     offsets = np.cumsum([0] + [homs.dim for homs in spans])
     return [
-        homs.element(c.a[offsets[pos] : offsets[pos + 1], 0])
+        homs.combinations(c.submatrix(slice(offsets[pos], offsets[pos + 1]), slice(None)))
         for pos, homs in enumerate(spans)
     ]
 
@@ -225,7 +251,8 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
 
     Summand representations are the catalog objects themselves; the
     inclusions/projections are composed back to the original x.  The
-    trace list is attached to the certificate.
+    trace list is attached to the certificate.  Raises ValueError, before
+    solving any hom space, when x is not a subspace representation.
     """
     summands = []
     traces = []
@@ -242,8 +269,7 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
         summands.append(
             Summand(rep=catalog.objects[idx], inclusion=incl @ f, projection=q @ proj)
         )
-        e = f @ q
-        cache.restrict(e, res.complement_incl, res.complement_proj, res.complement)
+        cache.restrict(q, res.complement_incl, res.complement_proj, res.complement)
         incl = incl @ res.complement_incl
         proj = res.complement_proj @ proj
         current = res.complement
@@ -382,8 +408,8 @@ def harada_sai_check(catalog: Catalog):
             # rad being an ideal, rad^(k+1)(Z, T) lies in rad^k(Z, T)
             if homs.dim:
                 homs = _through_left(catalog, z, t, lambda w, s: prev[w, s], catalog.left_maps[z])
-                flat = column_space_basis(homs.basis_matrix())
-                homs = HomSpace.from_flat(homs.source, homs.target, flat)
+                cols = column_space_basis(homs.star_block())
+                homs = HomSpace.from_flat(homs.source, homs.target, cols, star=True)
             layer[z, t] = homs
     wlen = min(sum(1 for d in layers if d), m_len - 1)
     witness = _first_column(kept[wlen - 1]) if wlen else None

@@ -409,11 +409,12 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r})"
 
 
-def _flat_rows(x: Representation, y: Representation):
+def _flat_rows(x: Representation, y: Representation, star=False):
     """(v, rows, dim x_v, dim y_v) per vertex v, in order: the slice
-    `rows` of a flattened morphism x -> y holds vec(f_v)."""
+    `rows` of a flattened morphism x -> y holds vec(f_v).  With `star`
+    only v = `*`, whose rows are all of a star-form `HomSpace`."""
     o = 0
-    for v in x.quiver.vertices:
+    for v in (STAR,) if star else x.quiver.vertices:
         c, r = x.dim(v), y.dim(v)
         yield v, slice(o, o + r * c), c, r
         o += r * c
@@ -429,30 +430,38 @@ def morphism_from_flat(x, y, vec) -> Morphism:
 
 
 class HomSpace:
-    """A span of morphisms source -> target, held as one flat coordinate
+    """A span of morphisms source -> target, held as one coordinate
     matrix: column j is the j-th spanning morphism flattened in
-    `Morphism.flatten` order (`_flat_rows`).  The columns may be
-    dependent (a list of composites, say); `hom_basis` returns an actual
-    basis.
+    `Morphism.flatten` order (`_flat_rows`), or in star form only its
+    `*` block, the last dim source_* . dim target_* rows.  The columns
+    may be dependent (a list of composites, say); `hom_basis` returns an
+    actual basis, in star form into a subspace representation y: there
+    f_v = L_v f_* X_v (`y.top_frames()`), so every other row is a linear
+    image of the `*` rows, with the same kernel, pivots and solutions.
+    `basis_matrix()` and `basis` lift the rest on first read.  Until
+    then compositions, combinations and solves stay at `*` while the
+    target allows it; after it they use the flat matrix, so what they
+    derive needs no lift of its own.
 
     `source`, `target` and `basis` (the spanning morphisms, built from
     the columns on first read) are the public contract: the content
     digest of `perfbench/layertrace.py` reads exactly these three.
 
-    Composing every element with one map costs one product per vertex.
-    The rows of vertex v, read as a (dim source_v, dim target_v, k)
-    array, hold the transposed components h_1^T, ..., h_k^T, so g . h_j
-    for all j is g times that stack, and h_j . f for all j is f^T times
-    the same rows read as [h_1^T | ... | h_k^T].
+    Composing every element with one map costs one product per vertex,
+    one in star form.  The rows of vertex v, read as a (dim source_v,
+    dim target_v, k) array, hold the transposed components h_1^T, ...,
+    h_k^T, so g . h_j for all j is g times that stack, and h_j . f for
+    all j is f^T times the same rows read as [h_1^T | ... | h_k^T].
     """
 
-    __slots__ = ("source", "target", "_flat", "_basis")
+    __slots__ = ("source", "target", "_flat", "_star", "_basis")
 
     def __init__(self, source: Representation, target: Representation, basis):
-        """The span of the morphisms in `basis`, in order."""
+        """The span of the morphisms in `basis`, in order (flat form)."""
         self.source = source
         self.target = target
         self._basis = tuple(basis)
+        self._star = None
         if self._basis:
             # components are reduced, so the stacked copy is too
             flat = np.stack([m.flatten() for m in self._basis], axis=1)
@@ -461,28 +470,31 @@ class HomSpace:
         self._flat = _wrap(source.field, flat)
 
     @classmethod
-    def from_flat(cls, source, target, flat: Matrix) -> "HomSpace":
-        """The span of the columns of `flat` (reduced, `flatten` order)."""
+    def from_flat(cls, source, target, flat: Matrix, star=False) -> "HomSpace":
+        """The span of the columns of `flat` (reduced, `flatten` order), or
+        with `star` of the `*` blocks `flat` holds (target a subspace
+        representation)."""
         hs = object.__new__(cls)
         hs.source = source
         hs.target = target
-        hs._flat = flat
+        hs._flat, hs._star = (None, flat) if star else (flat, None)
         hs._basis = None
         return hs
 
     @classmethod
     def joined(cls, source, target, spaces) -> "HomSpace":
         """All spanning columns of `spaces` (spans source -> target), in
-        order."""
-        cols = [s._flat.a for s in spaces]
-        if not cols:
+        order; star form when every space is."""
+        if not spaces:
             return cls(source, target, ())
-        return cls.from_flat(source, target, _wrap(source.field, np.hstack(cols)))
+        star = all(s._flat is None for s in spaces)
+        cols = [(s._star if star else s.basis_matrix()).a for s in spaces]
+        return cls.from_flat(source, target, _wrap(source.field, np.hstack(cols)), star)
 
     @property
     def basis(self) -> tuple:
         if self._basis is None:
-            cols = self._flat.a.T
+            cols = self.basis_matrix().a.T
             self._basis = tuple(
                 morphism_from_flat(self.source, self.target, cols[j])
                 for j in range(self.dim)
@@ -491,47 +503,61 @@ class HomSpace:
 
     @property
     def dim(self):
-        return self._flat.cols
+        return (self._star if self._flat is None else self._flat).cols
 
     def basis_matrix(self) -> Matrix:
         """Columns are the flattened spanning morphisms."""
+        if self._flat is None:
+            # the `*` rows are the last rows of the lift, so one copy is kept
+            self._flat = _wrap(self.source.field, _lift(self.source, self.target, self._star.a))
+            self._star = None
         return self._flat
+
+    def star_block(self) -> Matrix:
+        """The `*` rows of `basis_matrix()`: column j is vec(h_j at `*`)."""
+        if self._flat is None:
+            return self._star
+        n = self.source.dim(STAR) * self.target.dim(STAR)
+        return _wrap(self.source.field, self._flat.a[self._flat.rows - n :])
 
     def postcomposed(self, g: Morphism) -> "HomSpace":
         """The span of g . h over the spanning h, in order; g: target -> z."""
         x, z = self.source, g.target
-        a, k, p = self._flat.a, self.dim, x.field.p
+        star = self._flat is None and z.is_subspace_rep()
+        a, k, p = (self._star if star else self.basis_matrix()).a, self.dim, x.field.p
         # [l, i, j] = h_j[i, l]; g_v @ stack is [l, i', j] = (g_v h_j)[i', l]
         parts = [
             _matmul_mod(g.components[v].a, a[rows].reshape(c, r, k), p).reshape(c * z.dim(v), k)
-            for v, rows, c, r in _flat_rows(x, self.target)
+            for v, rows, c, r in _flat_rows(x, self.target, star)
         ]
-        return HomSpace.from_flat(x, z, _wrap(x.field, np.concatenate(parts)))
+        return HomSpace.from_flat(x, z, _wrap(x.field, np.concatenate(parts)), star)
 
     def precomposed(self, f: Morphism) -> "HomSpace":
         """The span of h . f over the spanning h, in order; f: w -> source."""
-        w, y = f.source, self.target
-        a, k, p = self._flat.a, self.dim, w.field.p
+        w, y, star = f.source, self.target, self._flat is None
+        a, k, p = (self._star if star else self._flat).a, self.dim, w.field.p
         # [l, i*k + j] = h_j[i, l]; f_v^T times it is (h_j f_v)^T
         parts = [
             _matmul_mod(f.components[v].a.T, a[rows].reshape(c, r * k), p).reshape(w.dim(v) * r, k)
-            for v, rows, c, r in _flat_rows(self.source, y)
+            for v, rows, c, r in _flat_rows(self.source, y, star)
         ]
-        return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)))
+        return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)), star)
 
     def composites(self, second: "HomSpace") -> "HomSpace":
         """The span of t . u over the spanning u of self (x -> w, outer
         loop) and t of second (w -> y, inner loop): column i*k2 + j is
         t_j . u_i, the columns of `second.precomposed(u_i)` joined in
-        order.  One product per vertex: the u rows read as
-        (dim x_v, k1, dim w_v) times the t rows read as
+        order; star form when second is.  One product per vertex: the u
+        rows read as (dim x_v, k1, dim w_v) times the t rows read as
         (dim w_v, dim y_v * k2)."""
         x, w, y = self.source, self.target, second.target
-        u, t, p = self._flat.a, second._flat.a, x.field.p
+        star = second._flat is None
+        u = (self.star_block() if star else self.basis_matrix()).a
+        t, p = (second._star if star else second._flat).a, x.field.p
         k1, k2 = self.dim, second.dim
         # vertices where x or y is zero contribute no rows
         parts = [np.zeros((0, k1 * k2), dtype=np.int64)]
-        for (_, ru, c, m), (_, rt, _, r) in zip(_flat_rows(x, w), _flat_rows(w, y)):
+        for (_, ru, c, m), (_, rt, _, r) in zip(_flat_rows(x, w, star), _flat_rows(w, y, star)):
             if c and r:
                 # [l, i, q] = u_i[q, l] times [q, s*k2 + j] = t_j[s, q] is
                 # [l, i, s, j] = (t_j u_i)[s, l], reordered to rows (l, s)
@@ -539,37 +565,50 @@ class HomSpace:
                 side = t[rt].reshape(m, r * k2)
                 prod = _matmul_mod(stack.reshape(c * k1, m), side, p).reshape(c, k1, r, k2)
                 parts.append(prod.transpose(0, 2, 1, 3).reshape(c * r, k1 * k2))
-        return HomSpace.from_flat(x, y, _wrap(x.field, np.concatenate(parts)))
+        return HomSpace.from_flat(x, y, _wrap(x.field, np.concatenate(parts)), star)
 
     def combinations(self, coeffs: Matrix) -> "HomSpace":
         """The span of the combinations sum_i coeffs[i, j] basis[i], one
         per column j of coeffs."""
-        p = self.source.field.p
-        return HomSpace.from_flat(
-            self.source,
-            self.target,
-            _wrap(self.source.field, _matmul_mod(self._flat.a, coeffs.a, p)),
-        )
+        star, x = self._flat is None, self.source
+        a = _matmul_mod((self._star if star else self._flat).a, coeffs.a, x.field.p)
+        return HomSpace.from_flat(x, self.target, _wrap(x.field, a), star)
 
     def element(self, coords) -> Morphism:
         """The combination sum coords[i] basis[i]."""
         p = self.source.field.p
         c = np.asarray(coords, dtype=np.int64).reshape(-1, 1) % p
-        vec = _matmul_mod(self._flat.a, c, p)[:, 0]
+        vec = _matmul_mod(self.basis_matrix().a, c, p)[:, 0]
         return morphism_from_flat(self.source, self.target, vec)
 
     def coefficients(self, targets):
         """Coefficients of each target morphism over the spanning list: a
         dim x len(targets) Matrix with free coefficients 0, or None when
         some target lies outside the span.  `targets` is a list of
-        morphisms or a HomSpace (its spanning columns).  An empty span
-        holds only the zero map."""
+        morphisms or a HomSpace (its spanning columns); in star form only
+        the `*` rows are solved.  An empty span holds only the zero map."""
         if not isinstance(targets, HomSpace):
             targets = HomSpace(self.source, self.target, targets)
         try:
+            if self._flat is None:
+                return solve(self._star, targets.star_block())
             return solve(self._flat, targets.basis_matrix())
         except NoSolutionError:
             return None
+
+
+def _lift(x: Representation, y: Representation, k: np.ndarray) -> np.ndarray:
+    """The flat columns of the morphisms x -> y whose `*` blocks are the
+    columns of k, y a subspace representation: f_v = L_v f_* X_v."""
+    frames, p, r, m = y.top_frames(), x.field.p, y.dim(STAR), k.shape[1]
+    stack = k.reshape(x.dim(STAR), r * m)
+    parts = []
+    for v in x.quiver.poset.points:
+        # [l, i, j] = f_j[i, l]; X_v^T times it is f_j X_v, L_v times that f_v
+        fx = _matmul_mod(x.composite_map(v, STAR).a.T, stack, p).reshape(x.dim(v), r, m)
+        parts.append(_matmul_mod(frames[v][0].a, fx, p).reshape(x.dim(v) * y.dim(v), m))
+    parts.append(k)
+    return np.concatenate(parts)
 
 
 def _flat_size(x: Representation, y: Representation) -> int:
@@ -583,14 +622,17 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
     Into a subspace representation y (`top_frames` has no None), f_v is
     L_v f_* X_v, X_v the composite v -> '*', so only vec(f_*) is solved
     for: T-equivariance at '*' and (X_v^T kron C_v) vec(f_*) = 0 at each
-    poset point.  As '*' is last and f -> f_* injective, the lift is the
-    kernel basis of the full system, which other targets get:
+    poset point, and the kernel is returned in star form.  As '*' is last
+    and f -> f_* injective, its lift is the kernel basis of the full
+    system, which other targets get:
     T-equivariance at every vertex and naturality for every arrow, in the
     flattened coordinates of morphism_from_flat.
     """
     frames = y.top_frames()
     if None not in frames.values():
-        return _hom_basis_from_top(x, y, frames)
+        rows = [equivariance_system(x.spaces[STAR], y.spaces[STAR])]
+        rows += [kron(x.composite_map(v, STAR).a.T, frames[v][1].a) for v in x.quiver.poset.points]
+        return HomSpace.from_flat(x, y, kernel_basis(Matrix(x.field, np.vstack(rows))), star=True)
     dx, dy, arrows, total = x.dim, y.dim, x.quiver.arrows, _flat_size(x, y)
     # one row block per vertex (T-equivariance) and per arrow s -> t
     # (f_t X_a - Y_a f_s = 0), in the columns of vec(f_s) and vec(f_t)
@@ -606,24 +648,6 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
         system[r : r + n, cols[s]] = -kron(np.eye(dx(s), dtype=np.int64), y.arrow_maps[(s, t)].a)
         r += n
     return HomSpace.from_flat(x, y, kernel_basis(Matrix(x.field, system)))
-
-
-def _hom_basis_from_top(x: Representation, y: Representation, frames) -> HomSpace:
-    """`hom_basis` into a subspace representation y."""
-    field, p, points = x.field, x.field.p, x.quiver.poset.points
-    c, r = x.dim(STAR), y.dim(STAR)
-    xs = {v: x.composite_map(v, STAR).a.T for v in points}
-    rows = [equivariance_system(x.spaces[STAR], y.spaces[STAR])]
-    rows += [kron(xs[v], frames[v][1].a) for v in points]
-    k = kernel_basis(Matrix(field, np.vstack(rows))).a
-    m = k.shape[1]
-    parts = []
-    for v in points:
-        # [l, i, j] = f_j[i, l]; X_v^T times it is f_j X_v, L_v times that f_v
-        fx = _matmul_mod(xs[v], k.reshape(c, r * m), p).reshape(x.dim(v), r, m)
-        parts.append(_matmul_mod(frames[v][0].a, fx, p).reshape(x.dim(v) * y.dim(v), m))
-    parts.append(k)
-    return HomSpace.from_flat(x, y, _wrap(field, np.concatenate(parts)))
 
 
 def postcompose(g: Morphism, x: Representation) -> HomSpace:

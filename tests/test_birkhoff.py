@@ -27,7 +27,11 @@ from subrep.posetrep import (
     hom_basis,
     split_by_retraction,
 )
-from subrep.sampling import random_subspace_config, random_subspace_representation
+from subrep.sampling import (
+    random_representation,
+    random_subspace_config,
+    random_subspace_representation,
+)
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
@@ -83,6 +87,32 @@ def test_decompose_full_zero_solves_no_hom_space(catalog_p2, monkeypatch):
     assert len(calls) == 2 < 2 * len(catalog_p2)
     assert calls[0][0] is p0 and calls[0][1] is x
     assert calls[1][0] is x and calls[1][1] is p0
+
+
+def test_chase_rejects_a_non_subspace_input_before_solving(catalog_p2, monkeypatch):
+    # the chase holds its hom spaces at `*`, which determines a map only
+    # into a subspace representation: decompose_full, and split_off_summand
+    # without a cache, name the first point whose composite to `*` is not
+    # injective, before any hom space is solved
+    from subrep import birkhoff
+    from subrep.posetrep import STAR
+
+    calls = []
+    monkeypatch.setattr(birkhoff, "hom_basis", lambda *args: calls.append(args))
+    rng = np.random.default_rng(5)
+    caps = {"1": 2, "2": 3, "3": 3, "*": 4}
+    seen = 0
+    while seen < 6:
+        x = random_representation(example_quiver(), L2, caps, rng)
+        points = x.quiver.poset.points
+        bad = [v for v in points if x.composite_map(v, STAR).rank() < x.dim(v)]
+        if not bad:
+            continue
+        seen += 1
+        for run in (decompose_full, split_off_summand):
+            with pytest.raises(ValueError, match=f"{bad[0]} -> \\* is not injective"):
+                run(x, catalog_p2)
+    assert calls == []
 
 
 def test_decompose_full_multiset(catalog_p2):
@@ -274,10 +304,11 @@ def _eager_hom_caches(catalog, x, steps):
     forward = {z: hom_basis(objs[z], x) for z in range(len(objs))}
     backward = {z: hom_basis(x, objs[z]) for z in range(len(objs))}
     yield dict(forward), dict(backward)
-    for e, comp_incl, comp_proj, complement in steps:
+    for q, comp_incl, comp_proj, complement in steps:
         for z, homs in forward.items():
+            # killed by the retraction q, so by the idempotent f . q
             if homs.dim:
-                homs = homs.combinations(kernel_basis(homs.postcomposed(e).basis_matrix()))
+                homs = homs.combinations(kernel_basis(homs.postcomposed(q).basis_matrix()))
             forward[z] = homs.postcomposed(comp_proj)
         for z, homs in backward.items():
             homs = homs.precomposed(comp_incl)

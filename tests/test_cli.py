@@ -140,6 +140,16 @@ def test_decompose_both_methods_agree(tmp_path, capsys):
     assert table1.strip().splitlines()[-2:] == table2.strip().splitlines()[-2:]
 
 
+def test_chase_on_a_non_subspace_rep_exits_1_with_one_line(tmp_path, capsys):
+    # the arrow 1 -> * is zero, so not injective
+    text = "field 2\nnilpotency 1\npoints 1\ncovers\nvertex 1 dim 1\nt\n0\n"
+    text += "vertex * dim 1\nt\n0\narrow 1->*\n0\n"
+    path = write(tmp_path, "zero_arrow.rep", text)
+    assert main(["decompose", path, "--method", "chase", "--catalog", CATALOG_P2]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "subspace representation" in err
+
+
 def test_decompose_empty(tmp_path, capsys):
     from subrep.posetrep import Representation
     from subrep.examples import example_quiver
