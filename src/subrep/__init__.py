@@ -35,13 +35,9 @@ from .birkhoff import (
 from .decomp import (
     Decomposition,
     RadicalData,
-    evaluation_iso_check,
-    hom_image_span_check,
     indecompose,
-    is_isomorphic,
     radical,
 )
-from .examples import all_free_representation, twisted_pair_representation
 from .ffmat import (
     Matrix,
     Poly,

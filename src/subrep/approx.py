@@ -23,10 +23,7 @@ from .posetrep import (
     STAR,
     Morphism,
     Representation,
-    hom_basis,
     image_subrep,
-    postcompose,
-    precompose,
 )
 
 
@@ -107,37 +104,3 @@ def right_approx(x: Representation) -> ApproxResult:
         current = step.approx
     return ApproxResult(current, structure, "right")
 
-
-def _first_unfactored(tests, homs_from, span_from):
-    """The first (test, h) with h in the basis of homs_from(test) but not
-    in the span span_from(test); None when every such map lies in it."""
-    for test in tests:
-        homs = homs_from(test)
-        if homs.dim == 0:
-            continue
-        span = span_from(test)
-        if span.coefficients(homs) is None:
-            return test, next(h for h in homs.basis if span.coefficients([h]) is None)
-    return None
-
-
-def verify_right_approx(res: ApproxResult, tests):
-    """Check the factorization property of r: R(x) -> x.
-
-    For every test object F and every h: F -> x, some h': F -> R(x)
-    satisfies r . h' = h.  Returns None when all pass, else the failing
-    (test, morphism) pair.
-    """
-    r = res.structure_map
-    return _first_unfactored(
-        tests, lambda t: hom_basis(t, r.target), lambda t: postcompose(r, t)
-    )
-
-
-def verify_left_approx(res: ApproxResult, tests):
-    """Dual factorization check for l: x -> L(x): every h: x -> F factors
-    as h' . l.  Returns None when all pass, else the failing pair."""
-    l = res.structure_map
-    return _first_unfactored(
-        tests, lambda t: hom_basis(l.source, t), lambda t: precompose(l, t)
-    )

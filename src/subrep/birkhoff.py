@@ -281,10 +281,6 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
     return Decomposition(x, summands, cert)
 
 
-def chase_class_multiset(decomp: Decomposition):
-    return tuple(sorted(decomp.certificate["classes"]))
-
-
 @dataclass
 class SubspaceConfig:
     """A nilpotent operator of index <= 2 with three invariant subspaces,
@@ -323,13 +319,6 @@ def from_invariant_subspaces(cfg: SubspaceConfig) -> Representation:
     if not rep.is_subspace_rep():
         raise InternalContractViolation("subspace construction produced a non-mono arrow")
     return rep
-
-
-def subspace_data(rep: Representation) -> SubspaceConfig:
-    """Extract the invariant-subspace data from a subspace representation
-    on the example quiver."""
-    spans = {v: column_space_basis(rep.composite_map(v, STAR)) for v in ("1", "2", "3")}
-    return SubspaceConfig(rep.spaces[STAR], spans["1"], spans["2"], spans["3"])
 
 
 @dataclass

@@ -4,7 +4,8 @@ Exit codes: 0 ok (also when the reader closes stdout early), 1 domain
 violation, 2 parse or usage error (an output path that cannot be written
 included), 3 budget or contract violation (running out of memory
 included).  All randomized commands take a non-negative --seed and
-default to seed 0, so runs are reproducible.
+default to seed 0, so runs are reproducible.  `check` draws nothing at
+random: its verdicts are exact, and it takes no --seed.
 """
 
 from __future__ import annotations
@@ -14,21 +15,20 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .approx import left_approx, mimo_k, right_approx
-from .artheory import build_catalog, export_quiver, verify_ar_sequence
+from .artheory import (
+    build_catalog,
+    export_quiver,
+    indecomposable_projectives,
+    verify_ar_sequence,
+)
 from .birkhoff import (
     decompose_full,
     harada_sai_check,
     invariant_subspace_report,
 )
-from .decomp import (
-    evaluation_iso_check,
-    hom_image_span_check,
-    indecompose,
-)
+from .decomp import indecompose
 from .errors import (
     BudgetExceededError,
     ChaseExhaustedError,
@@ -52,7 +52,6 @@ from .repfile import (
     serialize_representation,
     write_atomic,
 )
-from .sampling import random_subspace_representation
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -258,24 +257,15 @@ def cmd_check(args):
             return EXIT_DOMAIN
         print("ok")
         return EXIT_OK
-    rng = np.random.default_rng(args.seed)
-    quiver = catalog.quiver
-    algebra = catalog.algebra
-    caps = {v: 2 for v in quiver.poset.points} | {"*": 4}
-    summands = catalog.members()
-    failures = 0
-    for i in range(args.samples):
-        x = random_subspace_representation(quiver, algebra, caps, rng)
-        if args.what == "hom-span":
-            bad = hom_image_span_check(summands, x)
-        else:
-            bad = evaluation_iso_check(summands, x)
-        if bad is not None:
-            failures += 1
-            print(f"sample {i}: failed at {bad}", file=sys.stderr)
-    print(f"samples\t{args.samples}")
-    print(f"failures\t{failures}")
-    if failures:
+    quiver, algebra = catalog.quiver, catalog.algebra
+    missing = [
+        v
+        for v, proj in zip(quiver.vertices, indecomposable_projectives(quiver, algebra))
+        if catalog.find_isomorphic(proj) is None
+    ]
+    for v in missing:
+        print(f"no catalog object is isomorphic to P({v})", file=sys.stderr)
+    if missing:
         return EXIT_DOMAIN
     print("ok")
     return EXIT_OK
@@ -330,18 +320,15 @@ def build_parser():
     p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     p.set_defaults(func=cmd_birkhoff)
 
-    p = sub.add_parser("check", help="finite-scale property checks")
+    p = sub.add_parser("check", help="exact property checks of a catalog")
     p.add_argument(
         "what",
-        choices=("hom-span", "evaluation", "harada-sai"),
-        help="hom-span: images of catalog homs cover random subspace "
-        "representations; evaluation: the evaluation from the relation "
-        "quotient is bijective; harada-sai: the exact radical filtration of "
-        "the catalog vanishes below the Harada-Sai bound (it draws nothing "
-        "at random, so --samples and --seed do not change its output)",
+        choices=("generator", "harada-sai"),
+        help="generator: every indecomposable projective P(i) is isomorphic to "
+        "a catalog object, so the catalog objects generate every "
+        "representation; harada-sai: the exact radical filtration of the "
+        "catalog vanishes below the Harada-Sai bound",
     )
-    p.add_argument("--samples", type=_at_least(1, "samples"), default=100)
-    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     # a saved catalog carries its own field
     source = p.add_mutually_exclusive_group()
     source.add_argument("--catalog")

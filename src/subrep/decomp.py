@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, InternalContractViolation
 from .ffmat import (
-    CoordinateSolver,
     Matrix,
     Poly,
     _matmul_mod,
@@ -37,13 +36,11 @@ from .ffmat import (
     column_space_basis,
     factor,
     kernel_basis,
-    kron,
     min_poly,
     poly_xgcd,
 )
 from .lambdamod import block_invariants
 from .posetrep import (
-    STAR,
     EndAlgebra,
     HomSpace,
     Morphism,
@@ -64,10 +61,6 @@ class RadicalData:
     quotient_dim: int
     coeff_matrix: Matrix  # coordinates of the radical basis in the algebra basis
     frame: tuple  # cokernel_frame(coeff_matrix): End/J coordinates P c
-
-    @property
-    def radical_basis(self) -> tuple:
-        return self.radical.basis
 
     def quotient_coords(self, maps: HomSpace) -> np.ndarray:
         """End/J coordinates of the spanning maps, one column each, over
@@ -227,9 +220,6 @@ class Decomposition:
             return total == Morphism.identity(x)
         return x.total_dim() == 0
 
-    def dim_multiset(self):
-        return tuple(sorted(s.rep.dim_vector() for s in self.summands))
-
 
 def _crt_idempotents(theta: Morphism, total: Matrix, factors, mp: Poly):
     """Orthogonal idempotents from the coprime factorization of the
@@ -324,16 +314,12 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
 
 
 def fingerprint(x: Representation):
-    """Cheap isomorphism invariant: dimension vector, block invariants per
-    vertex, and ranks of all composites to the top (at the top itself the
-    identity, of rank dim x_*).  Memoized on x."""
+    """Cheap isomorphism invariant: dimension vector and block invariants
+    per vertex.  Memoized on x.  On a subspace representation every
+    composite to the top is injective, so its rank, dim x_v, adds nothing."""
     if x._fingerprint is None:
         blocks = tuple(block_invariants(x.spaces[v]) for v in x.quiver.vertices)
-        ranks = tuple(
-            x.dim(v) if v == STAR else x.composite_map(v, STAR).rank()
-            for v in x.quiver.vertices
-        )
-        x._fingerprint = (x.dim_vector(), blocks, ranks)
+        x._fingerprint = (x.dim_vector(), blocks)
     return x._fingerprint
 
 
@@ -364,38 +350,6 @@ def indecomposables_isomorphic(x: Representation, y: Representation):
     return False, None
 
 
-def is_isomorphic(x: Representation, y: Representation, seed: int = 0):
-    """General isomorphism test: decompose both sides and match summands.
-
-    Returns (bool, witness morphism or None).
-    """
-    if x.dim_vector() != y.dim_vector():
-        return False, None
-    if x.total_dim() == 0:
-        return True, Morphism.zero(x, y)
-    dx = indecompose(x, seed=seed)
-    dy = indecompose(y, seed=seed)
-    used = [False] * len(dy.summands)
-    pieces = []
-    for sx in dx.summands:
-        found = None
-        for j, sy in enumerate(dy.summands):
-            if used[j]:
-                continue
-            ok, witness = indecomposables_isomorphic(sx.rep, sy.rep)
-            if ok:
-                used[j] = True
-                found = (sy, witness)
-                break
-        if found is None:
-            return False, None
-        pieces.append((sx, found[0], found[1]))
-    total = Morphism.zero(x, y)
-    for sx, sy, witness in pieces:
-        total = total + (sy.inclusion @ witness @ sx.projection)
-    return True, total
-
-
 def iso_class_multiset(decomp: Decomposition, reference):
     """Classify each summand against a reference list of pairwise
     non-isomorphic indecomposables; returns a sorted tuple of indices.
@@ -415,76 +369,3 @@ def iso_class_multiset(decomp: Decomposition, reference):
         out.append(matched)
     return tuple(sorted(out))
 
-
-# finite-scale generation and evaluation checks
-
-
-def hom_image_span_check(m_summands, x: Representation):
-    """The images of all morphisms from the summand list must span x at
-    every vertex.  Returns None when they do, else the failing vertex."""
-    field = x.field
-    for v in x.quiver.vertices:
-        d = x.dim(v)
-        if d == 0:
-            continue
-        cols = [np.zeros((d, 0), dtype=np.int64)]
-        for z in m_summands:
-            for h in hom_basis(z, x).basis:
-                cols.append(h.components[v].a)
-        rank = Matrix(field, np.hstack(cols)).rank()
-        if rank < d:
-            return (v, rank, d)
-    return None
-
-
-def evaluation_iso_check(m_summands, x: Representation, pair_homs=None):
-    """Bijectivity of the evaluation from the relation quotient onto x.
-
-    The quotient of Hom(M, x) (x) M_v by the balanced-bilinearity
-    relations is computed through its dual: the space of pairings
-    beta(phi . s, m) = beta(phi, s m), blockwise over the summands, with s
-    running over a spanning set of End(M).  The evaluation is bijective at
-    a vertex iff this space has dimension dim x_v and the vertex images
-    span (surjectivity).  Returns None when bijective everywhere, else
-    the failing vertex.
-    """
-    field = x.field
-    span_fail = hom_image_span_check(m_summands, x)
-    if span_fail is not None:
-        return span_fail[0]
-    k = len(m_summands)
-    homs_to_x = [hom_basis(z, x) for z in m_summands]
-    solvers = [CoordinateSolver(h.basis_matrix()) for h in homs_to_x]
-    if pair_homs is None:
-        pair_homs = {
-            (i, j): hom_basis(m_summands[j], m_summands[i])
-            for i in range(k)
-            for j in range(k)
-        }
-    for v in x.quiver.vertices:
-        dims_a = [h.dim for h in homs_to_x]
-        dims_d = [z.dim(v) for z in m_summands]
-        offsets = np.cumsum([0] + [a * d for a, d in zip(dims_a, dims_d)])
-        total = int(offsets[-1])
-        rows = [np.zeros((0, total), dtype=np.int64)]
-        for i in range(k):
-            for j in range(k):
-                hs = pair_homs[(i, j)]
-                if hs.dim == 0 or dims_a[i] == 0 or dims_d[j] == 0:
-                    continue
-                for s in hs.basis:  # s: M_j -> M_i
-                    # coords of phi . s in Hom(M_j, x) for each basis phi of Hom(M_i, x)
-                    r_mat = solvers[j].coords(homs_to_x[i].precomposed(s).basis_matrix())
-                    s_v = s.components[v]  # (d_iv x d_jv)
-                    block = np.zeros((dims_a[i] * dims_d[j], total), dtype=np.int64)
-                    block[:, offsets[j] : offsets[j + 1]] += kron(
-                        np.eye(dims_d[j], dtype=np.int64), r_mat.a.T
-                    )
-                    block[:, offsets[i] : offsets[i + 1]] -= kron(
-                        s_v.a.T, np.eye(dims_a[i], dtype=np.int64)
-                    )
-                    rows.append(block)
-        q = kernel_basis(Matrix(field, np.vstack(rows))).cols
-        if q != x.dim(v):
-            return v
-    return None

@@ -554,9 +554,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 

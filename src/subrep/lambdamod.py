@@ -121,12 +121,6 @@ def direct_sum_modules(mods):
     return LambdaModule(algebra, block_diag(algebra.field, [m.t for m in mods]))
 
 
-def is_equivariant(f: Matrix, src: LambdaModule, dst: LambdaModule) -> bool:
-    if f.rows != dst.dim or f.cols != src.dim:
-        return False
-    return f @ src.t == dst.t @ f
-
-
 def block_invariants(m: LambdaModule):
     """Multiset of block sizes, sorted descending.
 
@@ -203,12 +197,6 @@ def jordan_basis(m: LambdaModule):
     else:
         j = Matrix.zeros(field, m.dim, 0)
     return j, tuple(sizes)
-
-
-def is_injective_module(m: LambdaModule) -> bool:
-    """Injective = projective = free: all blocks have size n."""
-    inv = block_invariants(m)
-    return all(s == m.algebra.n for s in inv)
 
 
 def injective_envelope(m: LambdaModule):

@@ -12,25 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subrep.approx import right_approx, verify_right_approx
+from subrep.approx import right_approx
 from subrep.artheory import build_catalog, verify_ar_sequence
 from subrep.birkhoff import (
-    chase_class_multiset,
     decompose_full,
     harada_sai_check,
     invariant_subspace_report,
 )
-from subrep.decomp import (
-    evaluation_iso_check,
-    hom_image_span_check,
-    indecompose,
-    iso_class_multiset,
-)
-from subrep.examples import (
-    all_free_representation,
-    example_quiver,
-    twisted_pair_representation,
-)
+from subrep.decomp import indecompose, iso_class_multiset
+from subrep.examples import example_quiver
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra, block_invariants
 from subrep.posetrep import hom_basis
@@ -39,6 +29,15 @@ from subrep.sampling import (
     random_representation,
     random_subspace_config,
     random_subspace_representation,
+)
+
+from oracles import (
+    all_free_representation,
+    chase_class_multiset,
+    evaluation_iso_check,
+    hom_image_span_check,
+    twisted_pair_representation,
+    verify_right_approx,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -6,11 +6,9 @@ from subrep.approx import (
     left_approx,
     mimo_k,
     right_approx,
-    verify_left_approx,
-    verify_right_approx,
 )
 from subrep.errors import UnknownVertexError
-from subrep.examples import all_free_representation, example_quiver
+from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, column_space_basis
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, socle
 from subrep.posetrep import (
@@ -21,6 +19,8 @@ from subrep.posetrep import (
     hom_basis,
 )
 from subrep.sampling import random_representation, random_subspace_representation
+
+from oracles import all_free_representation, verify_left_approx, verify_right_approx
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)

@@ -23,11 +23,7 @@ from subrep.artheory import (
 )
 from subrep.decomp import end_radical, indecompose, indecomposables_isomorphic, is_local
 from subrep.errors import BudgetExceededError, ClosureStalledError, HasProjectiveSummandError
-from subrep.examples import (
-    all_free_representation,
-    example_quiver,
-    twisted_pair_representation,
-)
+from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
@@ -40,6 +36,8 @@ from subrep.posetrep import (
     kernel_subrep,
 )
 from subrep.repfile import load_catalog
+
+from oracles import all_free_representation, tau_orbits, twisted_pair_representation
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
@@ -127,7 +125,7 @@ def test_dtr_additive_on_direct_sums():
     n = twisted_pair_representation(L2)
     d_sum = dtr(direct_sum([s, n]).rep)
     d_parts = direct_sum([dtr(s), dtr(n)]).rep
-    from subrep.decomp import is_isomorphic
+    from oracles import is_isomorphic
 
     ok, _ = is_isomorphic(d_sum, d_parts)
     assert ok
@@ -228,6 +226,17 @@ def test_mesh_ends_inside_catalog(catalog_p2):
         assert catalog_p2.find_isomorphic(seq.a) is not None
         for part in seq.middle_parts:
             assert 0 <= part < len(catalog_p2.objects)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tau_orbits_of_the_example(p, request):
+    # a pin of the shipped catalogs, not a theorem: 12 objects on tau-orbits
+    # of length 4, 8 on orbits of length 8, and one tau-chain that ends at a
+    # projective
+    catalog = request.getfixturevalue(f"catalog_p{p}")
+    periodic, ends = tau_orbits(catalog)
+    assert periodic == {4: 12, 8: 8}
+    assert len(ends) == 1 and ends[0] is not None and catalog.projective[ends[0]]
 
 
 def test_unique_mesh_per_end(catalog_p2):

@@ -7,24 +7,26 @@ import sys
 import numpy as np
 import pytest
 
+from subrep.artheory import Catalog, indecomposable_projectives
 from subrep.cli import main
 from subrep.errors import InternalContractViolation
-from subrep.examples import (
-    all_free_representation,
-    twisted_pair_representation,
-)
 from subrep.ffmat import Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import direct_sum
 from subrep.repfile import (
+    load_catalog,
+    save_catalog,
     serialize_representation,
     serialize_subspace_config,
 )
-from subrep.birkhoff import SubspaceConfig, subspace_data
+from subrep.birkhoff import SubspaceConfig
+
+from oracles import all_free_representation, subspace_data, twisted_pair_representation
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
 CATALOG_P2 = os.path.join(os.path.dirname(__file__), "..", "fixtures", "catalog_p2")
+CATALOG_P3 = os.path.join(os.path.dirname(__file__), "..", "fixtures", "catalog_p3")
 ONE_POSET = os.path.join(os.path.dirname(__file__), "..", "fixtures", "posets", "one.poset")
 
 
@@ -216,28 +218,58 @@ def test_birkhoff_invalid_invariance(tmp_path, capsys):
 
 
 def test_check_harada_sai(capsys):
-    # exact: --samples is accepted and ignored
-    assert main(
-        ["check", "harada-sai", "--samples", "50", "--catalog", CATALOG_P2]
-    ) == 0
+    assert main(["check", "harada-sai", "--catalog", CATALOG_P2]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "bound" in out
     assert "nonzero_chain_below_bound\t10\n" in out
     assert "radical_layers\t899,857,797," in out and ",7,3,1,0\n" in out
 
 
+def _exits_2_naming(capsys, argv, fragment):
+    """`main(argv)` is a usage error: exit 2, one usage message on stderr
+    that contains `fragment`, nothing on stdout and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and captured.out == ""
+    assert fragment in captured.err and "Traceback" not in captured.err
+
+
+# check gives exact verdicts only: it has no hom-span or evaluation
+# choice, and it takes no --samples or --seed
 def test_check_hom_span(capsys):
-    assert main(
-        ["check", "hom-span", "--samples", "3", "--catalog", CATALOG_P2, "--seed", "7"]
-    ) == 0
-    assert "failures\t0" in capsys.readouterr().out
+    argv = ["check", "hom-span", "--samples", "3", "--catalog", CATALOG_P2, "--seed", "7"]
+    _exits_2_naming(capsys, argv, "invalid choice: 'hom-span'")
 
 
 def test_check_evaluation(capsys):
-    assert main(
-        ["check", "evaluation", "--samples", "2", "--catalog", CATALOG_P2, "--seed", "8"]
-    ) == 0
-    assert "failures\t0" in capsys.readouterr().out
+    argv = ["check", "evaluation", "--samples", "2", "--catalog", CATALOG_P2, "--seed", "8"]
+    _exits_2_naming(capsys, argv, "invalid choice: 'evaluation'")
+
+
+@pytest.mark.parametrize("catalog", [CATALOG_P2, CATALOG_P3], ids=["p2", "p3"])
+def test_check_generator(capsys, catalog):
+    assert main(["check", "generator", "--catalog", catalog]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "ok\n" and captured.err == ""
+
+
+@pytest.mark.parametrize("vertex", ["1", "2", "3", "*"])
+def test_check_generator_names_a_missing_projective(tmp_path, capsys, vertex):
+    # the fixture's objects less P(vertex), with no meshes and no left maps
+    full = load_catalog(CATALOG_P2)
+    proj = dict(zip(full.quiver.vertices, indecomposable_projectives(full.quiver, full.algebra)))
+    dropped = full.find_isomorphic(proj[vertex])
+    short = Catalog(full.quiver, full.algebra)
+    for i, rep in enumerate(full.objects):
+        if i != dropped:
+            short.left_maps[short.add(rep, projective=full.projective[i])] = ((), ())
+    save_catalog(short, str(tmp_path / "short"))
+    assert main(["check", "generator", "--catalog", str(tmp_path / "short")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no catalog object is isomorphic to P({vertex})\n"
 
 
 def test_catalog_command_small_budget_fails(tmp_path, capsys):
@@ -548,15 +580,23 @@ def test_catalog_bad_nilpotency_exits_2(capsys, option, value):
 
 @pytest.mark.parametrize(
     "what,samples",
-    [("hom-span", "-1"), ("evaluation", "-3"), ("harada-sai", "0"), ("hom-span", "few")],
+    [
+        ("hom-span", "-1"),
+        ("evaluation", "-3"),
+        ("harada-sai", "0"),
+        ("hom-span", "few"),
+        ("harada-sai", "50"),
+    ],
 )
 def test_check_bad_samples_exits_2(capsys, what, samples):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", what, "--samples", samples, "--catalog", CATALOG_P2])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("usage:") and captured.out == ""
-    assert "--samples" in captured.err and "Traceback" not in captured.err
+    # hom-span and evaluation are no choices of check, and --samples is no
+    # option of it
+    if what == "harada-sai":
+        rejected = f"unrecognized arguments: --samples {samples}"
+    else:
+        rejected = f"invalid choice: '{what}'"
+    argv = ["check", what, "--samples", samples, "--catalog", CATALOG_P2]
+    _exits_2_naming(capsys, argv, rejected)
 
 
 @pytest.mark.parametrize(
@@ -565,7 +605,7 @@ def test_check_bad_samples_exits_2(capsys, what, samples):
         ["decompose", os.path.join(CATALOG_P2, "obj_024.rep")],
         ["catalog", "--budget", "1"],
         ["birkhoff", os.path.join(os.path.dirname(CATALOG_P2), "configs", "five_summands.sub")],
-        ["check", "hom-span", "--samples", "1", "--catalog", CATALOG_P2],
+        ["check", "generator", "--catalog", CATALOG_P2],
     ],
     ids=["decompose", "catalog", "birkhoff", "check"],
 )

@@ -2,22 +2,15 @@ import numpy as np
 import pytest
 
 from subrep.decomp import (
-    evaluation_iso_check,
     fingerprint,
-    hom_image_span_check,
     indecompose,
     indecomposables_isomorphic,
-    is_isomorphic,
     is_local,
     iso_class_multiset,
     quotient_is_division_ring,
     radical,
 )
-from subrep.examples import (
-    all_free_representation,
-    example_quiver,
-    twisted_pair_representation,
-)
+from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, independent_columns
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
@@ -34,6 +27,15 @@ from subrep.sampling import (
     random_invertible,
     random_representation,
     random_subspace_representation,
+)
+
+from oracles import (
+    all_free_representation,
+    dim_multiset,
+    evaluation_iso_check,
+    hom_image_span_check,
+    is_isomorphic,
+    twisted_pair_representation,
 )
 
 F2 = PrimeField(2)
@@ -61,7 +63,7 @@ def simple_at_star(algebra):
 def test_radical_of_field_is_zero():
     rep = simple_at_star(L2)
     rad = radical(end_algebra(rep))
-    assert rad.quotient_dim == 1 and len(rad.radical_basis) == 0
+    assert rad.quotient_dim == 1 and len(rad.radical.basis) == 0
 
 
 def test_radical_of_all_free():
@@ -69,8 +71,8 @@ def test_radical_of_all_free():
     # T-action endomorphism, dimension 1
     m = all_free_representation(L2)
     rad = radical(end_algebra(m))
-    assert len(rad.radical_basis) == 1
-    gen = rad.radical_basis[0]
+    assert len(rad.radical.basis) == 1
+    gen = rad.radical.basis[0]
     assert (gen @ gen).is_zero() and not gen.is_zero()
 
 
@@ -80,7 +82,7 @@ def test_radical_of_matrix_algebra_is_zero():
     e = end_algebra(two)
     assert e.dim == 4  # 2x2 matrices over F_2
     rad = radical(e)
-    assert rad.quotient_dim == 4 and not rad.radical_basis
+    assert rad.quotient_dim == 4 and not rad.radical.basis
 
 
 def test_radical_of_mixed_sum_contains_cross_maps():
@@ -95,7 +97,7 @@ def test_radical_of_mixed_sum_contains_cross_maps():
     assert e.dim - rad.quotient_dim >= hom_mn + hom_nm
     assert rad.quotient_dim == 2  # one copy of F_2 per summand
     # J^(dim) = 0 witnessed inside the verifier; double-check squares here
-    for b in rad.radical_basis:
+    for b in rad.radical.basis:
         power = b
         for _ in range(e.dim):
             power = power @ b
@@ -194,7 +196,7 @@ def test_krull_schmidt_seed_stability():
         for seed in range(5):
             d = indecompose(x, seed=seed)
             assert d.check()
-            dims = d.dim_multiset()
+            dims = dim_multiset(d)
             if base is None:
                 base = dims
             else:
@@ -408,7 +410,7 @@ def test_indecompose_large_prime(parts):
     x = direct_sum(pieces).rep
     d = indecompose(x, seed=0)
     assert d.check()
-    assert d.dim_multiset() == tuple(sorted(z.dim_vector() for z in pieces))
+    assert dim_multiset(d) == tuple(sorted(z.dim_vector() for z in pieces))
     leaves = [step for step in d.certificate["trace"] if "leaf" in step]
     assert len(leaves) == len(pieces)
     for s in d.summands:
@@ -430,4 +432,4 @@ def test_indecompose_nilpotency_3():
             assert sum(s.rep.total_dim() for s in d.summands) == x.total_dim()
             for s in d.summands:
                 assert is_local(end_algebra(s.rep))
-            assert indecompose(x, seed=5).dim_multiset() == d.dim_multiset()
+            assert dim_multiset(indecompose(x, seed=5)) == dim_multiset(d)

@@ -27,6 +27,8 @@ from subrep.ffmat import (
 )
 from subrep.ffmat import _cokernel_coords, _rref_inplace, _rref_numpy_inplace
 
+from oracles import is_monic
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -259,7 +261,7 @@ def test_min_poly_matches_krylov_reference(p):
     for m in _min_poly_inputs(field, rng):
         mp = min_poly(m)
         assert mp == _krylov_min_poly(m)
-        assert mp.is_monic() and mp.eval_matrix(m).is_zero()
+        assert is_monic(mp) and mp.eval_matrix(m).is_zero()
 
 
 def test_min_poly_empty_matrix():
@@ -280,7 +282,7 @@ def test_cayley_hamilton_and_minpoly_divides():
         n = int(rng.integers(1, 6))
         m = random_matrix(field, n, n, rng)
         cp = char_poly(m)
-        assert cp.degree() == n and cp.is_monic()
+        assert cp.degree() == n and is_monic(cp)
         assert cp.eval_matrix(m).is_zero()
         mp = min_poly(m)
         assert mp.eval_matrix(m).is_zero()
@@ -313,7 +315,7 @@ def test_factor_roundtrip_random():
         fs = factor(f, seed=99)
         prod = Poly(field, (f.leading(),))
         for g, k in fs:
-            assert g.is_monic()
+            assert is_monic(g)
             for _ in range(k):
                 prod = prod * g
         assert prod == f
@@ -553,7 +555,7 @@ def test_f3_min_poly_on_larger_matrices():
         for m in _min_poly_inputs(F3, rng, sizes=(n,)):
             mp = min_poly(m)
             assert mp == _krylov_min_poly(m)
-            assert mp.is_monic() and mp.eval_matrix(m).is_zero()
+            assert is_monic(mp) and mp.eval_matrix(m).is_zero()
             assert (char_poly(m) % mp).is_zero()
 
 

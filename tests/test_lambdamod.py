@@ -11,14 +11,14 @@ from subrep.lambdamod import (
     block_invariants,
     direct_sum_modules,
     injective_envelope,
-    is_equivariant,
-    is_injective_module,
     jordan_basis,
     lift_through_mono,
     quotient_module,
     socle,
     submodule,
 )
+
+from oracles import is_equivariant, is_injective_module
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

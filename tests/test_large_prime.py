@@ -6,20 +6,14 @@ factorization properties."""
 import numpy as np
 import pytest
 
-from subrep.approx import (
-    left_approx,
-    right_approx,
-    verify_left_approx,
-    verify_right_approx,
-)
+from subrep.approx import left_approx, right_approx
 from subrep.artheory import indecomposable_projectives
-from subrep.examples import all_free_representation, example_quiver
+from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, column_space_basis
 from subrep.lambdamod import (
     LambdaAlgebra,
     block_invariants,
     injective_envelope,
-    is_injective_module,
     lift_through_mono,
     quotient_module,
     socle,
@@ -31,6 +25,13 @@ from subrep.sampling import (
     random_module,
     random_representation,
     random_subspace_representation,
+)
+
+from oracles import (
+    all_free_representation,
+    is_injective_module,
+    verify_left_approx,
+    verify_right_approx,
 )
 
 P31 = PrimeField(2**31 - 1)

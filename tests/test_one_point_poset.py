@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from subrep.artheory import build_catalog, verify_ar_sequence
-from subrep.birkhoff import chase_class_multiset, decompose_full
+from subrep.birkhoff import decompose_full
 from subrep.cli import main
 from subrep.decomp import indecompose, iso_class_multiset
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra
 from subrep.posetrep import Poset, QuiverStar
 from subrep.sampling import random_subspace_representation
+
+from oracles import chase_class_multiset, tau_orbits
 
 ONE_POSET = Path(__file__).resolve().parent.parent / "fixtures" / "posets" / "one.poset"
 COUNTS = {1: 2, 2: 5, 3: 10, 4: 20}
@@ -48,6 +50,19 @@ def test_meshes_pass_lifting_tests(p, n, lifting_tests):
     rng = np.random.default_rng(n)
     for seq in catalog.meshes.values():
         assert verify_ar_sequence(seq, lifting_tests(catalog, rng))
+
+
+# tau_S^6 = 1 on S(n) (Ringel and Schmidmeier, "The Auslander-Reiten
+# translation in submodule categories", Trans. AMS 360, 2008): objects per
+# tau-orbit length, none of them on a chain that ends
+TAU_ORBITS = {2: {3: 3}, 3: {2: 2, 6: 6}, 4: {3: 6, 6: 12}}
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3) for n in (2, 3, 4)])
+def test_tau_has_order_dividing_6(p, n):
+    periodic, ends = tau_orbits(s_catalog(p, n))
+    assert periodic == TAU_ORBITS[n] and ends == []
+    assert all(6 % length == 0 for length in periodic)
 
 
 def test_catalog_command_on_poset_fixture(capsys):

@@ -9,10 +9,12 @@ Kleiner 1972).  Over every poset with 3 or 4 points, up to isomorphism,
 ClosureStalledError; it must never return fewer.  The 4-antichain has
 infinite type and is never built.  The V poset (1 < 3, 2 < 3) and the
 N poset (1 < 2, 3 < 2, 3 < 4) lack a least point, so they need the I(*)
-seed, and they close with 5 and 8 objects.
+seed, and they close with 5 and 8 objects.  No catalog that closes has
+a periodic tau-orbit: every tau-chain ends at a projective (measured).
 """
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from subrep.errors import ClosureStalledError
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra
 from subrep.posetrep import Poset, QuiverStar
+
+from oracles import tau_orbits
 
 
 def _canonical(size, rel):
@@ -92,16 +96,40 @@ def test_root_counts_of_known_posets():
     assert _root_count(4, {(0, 1), (2, 1), (2, 3)}) == 8
 
 
+@lru_cache(maxsize=None)
+def _catalog(size, rel):
+    """The n = 1 catalog at p = 2 of the poset with strict order `rel` (a
+    frozenset) on `size` points, or None when its closure stalls."""
+    labels = [str(i + 1) for i in range(size)]
+    poset = Poset(labels, [(labels[a], labels[b]) for a, b in rel])
+    try:
+        return build_catalog(QuiverStar(poset), LambdaAlgebra(PrimeField(2), 1))
+    except ClosureStalledError:
+        return None
+
+
 @pytest.mark.parametrize("case", SWEEP, ids=_name)
 def test_catalog_has_the_root_count_or_stalls(case):
     size, rel = case
     key = (size, _canonical(size, rel))
-    labels = [str(i + 1) for i in range(size)]
-    poset = Poset(labels, [(labels[a], labels[b]) for a, b in rel])
     roots = _root_count(size, rel)
-    try:
-        catalog = build_catalog(QuiverStar(poset), LambdaAlgebra(PrimeField(2), 1))
-    except ClosureStalledError:
+    catalog = _catalog(size, frozenset(rel))
+    if catalog is None:
         assert key not in MUST_CLOSE
         return
     assert len(catalog) == roots == MUST_CLOSE.get(key, roots)
+
+
+def test_no_tau_orbit_is_periodic():
+    # a pin, measured on the 13 catalogs that close: every tau-chain ends
+    # at a projective
+    closed = 0
+    for size, rel in SWEEP:
+        catalog = _catalog(size, frozenset(rel))
+        if catalog is None:
+            continue
+        closed += 1
+        periodic, ends = tau_orbits(catalog)
+        assert periodic == {}, _name((size, rel))
+        assert all(end is not None and catalog.projective[end] for end in ends)
+    assert closed == 13

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from subrep.errors import NoSolutionError, NotARetractionError, NotComparableError
-from subrep.examples import (
-    all_free_representation,
-    example_quiver,
-    twisted_pair_representation,
-)
+from subrep.examples import example_quiver
 from subrep.ffmat import CoordinateSolver, Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, block_invariants
 from subrep.posetrep import (
@@ -27,6 +23,8 @@ from subrep.posetrep import (
     split_by_retraction,
     subrep_from_bases,
 )
+
+from oracles import all_free_representation, twisted_pair_representation
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from subrep.artheory import build_catalog
-from subrep.birkhoff import chase_class_multiset, decompose_full
+from subrep.birkhoff import decompose_full
 from subrep.decomp import indecompose, iso_class_multiset
 from subrep.errors import ParseError
-from subrep.examples import (
-    all_free_representation,
-    example_quiver,
-    twisted_pair_representation,
-)
+from subrep.examples import example_quiver
 from subrep.ffmat import PrimeField
 from subrep.lambdamod import LambdaAlgebra
 from subrep.posetrep import Poset, QuiverStar
@@ -31,6 +27,8 @@ from subrep.sampling import (
     random_representation,
     random_subspace_representation,
 )
+
+from oracles import all_free_representation, chase_class_multiset, twisted_pair_representation
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)

@@ -12,20 +12,17 @@ from subrep.approx import (
     left_approx,
     mimo_k,
     right_approx,
-    verify_left_approx,
-    verify_right_approx,
 )
 from subrep.artheory import dtr
 from subrep.birkhoff import decompose_full
 from subrep.decomp import (
-    evaluation_iso_check,
     indecompose,
     indecomposables_isomorphic,
     is_local,
     radical,
 )
 from subrep.errors import HasProjectiveSummandError, NoSolutionError
-from subrep.examples import all_free_representation, example_quiver
+from subrep.examples import example_quiver
 from subrep.ffmat import (
     Matrix,
     PrimeField,
@@ -55,6 +52,13 @@ from subrep.posetrep import (
     split_by_retraction,
     subrep_from_bases,
     subspace_representation,
+)
+
+from oracles import (
+    all_free_representation,
+    evaluation_iso_check,
+    verify_left_approx,
+    verify_right_approx,
 )
 
 QUIVER = example_quiver()
