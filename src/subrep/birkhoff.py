@@ -6,9 +6,12 @@ representation by starting with any nonzero map from a projective and
 repeatedly factoring through verified left almost split maps until a
 split monomorphism appears; composites of radical maps between the
 finitely many indecomposables vanish after 2^m - 1 steps (m the maximal
-length), so the walk terminates within that bound.  Every object it
-meets is a subspace representation, so it works on `*` blocks: its hom
-spaces are star-form `HomSpace`s, lifted on the first read of `basis`.
+length), so the walk terminates within that bound.  Every summand is a
+direct summand of the input x itself, so the whole chase runs in x's
+coordinates: what remains to be split is the image of one idempotent of
+x, and no complement is built.  Every object it meets is a subspace
+representation, so it works on `*` blocks: its hom spaces are
+star-form `HomSpace`s, lifted on the first read of `basis`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .examples import example_quiver
 from .ffmat import (
     Matrix,
     _matmul_mod,
+    _wrap,
     column_space_basis,
     kernel_basis,
     span_frame,
@@ -40,7 +44,6 @@ from .posetrep import (
     Morphism,
     Representation,
     hom_basis,
-    split_by_retraction,
     subspace_representation,
 )
 from .sampling import intersect_spans
@@ -56,25 +59,31 @@ class ChaseTrace:
 
 
 class _HomCache:
-    """Bases of Hom(catalog object, current) and Hom(current, catalog
-    object), each solved only when the chase first reads it.
+    """Bases of Hom(Z, x) and Hom(x, Z) for each catalog object Z, cut to
+    what remains of x, each solved only when the chase first reads it.
 
-    A first read solves the entry by `hom_basis` against the original
-    input.  `restrict` only records its step; a read replays, for that
-    entry alone, the steps it has not yet seen, with the operations an
-    eager cache would run, so every basis is the same.  Entries are
-    star-form `HomSpace`s (every target is a subspace representation; the
-    constructor raises ValueError naming the first point of x whose
-    composite to `*` is not injective): replays run on the `*` blocks,
-    and a read of `basis` lifts the other vertices.  The content digest
-    of `perfbench/layertrace.py` reads every entry (a traced run solves
-    and lifts them all), and Tier-1 tests check these attributes:
+    What remains is the image of one idempotent `keep` of x, id_x at the
+    start; `restrict(f, q)` splits off the summand with inclusion f and
+    retraction q: keep <- keep - f . q.  A first read solves the entry by
+    `hom_basis` against x; a read of an entry older than the latest split
+    cuts it once, however many splits it missed:
+    - forward: R <- R . kernel_basis((Q . R)_*), Q the retractions split
+      off, stacked: 1 - keep = F . Q with F the inclusions side by side,
+      injective, so (1 - keep) . h and Q . h vanish together.  A product
+      of reduced kernel bases is the reduced kernel basis of the stacked
+      system, so one cut gives the basis of one cut per split;
+    - backward: B <- the pivot columns of (B . keep)_*.  A column
+      dependent on those before it stays dependent after precomposition,
+      so the pivots compose too.
+    Entries are star-form `HomSpace`s (the constructor raises ValueError
+    naming the first point of x whose composite to `*` is not injective),
+    and a read of `basis` lifts the other vertices.  The content digest of
+    `perfbench/layertrace.py` reads every entry (a traced run solves and
+    lifts them all), and Tier-1 tests check these attributes:
     - `catalog`: the Catalog the chase runs against;
-    - `current`: the Representation still to be decomposed;
-    - `forward`: dict, catalog index z -> HomSpace from
-      catalog.objects[z] to `current`;
-    - `backward`: dict, catalog index z -> HomSpace from `current` to
-      catalog.objects[z].
+    - `current`: x, the Representation being decomposed;
+    - `forward`: dict, catalog index z -> HomSpace from objects[z] to x;
+    - `backward`: dict, catalog index z -> HomSpace from x to objects[z].
     """
 
     def __init__(self, catalog: Catalog, x: Representation):
@@ -83,65 +92,71 @@ class _HomCache:
             raise ValueError(f"not a subspace representation: {bad} -> * is not injective")
         self.catalog = catalog
         self.current = x
-        self.steps = []  # (q, comp_incl, comp_proj, complement) per restrict
+        self.remaining = x.total_dim()  # of the image of keep
+        self.splits = 0
+        self.keep = Morphism.identity(x)
+        self._split = np.zeros((0, x.dim(STAR)), dtype=np.int64)  # Q_*
         objs = catalog.objects
-        self.forward = _Replayed(self, _forward_step, lambda z: hom_basis(objs[z], x))
-        self.backward = _Replayed(self, _backward_step, lambda z: hom_basis(x, objs[z]))
+        self.forward = _Cut(self, self._cut_forward, lambda z: hom_basis(objs[z], x))
+        self.backward = _Cut(self, self._cut_backward, lambda z: hom_basis(x, objs[z]))
 
-    def restrict(self, q: Morphism, comp_incl: Morphism, comp_proj: Morphism, complement):
-        """Pass to the complement of the summand a retraction q splits off
-        the current object; the entries follow when they are next read."""
-        self.steps.append((q, comp_incl, comp_proj, complement))
-        self.current = complement
+    def restrict(self, f: Morphism, q: Morphism):
+        """Split off the summand f spans, q its retraction (q . f = id and
+        f . q . keep = f . q); the entries follow when they are next read."""
+        x, p = self.current, self.current.field.p
+        keep = {}
+        for v in x.quiver.vertices:
+            e = _matmul_mod(f.components[v].a, q.components[v].a, p)
+            keep[v] = _wrap(x.field, (self.keep.components[v].a - e) % p)
+        self.keep = Morphism(x, x, keep)
+        self._split = np.vstack([self._split, q.components[STAR].a])
+        self.remaining -= f.source.total_dim()
+        self.splits += 1
+
+    def _cut_forward(self, homs):
+        # the `*` rows of Q . h_j, laid out as `HomSpace.postcomposed` lays them
+        c, k, field = homs.source.dim(STAR), homs.dim, self.current.field
+        stack = homs.star_block().a.reshape(c, -1, k)
+        rows = _matmul_mod(self._split, stack, field.p).reshape(-1, k)
+        return homs.combinations(kernel_basis(_wrap(field, rows)))
+
+    def _cut_backward(self, homs):
+        cols = column_space_basis(homs.precomposed(self.keep).star_block())
+        return HomSpace.from_flat(self.current, homs.target, cols, star=True)
 
 
-class _Replayed(dict):
-    """Catalog index -> (HomSpace, steps seen); a read returns the space."""
+class _Cut(dict):
+    """Catalog index -> (HomSpace, splits seen); a read returns the space,
+    cut to what remains."""
 
-    def __init__(self, cache, step, solve):
+    def __init__(self, cache, cut, solve):
         super().__init__(dict.fromkeys(range(len(cache.catalog.objects))))
-        self.steps, self.step, self.solve = cache.steps, step, solve
+        self.cache, self.cut, self.solve = cache, cut, solve
 
     def __getitem__(self, z):
         homs, seen = dict.__getitem__(self, z) or (self.solve(z), 0)
-        for args in self.steps[seen:]:
-            homs = self.step(homs, *args)
-        dict.__setitem__(self, z, (homs, len(self.steps)))
+        if seen < self.cache.splits and homs.dim:
+            homs = self.cut(homs)
+        dict.__setitem__(self, z, (homs, self.cache.splits))
         return homs
 
 
-def _forward_step(homs, q, comp_incl, comp_proj, complement):
-    """Forward homs killed by the idempotent e = f . q, corestricted to
-    the complement.  f is mono, so e . h and q . h vanish together, and
-    the kernel is read off the `*` blocks of q . h."""
-    if homs.dim:
-        homs = homs.combinations(kernel_basis(homs.postcomposed(q).star_block()))
-    return homs.postcomposed(comp_proj)
-
-
-def _backward_step(homs, q, comp_incl, comp_proj, complement):
-    """Backward homs restricted along the inclusion of the complement."""
-    homs = homs.precomposed(comp_incl)
-    if homs.dim:
-        cols = column_space_basis(homs.star_block())
-        homs = HomSpace.from_flat(complement, homs.target, cols, star=True)
-    return homs
-
-
 def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache = None):
-    """Extract a summand of a nonzero subspace representation.
+    """Extract a summand of what remains of a subspace representation x:
+    all of x, or with a cache of x the image of its `keep`.
 
     Returns (catalog index, mono, retraction, trace) where mono embeds
-    the catalog object into x and retraction splits it.  Raises
-    ValueError when x is not a subspace representation and no cache is
-    given.  The walk holds every map as the star form of its own span and
-    lifts only the pair it returns.
+    the catalog object into x, retraction . mono = id and
+    mono . retraction . keep = mono . retraction.  Raises ValueError
+    when nothing remains, or when x is not a subspace representation and
+    no cache is given.  The walk holds every map as the star form of its
+    own span and lifts only the pair it returns.
     """
-    if x.total_dim() == 0:
-        raise ValueError("cannot split a summand off the zero representation")
     cache = hom_cache or _HomCache(catalog, x)
     if cache.current is not x:
         raise InternalContractViolation("the hom cache describes another representation")
+    if not cache.remaining:
+        raise ValueError("cannot split a summand off the zero representation")
     m_len = catalog.max_length()
     bound = 2**m_len - 1
     trace = ChaseTrace()
@@ -249,36 +264,20 @@ def _factor_through_left(f: HomSpace, lifts, parts, cache):
 def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
     """Repeated summand extraction until nothing remains.
 
-    Summand representations are the catalog objects themselves; the
-    inclusions/projections are composed back to the original x.  The
-    trace list is attached to the certificate.  Raises ValueError, before
-    solving any hom space, when x is not a subspace representation.
+    Summand representations are the catalog objects themselves, with the
+    inclusions and projections the chase returns, maps into and out of
+    x.  The trace list is attached to the certificate.  Raises ValueError,
+    before solving any hom space, when x is not a subspace representation.
     """
-    summands = []
-    traces = []
-    incl = Morphism.identity(x)
-    proj = Morphism.identity(x)
-    current = x
-    classes = []
     cache = _HomCache(catalog, x)
-    while current.total_dim():
-        idx, f, q, trace = split_off_summand(current, catalog, hom_cache=cache)
-        traces.append(trace)
+    summands, traces, classes = [], [], []
+    while cache.remaining:
+        idx, f, q, trace = split_off_summand(x, catalog, hom_cache=cache)
+        summands.append(Summand(rep=catalog.objects[idx], inclusion=f, projection=q))
+        traces.append(trace.steps)
         classes.append(idx)
-        res = split_by_retraction(current, f, q)
-        summands.append(
-            Summand(rep=catalog.objects[idx], inclusion=incl @ f, projection=q @ proj)
-        )
-        cache.restrict(q, res.complement_incl, res.complement_proj, res.complement)
-        incl = incl @ res.complement_incl
-        proj = res.complement_proj @ proj
-        current = res.complement
-    cert = {
-        "method": "chase",
-        "traces": [t.steps for t in traces],
-        "classes": classes,
-    }
-    return Decomposition(x, summands, cert)
+        cache.restrict(f, q)
+    return Decomposition(x, summands, {"method": "chase", "traces": traces, "classes": classes})
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from subrep.ffmat import Matrix, PrimeField, kernel_basis, rref
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
     HomSpace,
+    Morphism,
     Representation,
     direct_sum,
     hom_basis,
@@ -36,6 +39,8 @@ from oracles import (
 
 F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "fixtures", "configs")
+FIVE_SUMMANDS = os.path.join(CONFIGS, "five_summands.sub")
 
 
 def test_split_projective_immediately(catalog_p2):
@@ -252,55 +257,55 @@ def test_harada_sai_chain_length_one_nonzero(catalog_p2):
 
 def test_hom_cache_attribute_contract(catalog_p2, monkeypatch):
     # the benchmark digests _HomCache.catalog/current/forward/backward and
-    # HomSpace.source/target/basis; a rename must fail here
+    # HomSpace.source/target/basis; a rename must fail here.  The chase
+    # runs in x's coordinates, so `current` is x before and after every split
     from subrep import birkhoff
     from subrep.artheory import Catalog
     from subrep.posetrep import HomSpace, Morphism
 
+    x = direct_sum([twisted_pair_representation(L2), all_free_representation(L2)]).rep
     seen = []
 
     def check(cache):
         assert isinstance(cache.catalog, Catalog) and cache.catalog is catalog_p2
-        assert isinstance(cache.current, Representation)
+        assert isinstance(cache.current, Representation) and cache.current is x
         indices = list(range(len(catalog_p2.objects)))
         assert sorted(cache.forward) == indices and sorted(cache.backward) == indices
         for z in indices:
             fwd, bwd = cache.forward[z], cache.backward[z]
             assert isinstance(fwd, HomSpace) and isinstance(bwd, HomSpace)
-            assert fwd.source is catalog_p2.objects[z] and fwd.target is cache.current
-            assert bwd.source is cache.current and bwd.target is catalog_p2.objects[z]
+            assert fwd.source is catalog_p2.objects[z] and fwd.target is x
+            assert bwd.source is x and bwd.target is catalog_p2.objects[z]
             for space in (fwd, bwd):
                 assert isinstance(space.basis, tuple) and len(space.basis) == space.dim
                 assert all(isinstance(h, Morphism) for h in space.basis)
                 assert all(
                     h.source is space.source and h.target is space.target for h in space.basis
                 )
-        seen.append(cache.current)
+        seen.append(cache.remaining)
 
     class Recording(birkhoff._HomCache):
         def __init__(self, catalog, x):
             super().__init__(catalog, x)
             check(self)
 
-        def restrict(self, e, comp_incl, comp_proj, complement):
-            super().restrict(e, comp_incl, comp_proj, complement)
-            assert self.current is complement
+        def restrict(self, f, q):
+            super().restrict(f, q)
             check(self)
 
     monkeypatch.setattr(birkhoff, "_HomCache", Recording)
-    x = direct_sum([twisted_pair_representation(L2), all_free_representation(L2)]).rep
     d = decompose_full(x, catalog_p2)
     assert d.check()
-    # one check after construction and one after each restrict, ending on zero
+    # one check after construction and one after each split, ending on nothing left
     assert len(seen) == len(d.summands) + 1
-    assert seen[0] is x and seen[-1].total_dim() == 0
+    assert seen[0] == x.total_dim() and seen[-1] == 0
 
 
 def _eager_hom_caches(catalog, x, steps):
-    """Reference for the lazy `_HomCache`: the eager cache it replaced,
-    which solved all 2 x len(catalog) spaces up front and restricted every
-    one at every step.  Yields (forward, backward) before the first step
-    and after each one."""
+    """Reference for the lazy `_HomCache`: an eager cache that solves all
+    2 x len(catalog) spaces up front and restricts every one to the
+    complement each split leaves, built as its own representation.
+    Yields (forward, backward) before the first step and after each one."""
     objs = catalog.objects
     forward = {z: hom_basis(objs[z], x) for z in range(len(objs))}
     backward = {z: hom_basis(x, objs[z]) for z in range(len(objs))}
@@ -321,22 +326,37 @@ def _eager_hom_caches(catalog, x, steps):
         yield dict(forward), dict(backward)
 
 
-def _chase_steps(catalog, x, monkeypatch):
-    """The restrict steps, in order, that the chase's cache takes while
-    decomposing x."""
+def _chase_splits(catalog, x, monkeypatch):
+    """The (inclusion, retraction) pairs, maps into and out of x, that the
+    chase's cache splits off, in order, while decomposing x."""
     from subrep import birkhoff
 
-    steps = []
+    splits = []
 
     class Recording(birkhoff._HomCache):
-        def restrict(self, *step):
-            steps.append(step)
-            super().restrict(*step)
+        def restrict(self, f, q):
+            splits.append((f, q))
+            super().restrict(f, q)
 
     with monkeypatch.context() as m:
         m.setattr(birkhoff, "_HomCache", Recording)
         decompose_full(x, catalog)
-    return steps
+    return splits
+
+
+def _complements(x, splits):
+    """The complements the splits leave, each built by
+    `split_by_retraction` from the one before: yields, per split, the
+    eager cache's step (retraction, complement inclusion and projection,
+    complement) and the complement's inclusion into and projection from x."""
+    incl = proj = Morphism.identity(x)
+    current = x
+    for f, q in splits:
+        q_k = q @ incl
+        res = split_by_retraction(current, proj @ f, q_k)
+        current = res.complement
+        incl, proj = incl @ res.complement_incl, res.complement_proj @ proj
+        yield (q_k, res.complement_incl, res.complement_proj, current), incl, proj
 
 
 def _chase_inputs(catalog):
@@ -360,85 +380,102 @@ def _assert_same_space(lazy, eager):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_lazy_hom_cache_matches_eager(p, request, monkeypatch):
-    # one lazy cache is read in full after every split, so each read
-    # replays one step; the other is read at random, so reads solve late
-    # and replay several steps at once
+    # the lazy cache keeps x and cuts its spaces to what remains; read
+    # through the complement's inclusion and projection, the eager spaces
+    # are the same bytes.  One lazy cache is read in full after every
+    # split, so each read cuts after one split; the other is read at
+    # random, so reads solve late and cut after several splits at once
     from subrep.birkhoff import _HomCache
 
     catalog = request.getfixturevalue(f"catalog_p{p}")
     rng = np.random.default_rng(p)
     for x in _chase_inputs(catalog):
-        steps = _chase_steps(catalog, x, monkeypatch)
+        splits = _chase_splits(catalog, x, monkeypatch)
+        complements = list(_complements(x, splits))
+        maps = [(Morphism.identity(x), Morphism.identity(x))] + [c[1:] for c in complements]
+        eager = _eager_hom_caches(catalog, x, [c[0] for c in complements])
         every, sampled = _HomCache(catalog, x), _HomCache(catalog, x)
-        for i, (forward, backward) in enumerate(_eager_hom_caches(catalog, x, steps)):
+        for i, ((forward, backward), (incl, proj)) in enumerate(zip(eager, maps)):
             if i:
-                every.restrict(*steps[i - 1])
-                sampled.restrict(*steps[i - 1])
-            last = i == len(steps)
+                every.restrict(*splits[i - 1])
+                sampled.restrict(*splits[i - 1])
+            last = i == len(splits)
             for z in forward:
-                _assert_same_space(every.forward[z], forward[z])
-                _assert_same_space(every.backward[z], backward[z])
+                fwd, bwd = forward[z].postcomposed(incl), backward[z].precomposed(proj)
+                _assert_same_space(every.forward[z], fwd)
+                _assert_same_space(every.backward[z], bwd)
                 if last or rng.random() < 0.3:
-                    _assert_same_space(sampled.forward[z], forward[z])
+                    _assert_same_space(sampled.forward[z], fwd)
                 if last or rng.random() < 0.3:
-                    _assert_same_space(sampled.backward[z], backward[z])
+                    _assert_same_space(sampled.backward[z], bwd)
 
 
-def test_lazy_hom_cache_solves_once_and_replays_each_step_once(catalog_p2, monkeypatch):
+def test_lazy_hom_cache_solves_once_and_cuts_at_most_once_per_split(catalog_p2, monkeypatch):
     from subrep import birkhoff
 
     n, m = twisted_pair_representation(L2), all_free_representation(L2)
     x = direct_sum([n, n, m]).rep
-    steps = _chase_steps(catalog_p2, x, monkeypatch)
-    assert len(steps) >= 3
+    splits = _chase_splits(catalog_p2, x, monkeypatch)
+    assert len(splits) >= 3
     objs = catalog_p2.objects
-    solved, replayed = [], []
+    solved, cuts = {}, []
 
     def index(obj):
         return next(z for z, o in enumerate(objs) if o is obj)
 
     def counting_hom_basis(source, target, real=birkhoff.hom_basis):
-        solved.append(("forward", index(source)) if target is x else ("backward", index(target)))
-        return real(source, target)
+        homs = real(source, target)
+        key = ("forward", index(source)) if target is x else ("backward", index(target))
+        assert key not in solved
+        solved[key] = homs.dim
+        return homs
 
     def counting(direction, real):
-        def step(homs, *args):
+        def cut(self, homs):
+            assert homs.dim  # a zero space has nothing to cut
             obj = homs.source if direction == "forward" else homs.target
-            i = next(i for i, s in enumerate(steps) if s[0] is args[0])
-            replayed.append((direction, index(obj), i))
-            return real(homs, *args)
+            cuts.append((direction, index(obj), self.splits))
+            return real(self, homs)
 
-        return step
+        return cut
 
     monkeypatch.setattr(birkhoff, "hom_basis", counting_hom_basis)
-    monkeypatch.setattr(birkhoff, "_forward_step", counting("forward", birkhoff._forward_step))
-    monkeypatch.setattr(birkhoff, "_backward_step", counting("backward", birkhoff._backward_step))
+    for direction in ("forward", "backward"):
+        name = f"_cut_{direction}"
+        real = getattr(birkhoff._HomCache, name)
+        monkeypatch.setattr(birkhoff._HomCache, name, counting(direction, real))
     cache = birkhoff._HomCache(catalog_p2, x)
-    assert solved == []
+    assert solved == {}
 
     def read_all(zs):
         for z in zs:
             cache.forward[z], cache.backward[z]
 
     early, late = range(0, len(objs), 2), range(1, len(objs), 2)
-    read_all(early)  # before any step: solved, nothing to replay
-    assert replayed == []
-    cache.restrict(*steps[0])
-    cache.restrict(*steps[1])
-    read_all(early)  # steps 0 and 1, each once
+    read_all(early)  # before any split: solved, nothing to cut
+    assert cuts == []
+    cache.restrict(*splits[0])
+    cache.restrict(*splits[1])
+    read_all(early)  # one cut for splits 0 and 1
     read_all(early)  # nothing new
-    read_all(late)  # solved late, then steps 0 and 1
-    cache.restrict(*steps[2])
-    read_all(early)  # step 2 only
+    read_all(late)  # solved late, then one cut
+    cache.restrict(*splits[2])
+    read_all(early)  # one cut for split 2
     read_all(late)
     entries = [(d, z) for z in range(len(objs)) for d in ("forward", "backward")]
     assert sorted(solved) == sorted(entries)
-    for d, z in entries:
-        assert [i for dd, zz, i in replayed if (dd, zz) == (d, z)] == [0, 1, 2]
-    assert len(replayed) == 3 * len(entries)
+    for entry in entries:
+        seen = [s for d, z, s in cuts if (d, z) == entry]
+        # a space solved nonzero is cut once for both first splits, and
+        # again after the third unless the first cut left nothing
+        assert seen == ([2, 3] if solved[entry] else [])[: len(seen)]
+        assert bool(seen) == bool(solved[entry])
+    assert any(s == 3 for _, _, s in cuts)
 
 
 def test_split_off_summand_rejects_a_cache_of_another_representation(catalog_p2):
+    # the cache is kept in x's coordinates, so it serves x alone, before
+    # and after its splits
     from subrep.birkhoff import _HomCache
     from subrep.errors import InternalContractViolation
 
@@ -449,14 +486,78 @@ def test_split_off_summand_rejects_a_cache_of_another_representation(catalog_p2)
     # a cache of an equal representation that is not x
     with pytest.raises(InternalContractViolation):
         split_off_summand(x, catalog_p2, hom_cache=_HomCache(catalog_p2, make()))
-    # a cache of x that has already moved on to a complement
+    # a cache of x after a split serves neither the complement nor a copy of x
     cache = _HomCache(catalog_p2, x)
     _, f, q, _ = split_off_summand(x, catalog_p2, hom_cache=cache)
-    res = split_by_retraction(x, f, q)
-    cache.restrict(f @ q, res.complement_incl, res.complement_proj, res.complement)
-    with pytest.raises(InternalContractViolation):
-        split_off_summand(x, catalog_p2, hom_cache=cache)
-    split_off_summand(res.complement, catalog_p2, hom_cache=cache)
+    cache.restrict(f, q)
+    for other in (split_by_retraction(x, f, q).complement, make()):
+        with pytest.raises(InternalContractViolation):
+            split_off_summand(other, catalog_p2, hom_cache=cache)
+    split_off_summand(x, catalog_p2, hom_cache=cache)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_off_summand_splits_what_remains_of_its_cache(p, request):
+    # each summand lies in what the splits before it left: retraction .
+    # mono = id and mono . retraction . keep = mono . retraction; once
+    # nothing remains, keep is zero and there is nothing to split
+    from subrep.birkhoff import _HomCache
+
+    catalog = request.getfixturevalue(f"catalog_p{p}")
+    for x in _chase_inputs(catalog):
+        cache = _HomCache(catalog, x)
+        while cache.remaining:
+            keep = cache.keep
+            idx, mono, retraction, _ = split_off_summand(x, catalog, hom_cache=cache)
+            assert mono.source is catalog.objects[idx] and mono.target is x
+            assert retraction @ mono == Morphism.identity(mono.source)
+            e = mono @ retraction
+            assert e @ keep == e
+            cache.restrict(mono, retraction)
+        assert cache.keep.is_zero()
+        with pytest.raises(ValueError):
+            split_off_summand(x, catalog, hom_cache=cache)
+
+
+def test_the_chase_builds_no_complement(catalog_p2, catalog_p3, monkeypatch):
+    # the chase runs in x's coordinates: it builds no complement
+    # representation (split_by_retraction refuses), composes no morphism,
+    # and solves top frames of the input and of catalog objects only
+    from subrep import birkhoff, posetrep
+    from subrep.repfile import parse_subspace_config, read_text
+
+    def refuse(*args):
+        raise AssertionError("the chase built a complement or composed a morphism")
+
+    runs = [(decompose_full, x, c) for c in (catalog_p2, catalog_p3) for x in _chase_inputs(c)]
+    five = parse_subspace_config(read_text(FIVE_SUMMANDS))
+    runs.append((invariant_subspace_report, five, catalog_p2))
+    for p, catalog in ((2, catalog_p2), (3, catalog_p3)):
+        rng = np.random.default_rng(27 + p)
+        configs = [random_subspace_config(PrimeField(p), 10, rng) for _ in range(10)]
+        runs += [(invariant_subspace_report, cfg, catalog) for cfg in configs]
+    real_top_frames = posetrep.Representation.top_frames
+    framed_inputs = 0
+    for run, arg, catalog in runs:
+        framed = []
+
+        def top_frames(rep):
+            if rep._top is None:
+                framed.append(rep)
+            return real_top_frames(rep)
+
+        with monkeypatch.context() as m:
+            m.setattr(posetrep, "split_by_retraction", refuse)
+            m.setattr(birkhoff, "split_by_retraction", refuse, raising=False)
+            m.setattr(posetrep.Morphism, "__matmul__", refuse)
+            m.setattr(posetrep.Representation, "top_frames", top_frames)
+            result = run(arg, catalog)
+        d = result if run is decompose_full else result.decomposition
+        assert d.check()
+        assert all(rep is d.object or any(rep is o for o in catalog.objects) for rep in framed)
+        framed_inputs += any(rep is d.object for rep in framed)
+    # the report builds its input, so its frames are solved under the patch
+    assert framed_inputs >= 21
 
 
 def test_validate_reports_each_kind_with_its_first_witness():

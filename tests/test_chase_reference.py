@@ -1,4 +1,5 @@
-"""The chase on `*` blocks against the full-flat chase it replaced.
+"""The chase on `*` blocks, in the input's coordinates, against the
+full-flat chase and the replaying cache it replaced.
 
 Every object of the chase is a subspace representation, so `birkhoff`
 holds each hom space of its cache, and each map it walks through, as
@@ -14,6 +15,12 @@ inclusions and projections: on the chase inputs of `test_birkhoff.py`
 at p = 2 and 3, on every object of both shipped catalogs (each chases to
 its own index) and on S(3) at p = 2^31 - 1.  It must solve the same
 forward spaces, and no backward space the reference does not.
+
+The chase builds no complement: its cache keeps Hom(Z, x) and Hom(x, Z)
+and cuts them to what remains.  On the same inputs every read of that
+cache is checked against `_ReplayedCache`, the star-form cache that
+followed each complement built by `split_by_retraction` and replayed
+every split into every space it read.
 """
 
 import json
@@ -153,11 +160,72 @@ def _reference(x, catalog):
     return cert, maps, cache.solved
 
 
+class _ReplayedCache:
+    """The chase's hom cache before it ran in the input's coordinates:
+    star-form spaces into and out of the current complement, each solved
+    on its first read against the input and replaying, on each later
+    read, the splits it has not yet seen."""
+
+    def __init__(self, catalog, x):
+        objs = catalog.objects
+        self.solve = {
+            "forward": lambda z: hom_basis(objs[z], x),
+            "backward": lambda z: hom_basis(x, objs[z]),
+        }
+        self.step = {"forward": _star_forward_step, "backward": _star_backward_step}
+        self.entries, self.steps = {}, []
+
+    def read(self, direction, z):
+        homs, seen = self.entries.get((direction, z)) or (self.solve[direction](z), 0)
+        for step in self.steps[seen:]:
+            homs = self.step[direction](homs, *step)
+        self.entries[direction, z] = (homs, len(self.steps))
+        return homs
+
+
+def _star_forward_step(homs, q, comp_incl, comp_proj, complement):
+    if homs.dim:
+        homs = homs.combinations(kernel_basis(homs.postcomposed(q).star_block()))
+    return homs.postcomposed(comp_proj)
+
+
+def _star_backward_step(homs, q, comp_incl, comp_proj, complement):
+    homs = homs.precomposed(comp_incl)
+    if homs.dim:
+        cols = column_space_basis(homs.star_block())
+        homs = HomSpace.from_flat(complement, homs.target, cols, star=True)
+    return homs
+
+
+class _CheckedReads:
+    """A read of the library's entry also reads the replayed one, and
+    asserts it is the same space carried to the input by `carry`."""
+
+    def __init__(self, entries, replayed, direction, carry):
+        self.entries, self.replayed = entries, replayed
+        self.direction, self.carry = direction, carry
+
+    def __getitem__(self, z):
+        homs = self.entries[z]
+        want = self.carry(self.replayed.read(self.direction, z))
+        # lifted copies: the comparison must not change what the chase reads
+        got = HomSpace.from_flat(homs.source, homs.target, homs.star_block(), star=True)
+        want = HomSpace.from_flat(want.source, want.target, want.star_block(), star=True)
+        assert got.source is want.source and got.target is want.target
+        a, b = got.basis_matrix().a, want.basis_matrix().a
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return homs
+
+
 def _library(x, catalog, monkeypatch):
-    """The same triple from `decompose_full`, its solves counted."""
+    """The same triple from `decompose_full`, its solves counted.  Every
+    read of its cache is checked against `_ReplayedCache`, whose
+    complements are built by `split_by_retraction`: forward[z] must be
+    incl . (replayed entry) and backward[z] (replayed entry) . proj, byte
+    for byte, with incl and proj the complement's maps into and out of x."""
     solved = {"forward": [], "backward": []}
 
-    class Counting(birkhoff._HomCache):
+    class Checked(birkhoff._HomCache):
         def __init__(self, catalog, x):
             super().__init__(catalog, x)
             for direction in solved:
@@ -168,9 +236,28 @@ def _library(x, catalog, monkeypatch):
                     return real(z)
 
                 space.solve = solve
+            self.replayed, self.complement = _ReplayedCache(catalog, x), x
+            self.incl = self.proj = Morphism.identity(x)
+            self.forward = _CheckedReads(
+                self.forward, self.replayed, "forward", lambda h: h.postcomposed(self.incl)
+            )
+            self.backward = _CheckedReads(
+                self.backward, self.replayed, "backward", lambda h: h.precomposed(self.proj)
+            )
+
+        def restrict(self, f, q):
+            super().restrict(f, q)
+            q_k = q @ self.incl
+            res = split_by_retraction(self.complement, self.proj @ f, q_k)
+            self.replayed.steps.append(
+                (q_k, res.complement_incl, res.complement_proj, res.complement)
+            )
+            self.complement = res.complement
+            self.incl = self.incl @ res.complement_incl
+            self.proj = res.complement_proj @ self.proj
 
     with monkeypatch.context() as m:
-        m.setattr(birkhoff, "_HomCache", Counting)
+        m.setattr(birkhoff, "_HomCache", Checked)
         d = decompose_full(x, catalog)
     return d.certificate, [(s.inclusion, s.projection) for s in d.summands], solved
 

@@ -165,6 +165,51 @@ def test_kernel_basis_matches_entrywise_reference():
             assert np.array_equal(kernel_basis(m).a, _kernel_basis_loop(m))
 
 
+def _sparse(field, rows, cols, rng):
+    """About half its entries zero, so ranks fall short and zero columns occur."""
+    entries = rng.integers(0, field.p, size=(rows, cols))
+    return Matrix(field, (rng.random((rows, cols)) < 0.5) * entries)
+
+
+# (rows of A, rows of B, columns) with every zero shape, then random ones
+STACKED_SHAPES = [(0, 0, 0), (0, 0, 4), (0, 3, 4), (2, 0, 4), (2, 3, 0), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_kernel_of_a_stacked_system_is_a_product_of_kernels(p):
+    # the forward cut of the chase's hom cache: kernel bases are reduced
+    # (K[free] = I, each column's last nonzero at its free row), so the
+    # kernel basis of [A; B] is that of A times that of B restricted to
+    # it, and one cut gives the basis a cut after every split would
+    field, rng = PrimeField(p), np.random.default_rng(p % 1000)
+    shapes = STACKED_SHAPES + [tuple(int(d) for d in rng.integers(0, 7, 3)) for _ in range(60)]
+    for ra, rb, n in shapes:
+        a, b = _sparse(field, ra, n, rng), _sparse(field, rb, n, rng)
+        ka = kernel_basis(a)
+        both, product = kernel_basis(a.vstack(b)), ka @ kernel_basis(b @ ka)
+        assert both.a.shape == product.a.shape and both.a.tobytes() == product.a.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_pivot_columns_compose(p):
+    # the backward cut: the columns of M are maps, and precomposing every
+    # one with P multiplies M by a linear map L on the left.  A column
+    # dependent on those before it stays dependent, so the pivot columns
+    # of L2 (L1 M), among the columns kept after L1, are those of (L2 L1) M
+    field, rng = PrimeField(p), np.random.default_rng(p % 1000 + 1)
+    shapes = [(0, 0, 0, 0), (0, 2, 2, 3), (3, 0, 2, 3), (3, 2, 0, 3), (3, 2, 2, 0)]
+    shapes += [tuple(int(d) for d in rng.integers(0, 7, 4)) for _ in range(60)]
+    for rows, r1, r2, cols in shapes:
+        m = _sparse(field, rows, cols, rng)
+        l1, l2 = _sparse(field, r1, rows, rng), _sparse(field, r2, r1, rng)
+        kept = rref(l1 @ m)[1]
+        then = rref(l2 @ (l1 @ m).take_columns(kept))[1]
+        assert [kept[j] for j in then] == list(rref((l2 @ l1) @ m)[1])
+        stepwise = column_space_basis(l2 @ column_space_basis(l1 @ m))
+        at_once = column_space_basis((l2 @ l1) @ m)
+        assert stepwise.a.shape == at_once.a.shape and stepwise.a.tobytes() == at_once.a.tobytes()
+
+
 def test_rref_against_sympy():
     rng = np.random.default_rng(9)
     for _ in range(25):
