@@ -24,7 +24,6 @@ from .artheory import (
     verify_ar_sequence,
 )
 from .birkhoff import (
-    ChaseTrace,
     SubspaceConfig,
     decompose_full,
     from_invariant_subspaces,

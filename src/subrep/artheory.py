@@ -215,16 +215,12 @@ def _radical_maps(end: Representation, test: Representation, into: bool) -> HomS
     Into or out of an indecomposable end these are the non-split maps."""
     rad = end_radical(end)
     x, y = (test, end) if into else (end, test)
-    homs = hom_basis(x, y)
-    if homs.dim == 0:
-        return homs
-    back = hom_basis(y, x)
-    if back.dim == 0:
-        return homs
+    homs, back = hom_basis(x, y), hom_basis(y, x)
     compose = HomSpace.precomposed if into else HomSpace.postcomposed
     # h in rad iff, for every u, compose(h, u) lies in the radical: its
     # End/J coordinates vanish, so intersect the kernels over all u
-    rows = [rad.quotient_coords(compose(homs, u)) for u in back.basis]
+    rows = [np.zeros((0, homs.dim), dtype=np.int64)]
+    rows += [rad.quotient_coords(compose(homs, u)) for u in back.basis]
     k = kernel_basis(Matrix(x.field, np.vstack(rows)))
     return homs.combinations(k)
 
@@ -464,7 +460,7 @@ def build_catalog(
         return indices
 
     translates = {}  # non-projective C -> summands of right_approx(dtr(C))
-    socle_done = set()
+    visited = 0  # objects[:visited] have had their discovery step
     for round_no in range(budget):
         size, meshes = len(catalog), len(catalog.meshes)
         # discovery: radicals of projectives
@@ -472,18 +468,18 @@ def build_catalog(
             for idx, rep in enumerate(catalog.objects):
                 if catalog.projective[idx]:
                     admit(rad_subrep(rep)[0])
-        # discovery: translate candidates and socle quotients
-        for idx in range(len(catalog.objects)):
+        # discovery: translate candidates and socle quotients, once per
+        # object; what it admits waits for the next round
+        first, visited = visited, len(catalog)
+        for idx in range(first, visited):
             rep = catalog.objects[idx]
-            if not catalog.projective[idx] and idx not in translates:
+            if not catalog.projective[idx]:
                 translates[idx] = admit(right_approx(dtr(rep)).approx)
-            if idx not in socle_done:
-                socle_done.add(idx)
-                soc, soc_incl = socle_subrep(rep)
-                if 0 < soc.total_dim():
-                    quo, _ = quotient_rep(rep, soc_incl.components)
-                    if quo.total_dim():
-                        admit(right_approx(quo).approx)
+            soc, soc_incl = socle_subrep(rep)
+            if 0 < soc.total_dim():
+                quo, _ = quotient_rep(rep, soc_incl.components)
+                if quo.total_dim():
+                    admit(right_approx(quo).approx)
         # mesh assembly for every non-projective without a certified mesh
         for c_idx in range(len(catalog.objects)):
             if catalog.projective[c_idx] or c_idx in catalog.meshes:
@@ -523,16 +519,13 @@ def build_catalog(
     return catalog
 
 
-def _through_left(catalog: Catalog, z: int, t: int, space, left) -> HomSpace:
-    """The maps objects[z] -> objects[t] that factor through the left map
-    left = (lifts, parts), lifts[k]: objects[z] -> objects[parts[k]],
-    with the second factor from space(parts[k], t): the join over k of
-    space(parts[k], t) . lifts[k], in order."""
-    lifts, parts = left
+def _through_left(source: Representation, target: Representation, spans, lifts) -> HomSpace:
+    """The maps source -> target that factor through the left map
+    (lifts[k]: source -> W_k)_k with the second factor from spans[k],
+    maps W_k -> target: the join over k of spans[k] . lifts[k], in order.
+    The one place this join is written."""
     return HomSpace.joined(
-        catalog.objects[z],
-        catalog.objects[t],
-        [space(w, t).precomposed(h) for w, h in zip(parts, lifts)],
+        source, target, [homs.precomposed(h) for homs, h in zip(spans, lifts)]
     )
 
 
@@ -551,7 +544,8 @@ def _is_left_almost_split_in_catalog(catalog: Catalog, z: int, parts, lifts) -> 
     and rad End(objects[z]) for T equal to it, which is what rad_space
     holds."""
     for t in range(len(catalog.objects)):
-        through = _through_left(catalog, z, t, catalog.hom, (lifts, parts))
+        spans = [catalog.hom(w, t) for w in parts]
+        through = _through_left(catalog.objects[z], catalog.objects[t], spans, lifts)
         if t == z and through.coefficients([Morphism.identity(catalog.objects[z])]) is not None:
             return False
         if through.coefficients(catalog.rad_space(z, t)) is None:

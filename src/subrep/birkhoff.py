@@ -16,7 +16,7 @@ star-form `HomSpace`s, lifted on the first read of `basis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,6 @@ from .posetrep import (
     subspace_representation,
 )
 from .sampling import intersect_spans
-
-
-@dataclass
-class ChaseTrace:
-    steps: list = dataclass_field(default_factory=list)
-    outcome: str = ""
-
-    def __len__(self):
-        return len(self.steps)
 
 
 class _HomCache:
@@ -145,12 +136,13 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
     """Extract a summand of what remains of a subspace representation x:
     all of x, or with a cache of x the image of its `keep`.
 
-    Returns (catalog index, mono, retraction, trace) where mono embeds
+    Returns (catalog index, mono, retraction, steps) where mono embeds
     the catalog object into x, retraction . mono = id and
-    mono . retraction . keep = mono . retraction.  Raises ValueError
-    when nothing remains, or when x is not a subspace representation and
-    no cache is given.  The walk holds every map as the star form of its
-    own span and lifts only the pair it returns.
+    mono . retraction . keep = mono . retraction; steps lists the walk,
+    one dict per object visited, the last with "split": True.  Raises
+    ValueError when nothing remains, or when x is not a subspace
+    representation and no cache is given.  The walk holds every map as
+    the star form of its own span and lifts only the pair it returns.
     """
     cache = hom_cache or _HomCache(catalog, x)
     if cache.current is not x:
@@ -159,44 +151,26 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         raise ValueError("cannot split a summand off the zero representation")
     m_len = catalog.max_length()
     bound = 2**m_len - 1
-    trace = ChaseTrace()
-    start = None
-    for z in range(len(catalog.objects)):
-        if catalog.projective[z] and cache.forward[z].dim:
-            start = z
-            break
+    objs = range(len(catalog.objects))
+    start = next((z for z in objs if catalog.projective[z] and cache.forward[z].dim), None)
     if start is None:
         raise InternalContractViolation(
             "no projective maps into a nonzero representation"
         )
-    current = start
     maps = _one_maps(cache.forward[start])
     # prefer a starting map that already splits (the trivial case)
     for h in maps:
-        q = _find_retraction(h, cache.backward[start]) if _mono_at_star(h) else None
+        q = _find_retraction(h, cache, start)
         if q is not None:
-            trace.steps.append({"object": start, "split": True})
-            trace.outcome = "split"
-            return start, h.basis[0], q, trace
-    f = maps[0]
+            return start, h.basis[0], q, [{"object": start, "split": True}]
+    current, f = start, maps[0]
     # running composite of the chosen radical maps from the starting
     # projective; keeping f . composite nonzero is what makes the
     # radical-chain bound terminate the walk
     obj = catalog.objects[start]
     composite = _one_maps(HomSpace(obj, obj, [Morphism.identity(obj)]))[0]
+    steps = []
     while True:
-        if len(trace.steps) > bound:
-            raise ChaseExhaustedError(
-                f"chase exceeded the step bound 2^{m_len} - 1 = {bound}"
-            )
-        # split test: q . f = id for q in the backward hom space; a split
-        # mono is a mono, so a map that is not injective at `*` goes
-        # straight to the factorization and its backward space is not read
-        q = _find_retraction(f, cache.backward[current]) if _mono_at_star(f) else None
-        if q is not None:
-            trace.steps.append({"object": current, "split": True})
-            trace.outcome = "split"
-            return current, f.basis[0], q, trace
         lifts, parts = catalog.left_maps[current]
         if not parts:
             raise InternalContractViolation(
@@ -214,8 +188,16 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
                 break
         if chosen is None:
             raise InternalContractViolation("factorization through the left map vanished")
-        trace.steps.append({"object": current, "split": False, "next": chosen[0]})
+        steps.append({"object": current, "split": False, "next": chosen[0]})
         current, f, composite = chosen
+        if len(steps) > bound:
+            raise ChaseExhaustedError(
+                f"chase exceeded the step bound 2^{m_len} - 1 = {bound}"
+            )
+        q = _find_retraction(f, cache, current)
+        if q is not None:
+            steps.append({"object": current, "split": True})
+            return current, f.basis[0], q, steps
 
 
 def _one_maps(homs: HomSpace) -> list:
@@ -224,19 +206,19 @@ def _one_maps(homs: HomSpace) -> list:
     return [HomSpace.from_flat(x, y, star.column(j), star=True) for j in range(homs.dim)]
 
 
-def _mono_at_star(f: HomSpace) -> bool:
-    """The map f spans is injective at `*`: necessary for it to be mono,
-    and for maps between subspace representations also sufficient.  Its
-    `*` block read as a (dim source_*, dim target_*) array is f_*^T."""
+def _find_retraction(f: HomSpace, cache: _HomCache, z: int):
+    """Some q in the span of `cache.backward[z]` (maps x -> objects[z] =
+    f.source) with q . f = id for the map f spans, or None; solved at
+    `*`.  A split mono is a mono, and a map between subspace
+    representations is one exactly when it is injective at `*`, so a map
+    that is not (its `*` block, read as a (dim source_*, dim target_*)
+    array, is f_*^T) has none and the backward space is not read."""
     c, r = f.source.dim(STAR), f.target.dim(STAR)
-    return Matrix(f.source.field, f.star_block().a.reshape(c, r)).rank() == c
-
-
-def _find_retraction(f: HomSpace, backward: HomSpace):
-    """Some q in the span of `backward` (maps f.target -> f.source) with
-    q . f = id for the map f spans, or None; solved at `*`."""
-    c = f.composites(backward).coefficients([Morphism.identity(f.source)])
-    return None if c is None else backward.element(c.a[:, 0])
+    if Matrix(f.source.field, f.star_block().a.reshape(c, r)).rank() != c:
+        return None
+    backward = cache.backward[z]
+    coeffs = f.composites(backward).coefficients([Morphism.identity(f.source)])
+    return None if coeffs is None else backward.element(coeffs.a[:, 0])
 
 
 def _factor_through_left(f: HomSpace, lifts, parts, cache):
@@ -244,11 +226,7 @@ def _factor_through_left(f: HomSpace, lifts, parts, cache):
     the cached forward homs of objects[parts[k]]; returns the h'_k, each
     as its own span."""
     spans = [cache.forward[w] for w in parts]
-    composites = HomSpace.joined(
-        f.source,
-        f.target,
-        [homs.precomposed(h) for homs, h in zip(spans, lifts)],
-    )
+    composites = _through_left(f.source, f.target, spans, lifts)
     if not composites.dim:
         raise InternalContractViolation("left map has no middle homs to factor through")
     c = composites.coefficients(f)
@@ -272,9 +250,9 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
     cache = _HomCache(catalog, x)
     summands, traces, classes = [], [], []
     while cache.remaining:
-        idx, f, q, trace = split_off_summand(x, catalog, hom_cache=cache)
+        idx, f, q, steps = split_off_summand(x, catalog, hom_cache=cache)
         summands.append(Summand(rep=catalog.objects[idx], inclusion=f, projection=q))
-        traces.append(trace.steps)
+        traces.append(steps)
         classes.append(idx)
         cache.restrict(f, q)
     return Decomposition(x, summands, {"method": "chase", "traces": traces, "classes": classes})
@@ -395,7 +373,9 @@ def harada_sai_check(catalog: Catalog):
         for (z, t), homs in prev.items():
             # rad being an ideal, rad^(k+1)(Z, T) lies in rad^k(Z, T)
             if homs.dim:
-                homs = _through_left(catalog, z, t, lambda w, s: prev[w, s], catalog.left_maps[z])
+                lifts, parts = catalog.left_maps[z]
+                spans = [prev[w, t] for w in parts]
+                homs = _through_left(homs.source, homs.target, spans, lifts)
                 cols = column_space_basis(homs.star_block())
                 homs = HomSpace.from_flat(homs.source, homs.target, cols, star=True)
             layer[z, t] = homs

@@ -64,8 +64,11 @@ class RadicalData:
 
     def quotient_coords(self, maps: HomSpace) -> np.ndarray:
         """End/J coordinates of the spanning maps, one column each, over
-        the End basis elements at the frame's free coordinates."""
-        coords = self.algebra.solver().coords(maps.basis_matrix())
+        the End basis elements at the frame's free coordinates; raises
+        InternalContractViolation for a map outside End."""
+        coords = self.algebra.space.coefficients(maps)
+        if coords is None:
+            raise InternalContractViolation("a map outside End has no End/J coordinates")
         return _matmul_mod(self.frame[0].a, coords.a, coords.field.p)
 
 

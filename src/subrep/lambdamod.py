@@ -157,8 +157,6 @@ def jordan_chains(m: LambdaModule):
     field = m.algebra.field
     n = m.algebra.n
     dim = m.dim
-    if dim == 0:
-        return []
     powers = [Matrix.identity(field, dim)]
     for _ in range(n):
         powers.append(powers[-1] @ m.t)
@@ -184,7 +182,7 @@ def jordan_basis(m: LambdaModule):
     head, t head, ... per chain, largest blocks first."""
     field = m.algebra.field
     chains = jordan_chains(m)
-    cols = []
+    cols = [np.zeros((m.dim, 0), dtype=np.int64)]
     sizes = []
     for head, size in chains:
         v = head.a
@@ -192,11 +190,7 @@ def jordan_basis(m: LambdaModule):
             cols.append(v)
             v = _matmul_mod(m.t.a, v, field.p)
         sizes.append(size)
-    if cols:
-        j = Matrix(field, np.hstack(cols))
-    else:
-        j = Matrix.zeros(field, m.dim, 0)
-    return j, tuple(sizes)
+    return Matrix(field, np.hstack(cols)), tuple(sizes)
 
 
 def injective_envelope(m: LambdaModule):

@@ -21,7 +21,6 @@ from .errors import (
     UnknownVertexError,
 )
 from .ffmat import (
-    CoordinateSolver,
     Matrix,
     _cokernel_coords,
     _matmul_mod,
@@ -663,14 +662,12 @@ def precompose(f: Morphism, x: Representation) -> HomSpace:
 
 
 class EndAlgebra:
-    """End(x) over the basis of the hom space `space` = Hom(x, x), with a
-    (lazily built) coordinate solver."""
+    """End(x) over the basis of the hom space `space` = Hom(x, x)."""
 
-    __slots__ = ("space", "_solver")
+    __slots__ = ("space",)
 
     def __init__(self, space: HomSpace):
         self.space = space
-        self._solver = None
 
     @property
     def rep(self) -> Representation:
@@ -683,11 +680,6 @@ class EndAlgebra:
     @property
     def dim(self):
         return self.space.dim
-
-    def solver(self):
-        if self._solver is None:
-            self._solver = CoordinateSolver(self.space.basis_matrix())
-        return self._solver
 
     def element(self, coords) -> Morphism:
         return self.space.element(coords)

@@ -67,8 +67,6 @@ def intersect_spans(field, spans):
     """Basis of the intersection of column spans (all in the same ambient)."""
     current = spans[0]
     for other in spans[1:]:
-        if current.cols == 0 or other.cols == 0:
-            return Matrix.zeros(field, current.rows, 0)
         stacked = current.hstack(other.scale(-1))
         k = kernel_basis(stacked)
         current = column_space_basis(current @ Matrix(field, k.a[: current.cols]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from subrep.approx import right_approx
-from subrep.artheory import build_catalog, verify_ar_sequence
+from subrep.artheory import build_catalog, indecomposable_projectives, verify_ar_sequence
 from subrep.birkhoff import (
     decompose_full,
     harada_sai_check,
@@ -255,10 +255,15 @@ def test_criterion_10_span_and_evaluation():
         x = random_subspace_representation(quiver, algebra, caps, rng)
         if evaluation_iso_check(summands, x, pair_homs=pair_homs) is None:
             eval_good += 1
-    ok = span_good == 100 and eval_good == 50
+    # the exact fact both samples follow from: the catalog holds a
+    # generator, every indecomposable projective
+    projectives = indecomposable_projectives(quiver, algebra)
+    found = sum(catalog.find_isomorphic(p) is not None for p in projectives)
+    ok = found == len(projectives) and span_good == 100 and eval_good == 50
     _report(
         10,
         ok,
+        f"{found}/{len(projectives)} indecomposable projectives in the catalog; "
         f"{span_good}/100 objects generated by catalog homs; {eval_good}/50 "
         "evaluation maps bijective (exact dimension equality)",
     )

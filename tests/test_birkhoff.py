@@ -45,9 +45,9 @@ FIVE_SUMMANDS = os.path.join(CONFIGS, "five_summands.sub")
 
 def test_split_projective_immediately(catalog_p2):
     m = all_free_representation(L2)
-    idx, mono, retraction, trace = split_off_summand(m, catalog_p2)
+    idx, mono, retraction, steps = split_off_summand(m, catalog_p2)
     assert catalog_p2.projective[idx]
-    assert len(trace.steps) == 1 and trace.steps[0]["split"]
+    assert len(steps) == 1 and steps[0]["split"]
     assert (retraction @ mono).is_zero() is False
     from subrep.posetrep import Morphism
 
@@ -59,8 +59,8 @@ def test_split_m_plus_n_bounded(catalog_p2):
     n = twisted_pair_representation(L2)
     both = direct_sum([m, n]).rep
     bound = 2 ** catalog_p2.max_length() - 1
-    idx, mono, retraction, trace = split_off_summand(both, catalog_p2)
-    assert len(trace.steps) <= bound
+    idx, mono, retraction, steps = split_off_summand(both, catalog_p2)
+    assert len(steps) <= bound
     assert catalog_p2.find_isomorphic(catalog_p2.objects[idx]) == idx
 
 

@@ -10,10 +10,12 @@ from subrep.decomp import (
     quotient_is_division_ring,
     radical,
 )
+from subrep.errors import InternalContractViolation
 from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, independent_columns
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
+    HomSpace,
     Morphism,
     Poset,
     QuiverStar,
@@ -74,6 +76,18 @@ def test_radical_of_all_free():
     assert len(rad.radical.basis) == 1
     gen = rad.radical.basis[0]
     assert (gen @ gen).is_zero() and not gen.is_zero()
+
+
+def test_quotient_coords_rejects_a_map_outside_end():
+    # End(all free) = Lambda, spanned by 1 and T at every vertex; a matrix
+    # unit at every vertex is no combination of them
+    m = all_free_representation(L2)
+    rad = radical(end_algebra(m))
+    assert rad.quotient_coords(HomSpace(m, m, [Morphism.identity(m)])).any()
+    unit = Matrix(F2, [[1, 0], [0, 0]])
+    outside = Morphism(m, m, {v: unit for v in m.quiver.vertices})
+    with pytest.raises(InternalContractViolation):
+        rad.quotient_coords(HomSpace(m, m, [outside]))
 
 
 def test_radical_of_matrix_algebra_is_zero():

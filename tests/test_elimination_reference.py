@@ -561,7 +561,7 @@ def test_is_local_matches_complement_solver(p, n):
         )
         elements = end.space.combinations(coeffs)
         in_rad = ~rad.quotient_coords(elements).any(axis=0)
-        coords = end.solver().coords(elements.basis_matrix())
+        coords = CoordinateSolver(end.space.basis_matrix()).coords(elements.basis_matrix())
         pivots, u = span_frame(rad.coeff_matrix)
         assert np.array_equal(in_rad, ~(u @ coords).a[len(pivots) :].any(axis=0))
     assert seen == {True, False}

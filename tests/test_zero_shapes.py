@@ -13,7 +13,7 @@ from subrep.approx import (
     mimo_k,
     right_approx,
 )
-from subrep.artheory import dtr
+from subrep.artheory import _radical_maps, dtr
 from subrep.birkhoff import decompose_full
 from subrep.decomp import (
     indecompose,
@@ -35,6 +35,8 @@ from subrep.lambdamod import (
     LambdaAlgebra,
     LambdaModule,
     injective_envelope,
+    jordan_basis,
+    jordan_chains,
     quotient_module,
     submodule,
 )
@@ -53,6 +55,7 @@ from subrep.posetrep import (
     subrep_from_bases,
     subspace_representation,
 )
+from subrep.sampling import intersect_spans
 
 from oracles import (
     all_free_representation,
@@ -103,6 +106,8 @@ def test_lambda_module_empty_shapes(p):
     algebra = _algebra(p)
     field = algebra.field
     zero = LambdaModule.zero(algebra)
+    assert jordan_chains(zero) == []
+    assert jordan_basis(zero) == (Matrix.zeros(field, 0, 0), ())
     env, emb = injective_envelope(zero)
     assert env.dim == 0 and emb == Matrix.zeros(field, 0, 0)
     free = LambdaModule.free(algebra, 2)
@@ -112,6 +117,25 @@ def test_lambda_module_empty_shapes(p):
     assert quo == zero and proj == Matrix.zeros(field, 0, 4)
     quo, (proj, _) = quotient_module(free, Matrix.zeros(field, 4, 0))
     assert quo == free and proj == Matrix.identity(field, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_intersect_spans_with_an_empty_span(p):
+    """An empty span on either side, also beside dependent columns or
+    before a further span, meets every span in zero."""
+    field = PrimeField(p)
+    none, full = Matrix.zeros(field, 4, 0), Matrix.identity(field, 4)
+    twice = Matrix(field, [[1, 1], [0, 0], [1, 1], [0, 0]])
+    for spans in (
+        [none, full],
+        [full, none],
+        [none, none],
+        [none, twice],
+        [twice, none],
+        [full, none, full],
+        [none, full, twice],
+    ):
+        assert intersect_spans(field, spans) == none
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
@@ -320,6 +344,26 @@ def test_evaluation_iso_check_fails_with_a_zero_hom_space(catalog_p2):
     m = [catalog_p2.objects[0], catalog_p2.objects[9]]
     assert [hom_basis(z, x).dim for z in m] == [0, 2]
     assert evaluation_iso_check(m, x) == "3"
+
+
+def test_radical_maps_with_a_zero_hom_space(catalog):
+    """No maps back: the radical maps are all of Hom, the zero space when
+    Hom itself is zero (objects z, w with Hom(w, z) = 0 != Hom(z, w),
+    and the zero representation)."""
+    objs = catalog.objects
+    zero = Representation.zero(QUIVER, catalog.algebra)
+    pairs = [(z, w) for z in range(len(objs)) for w in range(len(objs)) if z != w]
+    z, w = next((z, w) for z, w in pairs if catalog.hom(z, w).dim and not catalog.hom(w, z).dim)
+    for end, test, into in (
+        (objs[w], objs[z], True),
+        (objs[z], objs[w], False),
+        (objs[z], objs[w], True),
+        (_obj_003(catalog), zero, True),
+        (_obj_003(catalog), zero, False),
+    ):
+        x, y = (test, end) if into else (end, test)
+        got, want = _radical_maps(end, test, into), hom_basis(x, y)
+        assert got.dim == want.dim and got.basis_matrix() == want.basis_matrix()
 
 
 def test_is_local_and_radical_of_small_endomorphism_algebras():
