@@ -39,7 +39,6 @@ from .ffmat import (
     _cokernel_coords,
     _matmul_mod,
     _wrap,
-    column_space_basis,
     independent_columns,
     kernel_basis,
     kron,
@@ -340,7 +339,7 @@ class Catalog:
         return self.hom(i, j)
 
     def rad_square_span(self, i: int, j: int) -> Matrix:
-        """Flattened basis of the span of rad^2(objects[i], objects[j])
+        """`*` block of a basis of the span of rad^2(objects[i], objects[j])
         through the catalog: the composites t . u, u: objects[i] -> w and
         t: w -> objects[j] radical.  Kept per pair with the catalog size
         it covers and the irreducible lifts, and extended only through
@@ -351,14 +350,14 @@ class Catalog:
             return basis
         x, y = self.objects[i], self.objects[j]
         rad = self.rad_space(i, j).dim
-        grown = HomSpace(x, y, ()).basis_matrix() if basis is None else basis
+        grown = HomSpace(x, y, ()) if basis is None else HomSpace.from_flat(x, y, basis)
         for w in range(size, len(self.objects)):
-            if grown.cols == rad:
+            if grown.dim == rad:
                 break  # rad^2 = rad: no composite can extend the span
             first, second = self.rad_space(i, w), self.rad_space(w, j)
             if first.dim and second.dim:
-                spans = [HomSpace.from_flat(x, y, grown), first.composites(second)]
-                grown = column_space_basis(HomSpace.joined(x, y, spans).basis_matrix())
+                grown = HomSpace.joined(x, y, [grown, first.composites(second)]).pivots()
+        grown = grown.star_block()
         if basis is not None and grown.cols != basis.cols:
             lifts = None  # the bases are reduced: same span iff same dimension
         self._rad_squares[(i, j)] = (grown, len(self.objects), lifts)
@@ -375,7 +374,7 @@ class Catalog:
         basis = self.rad_square_span(i, j)
         lifts = self._rad_squares[(i, j)][2]
         if lifts is None:
-            lifts = [rad.basis[k] for k in independent_columns(basis, rad.basis_matrix())]
+            lifts = [rad.basis[k] for k in independent_columns(basis, rad.star_block())]
             self._rad_squares[(i, j)] = (basis, len(self.objects), lifts)
         return lifts
 

@@ -10,8 +10,9 @@ length), so the walk terminates within that bound.  Every summand is a
 direct summand of the input x itself, so the whole chase runs in x's
 coordinates: what remains to be split is the image of one idempotent of
 x, and no complement is built.  Every object it meets is a subspace
-representation, so it works on `*` blocks: its hom spaces are
-star-form `HomSpace`s, lifted on the first read of `basis`.
+representation, so its hom spaces are star-form `HomSpace`s and every
+product, solve and cut it makes is on `*` blocks; a read of `basis`
+lifts a space into a memo and changes none of them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .posetrep import (
     HomSpace,
     Morphism,
     Representation,
+    _postcompose_block,
     hom_basis,
     subspace_representation,
 )
@@ -68,9 +70,10 @@ class _HomCache:
       so the pivots compose too.
     Entries are star-form `HomSpace`s (the constructor raises ValueError
     naming the first point of x whose composite to `*` is not injective),
-    and a read of `basis` lifts the other vertices.  The content digest of
-    `perfbench/layertrace.py` reads every entry (a traced run solves and
-    lifts them all), and Tier-1 tests check these attributes:
+    and a read of `basis` lifts the other vertices into a memo.  The
+    content digest of `perfbench/layertrace.py` reads every entry (a
+    traced run solves and lifts them all), which changes none of the
+    products the chase makes; Tier-1 tests check these attributes:
     - `catalog`: the Catalog the chase runs against;
     - `current`: x, the Representation being decomposed;
     - `forward`: dict, catalog index z -> HomSpace from objects[z] to x;
@@ -105,15 +108,13 @@ class _HomCache:
         self.splits += 1
 
     def _cut_forward(self, homs):
-        # the `*` rows of Q . h_j, laid out as `HomSpace.postcomposed` lays them
-        c, k, field = homs.source.dim(STAR), homs.dim, self.current.field
-        stack = homs.star_block().a.reshape(c, -1, k)
-        rows = _matmul_mod(self._split, stack, field.p).reshape(-1, k)
+        # (Q . h_j)_* = Q_* h_j*, the product `HomSpace.postcomposed` makes
+        field = self.current.field
+        rows = _postcompose_block(self._split, homs.star_block().a, homs.source.dim(STAR), field.p)
         return homs.combinations(kernel_basis(_wrap(field, rows)))
 
     def _cut_backward(self, homs):
-        cols = column_space_basis(homs.precomposed(self.keep).star_block())
-        return HomSpace.from_flat(self.current, homs.target, cols, star=True)
+        return homs.precomposed(self.keep).pivots()
 
 
 class _Cut(dict):
@@ -157,7 +158,9 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         raise InternalContractViolation(
             "no projective maps into a nonzero representation"
         )
-    maps = _one_maps(cache.forward[start])
+    forward = cache.forward[start]
+    star = forward.star_block()  # each spanning map as its own span, at `*`
+    maps = [HomSpace.from_flat(forward.source, x, star.column(j)) for j in range(forward.dim)]
     # prefer a starting map that already splits (the trivial case)
     for h in maps:
         q = _find_retraction(h, cache, start)
@@ -168,7 +171,7 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
     # projective; keeping f . composite nonzero is what makes the
     # radical-chain bound terminate the walk
     obj = catalog.objects[start]
-    composite = _one_maps(HomSpace(obj, obj, [Morphism.identity(obj)]))[0]
+    composite = HomSpace(obj, obj, [Morphism.identity(obj)])
     steps = []
     while True:
         lifts, parts = catalog.left_maps[current]
@@ -198,12 +201,6 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         if q is not None:
             steps.append({"object": current, "split": True})
             return current, f.basis[0], q, steps
-
-
-def _one_maps(homs: HomSpace) -> list:
-    """The spanning maps of a star-form space, each as its own span."""
-    x, y, star = homs.source, homs.target, homs.star_block()
-    return [HomSpace.from_flat(x, y, star.column(j), star=True) for j in range(homs.dim)]
 
 
 def _find_retraction(f: HomSpace, cache: _HomCache, z: int):
@@ -344,8 +341,9 @@ def harada_sai_check(catalog: Catalog):
     chase trusts them.  A left map (lifts[k]: Z -> W_k) gives
     rad(Z, -) = sum_k Hom(W_k, -) . lifts[k], so
     rad^(k+1)(Z, T) = sum_k rad^k(W_k, T) . lifts[k], from
-    rad^1 = `rad_space`.  Each layer is reduced by `column_space_basis`,
-    so every basis column is a nonzero composite of k radical maps.
+    rad^1 = `rad_space`.  Each layer is reduced to its pivot columns at
+    `*` (`HomSpace.pivots`), so every basis column is a nonzero composite
+    of k radical maps.
 
     Returns (counterexample, (witness, wlen), layers).  `layers` holds
     the total dimensions of rad^1, rad^2, ..., ending at the first zero
@@ -375,9 +373,7 @@ def harada_sai_check(catalog: Catalog):
             if homs.dim:
                 lifts, parts = catalog.left_maps[z]
                 spans = [prev[w, t] for w in parts]
-                homs = _through_left(homs.source, homs.target, spans, lifts)
-                cols = column_space_basis(homs.star_block())
-                homs = HomSpace.from_flat(homs.source, homs.target, cols, star=True)
+                homs = _through_left(homs.source, homs.target, spans, lifts).pivots()
             layer[z, t] = homs
     wlen = min(sum(1 for d in layers if d), m_len - 1)
     witness = _first_column(kept[wlen - 1]) if wlen else None

@@ -128,18 +128,17 @@ def _verify_radical(data: RadicalData):
     """The computed space must be a nilpotent two-sided ideal; combined
     with the necessity of the vanishing conditions this certifies it as
     the radical."""
-    end, rad, x = data.algebra, data.radical, data.algebra.rep
-    for b in rad.basis:
-        for products in (end.space.postcomposed(b), end.space.precomposed(b)):
-            if data.quotient_coords(products).any():
-                raise InternalContractViolation("radical candidate is not an ideal")
-    # nilpotency of the subspace under iterated products f . b, f outer
+    end, rad = data.algebra, data.radical
+    # every b . e and e . b, e in End and b in the candidate
+    for products in (end.space.composites(rad), rad.composites(end.space)):
+        if data.quotient_coords(products).any():
+            raise InternalContractViolation("radical candidate is not an ideal")
+    # nilpotency of the subspace under iterated products f . b
     current = rad
     for _ in range(end.dim + 1):
-        if current.basis_matrix().is_zero():
+        if not current.dim:  # its columns are independent
             return
-        products = HomSpace.joined(x, x, [rad.postcomposed(f) for f in current.basis])
-        current = HomSpace.from_flat(x, x, column_space_basis(products.basis_matrix()))
+        current = rad.composites(current).pivots()
     raise InternalContractViolation("radical candidate is not nilpotent")
 
 
@@ -159,9 +158,8 @@ def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData) -> bool:
     if q == 0:
         return False
     comp = HomSpace.from_flat(x, x, end.space.basis_matrix().take_columns(rad.frame[1]))
-    table = np.empty((q, q, q), dtype=np.int64)  # [i, j, :] = e_i e_j
-    for i, b in enumerate(comp.basis):
-        table[i] = rad.quotient_coords(comp.postcomposed(b)).T
+    # column i*q + j of the composites is e_j e_i; [i, j, :] = e_i e_j
+    table = rad.quotient_coords(comp.composites(comp)).T.reshape(q, q, q).transpose(1, 0, 2)
     if not np.array_equal(table, table.transpose(1, 0, 2)):
         return False
     by_left = table.reshape(q, q * q)

@@ -5,11 +5,13 @@ augmented quiver (the poset plus a largest point "*") and a T-equivariant
 matrix to every arrow (Hasse covers plus maximal -> *), such that parallel
 paths commute.  Subspace representations are those where every arrow
 matrix, equivalently every composite v -> '*', has full column rank; a
-morphism into one is determined by its component at '*' (see `hom_basis`).
+morphism into one is determined by its component at '*' (see `hom_basis`),
+so a `HomSpace` into one holds and computes on that component alone.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ from .ffmat import (
     _wrap,
     block_diag,
     cokernel_frame,
+    column_space_basis,
     kernel_basis,
     kernel_frame,
     kron,
@@ -173,12 +176,12 @@ class Representation:
 
     Not mutated after construction, so the vertex dimensions are read
     once, into `_dims`, and derived data is memoized on the instance on
-    first use: `_paths` by `composite_map`, `_top` by `top_frames`, `_end`
-    by `end_algebra`, `_fingerprint` by `decomp.fingerprint` and
-    `_radical` by `decomp.end_radical`."""
+    first use: `_paths` by `composite_map`, `_top` and `_subspace` (read
+    by `is_subspace_rep`) by `top_frames`, `_end` by `end_algebra`,
+    `_fingerprint` by `decomp.fingerprint`, `_radical` by `end_radical`."""
 
-    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims",
-                 "_paths", "_top", "_end", "_fingerprint", "_radical")
+    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims", "_paths",
+                 "_top", "_subspace", "_end", "_fingerprint", "_radical")
 
     def __init__(self, quiver: QuiverStar, algebra: LambdaAlgebra, spaces, arrow_maps):
         self.quiver = quiver
@@ -286,11 +289,14 @@ class Representation:
                 d = len(pivots)
                 frame = (_wrap(self.field, u.a[:d].copy()), _wrap(self.field, u.a[d:].copy()))
                 self._top[v] = frame if d == self.dim(v) else None
+            self._subspace = None not in self._top.values()
         return self._top
 
     def is_subspace_rep(self) -> bool:
         """True iff every arrow, equivalently every composite v -> '*', is injective."""
-        return None not in self.top_frames().values()
+        if self._top is None:
+            self.top_frames()  # sets `_subspace` too
+        return self._subspace
 
     def __repr__(self):
         dims = ",".join(str(self.dim(v)) for v in self.quiver.vertices)
@@ -430,24 +436,23 @@ def morphism_from_flat(x, y, vec) -> Morphism:
 
 class HomSpace:
     """A span of morphisms source -> target, held as one coordinate
-    matrix: column j is the j-th spanning morphism flattened in
-    `Morphism.flatten` order (`_flat_rows`), or in star form only its
-    `*` block, the last dim source_* . dim target_* rows.  The columns
-    may be dependent (a list of composites, say); `hom_basis` returns an
-    actual basis, in star form into a subspace representation y: there
+    matrix in the form its target fixes.  Flat: column j is the j-th
+    spanning morphism flattened in `Morphism.flatten` order
+    (`_flat_rows`).  Star, into a subspace representation y: the `*`
+    block, the last dim source_* . dim target_* rows, as there
     f_v = L_v f_* X_v (`y.top_frames()`), so every other row is a linear
-    image of the `*` rows, with the same kernel, pivots and solutions.
-    `basis_matrix()` and `basis` lift the rest on first read.  Until
-    then compositions, combinations and solves stay at `*` while the
-    target allows it; after it they use the flat matrix, so what they
-    derive needs no lift of its own.
+    image of the `*` rows, with the same kernel, pivots and solutions;
+    every product, solve and reduction uses the `*` block alone, and
+    `basis_matrix()` (so `basis`, `element`) lifts the rest into a memo
+    nothing else reads.  The columns may be dependent (a list of
+    composites, say); `hom_basis` returns an actual basis.
 
     `source`, `target` and `basis` (the spanning morphisms, built from
     the columns on first read) are the public contract: the content
     digest of `perfbench/layertrace.py` reads exactly these three.
 
     Composing every element with one map costs one product per vertex,
-    one in star form.  The rows of vertex v, read as a (dim source_v,
+    one at `*`.  The rows of vertex v, read as a (dim source_v,
     dim target_v, k) array, hold the transposed components h_1^T, ...,
     h_k^T, so g . h_j for all j is g times that stack, and h_j . f for
     all j is f^T times the same rows read as [h_1^T | ... | h_k^T].
@@ -456,122 +461,117 @@ class HomSpace:
     __slots__ = ("source", "target", "_flat", "_star", "_basis")
 
     def __init__(self, source: Representation, target: Representation, basis):
-        """The span of the morphisms in `basis`, in order (flat form)."""
-        self.source = source
-        self.target = target
-        self._basis = tuple(basis)
-        self._star = None
-        if self._basis:
+        """The span of the morphisms in `basis`, in order."""
+        basis = tuple(basis)
+        if basis:
             # components are reduced, so the stacked copy is too
-            flat = np.stack([m.flatten() for m in self._basis], axis=1)
+            flat = np.stack([m.flatten() for m in basis], axis=1)
         else:
             flat = np.zeros((_flat_size(source, target), 0), dtype=np.int64)
-        self._flat = _wrap(source.field, flat)
+        self._hold(source, target, _wrap(source.field, flat), basis)
 
     @classmethod
-    def from_flat(cls, source, target, flat: Matrix, star=False) -> "HomSpace":
-        """The span of the columns of `flat` (reduced, `flatten` order), or
-        with `star` of the `*` blocks `flat` holds (target a subspace
-        representation)."""
+    def from_flat(cls, source, target, flat: Matrix) -> "HomSpace":
+        """The span of the columns of `flat`, reduced: flattened morphisms
+        or, into a subspace representation, their `*` blocks alone."""
         hs = object.__new__(cls)
-        hs.source = source
-        hs.target = target
-        hs._flat, hs._star = (None, flat) if star else (flat, None)
-        hs._basis = None
+        hs._hold(source, target, flat, None)
         return hs
+
+    def _hold(self, source, target, flat, basis):
+        # a matrix of the flat length is both forms, its last rows the `*` block
+        rows, n = flat.a.shape[0], source._dims[STAR] * target._dims[STAR]
+        self.source, self.target, self._basis = source, target, basis
+        self._flat = flat if rows != n or _flat_size(source, target) == n else None
+        self._star = flat if rows == n else _wrap(source.field, flat.a[rows - n :])
 
     @classmethod
     def joined(cls, source, target, spaces) -> "HomSpace":
-        """All spanning columns of `spaces` (spans source -> target), in
-        order; star form when every space is."""
+        """All spanning columns of `spaces` (spans source -> target), in order."""
         if not spaces:
             return cls(source, target, ())
-        star = all(s._flat is None for s in spaces)
-        cols = [(s._star if star else s.basis_matrix()).a for s in spaces]
-        return cls.from_flat(source, target, _wrap(source.field, np.hstack(cols)), star)
+        cols = [s._held().a for s in spaces]
+        return cls.from_flat(source, target, _wrap(source.field, np.hstack(cols)))
 
     @property
     def basis(self) -> tuple:
         if self._basis is None:
-            cols = self.basis_matrix().a.T
-            self._basis = tuple(
-                morphism_from_flat(self.source, self.target, cols[j])
-                for j in range(self.dim)
-            )
+            x, y = self.source, self.target
+            self._basis = tuple(morphism_from_flat(x, y, col) for col in self.basis_matrix().a.T)
         return self._basis
 
     @property
     def dim(self):
-        return (self._star if self._flat is None else self._flat).cols
+        return self._star.cols
 
     def basis_matrix(self) -> Matrix:
-        """Columns are the flattened spanning morphisms."""
+        """Columns are the flattened spanning morphisms, lifted from the
+        `*` block on first read, which then views its last rows."""
         if self._flat is None:
-            # the `*` rows are the last rows of the lift, so one copy is kept
-            self._flat = _wrap(self.source.field, _lift(self.source, self.target, self._star.a))
-            self._star = None
+            flat = _wrap(self.source.field, _lift(self.source, self.target, self._star.a))
+            self._hold(self.source, self.target, flat, self._basis)
         return self._flat
 
     def star_block(self) -> Matrix:
         """The `*` rows of `basis_matrix()`: column j is vec(h_j at `*`)."""
-        if self._flat is None:
-            return self._star
-        n = self.source.dim(STAR) * self.target.dim(STAR)
-        return _wrap(self.source.field, self._flat.a[self._flat.rows - n :])
+        return self._star
+
+    def _held(self) -> Matrix:
+        """What it computes on: the `*` block into a subspace representation."""
+        return self._star if self.target.is_subspace_rep() else self.basis_matrix()
+
+    def pivots(self) -> "HomSpace":
+        """A basis of the span: its pivot columns in order, found on the held rows."""
+        return HomSpace.from_flat(self.source, self.target, column_space_basis(self._held()))
 
     def postcomposed(self, g: Morphism) -> "HomSpace":
         """The span of g . h over the spanning h, in order; g: target -> z."""
         x, z = self.source, g.target
-        star = self._flat is None and z.is_subspace_rep()
-        a, k, p = (self._star if star else self.basis_matrix()).a, self.dim, x.field.p
-        # [l, i, j] = h_j[i, l]; g_v @ stack is [l, i', j] = (g_v h_j)[i', l]
+        star = z.is_subspace_rep()
+        a, p = (self._star if star else self.basis_matrix()).a, x.field.p
         parts = [
-            _matmul_mod(g.components[v].a, a[rows].reshape(c, r, k), p).reshape(c * z.dim(v), k)
-            for v, rows, c, r in _flat_rows(x, self.target, star)
+            _postcompose_block(g.components[v].a, a[rows], c, p)
+            for v, rows, c, _ in _flat_rows(x, self.target, star)
         ]
-        return HomSpace.from_flat(x, z, _wrap(x.field, np.concatenate(parts)), star)
+        return HomSpace.from_flat(x, z, _wrap(x.field, np.concatenate(parts)))
 
     def precomposed(self, f: Morphism) -> "HomSpace":
         """The span of h . f over the spanning h, in order; f: w -> source."""
-        w, y, star = f.source, self.target, self._flat is None
-        a, k, p = (self._star if star else self._flat).a, self.dim, w.field.p
+        w, y = f.source, self.target
+        a, k, p = self._held().a, self.dim, w.field.p
         # [l, i*k + j] = h_j[i, l]; f_v^T times it is (h_j f_v)^T
         parts = [
             _matmul_mod(f.components[v].a.T, a[rows].reshape(c, r * k), p).reshape(w.dim(v) * r, k)
-            for v, rows, c, r in _flat_rows(self.source, y, star)
+            for v, rows, c, r in _flat_rows(self.source, y, y.is_subspace_rep())
         ]
-        return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)), star)
+        return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)))
 
     def composites(self, second: "HomSpace") -> "HomSpace":
         """The span of t . u over the spanning u of self (x -> w, outer
         loop) and t of second (w -> y, inner loop): column i*k2 + j is
         t_j . u_i, the columns of `second.precomposed(u_i)` joined in
-        order; star form when second is.  One product per vertex: the u
-        rows read as (dim x_v, k1, dim w_v) times the t rows read as
-        (dim w_v, dim y_v * k2)."""
+        order.  One product per vertex: the u rows read as (dim x_v, k1,
+        dim w_v) times the t rows read as (dim w_v, dim y_v * k2)."""
         x, w, y = self.source, self.target, second.target
-        star = second._flat is None
-        u = (self.star_block() if star else self.basis_matrix()).a
-        t, p = (second._star if star else second._flat).a, x.field.p
-        k1, k2 = self.dim, second.dim
+        star, p, k1, k2 = y.is_subspace_rep(), x.field.p, self.dim, second.dim
+        u, t = (self._star, second._star) if star else (self.basis_matrix(), second.basis_matrix())
         # vertices where x or y is zero contribute no rows
         parts = [np.zeros((0, k1 * k2), dtype=np.int64)]
         for (_, ru, c, m), (_, rt, _, r) in zip(_flat_rows(x, w, star), _flat_rows(w, y, star)):
             if c and r:
                 # [l, i, q] = u_i[q, l] times [q, s*k2 + j] = t_j[s, q] is
                 # [l, i, s, j] = (t_j u_i)[s, l], reordered to rows (l, s)
-                stack = u[ru].reshape(c, m, k1).transpose(0, 2, 1)
-                side = t[rt].reshape(m, r * k2)
+                stack = u.a[ru].reshape(c, m, k1).transpose(0, 2, 1)
+                side = t.a[rt].reshape(m, r * k2)
                 prod = _matmul_mod(stack.reshape(c * k1, m), side, p).reshape(c, k1, r, k2)
                 parts.append(prod.transpose(0, 2, 1, 3).reshape(c * r, k1 * k2))
-        return HomSpace.from_flat(x, y, _wrap(x.field, np.concatenate(parts)), star)
+        return HomSpace.from_flat(x, y, _wrap(x.field, np.concatenate(parts)))
 
     def combinations(self, coeffs: Matrix) -> "HomSpace":
         """The span of the combinations sum_i coeffs[i, j] basis[i], one
         per column j of coeffs."""
-        star, x = self._flat is None, self.source
-        a = _matmul_mod((self._star if star else self._flat).a, coeffs.a, x.field.p)
-        return HomSpace.from_flat(x, self.target, _wrap(x.field, a), star)
+        a = _matmul_mod(self._held().a, coeffs.a, self.source.field.p)
+        return HomSpace.from_flat(self.source, self.target, _wrap(self.source.field, a))
 
     def element(self, coords) -> Morphism:
         """The combination sum coords[i] basis[i]."""
@@ -584,16 +584,22 @@ class HomSpace:
         """Coefficients of each target morphism over the spanning list: a
         dim x len(targets) Matrix with free coefficients 0, or None when
         some target lies outside the span.  `targets` is a list of
-        morphisms or a HomSpace (its spanning columns); in star form only
-        the `*` rows are solved.  An empty span holds only the zero map."""
+        morphisms or a HomSpace (its spanning columns); into a subspace
+        representation only the `*` rows are solved.  An empty span
+        holds only the zero map."""
         if not isinstance(targets, HomSpace):
             targets = HomSpace(self.source, self.target, targets)
         try:
-            if self._flat is None:
-                return solve(self._star, targets.star_block())
-            return solve(self._flat, targets.basis_matrix())
+            return solve(self._held(), targets._held())
         except NoSolutionError:
             return None
+
+
+def _postcompose_block(g_v: np.ndarray, rows: np.ndarray, c: int, p: int) -> np.ndarray:
+    """At one vertex, the rows of g . h_j from those of the h_j (source dim c)."""
+    k = rows.shape[1]
+    # [l, i, j] = h_j[i, l]; g_v @ stack is [l, i', j] = (g_v h_j)[i', l]
+    return _matmul_mod(g_v, rows.reshape(c, g_v.shape[1], k), p).reshape(c * g_v.shape[0], k)
 
 
 def _lift(x: Representation, y: Representation, k: np.ndarray) -> np.ndarray:
@@ -612,7 +618,7 @@ def _lift(x: Representation, y: Representation, k: np.ndarray) -> np.ndarray:
 
 def _flat_size(x: Representation, y: Representation) -> int:
     """Length of a flattened morphism x -> y."""
-    return sum(y.dim(v) * x.dim(v) for v in x.quiver.vertices)
+    return sum(map(operator.mul, x._dims.values(), y._dims.values()))
 
 
 def hom_basis(x: Representation, y: Representation) -> HomSpace:
@@ -631,7 +637,7 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
     if None not in frames.values():
         rows = [equivariance_system(x.spaces[STAR], y.spaces[STAR])]
         rows += [kron(x.composite_map(v, STAR).a.T, frames[v][1].a) for v in x.quiver.poset.points]
-        return HomSpace.from_flat(x, y, kernel_basis(Matrix(x.field, np.vstack(rows))), star=True)
+        return HomSpace.from_flat(x, y, kernel_basis(Matrix(x.field, np.vstack(rows))))
     dx, dy, arrows, total = x.dim, y.dim, x.quiver.arrows, _flat_size(x, y)
     # one row block per vertex (T-equivariance) and per arrow s -> t
     # (f_t X_a - Y_a f_s = 0), in the columns of vec(f_s) and vec(f_t)

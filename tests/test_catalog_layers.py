@@ -119,12 +119,15 @@ def test_composites_on_fixture_catalog_triples(p, request):
 
 
 def _rad_square_from_scratch(catalog, i, j):
+    """The `*` rows of every composite through the catalog, reduced at
+    once: catalog objects are subspace representations, so the kept span
+    is its `*` block."""
     x, y = catalog.objects[i], catalog.objects[j]
     spans = [
         catalog.rad_space(i, w).composites(catalog.rad_space(w, j))
         for w in range(len(catalog))
     ]
-    return column_space_basis(HomSpace.joined(x, y, spans).basis_matrix())
+    return column_space_basis(HomSpace.joined(x, y, spans).star_block())
 
 
 @pytest.mark.parametrize("p", [2, 3])

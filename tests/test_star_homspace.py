@@ -1,27 +1,32 @@
 """Hom spaces into subspace representations held as their `*` block.
 
-Into a subspace representation y a morphism is determined by f_*, so
-`hom_basis(x, y)` returns the star form of `HomSpace`: the `*` block
-alone, the last dim x_* . dim y_* rows of the flat matrix.  The other
-vertices, f_v = L_v f_* X_v, are lifted on the first read of
-`basis_matrix()` or `basis`; `dim` and `star_block()` never lift.  The
-eager lift `hom_basis` made before is kept here as the reference
-(`_eager_hom_basis`).  On every ordered pair of `fixtures/catalog_p2`
-objects and on seeded subspace representations at p = 3 and 2^31 - 1,
-the lifted basis must equal it byte for byte, and compositions,
-combinations, elements and solves must agree on the two forms, with
-each product of the star form made by one `_matmul_mod` call.
+Into a subspace representation y a morphism is determined by f_*, so a
+`HomSpace` into y holds and computes on its `*` block alone, the last
+dim x_* . dim y_* rows of the flat matrix; `hom_basis(x, y)` returns
+that block.  The other vertices, f_v = L_v f_* X_v, are lifted on the
+first read of `basis_matrix()` or `basis` into a memo that no other
+method reads: `dim` and `star_block()` never lift, and a lifted space
+still composes at `*`.  The eager lift `hom_basis` made before is kept
+here as the reference (`_eager_hom_basis`), and its compositions,
+combinations and solves are computed flat, with `is_subspace_rep`
+patched to say no target is a subspace representation.  On every
+ordered pair of `fixtures/catalog_p2` objects and on seeded subspace
+representations at p = 3 and 2^31 - 1, the lifted basis must equal it
+byte for byte, and compositions, combinations, elements and solves must
+agree on the two forms, with each product of the star form made by one
+`_matmul_mod` call.
 """
 
 import numpy as np
 import pytest
 
-from subrep import posetrep
+from subrep import birkhoff, posetrep
 from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, _matmul_mod, kernel_basis, kron
 from subrep.lambdamod import LambdaAlgebra, equivariance_system
-from subrep.posetrep import STAR, HomSpace, direct_sum, hom_basis
+from subrep.posetrep import STAR, HomSpace, Representation, _flat_size, direct_sum, hom_basis
 from subrep.sampling import random_representation, random_subspace_representation
+from test_birkhoff import _chase_inputs
 
 
 def _eager_hom_basis(x, y):
@@ -70,6 +75,11 @@ def _inputs(p, request):
     return _seeded_pairs(p)
 
 
+def _lifts(x, y):
+    """Whether a lift has rows to fill: some vertex other than `*`."""
+    return _flat_size(x, y) > x.dim(STAR) * y.dim(STAR)
+
+
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
 def test_lazy_lift_matches_the_eager_lift(p, request, monkeypatch):
     lifts = []
@@ -82,46 +92,52 @@ def test_lazy_lift_matches_the_eager_lift(p, request, monkeypatch):
         assert homs.dim == eager.dim
         _same(homs.star_block().a, flat[flat.shape[0] - x.dim(STAR) * y.dim(STAR) :])
         assert not lifts
+        # a `*` block that is the whole flat matrix needs no lift
         _same(homs.basis_matrix().a, flat)
-        assert len(lifts) == 1
-        assert homs.basis == eager.basis and len(lifts) == 1
+        assert len(lifts) == _lifts(x, y)
+        assert homs.basis == eager.basis and len(lifts) == _lifts(x, y)
         lifts.clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
-def test_both_forms_agree(p, request):
+def test_both_forms_agree(p, request, monkeypatch):
     rng = np.random.default_rng(7)
     field = PrimeField(p)
     for x, y in _inputs(p, request):
-        # a fresh star-form space per use: one that has been lifted
-        # composes in flat form
-        star, flat = lambda: hom_basis(x, y), _eager_hom_basis(x, y)
+        flat, ends_y, ends_x = _eager_hom_basis(x, y), _eager_hom_basis(y, y), _eager_hom_basis(x, x)
         k = flat.dim
-        ends_y, ends_x = _eager_hom_basis(y, y), _eager_hom_basis(x, x)
         g = ends_y.element(rng.integers(0, p, size=ends_y.dim))
         f = ends_x.element(rng.integers(0, p, size=ends_x.dim))
         coeffs = _random_coeffs(field, k, 3, rng)
-        pairs = [
-            (star().postcomposed(g), flat.postcomposed(g)),
-            (star().precomposed(f), flat.precomposed(f)),
-            (star().combinations(coeffs), flat.combinations(coeffs)),
-            (star().composites(hom_basis(y, y)), flat.composites(_eager_hom_basis(y, y))),
-            (HomSpace.joined(x, y, [star(), star()]), HomSpace.joined(x, y, [flat, flat])),
-        ]
-        for got, want in pairs:
-            _same(got.star_block().a, want.star_block().a)
-            _same(got.basis_matrix().a, want.basis_matrix().a)
-        coords = rng.integers(0, p, size=k)
-        assert star().element(coords) == flat.element(coords)
+        head = Matrix(field, np.eye(k, dtype=np.int64)[:, : k - 1])
         targets = [flat.element(c) for c in coeffs.a.T]
-        for space in (star, lambda: flat):
-            for given in (targets, star().combinations(coeffs), flat.combinations(coeffs)):
-                _same(space().coefficients(given).a, flat.coefficients(targets).a)
-        if k:
+        ops = [
+            lambda s, ends: s.postcomposed(g),
+            lambda s, ends: s.precomposed(f),
+            lambda s, ends: s.combinations(coeffs),
+            lambda s, ends: s.composites(ends),
+            lambda s, ends: HomSpace.joined(x, y, [s, s]),
+        ]
+        with monkeypatch.context() as m:
+            # no target is a subspace representation: every space computes flat
+            m.setattr(Representation, "is_subspace_rep", lambda rep: False)
+            wants = [op(flat, ends_y) for op in ops]
+            want_coeffs, flat_combos = flat.coefficients(targets), flat.combinations(coeffs)
             # the last basis map lies outside the span of the others
-            head = Matrix(field, np.eye(k, dtype=np.int64)[:, : k - 1])
-            for space in (star().combinations(head), flat.combinations(head)):
-                assert space.coefficients([flat.basis[-1]]) is None
+            assert not k or flat.combinations(head).coefficients([flat.basis[-1]]) is None
+        # a space that has been lifted computes exactly as a fresh one
+        lifted = hom_basis(x, y)
+        lifted.basis
+        for star in (hom_basis(x, y), lifted):
+            for op, want in zip(ops, wants):
+                got = op(star, hom_basis(y, y))
+                _same(got.star_block().a, want.star_block().a)
+                _same(got.basis_matrix().a, want.basis_matrix().a)
+            coords = rng.integers(0, p, size=k)
+            assert star.element(coords) == flat.element(coords)
+            for given in (targets, star.combinations(coeffs), flat_combos):
+                _same(star.coefficients(given).a, want_coeffs.a)
+            assert not k or star.combinations(head).coefficients([flat.basis[-1]]) is None
 
 
 def test_postcomposed_into_a_non_subspace_target_is_flat(catalog_p2):
@@ -165,12 +181,14 @@ def test_star_products_each_make_one_matmul_mod_call(catalog_p2, monkeypatch):
             g = hom_basis(y, y).element(rng.integers(0, 2, size=hom_basis(y, y).dim))
             f = hom_basis(x, x).element(rng.integers(0, 2, size=hom_basis(x, x).dim))
             coeffs = _random_coeffs(x.field, star.dim, 2, rng)
-            for op in (
+            ends_y = hom_basis(y, y)
+            ops = (
                 lambda: star.postcomposed(g),
                 lambda: star.precomposed(f),
                 lambda: star.combinations(coeffs),
-                lambda: star.composites(hom_basis(y, y)),
-            ):
+                lambda: star.composites(ends_y),
+            )
+            for op in ops:
                 calls.clear()
                 got = op().star_block().a
                 # one product, and the `*` block is what it returned
@@ -178,16 +196,65 @@ def test_star_products_each_make_one_matmul_mod_call(catalog_p2, monkeypatch):
                 assert calls[0].size == got.size
                 assert sorted(calls[0].ravel()) == sorted(got.ravel())
                 checked += 1
-            # the lift is two products per poset point; after it the
-            # space composes flat, one product per vertex, and what it
-            # derives is flat already
+            # the lift is two products per poset point, and after it every
+            # product is still one product at `*`
             calls.clear()
             star.basis_matrix()
-            assert len(calls) == 2 * len(x.quiver.poset.points)
-            calls.clear()
-            derived = star.postcomposed(g)
-            assert len(calls) == len(x.quiver.vertices)
+            assert len(calls) == 2 * len(x.quiver.poset.points) * _lifts(x, y)
+            for op in ops:
+                calls.clear()
+                derived = op()
+                assert len(calls) == 1
+            # what it derives lifts on its own read
             calls.clear()
             derived.basis_matrix()
-            assert not calls
+            assert len(calls) == 2 * len(x.quiver.poset.points) * _lifts(x, y)
     assert checked > 50
+
+
+def _chase_counting(x, catalog, monkeypatch, read):
+    """`decompose_full(x)` and its number of `_matmul_mod` calls outside
+    `_lift`.  With `read`, every space the chase's hom cache holds has its
+    `basis` read after each split, as the content digest of a traced run
+    reads them (it also solves the entries not yet read)."""
+    counted, lifting = [0], [0]
+
+    def lift(*args, real=posetrep._lift):
+        lifting[0] += 1
+        try:
+            return real(*args)
+        finally:
+            lifting[0] -= 1
+
+    def matmul(*args):
+        counted[0] += not lifting[0]
+        return _matmul_mod(*args)
+
+    def restrict(cache, f, q, real=birkhoff._HomCache.restrict):
+        real(cache, f, q)
+        for entries in (cache.forward, cache.backward) if read else ():
+            for entry in filter(None, dict.values(entries)):
+                entry[0].basis
+
+    with monkeypatch.context() as m:
+        m.setattr(posetrep, "_lift", lift)
+        m.setattr(posetrep, "_matmul_mod", matmul)
+        m.setattr(birkhoff, "_matmul_mod", matmul)
+        m.setattr(birkhoff._HomCache, "restrict", restrict)
+        d = birkhoff.decompose_full(x, catalog)
+    return d, counted[0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reading_the_hom_cache_changes_no_chase_product(p, request, monkeypatch):
+    """A read of `basis` fills a memo and nothing else: the chase gives
+    the same certificate and maps, with the same products, whether or
+    not every cached space was lifted after each split."""
+    catalog = request.getfixturevalue(f"catalog_p{p}")
+    for x in _chase_inputs(catalog):
+        plain, plain_calls = _chase_counting(x, catalog, monkeypatch, read=False)
+        read, read_calls = _chase_counting(x, catalog, monkeypatch, read=True)
+        assert read.certificate == plain.certificate
+        for got, want in zip(read.summands, plain.summands, strict=True):
+            assert got.inclusion == want.inclusion and got.projection == want.projection
+        assert read_calls == plain_calls
