@@ -8,7 +8,11 @@ indecomposable in one of two ways, both traced as `"leaf": "local"`:
 a failed attempt whose minimal polynomial, a prime power q^m, has
 degree dim End proves End = k[theta] = k[x]/(q^m), which is local;
 otherwise its endomorphism algebra modulo its radical is checked to be
-a division ring.
+a division ring.  On a subspace representation theta, its minimal
+polynomial and its idempotents live at `*` (theta_* X_v = X_v theta_v,
+X_v injective).  A part P of a split gets End(P) = proj . End . incl in
+its `_end` memo, certified local if its dimension is m deg q for the
+factor q^m that cut P out, the minimal polynomial of theta on P.
 
 The radical of an endomorphism algebra is computed by the
 characteristic-coefficient chain: over the prime field, x lies in the
@@ -36,19 +40,23 @@ from .ffmat import (
     column_space_basis,
     factor,
     kernel_basis,
+    kernel_basis_of_span,
     min_poly,
     poly_xgcd,
 )
 from .lambdamod import block_invariants
 from .posetrep import (
+    STAR,
     EndAlgebra,
     HomSpace,
     Morphism,
     Representation,
     _flat_rows,
+    _lift,
     end_algebra,
     hom_basis,
     image_subrep,
+    morphism_from_flat,
 )
 
 SPLIT_BUDGET = 256
@@ -222,16 +230,12 @@ class Decomposition:
         return x.total_dim() == 0
 
 
-def _crt_idempotents(theta: Morphism, total: Matrix, factors, mp: Poly):
-    """Orthogonal idempotents from the coprime factorization of the
-    minimal polynomial of theta, whose block-diagonal total matrix is
-    `total`: each interpolant is evaluated once on `total` and its vertex
-    blocks are cut out."""
-    field = mp.field
-    x = theta.source
-    ends = zip(x.quiver.vertices, x.dim_vector(), np.cumsum(x.dim_vector()))
-    blocks = [(v, slice(o - d, o)) for v, d, o in ends]
-    out = []
+def _crt_idempotents(x: Representation, theta: Matrix, factors, mp: Poly):
+    """Orthogonal idempotents of x, one per coprime factor of the minimal
+    polynomial mp of theta, each interpolant evaluated once on theta: the
+    `*` component on a subspace representation, lifted by e_v = L_v e_* X_v,
+    else the block-diagonal total matrix, cut into its vertex blocks."""
+    field, evals = mp.field, []
     for irr, mult in factors:
         pk = Poly.one(field)
         for _ in range(mult):
@@ -240,9 +244,13 @@ def _crt_idempotents(theta: Morphism, total: Matrix, factors, mp: Poly):
         g, u, _ = poly_xgcd(qk, pk)
         if g.degree() != 0:
             raise InternalContractViolation("factors are not coprime")
-        e = ((u * qk) % mp).eval_matrix(total).a
-        out.append(Morphism(x, x, {v: _wrap(field, e[b, b].copy()) for v, b in blocks}))
-    return out
+        evals.append(((u * qk) % mp).eval_matrix(theta).a)
+    if x.is_subspace_rep():
+        flat = _lift(x, x, np.stack([e.flatten(order="F") for e in evals], axis=1))
+        return [morphism_from_flat(x, x, col) for col in flat.T]
+    ends = zip(x.quiver.vertices, x.dim_vector(), np.cumsum(x.dim_vector()))
+    blocks = [(v, slice(o - d, o)) for v, d, o in ends]
+    return [Morphism(x, x, {v: _wrap(field, e[b, b].copy()) for v, b in blocks}) for e in evals]
 
 
 def indecompose(x: Representation, seed: int = 0) -> Decomposition:
@@ -264,7 +272,7 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
     trace = []
     summands = []
 
-    def recurse(rep, incl, proj):
+    def recurse(rep, incl, proj, generated=False):  # End = k[some theta]
         if rep.total_dim() == 0:
             return
         ends = end_algebra(rep)
@@ -272,20 +280,23 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
             trace.append({"dims": rep.dim_vector(), "leaf": "end-dim-1"})
             summands.append(Summand(rep, incl, proj))
             return
+        field, star = rep.field, rep.is_subspace_rep()
         locality_checked = False
-        generated = False  # End = k[theta] for a theta that failed to split
         for attempt in range(SPLIT_BUDGET):
-            coords = rng.integers(0, rep.field.p, size=ends.dim)
+            coords = rng.integers(0, field.p, size=ends.dim)
             if not coords.any():
                 continue
             factor_seed = int(rng.integers(0, 2**31))
             if not generated:
-                theta = ends.element(coords)
-                total = theta.total_matrix()
-                mp = min_poly(total)
+                if star:
+                    theta = _matmul_mod(ends.space.star_block().a, coords[:, None], field.p)
+                    theta = _wrap(field, theta.reshape(rep.dim(STAR), -1).T.copy())
+                else:
+                    theta = ends.element(coords).total_matrix()
+                mp = min_poly(theta)
                 factors = factor(mp, seed=factor_seed)
                 if len(factors) >= 2:
-                    idems = _crt_idempotents(theta, total, factors, mp)
+                    idems = _crt_idempotents(rep, theta, factors, mp)
                     trace.append(
                         {
                             "dims": rep.dim_vector(),
@@ -293,9 +304,13 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
                             "attempt": attempt,
                         }
                     )
-                    for e in idems:
+                    for e, (irr, mult) in zip(idems, factors):
                         part, part_incl, part_proj = image_subrep(e)
-                        recurse(part, incl @ part_incl, part_proj @ proj)
+                        # End(part) = proj . End . incl, in the basis hom_basis gives
+                        span = ends.space.postcomposed(part_proj).precomposed(part_incl)._held()
+                        part._end = EndAlgebra(HomSpace.from_flat(part, part, kernel_basis_of_span(span)))
+                        local = part._end.dim == mult * irr.degree()
+                        recurse(part, incl @ part_incl, part_proj @ proj, local)
                     return
                 # k[theta] has dimension deg mp; if that is dim End, then
                 # End = k[theta] = k[x]/(q^m), which is local

@@ -48,7 +48,8 @@ gives, so callers do not special-case them:
 - `kernel_basis` of an L x 0 matrix is 0 x 0, and of a 0 x m matrix is
   the identity I_m; `kernel_frame` returns that K with free = [] and
   free = 0..m-1 respectively; so `cokernel_frame` of an m x 0 matrix is
-  (I_m, 0..m-1);
+  (I_m, 0..m-1); `kernel_basis_of_span` of an L x 0 matrix is L x 0 and
+  of a 0 x k matrix 0 x 0;
 - `column_space_basis` of a d x 0 matrix is d x 0.
 """
 
@@ -431,6 +432,16 @@ def kernel_frame(m: Matrix):
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the null space {v : m v = 0}."""
     return kernel_frame(m)[0]
+
+
+def kernel_basis_of_span(m: Matrix) -> Matrix:
+    """The `kernel_basis` of every system whose null space is the span of
+    the columns of m: the one basis that is I at the free coordinates, a
+    column's free coordinate being its last nonzero entry, so with the
+    coordinates reversed it is the nonzero rows of rref(m^T), last first."""
+    a = m.a.T[:, ::-1].copy()
+    _, rank = _rref_inplace(a, m.field.p)
+    return _wrap(m.field, a[:rank][::-1, ::-1].T.copy())
 
 
 def independent_columns(prefix: Matrix, candidates: Matrix):
@@ -861,10 +872,12 @@ def factor(f: Poly, seed: int = 0):
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    rng = np.random.default_rng(seed)
+    rng = None  # made for the first equal-degree split, which draws from it
     found = {}
     for g, k in _squarefree_decomposition(f):
         for h, d in _distinct_degree(g):
+            if rng is None and h.degree() > d:
+                rng = np.random.default_rng(seed)
             for irr in _equal_degree_factor(h, d, rng):
                 key = irr.coeffs
                 found[key] = found.get(key, 0) + k

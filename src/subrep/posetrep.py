@@ -175,10 +175,11 @@ class Representation:
     """Vertex modules plus arrow matrices on the augmented quiver.
 
     Not mutated after construction, so the vertex dimensions are read
-    once, into `_dims`, and derived data is memoized on the instance on
-    first use: `_paths` by `composite_map`, `_top` and `_subspace` (read
-    by `is_subspace_rep`) by `top_frames`, `_end` by `end_algebra`,
-    `_fingerprint` by `decomp.fingerprint`, `_radical` by `end_radical`."""
+    once, into `_dims`, and derived data is memoized on the instance:
+    `_paths` by `composite_map`, `_top` and `_subspace` (read by
+    `is_subspace_rep`) by `top_frames`, `_end` by `end_algebra` or, on a
+    part it splits off, by `decomp.indecompose`, `_fingerprint` by
+    `decomp.fingerprint`, `_radical` by `end_radical`."""
 
     __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims", "_paths",
                  "_top", "_subspace", "_end", "_fingerprint", "_radical")

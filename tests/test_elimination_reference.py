@@ -7,8 +7,9 @@ fewer eliminations.
 `subrep_from_bases`, `subspace_representation`, `left_approx`,
 `socle_subrep` and `SubspaceConfig.validate` read coordinates and
 membership off one `span_frame` per vertex or subspace;
-`decomp._crt_idempotents` evaluates each interpolant once on the total
-matrix; `quotient_module` and `quotient_rep` read the induced maps off
+`decomp._crt_idempotents` evaluates each interpolant once, on the `*`
+component of a subspace representation (and lifts it) or on the total
+matrix of any other; `quotient_module` and `quotient_rep` read the induced maps off
 one `cokernel_frame` per vertex, and `quotient_is_division_ring` the
 End/J coordinates off the radical's.  The earlier constructions are
 kept here as the reference: the full hom system (equivariance at every
@@ -372,21 +373,24 @@ def test_split_by_retraction_matches_coordinate_solver(p, n):
 @pytest.mark.parametrize("p,n", ALGEBRAS)
 def test_crt_idempotents_match_per_vertex_evaluation(p, n):
     rng, subs, general = _samples(p, n, 10000 * n + p % 1000)
-    split = 0
+    split = {True: 0, False: 0}  # by path: `*` plus lift, total matrix
     for x in subs[:4] + general + [direct_sum(subs[:2]).rep]:
-        end = end_algebra(x)
+        end, star = end_algebra(x), x.is_subspace_rep()
         for _ in range(3):
             theta = end.element(rng.integers(0, p, size=end.dim))
             total = theta.total_matrix()
             mp = min_poly(total)
+            if star:
+                assert min_poly(theta.components[STAR]) == mp
             factors = factor(mp, seed=0)
-            split += len(factors) >= 2
-            got = _crt_idempotents(theta, total, factors, mp)
+            split[star] += len(factors) >= 2
+            at = theta.components[STAR] if star else total
+            got = _crt_idempotents(x, at, factors, mp)
             want = _ref_idempotents(theta, factors, mp)
             assert len(got) == len(want)
             for e, ref in zip(got, want):
                 assert all(_same(e.components[v], ref[v]) for v in QUIVER.vertices)
-    assert split
+    assert split[True] and split[False]
 
 
 def _outcome(build, *args):

@@ -7,10 +7,16 @@ k[x]/(q^m) and so local; from then on the loop computes nothing and
 certifies the leaf at the attempt where it would have tested `is_local`,
 drawing the same random numbers.  The loop that tests `is_local` at its
 first attempt >= 7 with nonzero coordinates, whatever came before, is
-kept here as `_ref_indecompose`.  The library must match it byte for
-byte (certificate, summands, inclusions, projections) at seeds 0-4, on
-seeded general and subspace representations of the example poset at
-p = 2, 3 and 2^31 - 1 and on S(n) objects and their sums at n = 1..4.
+kept here as `_ref_indecompose`, with its own copy of the earlier
+idempotents (each CRT interpolant evaluated on the block-diagonal total
+matrix of theta) and `hom_basis` solved for every part, where the
+library works at `*` on subspace representations, reads each part's End
+off its parent's and starts a part whose End its own factor generates as
+a certified leaf.  The library must match it byte for byte (certificate,
+summands, inclusions, projections) at seeds 0-4, on seeded general and
+subspace representations of the example poset at p = 2, 3 and
+2^31 - 1, on subspace representations of the corpus size at p = 3 and
+on S(n) objects and their sums at n = 1..4.
 Every leaf certified by a generator must also pass `is_local` (the
 radical oracle); a local End that no single element generates must
 still be certified through `is_local`; and a non-local End never looks
@@ -29,14 +35,13 @@ from subrep.decomp import (
     SPLIT_BUDGET,
     Decomposition,
     Summand,
-    _crt_idempotents,
     end_radical,
     indecompose,
     is_local,
 )
 from subrep.errors import BudgetExceededError
 from subrep.examples import example_quiver
-from subrep.ffmat import PrimeField, factor, min_poly
+from subrep.ffmat import Poly, PrimeField, _wrap, factor, min_poly, poly_xgcd
 from subrep.lambdamod import LambdaAlgebra
 from subrep.posetrep import (
     STAR,
@@ -58,6 +63,24 @@ CAPS = {"1": 2, "2": 3, "3": 3, STAR: 4}
 CORPUS_CAPS = {"1": 4, "2": 8, "3": 8, STAR: 10}
 PRIMES = (2, 3, 2**31 - 1)
 SEEDS = range(5)
+
+
+def _ref_crt_idempotents(theta, total, factors, mp):
+    """Each interpolant evaluated once on the total matrix, cut into the
+    vertex blocks."""
+    x = theta.source
+    ends = zip(x.quiver.vertices, x.dim_vector(), np.cumsum(x.dim_vector()))
+    blocks = [(v, slice(o - d, o)) for v, d, o in ends]
+    out = []
+    for irr, mult in factors:
+        pk = Poly.one(mp.field)
+        for _ in range(mult):
+            pk = pk * irr
+        qk = mp // pk
+        _, u, _ = poly_xgcd(qk, pk)
+        e = ((u * qk) % mp).eval_matrix(total).a
+        out.append(Morphism(x, x, {v: _wrap(mp.field, e[b, b].copy()) for v, b in blocks}))
+    return out
 
 
 def _ref_indecompose(x, seed=0):
@@ -85,7 +108,7 @@ def _ref_indecompose(x, seed=0):
             mp = min_poly(total)
             factors = factor(mp, seed=int(rng.integers(0, 2**31)))
             if len(factors) >= 2:
-                idems = _crt_idempotents(theta, total, factors, mp)
+                idems = _ref_crt_idempotents(theta, total, factors, mp)
                 trace.append(
                     {
                         "dims": rep.dim_vector(),
@@ -177,6 +200,15 @@ def _no_generator(x):
 def test_indecompose_matches_reference_on_example_poset(p):
     for n in (1, 2, 3, 4):
         for x in _example_inputs(p, n, 1900 * n + p % 1000):
+            for seed in SEEDS:
+                assert _bytes(indecompose(x, seed)) == _bytes(_ref_indecompose(x, seed))
+
+
+def test_indecompose_matches_reference_on_corpus_inputs():
+    algebra = LambdaAlgebra(PrimeField(3), 2)
+    for rng in map(np.random.default_rng, SEEDS):
+        for _ in range(2):
+            x = random_subspace_representation(QUIVER, algebra, CORPUS_CAPS, rng)
             for seed in SEEDS:
                 assert _bytes(indecompose(x, seed)) == _bytes(_ref_indecompose(x, seed))
 
