@@ -30,21 +30,13 @@ from .errors import (
     NotNestedError,
 )
 from .examples import example_quiver
-from .ffmat import (
-    Matrix,
-    _matmul_mod,
-    _wrap,
-    column_space_basis,
-    kernel_basis,
-    span_frame,
-)
+from .ffmat import Matrix, _matmul_mod, _wrap, column_space_basis, span_frame
 from .lambdamod import LambdaModule
 from .posetrep import (
     STAR,
     HomSpace,
     Morphism,
     Representation,
-    _postcompose_block,
     hom_basis,
     subspace_representation,
 )
@@ -57,17 +49,16 @@ class _HomCache:
 
     What remains is the image of one idempotent `keep` of x, id_x at the
     start; `restrict(f, q)` splits off the summand with inclusion f and
-    retraction q: keep <- keep - f . q.  A first read solves the entry by
-    `hom_basis` against x; a read of an entry older than the latest split
-    cuts it once, however many splits it missed:
-    - forward: R <- R . kernel_basis((Q . R)_*), Q the retractions split
-      off, stacked: 1 - keep = F . Q with F the inclusions side by side,
-      injective, so (1 - keep) . h and Q . h vanish together.  A product
-      of reduced kernel bases is the reduced kernel basis of the stacked
-      system, so one cut gives the basis of one cut per split;
-    - backward: B <- the pivot columns of (B . keep)_*.  A column
-      dependent on those before it stays dependent after precomposition,
-      so the pivots compose too.
+    retraction q: keep <- keep - f . q and gone <- gone + f . q, so gone
+    is 1 - keep.  A first read solves the entry by `hom_basis` against x;
+    a read of an entry older than the latest split cuts it once, however
+    many splits it missed:
+    - forward: R <- R . relations(gone . R).  With Q the retractions split
+      off, stacked, gone = F . Q with F (the inclusions side by side)
+      injective, so the system has the null space, hence the reduced kernel
+      basis, of Q . R: the basis that one cut per split gives;
+    - backward: B <- the pivots of B . keep.  A column dependent on those
+      before it stays dependent after precomposition, so pivots compose.
     Entries are star-form `HomSpace`s (the constructor raises ValueError
     naming the first point of x whose composite to `*` is not injective),
     and a read of `basis` lifts the other vertices into a memo.  The
@@ -88,8 +79,7 @@ class _HomCache:
         self.current = x
         self.remaining = x.total_dim()  # of the image of keep
         self.splits = 0
-        self.keep = Morphism.identity(x)
-        self._split = np.zeros((0, x.dim(STAR)), dtype=np.int64)  # Q_*
+        self.keep, self.gone = Morphism.identity(x), Morphism.zero(x, x)
         objs = catalog.objects
         self.forward = _Cut(self, self._cut_forward, lambda z: hom_basis(objs[z], x))
         self.backward = _Cut(self, self._cut_backward, lambda z: hom_basis(x, objs[z]))
@@ -98,20 +88,17 @@ class _HomCache:
         """Split off the summand f spans, q its retraction (q . f = id and
         f . q . keep = f . q); the entries follow when they are next read."""
         x, p = self.current, self.current.field.p
-        keep = {}
+        keep, gone = {}, {}
         for v in x.quiver.vertices:
             e = _matmul_mod(f.components[v].a, q.components[v].a, p)
             keep[v] = _wrap(x.field, (self.keep.components[v].a - e) % p)
-        self.keep = Morphism(x, x, keep)
-        self._split = np.vstack([self._split, q.components[STAR].a])
+            gone[v] = _wrap(x.field, (self.gone.components[v].a + e) % p)
+        self.keep, self.gone = Morphism(x, x, keep), Morphism(x, x, gone)
         self.remaining -= f.source.total_dim()
         self.splits += 1
 
     def _cut_forward(self, homs):
-        # (Q . h_j)_* = Q_* h_j*, the product `HomSpace.postcomposed` makes
-        field = self.current.field
-        rows = _postcompose_block(self._split, homs.star_block().a, homs.source.dim(STAR), field.p)
-        return homs.combinations(kernel_basis(_wrap(field, rows)))
+        return homs.combinations(homs.postcomposed(self.gone).relations())
 
     def _cut_backward(self, homs):
         return homs.precomposed(self.keep).pivots()
@@ -159,8 +146,7 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
             "no projective maps into a nonzero representation"
         )
     forward = cache.forward[start]
-    star = forward.star_block()  # each spanning map as its own span, at `*`
-    maps = [HomSpace.from_flat(forward.source, x, star.column(j)) for j in range(forward.dim)]
+    maps = [forward.take([j]) for j in range(forward.dim)]  # each map its own span
     # prefer a starting map that already splits (the trivial case)
     for h in maps:
         q = _find_retraction(h, cache, start)
@@ -183,10 +169,10 @@ def split_off_summand(x: Representation, catalog: Catalog, hom_cache: _HomCache 
         chosen = None
         for w_pos in sorted(range(len(parts)), key=lambda t: parts[t]):
             comp = comps[w_pos]
-            if comp.star_block().is_zero():
+            if comp.is_zero():
                 continue
             extended = composite.postcomposed(lifts[w_pos])
-            if not extended.composites(comp).star_block().is_zero():
+            if not extended.composites(comp).is_zero():
                 chosen = (parts[w_pos], comp, extended)
                 break
         if chosen is None:
@@ -208,10 +194,8 @@ def _find_retraction(f: HomSpace, cache: _HomCache, z: int):
     f.source) with q . f = id for the map f spans, or None; solved at
     `*`.  A split mono is a mono, and a map between subspace
     representations is one exactly when it is injective at `*`, so a map
-    that is not (its `*` block, read as a (dim source_*, dim target_*)
-    array, is f_*^T) has none and the backward space is not read."""
-    c, r = f.source.dim(STAR), f.target.dim(STAR)
-    if Matrix(f.source.field, f.star_block().a.reshape(c, r)).rank() != c:
+    that is not has none and the backward space is not read."""
+    if f.star_map([1]).rank() != f.source.dim(STAR):
         return None
     backward = cache.backward[z]
     coeffs = f.composites(backward).coefficients([Morphism.identity(f.source)])

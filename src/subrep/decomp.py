@@ -40,23 +40,18 @@ from .ffmat import (
     column_space_basis,
     factor,
     kernel_basis,
-    kernel_basis_of_span,
     min_poly,
     poly_xgcd,
 )
 from .lambdamod import block_invariants
 from .posetrep import (
-    STAR,
     EndAlgebra,
     HomSpace,
     Morphism,
     Representation,
-    _flat_rows,
-    _lift,
     end_algebra,
     hom_basis,
     image_subrep,
-    morphism_from_flat,
 )
 
 SPLIT_BUDGET = 256
@@ -80,18 +75,6 @@ class RadicalData:
         return _matmul_mod(self.frame[0].a, coords.a, coords.field.p)
 
 
-def _trace_form(space: HomSpace) -> np.ndarray:
-    """[r, c] = tr(b_c y_r) over the spanning endomorphisms of `space`.
-
-    Over the total space every map is block diagonal, so the trace is the
-    sum over vertices of tr(b_v y_v) = <vec b_v, vec y_v^T>: the flat
-    rows with each vertex block transposed, against the flat rows."""
-    x = space.source
-    perm = [np.arange(r.start, r.stop).reshape(d, d).T.ravel() for _, r, d, _ in _flat_rows(x, x)]
-    flat = space.basis_matrix().a
-    return _matmul_mod(flat[np.concatenate(perm)].T, flat, x.field.p)
-
-
 def radical(end: EndAlgebra) -> RadicalData:
     """Jacobson radical of End(x), with post-hoc verification.
 
@@ -111,7 +94,7 @@ def radical(end: EndAlgebra) -> RadicalData:
     while k <= n and coeff.cols:
         ideal = end.space.combinations(coeff)
         if k == 1:
-            system = -_trace_form(ideal) % p
+            system = -ideal.trace_form() % p
         else:
             cur_ops = [h.total_matrix() for h in ideal.basis]
             size = len(cur_ops)
@@ -161,11 +144,11 @@ def quotient_is_division_ring(end: EndAlgebra, rad: RadicalData) -> bool:
     table lives on a complement of J; p-th powers are repeated squaring
     in it.
     """
-    field, x, q = end.rep.field, end.rep, rad.quotient_dim
+    field, q = end.rep.field, rad.quotient_dim
     p = field.p
     if q == 0:
         return False
-    comp = HomSpace.from_flat(x, x, end.space.basis_matrix().take_columns(rad.frame[1]))
+    comp = end.space.take(rad.frame[1])
     # column i*q + j of the composites is e_j e_i; [i, j, :] = e_i e_j
     table = rad.quotient_coords(comp.composites(comp)).T.reshape(q, q, q).transpose(1, 0, 2)
     if not np.array_equal(table, table.transpose(1, 0, 2)):
@@ -233,8 +216,8 @@ class Decomposition:
 def _crt_idempotents(x: Representation, theta: Matrix, factors, mp: Poly):
     """Orthogonal idempotents of x, one per coprime factor of the minimal
     polynomial mp of theta, each interpolant evaluated once on theta: the
-    `*` component on a subspace representation, lifted by e_v = L_v e_* X_v,
-    else the block-diagonal total matrix, cut into its vertex blocks."""
+    `*` component on a subspace representation, else the block-diagonal
+    total matrix, cut into its vertex blocks."""
     field, evals = mp.field, []
     for irr, mult in factors:
         pk = Poly.one(field)
@@ -244,13 +227,12 @@ def _crt_idempotents(x: Representation, theta: Matrix, factors, mp: Poly):
         g, u, _ = poly_xgcd(qk, pk)
         if g.degree() != 0:
             raise InternalContractViolation("factors are not coprime")
-        evals.append(((u * qk) % mp).eval_matrix(theta).a)
+        evals.append(((u * qk) % mp).eval_matrix(theta))
     if x.is_subspace_rep():
-        flat = _lift(x, x, np.stack([e.flatten(order="F") for e in evals], axis=1))
-        return [morphism_from_flat(x, x, col) for col in flat.T]
+        return HomSpace.at_star(x, x, evals).basis
     ends = zip(x.quiver.vertices, x.dim_vector(), np.cumsum(x.dim_vector()))
     blocks = [(v, slice(o - d, o)) for v, d, o in ends]
-    return [Morphism(x, x, {v: _wrap(field, e[b, b].copy()) for v, b in blocks}) for e in evals]
+    return [Morphism(x, x, {v: _wrap(field, e.a[b, b].copy()) for v, b in blocks}) for e in evals]
 
 
 def indecompose(x: Representation, seed: int = 0) -> Decomposition:
@@ -288,11 +270,7 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
                 continue
             factor_seed = int(rng.integers(0, 2**31))
             if not generated:
-                if star:
-                    theta = _matmul_mod(ends.space.star_block().a, coords[:, None], field.p)
-                    theta = _wrap(field, theta.reshape(rep.dim(STAR), -1).T.copy())
-                else:
-                    theta = ends.element(coords).total_matrix()
+                theta = ends.space.star_map(coords) if star else ends.element(coords).total_matrix()
                 mp = min_poly(theta)
                 factors = factor(mp, seed=factor_seed)
                 if len(factors) >= 2:
@@ -307,8 +285,8 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
                     for e, (irr, mult) in zip(idems, factors):
                         part, part_incl, part_proj = image_subrep(e)
                         # End(part) = proj . End . incl, in the basis hom_basis gives
-                        span = ends.space.postcomposed(part_proj).precomposed(part_incl)._held()
-                        part._end = EndAlgebra(HomSpace.from_flat(part, part, kernel_basis_of_span(span)))
+                        span = ends.space.postcomposed(part_proj).precomposed(part_incl)
+                        part._end = EndAlgebra(span.reduced())
                         local = part._end.dim == mult * irr.degree()
                         recurse(part, incl @ part_incl, part_proj @ proj, local)
                     return

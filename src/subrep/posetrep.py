@@ -7,6 +7,8 @@ paths commute.  Subspace representations are those where every arrow
 matrix, equivalently every composite v -> '*', has full column rank; a
 morphism into one is determined by its component at '*' (see `hom_basis`),
 so a `HomSpace` into one holds and computes on that component alone.
+How a `HomSpace` lays out its coordinates is this module's decision:
+other modules read and combine hom spaces through its methods only.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .ffmat import (
     block_diag,
     cokernel_frame,
     column_space_basis,
+    independent_columns,
     kernel_basis,
+    kernel_basis_of_span,
     kernel_frame,
     kron,
     rref,
@@ -444,9 +448,11 @@ class HomSpace:
     f_v = L_v f_* X_v (`y.top_frames()`), so every other row is a linear
     image of the `*` rows, with the same kernel, pivots and solutions;
     every product, solve and reduction uses the `*` block alone, and
-    `basis_matrix()` (so `basis`, `element`) lifts the rest into a memo
-    nothing else reads.  The columns may be dependent (a list of
-    composites, say); `hom_basis` returns an actual basis.
+    `basis` lifts the rest into a memo nothing else reads.  The columns
+    may be dependent (a list of composites, say); `hom_basis` returns an
+    actual basis.  This layout is known to this module alone: other
+    modules read coordinates only through the methods, and `star_block`,
+    `basis_matrix` and `from_flat` serve tests and this module.
 
     `source`, `target` and `basis` (the spanning morphisms, built from
     the columns on first read) are the public contract: the content
@@ -462,29 +468,31 @@ class HomSpace:
     __slots__ = ("source", "target", "_flat", "_star", "_basis")
 
     def __init__(self, source: Representation, target: Representation, basis):
-        """The span of the morphisms in `basis`, in order."""
+        """The span of the morphisms in `basis`, in order, with their flat
+        columns kept, so that `basis_matrix()` lifts nothing."""
         basis = tuple(basis)
         if basis:
-            # components are reduced, so the stacked copy is too
-            flat = np.stack([m.flatten() for m in basis], axis=1)
+            flat = _wrap(source.field, np.stack([m.flatten() for m in basis], axis=1))
         else:
-            flat = np.zeros((_flat_size(source, target), 0), dtype=np.int64)
-        self._hold(source, target, _wrap(source.field, flat), basis)
+            flat = Matrix.zeros(source.field, _flat_size(source, target), 0)
+        self.source, self.target, self._basis, self._star, self._flat = source, target, basis, None, flat
+        if target.is_subspace_rep():
+            self._star = self.star_block()
 
     @classmethod
-    def from_flat(cls, source, target, flat: Matrix) -> "HomSpace":
-        """The span of the columns of `flat`, reduced: flattened morphisms
-        or, into a subspace representation, their `*` blocks alone."""
+    def from_flat(cls, source, target, held: Matrix) -> "HomSpace":
+        """The span of the reduced columns of `held`, in the form `target` fixes:
+        `*` blocks into a subspace representation, else flattened morphisms."""
         hs = object.__new__(cls)
-        hs._hold(source, target, flat, None)
+        hs.source, hs.target, hs._basis = source, target, None
+        hs._star, hs._flat = (held, None) if target.is_subspace_rep() else (None, held)
         return hs
 
-    def _hold(self, source, target, flat, basis):
-        # a matrix of the flat length is both forms, its last rows the `*` block
-        rows, n = flat.a.shape[0], source._dims[STAR] * target._dims[STAR]
-        self.source, self.target, self._basis = source, target, basis
-        self._flat = flat if rows != n or _flat_size(source, target) == n else None
-        self._star = flat if rows == n else _wrap(source.field, flat.a[rows - n :])
+    @classmethod
+    def at_star(cls, source, target, mats) -> "HomSpace":
+        """The span of the maps into a subspace representation with `*` components `mats`."""
+        cols = [m.a.flatten(order="F") for m in mats]
+        return cls.from_flat(source, target, _wrap(source.field, np.stack(cols, axis=1)))
 
     @classmethod
     def joined(cls, source, target, spaces) -> "HomSpace":
@@ -503,36 +511,60 @@ class HomSpace:
 
     @property
     def dim(self):
-        return self._star.cols
+        return (self._flat if self._star is None else self._star).cols
 
     def basis_matrix(self) -> Matrix:
         """Columns are the flattened spanning morphisms, lifted from the
-        `*` block on first read, which then views its last rows."""
+        `*` block on first read, unless no other vertex has rows to fill."""
         if self._flat is None:
-            flat = _wrap(self.source.field, _lift(self.source, self.target, self._star.a))
-            self._hold(self.source, self.target, flat, self._basis)
+            x, y, star = self.source, self.target, self._star
+            self._flat = star if _flat_size(x, y) == star.rows else _wrap(x.field, _lift(x, y, star.a))
         return self._flat
 
     def star_block(self) -> Matrix:
         """The `*` rows of `basis_matrix()`: column j is vec(h_j at `*`)."""
+        if self._star is None:
+            a, n = self._flat.a, self.source.dim(STAR) * self.target.dim(STAR)
+            return _wrap(self.source.field, a[a.shape[0] - n :])
         return self._star
 
     def _held(self) -> Matrix:
         """What it computes on: the `*` block into a subspace representation."""
-        return self._star if self.target.is_subspace_rep() else self.basis_matrix()
+        return self._flat if self._star is None else self._star
+
+    def is_zero(self) -> bool:
+        """True iff every spanning map is zero."""
+        return self._held().is_zero()
+
+    def take(self, idx) -> "HomSpace":
+        """The spanning maps at the indices `idx`, in order, as one span."""
+        return HomSpace.from_flat(self.source, self.target, self._held().take_columns(idx))
 
     def pivots(self) -> "HomSpace":
         """A basis of the span: its pivot columns in order, found on the held rows."""
         return HomSpace.from_flat(self.source, self.target, column_space_basis(self._held()))
 
+    def relations(self) -> Matrix:
+        """The reduced kernel basis of the relations sum c[i] basis[i] = 0."""
+        return kernel_basis(self._held())
+
+    def reduced(self) -> "HomSpace":
+        """The span in the basis `hom_basis` gives it (`ffmat.kernel_basis_of_span`)."""
+        return HomSpace.from_flat(self.source, self.target, kernel_basis_of_span(self._held()))
+
+    def independent_of(self, prefix: "HomSpace") -> list:
+        """Indices of the spanning maps outside the span of `prefix` and of those before them."""
+        return independent_columns(prefix._held(), self._held())
+
     def postcomposed(self, g: Morphism) -> "HomSpace":
         """The span of g . h over the spanning h, in order; g: target -> z."""
-        x, z = self.source, g.target
+        x, y, z, k = self.source, self.target, g.target, self.dim
         star = z.is_subspace_rep()
-        a, p = (self._star if star else self.basis_matrix()).a, x.field.p
+        a, p = (self.star_block() if star else self.basis_matrix()).a, x.field.p
+        # [l, i, j] = h_j[i, l]; g_v times it is [l, i', j] = (g_v h_j)[i', l]
         parts = [
-            _postcompose_block(g.components[v].a, a[rows], c, p)
-            for v, rows, c, _ in _flat_rows(x, self.target, star)
+            _matmul_mod(g.components[v].a, a[rows].reshape(c, r, k), p).reshape(c * z.dim(v), k)
+            for v, rows, c, r in _flat_rows(x, y, star)
         ]
         return HomSpace.from_flat(x, z, _wrap(x.field, np.concatenate(parts)))
 
@@ -543,7 +575,7 @@ class HomSpace:
         # [l, i*k + j] = h_j[i, l]; f_v^T times it is (h_j f_v)^T
         parts = [
             _matmul_mod(f.components[v].a.T, a[rows].reshape(c, r * k), p).reshape(w.dim(v) * r, k)
-            for v, rows, c, r in _flat_rows(self.source, y, y.is_subspace_rep())
+            for v, rows, c, r in _flat_rows(self.source, y, self._star is not None)
         ]
         return HomSpace.from_flat(w, y, _wrap(w.field, np.concatenate(parts)))
 
@@ -555,7 +587,7 @@ class HomSpace:
         dim w_v) times the t rows read as (dim w_v, dim y_v * k2)."""
         x, w, y = self.source, self.target, second.target
         star, p, k1, k2 = y.is_subspace_rep(), x.field.p, self.dim, second.dim
-        u, t = (self._star, second._star) if star else (self.basis_matrix(), second.basis_matrix())
+        u, t = (self.star_block(), second._star) if star else (self.basis_matrix(), second.basis_matrix())
         # vertices where x or y is zero contribute no rows
         parts = [np.zeros((0, k1 * k2), dtype=np.int64)]
         for (_, ru, c, m), (_, rt, _, r) in zip(_flat_rows(x, w, star), _flat_rows(w, y, star)):
@@ -575,11 +607,15 @@ class HomSpace:
         return HomSpace.from_flat(self.source, self.target, _wrap(self.source.field, a))
 
     def element(self, coords) -> Morphism:
-        """The combination sum coords[i] basis[i]."""
-        p = self.source.field.p
-        c = np.asarray(coords, dtype=np.int64).reshape(-1, 1) % p
-        vec = _matmul_mod(self.basis_matrix().a, c, p)[:, 0]
-        return morphism_from_flat(self.source, self.target, vec)
+        """The combination sum coords[i] basis[i], as the one column of a
+        span: into a subspace representation only that column is lifted."""
+        return self.combinations(Matrix(self.source.field, np.reshape(coords, (-1, 1)))).basis[0]
+
+    def star_map(self, coords) -> Matrix:
+        """The `*` component of sum coords[i] basis[i]."""
+        x, y = self.source, self.target
+        vec = _matmul_mod(self.star_block().a, Matrix(x.field, np.reshape(coords, (-1, 1))).a, x.field.p)
+        return _wrap(x.field, vec.reshape(x.dim(STAR), y.dim(STAR)).T.copy())
 
     def coefficients(self, targets):
         """Coefficients of each target morphism over the spanning list: a
@@ -595,12 +631,15 @@ class HomSpace:
         except NoSolutionError:
             return None
 
-
-def _postcompose_block(g_v: np.ndarray, rows: np.ndarray, c: int, p: int) -> np.ndarray:
-    """At one vertex, the rows of g . h_j from those of the h_j (source dim c)."""
-    k = rows.shape[1]
-    # [l, i, j] = h_j[i, l]; g_v @ stack is [l, i', j] = (g_v h_j)[i', l]
-    return _matmul_mod(g_v, rows.reshape(c, g_v.shape[1], k), p).reshape(c * g_v.shape[0], k)
+    def trace_form(self) -> np.ndarray:
+        """[r, c] = tr(b_c b_r) over the spanning endomorphisms.  Maps are
+        block diagonal on the total space, so tr(b y) = sum_v <vec b_v,
+        vec y_v^T>: the flat rows with each vertex block transposed,
+        against the flat rows."""
+        x = self.source
+        perm = [np.arange(r.start, r.stop).reshape(d, d).T.ravel() for _, r, d, _ in _flat_rows(x, x)]
+        flat = self.basis_matrix().a
+        return _matmul_mod(flat[np.concatenate(perm)].T, flat, x.field.p)
 
 
 def _lift(x: Representation, y: Representation, k: np.ndarray) -> np.ndarray:
@@ -625,8 +664,8 @@ def _flat_size(x: Representation, y: Representation) -> int:
 def hom_basis(x: Representation, y: Representation) -> HomSpace:
     """Basis of the space of morphisms x -> y.
 
-    Into a subspace representation y (`top_frames` has no None), f_v is
-    L_v f_* X_v, X_v the composite v -> '*', so only vec(f_*) is solved
+    Into a subspace representation y, f_v is L_v f_* X_v (`top_frames`),
+    X_v the composite v -> '*', so only vec(f_*) is solved
     for: T-equivariance at '*' and (X_v^T kron C_v) vec(f_*) = 0 at each
     poset point, and the kernel is returned in star form.  As '*' is last
     and f -> f_* injective, its lift is the kernel basis of the full
@@ -634,8 +673,8 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
     T-equivariance at every vertex and naturality for every arrow, in the
     flattened coordinates of morphism_from_flat.
     """
-    frames = y.top_frames()
-    if None not in frames.values():
+    if y.is_subspace_rep():
+        frames = y.top_frames()
         rows = [equivariance_system(x.spaces[STAR], y.spaces[STAR])]
         rows += [kron(x.composite_map(v, STAR).a.T, frames[v][1].a) for v in x.quiver.poset.points]
         return HomSpace.from_flat(x, y, kernel_basis(Matrix(x.field, np.vstack(rows))))

@@ -20,7 +20,24 @@ from subrep.decomp import Decomposition, indecompose, indecomposables_isomorphic
 from subrep.examples import example_quiver
 from subrep.ffmat import CoordinateSolver, Matrix, Poly, column_space_basis, kernel_basis, kron
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, block_invariants
-from subrep.posetrep import STAR, Morphism, Representation, hom_basis, postcompose, precompose
+from subrep.posetrep import (
+    STAR,
+    HomSpace,
+    Morphism,
+    Representation,
+    hom_basis,
+    morphism_from_flat,
+    postcompose,
+    precompose,
+)
+
+
+def flat_span(x: Representation, y: Representation, flat: Matrix) -> HomSpace:
+    """The span x -> y of the flattened morphisms in the columns of
+    `flat`, whatever form y fixes: built from the morphisms, so
+    `basis_matrix()` is `flat` itself and nothing is lifted."""
+    return HomSpace(x, y, [morphism_from_flat(x, y, col) for col in flat.a.T])
+
 
 # representations of the worked example
 

@@ -403,7 +403,7 @@ def test_radical_chain_monotone(catalog_p2):
         for j in (0, 7, 22, 24):
             hom_dim = catalog_p2.hom(i, j).dim
             rad_dim = catalog_p2.rad_space(i, j).dim
-            sq_dim = catalog_p2.rad_square_span(i, j).cols
+            sq_dim = catalog_p2.rad_square_span(i, j).dim
             assert sq_dim <= rad_dim <= hom_dim
             if i != j:
                 assert rad_dim == hom_dim  # non-isomorphic indecomposables

@@ -17,7 +17,6 @@ from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, kernel_basis, rref
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
 from subrep.posetrep import (
-    HomSpace,
     Morphism,
     Representation,
     direct_sum,
@@ -33,6 +32,7 @@ from subrep.sampling import (
 from oracles import (
     all_free_representation,
     chase_class_multiset,
+    flat_span,
     subspace_data,
     twisted_pair_representation,
 )
@@ -321,7 +321,7 @@ def _eager_hom_caches(catalog, x, steps):
             if homs.dim:
                 flat = homs.basis_matrix()
                 _, pivots, _ = rref(flat)
-                homs = HomSpace.from_flat(complement, homs.target, flat.take_columns(pivots))
+                homs = flat_span(complement, homs.target, flat.take_columns(pivots))
             backward[z] = homs
         yield dict(forward), dict(backward)
 

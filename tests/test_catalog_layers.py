@@ -11,7 +11,7 @@ from subrep.artheory import (
     _is_left_almost_split_in_catalog,
     is_left_almost_split,
 )
-from subrep.decomp import _trace_form, radical
+from subrep.decomp import radical
 from subrep.examples import example_quiver
 from subrep.ffmat import (
     Matrix,
@@ -140,7 +140,7 @@ def test_incremental_rad_square_matches_rebuild(p, request):
         catalog.add(obj, projective=shipped.projective[idx])
         for i in range(len(catalog)):
             for j in range(len(catalog)):
-                kept = catalog.rad_square_span(i, j)
+                kept = catalog.rad_square_span(i, j).star_block()
                 fresh = _rad_square_from_scratch(catalog, i, j)
                 assert kept.rank() == fresh.rank() == kept.hstack(fresh).rank()
     # the lifts read from the kept spans are the shipped irreducible maps
@@ -169,7 +169,7 @@ def test_saturated_rad_square_forms_no_composites(p, request, monkeypatch):
         for i in range(len(catalog)):
             for j in range(len(catalog)):
                 before = len(formed)
-                kept = catalog.rad_square_span(i, j)
+                kept = catalog.rad_square_span(i, j).star_block()
                 if (i, j) in saturated:
                     assert len(formed) == before
                 elif kept.cols == catalog.rad_space(i, j).dim:
@@ -178,7 +178,7 @@ def test_saturated_rad_square_forms_no_composites(p, request, monkeypatch):
     monkeypatch.undo()
     for i in range(len(catalog)):
         for j in range(len(catalog)):
-            kept, fresh = catalog.rad_square_span(i, j), _rad_square_from_scratch(catalog, i, j)
+            kept, fresh = catalog.rad_square_span(i, j).star_block(), _rad_square_from_scratch(catalog, i, j)
             assert kept.a.shape == fresh.a.shape and kept.a.tobytes() == fresh.a.tobytes()
 
 
@@ -231,7 +231,7 @@ def test_trace_form_stage_matches_sigma_loop(p):
         expected = np.array(
             [[_sigma_reference(b @ y, 1) for b in ops] for y in ops], dtype=np.int64
         )
-        assert np.array_equal(-_trace_form(end.space) % p, expected)
+        assert np.array_equal(-end.space.trace_form() % p, expected)
         assert radical(end).coeff_matrix == _radical_reference(end)
 
 

@@ -59,7 +59,6 @@ from subrep.ffmat import (
 from subrep.lambdamod import LambdaAlgebra, LambdaModule, quotient_module
 from subrep.posetrep import (
     STAR,
-    HomSpace,
     Morphism,
     Representation,
     direct_sum,
@@ -79,6 +78,8 @@ from subrep.sampling import (
     random_subspace_config,
     random_subspace_representation,
 )
+
+from oracles import flat_span
 
 QUIVER = example_quiver()
 CAPS = {"1": 2, "2": 3, "3": 3, STAR: 4}
@@ -208,7 +209,7 @@ def _ref_quotient_is_division_ring(end, rad):
     x = end.rep
     flat = end.space.basis_matrix()
     comp_idx = independent_columns(rad.coeff_matrix, Matrix.identity(field, end.dim))
-    comp = HomSpace.from_flat(x, x, flat.take_columns(comp_idx))
+    comp = flat_span(x, x, flat.take_columns(comp_idx))
     # coordinates over complement | radical; the first q are those in End/J
     solver = CoordinateSolver(comp.basis_matrix().hstack(rad.radical.basis_matrix()))
     table = np.empty((q, q, q), dtype=np.int64)  # [i, j, :] = e_i e_j

@@ -18,6 +18,8 @@ from subrep.ffmat import PrimeField, column_space_basis
 from subrep.lambdamod import LambdaAlgebra
 from subrep.posetrep import HomSpace, Morphism, Poset, QuiverStar
 
+from oracles import flat_span
+
 # both fixtures: rad^19 != 0 and rad^20 = 0, 42 arrows in rad/rad^2
 FIXTURE_LAYERS = [
     899, 857, 797, 723, 637, 549, 459, 375, 295, 227,
@@ -50,7 +52,7 @@ def _reference_layers(catalog):
                     if layer[i, w].dim and rad[w, j].dim
                 ]
                 flat = column_space_basis(HomSpace.joined(x, y, spans).basis_matrix())
-                grown[i, j] = HomSpace.from_flat(x, y, flat)
+                grown[i, j] = flat_span(x, y, flat)
         layer = grown
 
 

@@ -492,7 +492,7 @@ def test_homspace_flat_layout_round_trip():
         # columns are the flattened basis morphisms, and the reverse
         assert [h.flatten().tolist() for h in homs.basis] == flat.a.T.tolist()
         assert HomSpace(x, y, homs.basis).basis_matrix() == flat
-        assert HomSpace.from_flat(x, y, flat).basis == homs.basis
+        assert HomSpace.from_flat(x, y, homs._held()).basis == homs.basis
         joined = HomSpace.joined(x, y, [homs, homs])
         assert joined.basis == homs.basis + homs.basis
 

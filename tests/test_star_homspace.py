@@ -24,8 +24,17 @@ from subrep import birkhoff, posetrep
 from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, _matmul_mod, kernel_basis, kron
 from subrep.lambdamod import LambdaAlgebra, equivariance_system
-from subrep.posetrep import STAR, HomSpace, Representation, _flat_size, direct_sum, hom_basis
+from subrep.posetrep import (
+    STAR,
+    HomSpace,
+    Morphism,
+    Representation,
+    _flat_size,
+    direct_sum,
+    hom_basis,
+)
 from subrep.sampling import random_representation, random_subspace_representation
+from oracles import flat_span
 from test_birkhoff import _chase_inputs
 
 
@@ -44,7 +53,7 @@ def _eager_hom_basis(x, y):
         fx = _matmul_mod(xs[v], k.reshape(c, r * m), p).reshape(x.dim(v), r, m)
         parts.append(_matmul_mod(frames[v][0].a, fx, p).reshape(x.dim(v) * y.dim(v), m))
     parts.append(k)
-    return HomSpace.from_flat(x, y, Matrix(field, np.concatenate(parts)))
+    return flat_span(x, y, Matrix(field, np.concatenate(parts)))
 
 
 def _same(a, b):
@@ -104,27 +113,30 @@ def test_both_forms_agree(p, request, monkeypatch):
     rng = np.random.default_rng(7)
     field = PrimeField(p)
     for x, y in _inputs(p, request):
-        flat, ends_y, ends_x = _eager_hom_basis(x, y), _eager_hom_basis(y, y), _eager_hom_basis(x, x)
-        k = flat.dim
-        g = ends_y.element(rng.integers(0, p, size=ends_y.dim))
-        f = ends_x.element(rng.integers(0, p, size=ends_x.dim))
-        coeffs = _random_coeffs(field, k, 3, rng)
-        head = Matrix(field, np.eye(k, dtype=np.int64)[:, : k - 1])
-        targets = [flat.element(c) for c in coeffs.a.T]
-        ops = [
-            lambda s, ends: s.postcomposed(g),
-            lambda s, ends: s.precomposed(f),
-            lambda s, ends: s.combinations(coeffs),
-            lambda s, ends: s.composites(ends),
-            lambda s, ends: HomSpace.joined(x, y, [s, s]),
-        ]
         with monkeypatch.context() as m:
-            # no target is a subspace representation: every space computes flat
+            # no target is a subspace representation: every space is flat
             m.setattr(Representation, "is_subspace_rep", lambda rep: False)
+            flat, ends_y = _eager_hom_basis(x, y), _eager_hom_basis(y, y)
+            ends_x = _eager_hom_basis(x, x)
+            k = flat.dim
+            g = ends_y.element(rng.integers(0, p, size=ends_y.dim))
+            f = ends_x.element(rng.integers(0, p, size=ends_x.dim))
+            coeffs = _random_coeffs(field, k, 3, rng)
+            head = Matrix(field, np.eye(k, dtype=np.int64)[:, : k - 1])
+            targets = [flat.element(c) for c in coeffs.a.T]
+            ops = [
+                lambda s, ends: s.postcomposed(g),
+                lambda s, ends: s.precomposed(f),
+                lambda s, ends: s.combinations(coeffs),
+                lambda s, ends: s.composites(ends),
+                lambda s, ends: HomSpace.joined(x, y, [s, s]),
+            ]
             wants = [op(flat, ends_y) for op in ops]
             want_coeffs, flat_combos = flat.coefficients(targets), flat.combinations(coeffs)
             # the last basis map lies outside the span of the others
             assert not k or flat.combinations(head).coefficients([flat.basis[-1]]) is None
+        # the flat combinations, held as their `*` block like a fresh space
+        flat_combos = HomSpace.from_flat(x, y, flat_combos.star_block())
         # a space that has been lifted computes exactly as a fresh one
         lifted = hom_basis(x, y)
         lifted.basis
@@ -138,6 +150,65 @@ def test_both_forms_agree(p, request, monkeypatch):
             for given in (targets, star.combinations(coeffs), flat_combos):
                 _same(star.coefficients(given).a, want_coeffs.a)
             assert not k or star.combinations(head).coefficients([flat.basis[-1]]) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_element_lifts_only_its_one_column(p, request, monkeypatch):
+    """Into a subspace representation, `element` lifts the one `*` column
+    of its combination, not the whole space, and gets the combination."""
+    rng = np.random.default_rng(5)
+    blocks = []
+    real_lift = posetrep._lift
+    monkeypatch.setattr(posetrep, "_lift", lambda *args: blocks.append(args[2]) or real_lift(*args))
+    checked = 0
+    for x, y in _inputs(p, request):
+        homs = hom_basis(x, y)
+        if not homs.dim:
+            continue
+        coords = rng.integers(0, p, size=homs.dim)
+        got = homs.element(coords)
+        assert [b.shape[1] for b in blocks] == [1] * _lifts(x, y)
+        want = Morphism.zero(x, y)
+        for c, h in zip(coords, homs.basis):
+            want = want + h.scale(c)
+        assert got == want
+        checked += _lifts(x, y)
+        blocks.clear()
+    assert checked > 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_building_star_spaces_reads_no_flat_size(p, request, monkeypatch):
+    """A star-form space is held as the `*` block it is given: solving,
+    composing, combining, cutting and joining call `_flat_size` zero
+    times (only a lift asks whether there is more to fill)."""
+    rng = np.random.default_rng(9)
+    sizes = []
+    real_size = posetrep._flat_size
+    monkeypatch.setattr(posetrep, "_flat_size", lambda *args: sizes.append(args) or real_size(*args))
+    for x, y in _inputs(p, request)[::3]:
+        ends_x, ends_y = hom_basis(x, x), hom_basis(y, y)
+        g = ends_y.element(rng.integers(0, p, size=ends_y.dim))
+        f = ends_x.element(rng.integers(0, p, size=ends_x.dim))
+        sizes.clear()
+        homs = hom_basis(x, y)
+        assert not sizes
+        coeffs = _random_coeffs(x.field, homs.dim, 2, rng)
+        built = [
+            homs.postcomposed(g),
+            homs.precomposed(f),
+            homs.composites(ends_y),
+            homs.combinations(coeffs),
+            homs.pivots(),
+            homs.reduced(),
+            homs.take([0] * homs.dim),
+            HomSpace.joined(x, y, [homs, homs]),
+            ends_y.composites(ends_y).reduced(),
+        ]
+        homs.coefficients(built[3])
+        homs.relations(), homs.star_map([1] * homs.dim), homs.is_zero()
+        assert all(space.target.is_subspace_rep() for space in built)
+        assert not sizes
 
 
 def test_postcomposed_into_a_non_subspace_target_is_flat(catalog_p2):
