@@ -30,7 +30,7 @@ from .errors import (
     NotNestedError,
 )
 from .examples import example_quiver
-from .ffmat import Matrix, _matmul_mod, _wrap, column_space_basis, span_frame
+from .ffmat import Matrix, _matmul_mod, _wrap, span_frame
 from .lambdamod import LambdaModule
 from .posetrep import (
     STAR,
@@ -40,7 +40,6 @@ from .posetrep import (
     hom_basis,
     subspace_representation,
 )
-from .sampling import intersect_spans
 
 
 class _HomCache:
@@ -281,39 +280,36 @@ def from_invariant_subspaces(cfg: SubspaceConfig) -> Representation:
 
 @dataclass
 class SubspaceReport:
+    """`details` holds (j, dim V_j, sum_i dim (S_i)_j) per poset point j:
+    V_j meets the support of iota_i(S_i) in iota_i((S_i)_j), so the last
+    entry is the sum of the dimensions of V_j's intersections with the
+    summand supports.  `compatible` is the decomposition's `check()`."""
+
     multiplicities: dict  # catalog index -> count
     compatible: bool
-    details: list  # per-subspace tuples (j, dim, sum of intersection dims)
+    details: list
     decomposition: Decomposition
 
 
 def invariant_subspace_report(cfg: SubspaceConfig, catalog: Catalog) -> SubspaceReport:
-    """Decompose the configuration and verify that each subspace is the
-    direct sum of its intersections with the summand supports."""
+    """Decompose the configuration and read the report off its summands.
+
+    For any decomposition x = sum_i iota_i(S_i), V_j meets iota_i(S_i)_*
+    in iota_i((S_i)_j), so V_j is the direct sum of those intersections
+    and their dimensions are the summands' at j.  `compatible` is
+    `Decomposition.check()` (pi_i iota_j = delta_ij and
+    sum_i iota_i pi_i = id at every vertex), which implies the
+    compatibility equations."""
     rep = from_invariant_subspaces(cfg)
     decomp = decompose_full(rep, catalog)
-    field = rep.field
     mults = {}
     for cls in decomp.certificate["classes"]:
         mults[cls] = mults.get(cls, 0) + 1
-    supports = [
-        column_space_basis(s.inclusion.components[STAR]) for s in decomp.summands
+    details = [
+        (j, rep.dim(j), sum(s.rep.dim(j) for s in decomp.summands))
+        for j in rep.quiver.poset.points
     ]
-    details = []
-    compatible = True
-    for j, span in (("1", cfg.v1), ("2", cfg.v2), ("3", cfg.v3)):
-        vj = column_space_basis(span)
-        inter_dims = []
-        union_cols = [np.zeros((rep.dim(STAR), 0), dtype=np.int64)]
-        for w in supports:
-            inter = intersect_spans(field, [vj, w])
-            inter_dims.append(inter.cols)
-            union_cols.append(inter.a)
-        union = column_space_basis(Matrix(field, np.hstack(union_cols)))
-        ok = sum(inter_dims) == vj.cols and union.cols == vj.cols
-        compatible &= ok
-        details.append((j, vj.cols, sum(inter_dims)))
-    return SubspaceReport(mults, compatible, details, decomp)
+    return SubspaceReport(mults, decomp.check(), details, decomp)
 
 
 def harada_sai_check(catalog: Catalog):

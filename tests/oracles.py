@@ -3,7 +3,8 @@
 Each function here checks or builds something the library computes
 elsewhere: the finite-scale generation and evaluation checks, the
 factorization property of approximations, a general isomorphism test
-through two idempotent splits, tau read off a catalog's meshes, and the
+through two idempotent splits, the invariant-subspace report's
+intersections of spans, tau read off a catalog's meshes, and the
 distinguished representations of the worked example.  None of them is
 called by the library, the CLI or the benchmark.
 """
@@ -30,6 +31,7 @@ from subrep.posetrep import (
     postcompose,
     precompose,
 )
+from subrep.sampling import intersect_spans
 
 
 def flat_span(x: Representation, y: Representation, flat: Matrix) -> HomSpace:
@@ -84,6 +86,33 @@ def subspace_data(rep: Representation) -> SubspaceConfig:
     on the example quiver."""
     spans = {v: column_space_basis(rep.composite_map(v, STAR)) for v in ("1", "2", "3")}
     return SubspaceConfig(rep.spaces[STAR], spans["1"], spans["2"], spans["3"])
+
+
+# the invariant-subspace report, by intersections of spans
+
+
+def intersection_details(cfg: SubspaceConfig, decomp: Decomposition):
+    """The invariant-subspace report's details and compatibility computed
+    from spans: each V_j intersected with the `*` support of every
+    summand, and V_j compared with the span of those intersections.
+    Returns ([(j, dim V_j, sum of intersection dims)], compatible)."""
+    rep = decomp.object
+    field = rep.field
+    supports = [column_space_basis(s.inclusion.components[STAR]) for s in decomp.summands]
+    details = []
+    compatible = True
+    for j, span in (("1", cfg.v1), ("2", cfg.v2), ("3", cfg.v3)):
+        vj = column_space_basis(span)
+        inter_dims = []
+        union_cols = [np.zeros((rep.dim(STAR), 0), dtype=np.int64)]
+        for w in supports:
+            inter = intersect_spans(field, [vj, w])
+            inter_dims.append(inter.cols)
+            union_cols.append(inter.a)
+        union = column_space_basis(Matrix(field, np.hstack(union_cols)))
+        compatible &= sum(inter_dims) == vj.cols and union.cols == vj.cols
+        details.append((j, vj.cols, sum(inter_dims)))
+    return details, compatible
 
 
 # small predicates

@@ -11,7 +11,13 @@ from subrep.birkhoff import (
     invariant_subspace_report,
     split_off_summand,
 )
-from subrep.decomp import indecompose, indecomposables_isomorphic, iso_class_multiset
+from subrep.decomp import (
+    Decomposition,
+    Summand,
+    indecompose,
+    indecomposables_isomorphic,
+    iso_class_multiset,
+)
 from subrep.errors import NotInvariantError, NotNestedError
 from subrep.examples import example_quiver
 from subrep.ffmat import Matrix, PrimeField, kernel_basis, rref
@@ -33,6 +39,7 @@ from oracles import (
     all_free_representation,
     chase_class_multiset,
     flat_span,
+    intersection_details,
     subspace_data,
     twisted_pair_representation,
 )
@@ -41,6 +48,7 @@ F2 = PrimeField(2)
 L2 = LambdaAlgebra(F2, 2)
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "fixtures", "configs")
 FIVE_SUMMANDS = os.path.join(CONFIGS, "five_summands.sub")
+ZERO = os.path.join(CONFIGS, "zero.sub")
 
 
 def test_split_projective_immediately(catalog_p2):
@@ -239,6 +247,23 @@ def test_invariant_subspace_report_random(catalog_p2):
         rpt = invariant_subspace_report(cfg, catalog_p2)
         assert rpt.compatible, rpt.details
         assert sum(rpt.multiplicities.values()) == len(rpt.decomposition.summands)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_report_details_are_the_intersections_of_spans(p, request):
+    # the summands' dimensions at each point, and check(), agree with the
+    # intersections of each V_j with the summand supports and their span
+    from subrep.repfile import parse_subspace_config, read_text
+
+    catalog = request.getfixturevalue(f"catalog_p{p}")
+    rng = np.random.default_rng(32 + p)
+    configs = [random_subspace_config(PrimeField(p), 10, rng) for _ in range(20)]
+    if p == 2:
+        configs += [parse_subspace_config(read_text(path)) for path in (FIVE_SUMMANDS, ZERO)]
+    for cfg in configs:
+        rpt = invariant_subspace_report(cfg, catalog)
+        assert intersection_details(cfg, rpt.decomposition) == (rpt.details, rpt.compatible)
+        assert rpt.compatible
 
 
 def test_harada_sai(catalog_p2):
@@ -520,25 +545,21 @@ def test_split_off_summand_splits_what_remains_of_its_cache(p, request):
 
 
 def test_the_chase_builds_no_complement(catalog_p2, catalog_p3, monkeypatch):
-    # the chase runs in x's coordinates: it builds no complement
-    # representation (split_by_retraction refuses), composes no morphism,
-    # and solves top frames of the input and of catalog objects only
+    # the chase runs in x's coordinates: inside decompose_full it builds no
+    # complement representation (split_by_retraction refuses), composes no
+    # morphism, and solves top frames of the input and of catalog objects
+    # only; the report around it composes morphisms in its check()
     from subrep import birkhoff, posetrep
     from subrep.repfile import parse_subspace_config, read_text
 
     def refuse(*args):
         raise AssertionError("the chase built a complement or composed a morphism")
 
-    runs = [(decompose_full, x, c) for c in (catalog_p2, catalog_p3) for x in _chase_inputs(c)]
-    five = parse_subspace_config(read_text(FIVE_SUMMANDS))
-    runs.append((invariant_subspace_report, five, catalog_p2))
-    for p, catalog in ((2, catalog_p2), (3, catalog_p3)):
-        rng = np.random.default_rng(27 + p)
-        configs = [random_subspace_config(PrimeField(p), 10, rng) for _ in range(10)]
-        runs += [(invariant_subspace_report, cfg, catalog) for cfg in configs]
+    real_decompose_full = birkhoff.decompose_full
     real_top_frames = posetrep.Representation.top_frames
-    framed_inputs = 0
-    for run, arg, catalog in runs:
+    held = []  # (input, whether the chase solved its frames), one per chase
+
+    def held_decompose_full(x, catalog):
         framed = []
 
         def top_frames(rep):
@@ -551,13 +572,123 @@ def test_the_chase_builds_no_complement(catalog_p2, catalog_p3, monkeypatch):
             m.setattr(birkhoff, "split_by_retraction", refuse, raising=False)
             m.setattr(posetrep.Morphism, "__matmul__", refuse)
             m.setattr(posetrep.Representation, "top_frames", top_frames)
-            result = run(arg, catalog)
-        d = result if run is decompose_full else result.decomposition
+            d = real_decompose_full(x, catalog)
+        assert all(rep is x or any(rep is o for o in catalog.objects) for rep in framed)
+        held.append((x, any(rep is x for rep in framed)))
+        return d
+
+    monkeypatch.setattr(birkhoff, "decompose_full", held_decompose_full)
+    catalogs = (catalog_p2, catalog_p3)
+    runs = [(held_decompose_full, x, c) for c in catalogs for x in _chase_inputs(c)]
+    five = parse_subspace_config(read_text(FIVE_SUMMANDS))
+    runs.append((invariant_subspace_report, five, catalog_p2))
+    for p, catalog in ((2, catalog_p2), (3, catalog_p3)):
+        rng = np.random.default_rng(27 + p)
+        configs = [random_subspace_config(PrimeField(p), 10, rng) for _ in range(10)]
+        runs += [(invariant_subspace_report, cfg, catalog) for cfg in configs]
+    for run, arg, catalog in runs:
+        result = run(arg, catalog)
+        d = result if run is held_decompose_full else result.decomposition
         assert d.check()
-        assert all(rep is d.object or any(rep is o for o in catalog.objects) for rep in framed)
-        framed_inputs += any(rep is d.object for rep in framed)
-    # the report builds its input, so its frames are solved under the patch
-    assert framed_inputs >= 21
+        assert d.object is held[-1][0]
+    # every run, the reports' included, went through the held chase; the
+    # chase solves the frames of its direct inputs (the report's are
+    # solved as it builds them), so the patch on top_frames sees them
+    assert len(held) == len(runs)
+    direct = sum(run is held_decompose_full for run, _, _ in runs)
+    assert all(framed for _, framed in held[:direct])
+
+
+def _flip_one_entry(m: Morphism) -> Morphism:
+    """m with the first entry of its first nonempty component raised by 1."""
+    v = next(v for v, c in m.components.items() if c.a.size)
+    a = m.components[v].a.copy()
+    a[0, 0] = (a[0, 0] + 1) % m.source.field.p
+    return Morphism(m.source, m.target, {**m.components, v: Matrix(m.source.field, a)})
+
+
+def _bad_decompositions(d):
+    """Corruptions of a decomposition with two isomorphic summands: one
+    projection entry flipped, one summand dropped, one doubled, the
+    projections of two isomorphic summands swapped (each carried into its
+    new target by an isomorphism, so every composite is defined), and one
+    summand added p more times, which keeps sum_i iota_i pi_i = id mod p
+    and fails only orthogonality."""
+    ss = d.summands
+    i, j = next(
+        (i, j)
+        for i in range(len(ss))
+        for j in range(i + 1, len(ss))
+        if indecomposables_isomorphic(ss[i].rep, ss[j].rep)[0]
+    )
+    into_i = indecomposables_isomorphic(ss[j].rep, ss[i].rep)[1]
+    into_j = indecomposables_isomorphic(ss[i].rep, ss[j].rep)[1]
+    swapped = list(ss)
+    swapped[i] = Summand(ss[i].rep, ss[i].inclusion, into_i @ ss[j].projection)
+    swapped[j] = Summand(ss[j].rep, ss[j].inclusion, into_j @ ss[i].projection)
+    flipped = Summand(ss[0].rep, ss[0].inclusion, _flip_one_entry(ss[0].projection))
+    return {
+        "flipped": [flipped] + ss[1:],
+        "dropped": ss[:-1],
+        "doubled": ss + [ss[0]],
+        "swapped": swapped,
+        "p more times": ss + [ss[0]] * d.object.field.p,
+    }
+
+
+def test_check_refuses_bad_decompositions(catalog_p2, catalog_p3):
+    # obj_010 + obj_024 + obj_024 at p = 3 (the CI sum3 input) and a seeded
+    # p = 2 input with a class twice, each split by the chase and by
+    # idempotents: check() holds, and fails on each corruption
+    from subrep.repfile import parse_representation, read_text
+
+    catalog_dir = os.path.join(CONFIGS, "..", "catalog_p3")
+    paths = [os.path.join(catalog_dir, f"obj_{i}.rep") for i in ("010", "024", "024")]
+    sum3 = direct_sum([parse_representation(read_text(path)) for path in paths]).rep
+    caps = {"1": 2, "2": 3, "3": 3, "*": 6}
+    seeded = random_subspace_representation(example_quiver(), L2, caps, np.random.default_rng(8))
+    for x, catalog in ((sum3, catalog_p3), (seeded, catalog_p2)):
+        for d in (decompose_full(x, catalog), indecompose(x)):
+            assert d.check()
+            for name, summands in _bad_decompositions(d).items():
+                assert not Decomposition(x, summands, d.certificate).check(), name
+
+
+def test_report_and_cli_fail_on_a_decomposition_that_fails_check(
+    catalog_p2, monkeypatch, capsys
+):
+    # one projection entry of the chase's result flipped: the report is not
+    # compatible, and `birkhoff` prints its table and exits 1
+    from subrep import birkhoff
+    from subrep.cli import main
+    from subrep.repfile import parse_subspace_config, read_text
+
+    real_decompose_full = birkhoff.decompose_full
+
+    def flipped_decompose_full(x, catalog):
+        d = real_decompose_full(x, catalog)
+        s = d.summands[0]
+        d.summands[0] = Summand(s.rep, s.inclusion, _flip_one_entry(s.projection))
+        return d
+
+    monkeypatch.setattr(birkhoff, "decompose_full", flipped_decompose_full)
+    cfg = parse_subspace_config(read_text(FIVE_SUMMANDS))
+    assert not invariant_subspace_report(cfg, catalog_p2).compatible
+    catalog_dir = os.path.join(CONFIGS, "..", "catalog_p2")
+    assert main(["birkhoff", FIVE_SUMMANDS, "--catalog", catalog_dir]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "catalog_index\tdim_vector\tmultiplicity",
+        "1\t(0,2,0,2)\t1",
+        "7\t(0,0,0,1)\t1",
+        "10\t(0,0,1,1)\t1",
+        "12\t(0,1,0,1)\t2",
+        "subspace\tv1\tdim=0\tsum_of_intersections=0",
+        "subspace\tv2\tdim=4\tsum_of_intersections=4",
+        "subspace\tv3\tdim=1\tsum_of_intersections=1",
+        "compatible\tFalse",
+    ]
+    assert "Traceback" not in err
 
 
 def test_validate_reports_each_kind_with_its_first_witness():
