@@ -212,9 +212,11 @@ def _radical_maps(end: Representation, test: Representation, into: bool) -> HomS
     """Basis of the maps h: test -> end (into) or h: end -> test with
     h . u (into) or u . h in rad End(end) for every u the other way.
     Into or out of an indecomposable end these are the non-split maps."""
-    rad = end_radical(end)
     x, y = (test, end) if into else (end, test)
-    homs, back = hom_basis(x, y), hom_basis(y, x)
+    homs = hom_basis(x, y)
+    if not homs.dim:
+        return homs
+    rad, back = end_radical(end), hom_basis(y, x)
     compose = HomSpace.precomposed if into else HomSpace.postcomposed
     # h in rad iff, for every u, compose(h, u) lies in the radical: its
     # End/J coordinates vanish, so intersect the kernels over all u

@@ -1,5 +1,13 @@
-"""Constructive splitting: the projective chase and the invariant-subspace
-pipeline.
+"""Constructive splitting: the projective chase, the decomposition read
+off the tops of the hom spaces, and the invariant-subspace pipeline.
+
+There are three ways to decompose a representation: `decomp.indecompose`
+(idempotents; any representation, no catalog), `decompose_full` (the
+chase) and `decompose_top` (no walk: the split monos Z -> x are the maps
+outside rad(Z, x), read off Hom(Z, x) through Z's left almost split
+map, and the result certifies itself).  The last two need a catalog and
+a subspace representation; `invariant_subspace_report` uses
+`decompose_top`.
 
 The chase extracts a direct summand from a nonzero subspace
 representation by starting with any nonzero map from a projective and
@@ -42,6 +50,14 @@ from .posetrep import (
 )
 
 
+def _require_subspace(x: Representation):
+    """ValueError naming the first point of x whose composite to `*` is
+    not injective, before any hom space into x is solved."""
+    bad = next((v for v, frame in x.top_frames().items() if frame is None), None)
+    if bad is not None:
+        raise ValueError(f"not a subspace representation: {bad} -> * is not injective")
+
+
 class _HomCache:
     """Bases of Hom(Z, x) and Hom(x, Z) for each catalog object Z, cut to
     what remains of x, each solved only when the chase first reads it.
@@ -71,9 +87,7 @@ class _HomCache:
     """
 
     def __init__(self, catalog: Catalog, x: Representation):
-        bad = next((v for v, frame in x.top_frames().items() if frame is None), None)
-        if bad is not None:
-            raise ValueError(f"not a subspace representation: {bad} -> * is not injective")
+        _require_subspace(x)
         self.catalog = catalog
         self.current = x
         self.remaining = x.total_dim()  # of the image of keep
@@ -238,6 +252,66 @@ def decompose_full(x: Representation, catalog: Catalog) -> Decomposition:
     return Decomposition(x, summands, {"method": "chase", "traces": traces, "classes": classes})
 
 
+def decompose_top(x: Representation, catalog: Catalog) -> Decomposition:
+    """The summands of x read off the tops of the hom spaces Hom(Z, x),
+    with no walk.
+
+    For a catalog object Z with left almost split map (lifts[k]: Z -> W_k),
+    rad(Z, x) = sum_k Hom(W_k, x) . lifts[k] (`_through_left`), and a map
+    Z -> x is a split mono exactly when it lies outside rad(Z, x).  For
+    each Z the inclusions are the columns of `hom_basis(Z, x)` independent
+    modulo rad(Z, x): with End Z / J = k, one per copy of Z in x.  Side by
+    side they make Phi: sum_i Z_i -> x, and the row blocks of Phi_*^-1,
+    from one `span_frame`, lifted into the Z_i are the projections.
+
+    Only objects that fit in x at every vertex can be summands, so only
+    their hom spaces are searched.  The result certifies itself: the
+    picked objects' dimension vectors sum to x's and Phi_* has full rank,
+    so each Phi_v, injective since Phi_* is and x and the Z_i are subspace
+    representations, is an isomorphism.  A wrong or missing left map, or
+    an object with dim End Z / J > 1, fails one of the two, which raises
+    InternalContractViolation.  Raises ValueError, before solving any
+    hom space, when x is not a subspace representation.  The certificate
+    holds the catalog index and the `hom_basis` column of each summand.
+    """
+    _require_subspace(x)
+    objs, homs = catalog.objects, {}
+
+    def hom(z):
+        """Hom(objs[z], x), solved on first use."""
+        if z not in homs:
+            homs[z] = hom_basis(objs[z], x)
+        return homs[z]
+
+    classes, picks, inclusions = [], [], []
+    for z, obj in enumerate(objs):
+        # Hom from an object that does not fit is solved only when a left
+        # map goes through it
+        if any(obj.dim(v) > x.dim(v) for v in x.quiver.vertices) or not hom(z).dim:
+            continue
+        h, (lifts, parts) = hom(z), catalog.left_maps[z]
+        chosen = h.independent_of(_through_left(obj, x, [hom(w) for w in parts], lifts))
+        if chosen:
+            classes += [z] * len(chosen)
+            picks += chosen
+            inclusions += h.take(chosen).basis
+    found = [sum(objs[z].dim(v) for z in classes) for v in x.quiver.vertices]
+    if found != list(x.dim_vector()):
+        raise InternalContractViolation(
+            f"the picked summands have dimensions {found}, x has {list(x.dim_vector())}"
+        )
+    phi = [np.zeros((x.dim(STAR), 0), dtype=np.int64)] + [f.components[STAR].a for f in inclusions]
+    pivots, inverse = span_frame(_wrap(x.field, np.hstack(phi)))
+    if len(pivots) != x.dim(STAR):
+        raise InternalContractViolation(f"Phi_* has rank {len(pivots)}, not {x.dim(STAR)}")
+    offsets = np.cumsum([0] + [objs[z].dim(STAR) for z in classes])
+    summands = []
+    for i, (z, f) in enumerate(zip(classes, inclusions)):
+        block = _wrap(x.field, inverse.a[offsets[i] : offsets[i + 1]])
+        summands.append(Summand(objs[z], f, HomSpace.at_star(x, objs[z], [block]).basis[0]))
+    return Decomposition(x, summands, {"method": "top", "classes": classes, "picks": picks})
+
+
 @dataclass
 class SubspaceConfig:
     """A nilpotent operator of index <= 2 with three invariant subspaces,
@@ -292,7 +366,8 @@ class SubspaceReport:
 
 
 def invariant_subspace_report(cfg: SubspaceConfig, catalog: Catalog) -> SubspaceReport:
-    """Decompose the configuration and read the report off its summands.
+    """Decompose the configuration by `decompose_top` and read the report
+    off its summands.
 
     For any decomposition x = sum_i iota_i(S_i), V_j meets iota_i(S_i)_*
     in iota_i((S_i)_j), so V_j is the direct sum of those intersections
@@ -301,7 +376,7 @@ def invariant_subspace_report(cfg: SubspaceConfig, catalog: Catalog) -> Subspace
     sum_i iota_i pi_i = id at every vertex), which implies the
     compatibility equations."""
     rep = from_invariant_subspaces(cfg)
-    decomp = decompose_full(rep, catalog)
+    decomp = decompose_top(rep, catalog)
     mults = {}
     for cls in decomp.certificate["classes"]:
         mults[cls] = mults.get(cls, 0) + 1

@@ -197,20 +197,24 @@ class Decomposition:
     certificate: dict = dataclass_field(default_factory=dict)
 
     def check(self) -> bool:
-        """Verify the direct-sum invariants exactly."""
-        x = self.object
-        total = None
-        for i, s in enumerate(self.summands):
-            if s.projection @ s.inclusion != Morphism.identity(s.rep):
-                return False
-            for j, t in enumerate(self.summands):
-                if i != j and not (s.projection @ t.inclusion).is_zero():
+        """Verify the direct-sum invariants exactly, two products per
+        vertex v: with P the pi_i stacked and I the iota_i side by side,
+        P I = id (pi_i iota_j = delta_ij) and I P = id (sum_i iota_i pi_i
+        = id), modulo p."""
+        x, p = self.object, self.object.field.p
+        for v in x.quiver.vertices:
+            n = x.dim(v)
+            pis = [s.projection.components[v].a for s in self.summands]
+            iotas = [s.inclusion.components[v].a for s in self.summands]
+            for s, pi, iota in zip(self.summands, pis, iotas):
+                if pi.shape != (s.rep.dim(v), n) or iota.shape != (n, s.rep.dim(v)):
                     return False
-            e = s.inclusion @ s.projection
-            total = e if total is None else total + e
-        if self.summands:
-            return total == Morphism.identity(x)
-        return x.total_dim() == 0
+            stacked = np.vstack([np.zeros((0, n), dtype=np.int64)] + pis)
+            joined = np.hstack([np.zeros((n, 0), dtype=np.int64)] + iotas)
+            for prod in (_matmul_mod(stacked, joined, p), _matmul_mod(joined, stacked, p)):
+                if not np.array_equal(prod, np.eye(len(prod), dtype=np.int64)):
+                    return False
+        return True
 
 
 def _crt_idempotents(x: Representation, theta: Matrix, factors, mp: Poly):

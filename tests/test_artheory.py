@@ -476,3 +476,30 @@ def test_translate_candidates_stay_in_catalog(catalog_p2):
         c = catalog_p2.objects[c_idx]
         for cand in translate_summands(c):
             assert catalog_p2.find_isomorphic(cand) is not None
+
+
+def test_radical_maps_solve_no_backward_space_when_hom_is_zero(catalog_p2, monkeypatch):
+    # with Hom(x, y) = 0 there is nothing to test against the radical, so
+    # only that space is solved; otherwise Hom(y, x) is solved as well
+    from subrep import artheory
+
+    objs = catalog_p2.objects
+    calls = []
+
+    def counting_hom_basis(source, target, real=artheory.hom_basis):
+        calls.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(artheory, "hom_basis", counting_hom_basis)
+    seen = {0: 0, 1: 0}
+    for i, end in enumerate(objs):
+        for j, test in enumerate(objs):
+            for into in (True, False):
+                nonzero = catalog_p2.hom(*((j, i) if into else (i, j))).dim > 0
+                calls.clear()
+                maps = artheory._radical_maps(end, test, into)
+                assert len(calls) == 1 + nonzero
+                if not nonzero:
+                    assert maps.dim == 0
+                seen[nonzero] += 1
+    assert seen[0] and seen[1]

@@ -6,6 +6,7 @@ import pytest
 from subrep.birkhoff import (
     SubspaceConfig,
     decompose_full,
+    decompose_top,
     from_invariant_subspaces,
     harada_sai_check,
     invariant_subspace_report,
@@ -105,9 +106,9 @@ def test_decompose_full_zero_solves_no_hom_space(catalog_p2, monkeypatch):
 
 def test_chase_rejects_a_non_subspace_input_before_solving(catalog_p2, monkeypatch):
     # the chase holds its hom spaces at `*`, which determines a map only
-    # into a subspace representation: decompose_full, and split_off_summand
-    # without a cache, name the first point whose composite to `*` is not
-    # injective, before any hom space is solved
+    # into a subspace representation: decompose_full, split_off_summand
+    # without a cache, and decompose_top name the first point whose
+    # composite to `*` is not injective, before any hom space is solved
     from subrep import birkhoff
     from subrep.posetrep import STAR
 
@@ -123,7 +124,7 @@ def test_chase_rejects_a_non_subspace_input_before_solving(catalog_p2, monkeypat
         if not bad:
             continue
         seen += 1
-        for run in (decompose_full, split_off_summand):
+        for run in (decompose_full, split_off_summand, decompose_top):
             with pytest.raises(ValueError, match=f"{bad[0]} -> \\* is not injective"):
                 run(x, catalog_p2)
     assert calls == []
@@ -548,55 +549,60 @@ def test_the_chase_builds_no_complement(catalog_p2, catalog_p3, monkeypatch):
     # the chase runs in x's coordinates: inside decompose_full it builds no
     # complement representation (split_by_retraction refuses), composes no
     # morphism, and solves top frames of the input and of catalog objects
-    # only; the report around it composes morphisms in its check()
+    # only
     from subrep import birkhoff, posetrep
-    from subrep.repfile import parse_subspace_config, read_text
 
     def refuse(*args):
         raise AssertionError("the chase built a complement or composed a morphism")
 
-    real_decompose_full = birkhoff.decompose_full
     real_top_frames = posetrep.Representation.top_frames
-    held = []  # (input, whether the chase solved its frames), one per chase
+    for catalog in (catalog_p2, catalog_p3):
+        for x in _chase_inputs(catalog):
+            framed = []
 
-    def held_decompose_full(x, catalog):
-        framed = []
+            def top_frames(rep):
+                if rep._top is None:
+                    framed.append(rep)
+                return real_top_frames(rep)
 
-        def top_frames(rep):
-            if rep._top is None:
-                framed.append(rep)
-            return real_top_frames(rep)
+            with monkeypatch.context() as m:
+                m.setattr(posetrep, "split_by_retraction", refuse)
+                m.setattr(birkhoff, "split_by_retraction", refuse, raising=False)
+                m.setattr(posetrep.Morphism, "__matmul__", refuse)
+                m.setattr(posetrep.Representation, "top_frames", top_frames)
+                d = birkhoff.decompose_full(x, catalog)
+            assert all(rep is x or any(rep is o for o in catalog.objects) for rep in framed)
+            # the chase solves the frames of its input, so the patch sees them
+            assert any(rep is x for rep in framed)
+            assert d.check()
+            assert d.object is x
 
-        with monkeypatch.context() as m:
-            m.setattr(posetrep, "split_by_retraction", refuse)
-            m.setattr(birkhoff, "split_by_retraction", refuse, raising=False)
-            m.setattr(posetrep.Morphism, "__matmul__", refuse)
-            m.setattr(posetrep.Representation, "top_frames", top_frames)
-            d = real_decompose_full(x, catalog)
-        assert all(rep is x or any(rep is o for o in catalog.objects) for rep in framed)
-        held.append((x, any(rep is x for rep in framed)))
-        return d
 
-    monkeypatch.setattr(birkhoff, "decompose_full", held_decompose_full)
-    catalogs = (catalog_p2, catalog_p3)
-    runs = [(held_decompose_full, x, c) for c in catalogs for x in _chase_inputs(c)]
-    five = parse_subspace_config(read_text(FIVE_SUMMANDS))
-    runs.append((invariant_subspace_report, five, catalog_p2))
+def test_the_report_is_decompose_top_of_its_input(catalog_p2, catalog_p3, monkeypatch):
+    # every report, on the five-summand configuration and on seeded ones at
+    # p = 2 and 3, is one decompose_top run on the representation it builds,
+    # and that decomposition passes check()
+    from subrep import birkhoff
+    from subrep.repfile import parse_subspace_config, read_text
+
+    real_decompose_top = birkhoff.decompose_top
+    held = []
+
+    def held_decompose_top(x, catalog):
+        held.append(x)
+        return real_decompose_top(x, catalog)
+
+    monkeypatch.setattr(birkhoff, "decompose_top", held_decompose_top)
+    runs = [(parse_subspace_config(read_text(FIVE_SUMMANDS)), catalog_p2)]
     for p, catalog in ((2, catalog_p2), (3, catalog_p3)):
         rng = np.random.default_rng(27 + p)
-        configs = [random_subspace_config(PrimeField(p), 10, rng) for _ in range(10)]
-        runs += [(invariant_subspace_report, cfg, catalog) for cfg in configs]
-    for run, arg, catalog in runs:
-        result = run(arg, catalog)
-        d = result if run is held_decompose_full else result.decomposition
+        runs += [(random_subspace_config(PrimeField(p), 10, rng), catalog) for _ in range(10)]
+    for cfg, catalog in runs:
+        d = invariant_subspace_report(cfg, catalog).decomposition
         assert d.check()
-        assert d.object is held[-1][0]
-    # every run, the reports' included, went through the held chase; the
-    # chase solves the frames of its direct inputs (the report's are
-    # solved as it builds them), so the patch on top_frames sees them
+        assert d.certificate["method"] == "top"
+        assert d.object is held[-1]
     assert len(held) == len(runs)
-    direct = sum(run is held_decompose_full for run, _, _ in runs)
-    assert all(framed for _, framed in held[:direct])
 
 
 def _flip_one_entry(m: Morphism) -> Morphism:
@@ -657,21 +663,21 @@ def test_check_refuses_bad_decompositions(catalog_p2, catalog_p3):
 def test_report_and_cli_fail_on_a_decomposition_that_fails_check(
     catalog_p2, monkeypatch, capsys
 ):
-    # one projection entry of the chase's result flipped: the report is not
-    # compatible, and `birkhoff` prints its table and exits 1
+    # one projection entry of decompose_top's result flipped: the report is
+    # not compatible, and `birkhoff` prints its table and exits 1
     from subrep import birkhoff
     from subrep.cli import main
     from subrep.repfile import parse_subspace_config, read_text
 
-    real_decompose_full = birkhoff.decompose_full
+    real_decompose_top = birkhoff.decompose_top
 
-    def flipped_decompose_full(x, catalog):
-        d = real_decompose_full(x, catalog)
+    def flipped_decompose_top(x, catalog):
+        d = real_decompose_top(x, catalog)
         s = d.summands[0]
         d.summands[0] = Summand(s.rep, s.inclusion, _flip_one_entry(s.projection))
         return d
 
-    monkeypatch.setattr(birkhoff, "decompose_full", flipped_decompose_full)
+    monkeypatch.setattr(birkhoff, "decompose_top", flipped_decompose_top)
     cfg = parse_subspace_config(read_text(FIVE_SUMMANDS))
     assert not invariant_subspace_report(cfg, catalog_p2).compatible
     catalog_dir = os.path.join(CONFIGS, "..", "catalog_p2")

@@ -10,13 +10,16 @@ seeded random inputs:
 - approx: `left_approx`, `right_approx` and every `mimo_k`, with their
   structure maps;
 - dtr: `dtr` of every non-projective catalog object;
-- birkhoff: `invariant_subspace_report` on seeded subspace configurations;
+- birkhoff: `invariant_subspace_report` on seeded subspace configurations,
+  with its decomposition's certificate;
 - dot: `export_quiver` of the catalog.
 
 The digests were recorded before the zero-dimension special cases around
 `ffmat`'s solvers were removed; the dot digest before the DOT arrows
-were read off the stored left maps.  A change that alters one on purpose must
-say so and record the new digest.
+were read off the stored left maps; the birkhoff digest when the report
+moved from the chase to `decompose_top`, whose certificate it hashes (the
+rest of the report is checked against the chase below).  A change that
+alters one on purpose must say so and record the new digest.
 """
 
 import hashlib
@@ -27,7 +30,11 @@ import pytest
 
 from subrep.approx import left_approx, mimo_k, right_approx
 from subrep.artheory import dtr, export_quiver
-from subrep.birkhoff import decompose_full, invariant_subspace_report
+from subrep.birkhoff import (
+    decompose_full,
+    from_invariant_subspaces,
+    invariant_subspace_report,
+)
 from subrep.decomp import indecompose
 from subrep.examples import example_quiver
 from subrep.posetrep import Representation
@@ -56,6 +63,12 @@ def _inputs(catalog, seed):
     subs = [random_subspace_representation(quiver, algebra, SUBSPACE_CAPS, rng) for _ in range(14)]
     general = [random_representation(quiver, algebra, GENERAL_CAPS, rng) for _ in range(12)]
     return [zero] + subs, [zero] + general
+
+
+def _report_configs(catalog):
+    """The 30 seeded subspace configurations of the birkhoff digest."""
+    rng = np.random.default_rng(2000 + catalog.algebra.field.p)
+    return [random_subspace_config(catalog.algebra.field, 6, rng) for _ in range(30)]
 
 
 def golden_digests(catalog) -> dict:
@@ -88,9 +101,7 @@ def golden_digests(catalog) -> dict:
     for i, x in enumerate(catalog.objects):
         if not catalog.projective[i]:
             put("dtr", serialize_representation(dtr(x)))
-    rng = np.random.default_rng(2000 + p)
-    for _ in range(30):
-        cfg = random_subspace_config(catalog.algebra.field, 6, rng)
+    for cfg in _report_configs(catalog):
         report = invariant_subspace_report(cfg, catalog)
         put("birkhoff", json.dumps(sorted(report.multiplicities.items())))
         put("birkhoff", json.dumps([report.compatible, report.details]))
@@ -105,7 +116,7 @@ GOLDEN = {
         "idempotent": "0a6b4574186faf2c92341762e1e538649b77499620de340cbb93708cf81cd107",
         "approx": "080b019ac7b7a4f8dd3a1beb307890cc253ef7fa2a9eb1e8b3b22f5b0f41db42",
         "dtr": "68f28dbd8b00dd84942393a87a6a622a9db45d1bd2b2d7df43e4f03e48737068",
-        "birkhoff": "c9f1a5b7ff4753c003eda33af13f94ce1609362f934a7482d8590e6645d297ee",
+        "birkhoff": "d3446e025584a2b572bfddd7b85c07f170a3ea0b9a81232edbec3ad82235ef29",
         "dot": "b456ce499a2bf169948d11c1426d1ac03d092b60d4727ad0c1f9153571a622ad",
     },
     3: {
@@ -113,7 +124,7 @@ GOLDEN = {
         "idempotent": "0ab8f156d89892e78bae70a607bc488aa0ea7ec8bbec952a3b27681bee316cb9",
         "approx": "9cb46c4ef4539530fc3c965ddafcb01091808b956bdc3e30525824e974af36a7",
         "dtr": "4a035d8170d0ce6809a78cf6589bd8c297816ea5e8d624035e75c2fc26f4678e",
-        "birkhoff": "4d479997221d63effdfaa442a27c0584e6cdde267a11c4de2a08aad8fc82b349",
+        "birkhoff": "dd3334300b4675773dd3485e2b2ae841577aa83931dc477028d8b93181672662",
         "dot": "b456ce499a2bf169948d11c1426d1ac03d092b60d4727ad0c1f9153571a622ad",
     },
 }
@@ -124,3 +135,25 @@ def test_golden_digests(p, catalog_p2, catalog_p3):
     catalog = {2: catalog_p2, 3: catalog_p3}[p]
     assert catalog.quiver == example_quiver()
     assert golden_digests(catalog) == GOLDEN[p]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_report_reads_what_the_chase_reads(p, catalog_p2, catalog_p3):
+    # on the configurations of the birkhoff digest, only the certificate
+    # changed when the report moved to decompose_top: its multiplicities,
+    # details and compatible are those read off the chase's decomposition
+    catalog = {2: catalog_p2, 3: catalog_p3}[p]
+    for cfg in _report_configs(catalog):
+        report = invariant_subspace_report(cfg, catalog)
+        rep = from_invariant_subspaces(cfg)
+        chase = decompose_full(rep, catalog)
+        mults = {}
+        for cls in chase.certificate["classes"]:
+            mults[cls] = mults.get(cls, 0) + 1
+        details = [
+            (j, rep.dim(j), sum(s.rep.dim(j) for s in chase.summands))
+            for j in rep.quiver.poset.points
+        ]
+        assert report.multiplicities == mults
+        assert report.details == details
+        assert report.compatible is chase.check() is True
