@@ -21,7 +21,13 @@ entries must already be reduced to [0, p):
   Bradshaw, arXiv:0901.1413);
 - every other prime: one numpy elimination step per pivot.
 The reduced row echelon form is unique, so the three give identical
-pivots and reduced arrays.
+pivots and reduced arrays.  The F_2 and F_3 paths share one absorb loop
+each and differ only in how rows reach it and leave it: a matrix of at
+most `GF2_LIST_CELLS` / `GF3_LIST_CELLS` entries is packed from
+`a.tolist()` and written back entry by entry, a larger one goes
+through numpy's packbits and unpackbits, whose fixed cost only pays off
+on larger matrices.  The two constants are crossovers measured on the
+benchmark workloads' own inputs (`tools/rref_paths.py --crossover`).
 
 Column selection is read off pivots: `independent_columns(prefix,
 candidates)` returns the candidates that are pivot columns of
@@ -260,6 +266,17 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
+# Entry counts (rows * cols) up to which F_2 and F_3 rows are packed from
+# `a.tolist()` and written back entry by entry; above them numpy's
+# packbits round trip, a fixed cost of about 20 us, is the cheaper one.
+# Crossovers measured by `tools/rref_paths.py --crossover` on the inputs
+# of the three benchmark workloads at seed 0 (2-vCPU Xeon, Python 3.11,
+# numpy 2.4): the total time is lowest, and flat, for list sizes 80-200
+# at F_2 and 240-500 at F_3.
+GF2_LIST_CELLS = 128
+GF3_LIST_CELLS = 400
+
+
 def _rref_inplace(a: np.ndarray, p: int):
     """Row-reduce `a` in place; returns (pivot column list, rank).
 
@@ -267,8 +284,10 @@ def _rref_inplace(a: np.ndarray, p: int):
     pivot scaled to 1, full elimination above and below.  Entries must
     already be reduced to [0, p).  Three paths: bit-packed rows at p = 2,
     bit-sliced rows at p = 3 and the numpy loop of `_rref_numpy_inplace`
-    at every other prime.  The reduced row echelon form is unique, so all
-    three return the same array and pivots.
+    at every other prime.  At p = 2 and 3 the rows are packed from
+    `a.tolist()` up to `GF2_LIST_CELLS` / `GF3_LIST_CELLS` entries and by
+    numpy's packbits above.  The reduced row echelon form is unique, so
+    every path returns the same array and pivots.
     """
     if p == 2:
         return _rref_gf2_inplace(a)
@@ -312,18 +331,22 @@ def _rref_gf2_inplace(a: np.ndarray):
     lowest set bit and adding rows is XOR.  Rows are absorbed one at a
     time into a fully reduced basis keyed by pivot bit; sorting that
     basis by pivot gives the reduced row echelon form, which is unique,
-    so the result equals the general elimination's.
+    so the result equals the general elimination's.  When `a` has at most
+    `GF2_LIST_CELLS` entries its rows are packed from `a.tolist()` and
+    written back entry by entry (`_gf2_pack_lists`), otherwise through
+    numpy's packbits and unpackbits (`_gf2_pack_bytes`); the loop is the
+    same.
     """
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return [], 0
-    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
+    if rows * cols <= GF2_LIST_CELLS:
+        pack, unpack = _gf2_pack_lists, _gf2_unpack_lists
+    else:
+        pack, unpack = _gf2_pack_bytes, _gf2_unpack_bytes
     basis = {}
     pivot_mask = 0
-    for i in range(rows):
-        x = int.from_bytes(data[i * width : (i + 1) * width], "little")
+    for x in pack(a):
         # basis rows are reduced, so clearing one pivot bit of x leaves
         # its other pivot bits alone
         hits = x & pivot_mask
@@ -342,12 +365,52 @@ def _rref_gf2_inplace(a: np.ndarray):
         if len(basis) == cols:
             break
     order = sorted(basis)
-    rank = len(order)
-    data = b"".join(basis[key].to_bytes(width, "little") for key in order)
+    unpack(a, [basis[key] for key in order])
+    return [key.bit_length() - 1 for key in order], len(order)
+
+
+def _gf2_pack_lists(a: np.ndarray):
+    """The rows of `a` as ints, bit j holding column j."""
+    packed = []
+    for row in a.tolist():
+        x, bit = 0, 1
+        for v in row:
+            if v:
+                x |= bit
+            bit <<= 1
+        packed.append(x)
+    return packed
+
+
+def _gf2_unpack_lists(a: np.ndarray, reduced):
+    """Write the packed rows `reduced` to the top of `a`, zeros below: one
+    item write per set bit, which a reduced row has few of."""
+    a[...] = 0
+    for i, x in enumerate(reduced):
+        while x:
+            low = x & -x
+            a[i, low.bit_length() - 1] = 1
+            x ^= low
+
+
+def _gf2_pack_bytes(a: np.ndarray):
+    """`_gf2_pack_lists` through numpy's packbits, one row at a time."""
+    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return (
+        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+    )
+
+
+def _gf2_unpack_bytes(a: np.ndarray, reduced):
+    """`_gf2_unpack_lists` through numpy's unpackbits."""
+    rank, cols = len(reduced), a.shape[1]
+    width = (cols + 7) // 8
+    data = b"".join(x.to_bytes(width, "little") for x in reduced)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(rank, width)
     a[:rank] = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
     a[rank:] = 0
-    return [key.bit_length() - 1 for key in order], rank
 
 
 def _rref_gf3_inplace(a: np.ndarray):
@@ -358,19 +421,19 @@ def _rref_gf3_inplace(a: np.ndarray):
     holding 2.  Negation swaps them, and (x1, x2) + (y1, y2) is
     t = (x1 | y2) ^ (x2 | y1), ((x2 | y2) ^ t, (x1 | y1) ^ t).  The absorb
     loop is `_rref_gf2_inplace`'s, on a basis whose pivot entries are 1.
+    The planes are packed and written back as at p = 2, by lists up to
+    `GF3_LIST_CELLS` entries and by packbits above.
     """
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return [], 0
-    packed = np.packbits(np.concatenate([a == 1, a == 2]), axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    planes = [
-        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
-    ]
+    if rows * cols <= GF3_LIST_CELLS:
+        pack, unpack = _gf3_pack_lists, _gf3_unpack_lists
+    else:
+        pack, unpack = _gf3_pack_bytes, _gf3_unpack_bytes
     basis = {}
     pivot_mask = 0
-    for x1, x2 in zip(planes[:rows], planes[rows:]):
+    for x1, x2 in pack(a):
         hits = (x1 | x2) & pivot_mask
         while hits:
             low = hits & -hits
@@ -396,15 +459,60 @@ def _rref_gf3_inplace(a: np.ndarray):
         if len(basis) == cols:
             break
     order = sorted(basis)
-    rank = len(order)
-    data = b"".join(
-        basis[key][j].to_bytes(width, "little") for j in (0, 1) for key in order
-    )
+    unpack(a, [basis[key] for key in order])
+    return [key.bit_length() - 1 for key in order], len(order)
+
+
+def _gf3_pack_lists(a: np.ndarray):
+    """The rows of `a` as (x1, x2): the bits of the columns holding 1 and
+    of those holding 2."""
+    packed = []
+    for row in a.tolist():
+        x1 = x2 = 0
+        bit = 1
+        for v in row:
+            if v == 1:
+                x1 |= bit
+            elif v:
+                x2 |= bit
+            bit <<= 1
+        packed.append((x1, x2))
+    return packed
+
+
+def _gf3_unpack_lists(a: np.ndarray, reduced):
+    """Write the sliced rows `reduced` to the top of `a`, zeros below: one
+    item write per nonzero entry."""
+    a[...] = 0
+    for i, (x1, x2) in enumerate(reduced):
+        for x, v in ((x1, 1), (x2, 2)):
+            while x:
+                low = x & -x
+                a[i, low.bit_length() - 1] = v
+                x ^= low
+
+
+def _gf3_pack_bytes(a: np.ndarray):
+    """`_gf3_pack_lists` through numpy's packbits."""
+    rows = a.shape[0]
+    packed = np.packbits(np.concatenate([a == 1, a == 2]), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    planes = [
+        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+    ]
+    return zip(planes[:rows], planes[rows:])
+
+
+def _gf3_unpack_bytes(a: np.ndarray, reduced):
+    """`_gf3_unpack_lists` through numpy's unpackbits."""
+    rank, cols = len(reduced), a.shape[1]
+    width = (cols + 7) // 8
+    data = b"".join(row[j].to_bytes(width, "little") for j in (0, 1) for row in reduced)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(2 * rank, width)
     bits = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
     a[:rank] = bits[:rank] + 2 * bits[rank:]
     a[rank:] = 0
-    return [key.bit_length() - 1 for key in order], rank
 
 
 def rref(m: Matrix):

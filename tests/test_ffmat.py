@@ -5,6 +5,7 @@ import pytest
 import sympy
 from sympy.polys.domains import GF
 
+from subrep import ffmat
 from subrep.errors import NoSolutionError
 from subrep.ffmat import (
     CoordinateSolver,
@@ -410,8 +411,24 @@ def test_matmul_large_prime_no_overflow():
 # F_2 elimination runs on bit-packed rows and F_3 elimination on
 # bit-sliced rows; these tests pin both to sympy's GF(p) row reduction
 # across shapes whose rows span several bytes and several 64-bit words.
+# Rows reach the absorb loop from `a.tolist()` up to GF2_LIST_CELLS /
+# GF3_LIST_CELLS entries (crossovers measured by tools/rref_paths.py) and
+# through numpy's packbits above; the sympy checks run once with each
+# packing forced at every size, and the shapes at the crossover and one
+# past it are checked against `_rref_numpy_inplace` with the real one.
 
 F2_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 130)
+# above rows * cols of every matrix these tests reduce
+ALL_LISTS = 10**6
+
+
+def _each_packing(monkeypatch):
+    """Run the loop body once with every F_2/F_3 elimination packing its
+    rows from lists, once with every one going through packbits."""
+    for cells in (ALL_LISTS, 0):
+        monkeypatch.setattr(ffmat, "GF2_LIST_CELLS", cells)
+        monkeypatch.setattr(ffmat, "GF3_LIST_CELLS", cells)
+        yield
 
 
 def _sympy_rref(m):
@@ -516,16 +533,19 @@ def _check_empty_and_zero_shape(field, shape):
     assert block_diag(field, [m, eye]) == Matrix(field, before)
 
 
-def test_f2_rref_and_rank_against_sympy():
-    _check_rref_against_sympy(_f2_cases())
+def test_f2_rref_and_rank_against_sympy(monkeypatch):
+    for _ in _each_packing(monkeypatch):
+        _check_rref_against_sympy(_f2_cases())
 
 
-def test_f2_kernel_basis_identities():
-    _check_kernel_basis_identities(_f2_cases())
+def test_f2_kernel_basis_identities(monkeypatch):
+    for _ in _each_packing(monkeypatch):
+        _check_kernel_basis_identities(_f2_cases())
 
 
-def test_f2_solve_and_coordinate_solver():
-    _check_solve_and_coordinate_solver(_f2_cases(), np.random.default_rng(21))
+def test_f2_solve_and_coordinate_solver(monkeypatch):
+    for _ in _each_packing(monkeypatch):
+        _check_solve_and_coordinate_solver(_f2_cases(), np.random.default_rng(21))
 
 
 def _outside_column_space(m):
@@ -552,16 +572,19 @@ def test_f2_empty_and_zero_shapes(shape):
     _check_empty_and_zero_shape(F2, shape)
 
 
-def test_f3_rref_and_rank_against_sympy():
-    _check_rref_against_sympy(_f3_cases())
+def test_f3_rref_and_rank_against_sympy(monkeypatch):
+    for _ in _each_packing(monkeypatch):
+        _check_rref_against_sympy(_f3_cases())
 
 
-def test_f3_kernel_basis_identities():
-    _check_kernel_basis_identities(_f3_cases())
+def test_f3_kernel_basis_identities(monkeypatch):
+    for _ in _each_packing(monkeypatch):
+        _check_kernel_basis_identities(_f3_cases())
 
 
-def test_f3_solve_and_coordinate_solver():
-    _check_solve_and_coordinate_solver(_f3_cases(), np.random.default_rng(31))
+def test_f3_solve_and_coordinate_solver(monkeypatch):
+    for _ in _each_packing(monkeypatch):
+        _check_solve_and_coordinate_solver(_f3_cases(), np.random.default_rng(31))
 
 
 def test_f3_inconsistent_system():
@@ -620,6 +643,72 @@ def test_packed_paths_match_numpy_elimination(p):
         packed, generic = a.copy(), a.copy()
         assert _rref_inplace(packed, p) == _rref_numpy_inplace(generic, p)
         assert np.array_equal(packed, generic)
+
+
+def _packbits_calls(monkeypatch, raise_on_call):
+    """Patch np.packbits to raise, or to record the shape of each call in
+    the list returned."""
+    calls = []
+    packbits = np.packbits
+
+    def spy(*args, **kwargs):
+        if raise_on_call:
+            raise AssertionError("np.packbits called")
+        calls.append(args[0].shape)
+        return packbits(*args, **kwargs)
+
+    monkeypatch.setattr(np, "packbits", spy)
+    return calls
+
+
+def _shapes_with_cells(n):
+    return [(r, n // r) for r in range(1, n + 1) if n % r == 0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packings_at_the_crossover_match_numpy_elimination(monkeypatch, p):
+    # every shape with rows * cols = crossover (lists) and crossover + 1
+    # (packbits), random, with duplicate rows and of full rank, and the
+    # zero-row and zero-column shapes next to them
+    cells = getattr(ffmat, f"GF{p}_LIST_CELLS")
+    calls = _packbits_calls(monkeypatch, raise_on_call=False)
+    rng = np.random.default_rng(36 + p)
+    cases = [np.zeros(shape, dtype=np.int64) for shape in [(0, cells), (cells, 0)]]
+    for rows, cols in _shapes_with_cells(cells) + _shapes_with_cells(cells + 1):
+        a = rng.integers(0, p, size=(rows, cols))
+        dup = a.copy()
+        dup[rows // 2 :] = (dup[: rows - rows // 2] * int(rng.integers(1, p))) % p
+        n = min(rows, cols)
+        full = np.zeros((rows, cols), dtype=np.int64)
+        full[rng.permutation(rows)[:n], rng.permutation(cols)[:n]] = rng.integers(1, p, size=n)
+        cases += [a, dup, full]
+    for a in cases:
+        packed, generic = a.copy(), a.copy()
+        before = len(calls)
+        assert _rref_inplace(packed, p) == _rref_numpy_inplace(generic, p), a.shape
+        assert np.array_equal(packed, generic), a.shape
+        assert len(calls) - before == (a.size > cells), a.shape
+
+
+@pytest.mark.parametrize("p, shape", [(3, (3, 2)), (2, (2, 3))])
+def test_small_eliminations_do_not_pack_with_numpy(monkeypatch, p, shape):
+    a = np.arange(shape[0] * shape[1], dtype=np.int64).reshape(shape) % p
+    generic = a.copy()
+    expected = _rref_numpy_inplace(generic, p)
+    _packbits_calls(monkeypatch, raise_on_call=True)
+    assert _rref_inplace(a, p) == expected
+    assert np.array_equal(a, generic)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_large_eliminations_pack_with_numpy(monkeypatch, p):
+    a = np.random.default_rng(38).integers(0, p, size=(56, 25))
+    generic = a.copy()
+    expected = _rref_numpy_inplace(generic, p)
+    calls = _packbits_calls(monkeypatch, raise_on_call=False)
+    assert _rref_inplace(a, p) == expected
+    assert np.array_equal(a, generic)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
