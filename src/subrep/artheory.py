@@ -319,10 +319,28 @@ class Catalog:
         return idx
 
     def find_isomorphic(self, rep: Representation):
-        fp = fingerprint(rep)
-        for idx in self._fps.get(fp, ()):
-            ok, _ = indecomposables_isomorphic(self.objects[idx], rep)
+        """Index of the object isomorphic to the indecomposable rep, or
+        None.  Only objects with rep's fingerprint are tested.
+
+        A hit is remembered on the matched object, as rep's content key in
+        its `_matched` set, and a later query with that key returns the
+        object before any isomorphism test: the objects are pairwise
+        non-isomorphic, so it is the only one the test could accept.  A
+        miss is never remembered, since an isomorphic object may be added
+        after it."""
+        candidates = self._fps.get(fingerprint(rep), ())
+        key = rep.content_key()
+        for idx in candidates:
+            matched = self.objects[idx]._matched
+            if matched is not None and key in matched:
+                return idx
+        for idx in candidates:
+            obj = self.objects[idx]
+            ok, _ = indecomposables_isomorphic(obj, rep)
             if ok:
+                if obj._matched is None:
+                    obj._matched = set()
+                obj._matched.add(key)
                 return idx
         return None
 

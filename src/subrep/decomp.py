@@ -14,6 +14,15 @@ X_v injective).  A part P of a split gets End(P) = proj . End . incl in
 its `_end` memo, certified local if its dimension is m deg q for the
 factor q^m that cut P out, the minimal polynomial of theta on P.
 
+The random elements meet few minimal polynomials, so each one is factored
+once: `_crt_interpolants` keeps, per (field, coefficients), the
+factorization and, when it has at least two factors, the CRT interpolants
+u_k q_k mod mp, in a cache of `FACTOR_CACHE_SIZE` entries.  The
+factorization does not depend on the seed `factor` draws its equal-degree
+splits from, so the cache is exact; `indecompose` still draws a
+`factor_seed` on every attempt, which keeps its random stream, and with it
+every later attempt and summand, as it was when each attempt factored.
+
 The radical of an endomorphism algebra is computed by the
 characteristic-coefficient chain: over the prime field, x lies in the
 radical iff the elementary-symmetric functions of degree p^k of x*y
@@ -26,6 +35,7 @@ the necessity of the conditions pins it to the radical exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +43,7 @@ from .errors import BudgetExceededError, InternalContractViolation
 from .ffmat import (
     Matrix,
     Poly,
+    PrimeField,
     _matmul_mod,
     _wrap,
     char_poly,
@@ -55,6 +66,9 @@ from .posetrep import (
 )
 
 SPLIT_BUDGET = 256
+# distinct minimal polynomials whose factorization is kept; a criterion-6
+# sample meets a few dozen
+FACTOR_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -217,12 +231,18 @@ class Decomposition:
         return True
 
 
-def _crt_idempotents(x: Representation, theta: Matrix, factors, mp: Poly):
-    """Orthogonal idempotents of x, one per coprime factor of the minimal
-    polynomial mp of theta, each interpolant evaluated once on theta: the
-    `*` component on a subspace representation, else the block-diagonal
-    total matrix, cut into its vertex blocks."""
-    field, evals = mp.field, []
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _crt_interpolants(field: PrimeField, coeffs: tuple):
+    """(factors, interpolants) of the monic minimal polynomial mp with
+    these coefficients: `factor(mp)` as a tuple, and when it has at least
+    two coprime factors q_k^m_k the CRT interpolants u_k q_k mod mp,
+    q_k = mp / q_k^m_k and u_k its inverse mod q_k^m_k, one per factor in
+    order (otherwise None).  Cached per polynomial."""
+    mp = Poly(field, coeffs)
+    factors = tuple(factor(mp))
+    if len(factors) < 2:
+        return factors, None
+    interpolants = []
     for irr, mult in factors:
         pk = Poly.one(field)
         for _ in range(mult):
@@ -231,9 +251,19 @@ def _crt_idempotents(x: Representation, theta: Matrix, factors, mp: Poly):
         g, u, _ = poly_xgcd(qk, pk)
         if g.degree() != 0:
             raise InternalContractViolation("factors are not coprime")
-        evals.append(((u * qk) % mp).eval_matrix(theta))
+        interpolants.append((u * qk) % mp)
+    return factors, tuple(interpolants)
+
+
+def _crt_idempotents(x: Representation, theta: Matrix, interpolants):
+    """Orthogonal idempotents of x, one per CRT interpolant of the minimal
+    polynomial of theta, each evaluated once on theta: the `*` component
+    on a subspace representation, else the block-diagonal total matrix,
+    cut into its vertex blocks."""
+    evals = [e.eval_matrix(theta) for e in interpolants]
     if x.is_subspace_rep():
         return HomSpace.at_star(x, x, evals).basis
+    field = x.field
     ends = zip(x.quiver.vertices, x.dim_vector(), np.cumsum(x.dim_vector()))
     blocks = [(v, slice(o - d, o)) for v, d, o in ends]
     return [Morphism(x, x, {v: _wrap(field, e.a[b, b].copy()) for v, b in blocks}) for e in evals]
@@ -272,13 +302,15 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
             coords = rng.integers(0, field.p, size=ends.dim)
             if not coords.any():
                 continue
-            factor_seed = int(rng.integers(0, 2**31))
+            # the seed `factor` took before factorizations were cached:
+            # still drawn, so every later draw stays the same
+            rng.integers(0, 2**31)
             if not generated:
                 theta = ends.space.star_map(coords) if star else ends.element(coords).total_matrix()
                 mp = min_poly(theta)
-                factors = factor(mp, seed=factor_seed)
-                if len(factors) >= 2:
-                    idems = _crt_idempotents(rep, theta, factors, mp)
+                factors, interpolants = _crt_interpolants(field, mp.coeffs)
+                if interpolants:
+                    idems = _crt_idempotents(rep, theta, interpolants)
                     trace.append(
                         {
                             "dims": rep.dim_vector(),

@@ -56,7 +56,9 @@ gives, so callers do not special-case them:
   free = 0..m-1 respectively; so `cokernel_frame` of an m x 0 matrix is
   (I_m, 0..m-1); `kernel_basis_of_span` of an L x 0 matrix is L x 0 and
   of a 0 x k matrix 0 x 0;
-- `column_space_basis` of a d x 0 matrix is d x 0.
+- `column_space_basis` of a d x 0 matrix is d x 0;
+- `Matrix.rank` of a matrix with no entries is 0, returned before any
+  copy or elimination.
 """
 
 from __future__ import annotations
@@ -184,6 +186,8 @@ class Matrix:
         return not self.a.any()
 
     def rank(self) -> int:
+        if not self.a.size:
+            return 0
         return int(_rref_inplace(self.a.copy(), self.field.p)[1])
 
     def tolist(self):

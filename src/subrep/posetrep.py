@@ -183,10 +183,12 @@ class Representation:
     `_paths` by `composite_map`, `_top` and `_subspace` (read by
     `is_subspace_rep`) by `top_frames`, `_end` by `end_algebra` or, on a
     part it splits off, by `decomp.indecompose`, `_fingerprint` by
-    `decomp.fingerprint`, `_radical` by `end_radical`."""
+    `decomp.fingerprint`, `_radical` by `end_radical`, and `_matched`, the
+    content keys (`content_key`) of the queries `Catalog.find_isomorphic`
+    certified isomorphic to this object, by that method."""
 
     __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims", "_paths",
-                 "_top", "_subspace", "_end", "_fingerprint", "_radical")
+                 "_top", "_subspace", "_end", "_fingerprint", "_radical", "_matched")
 
     def __init__(self, quiver: QuiverStar, algebra: LambdaAlgebra, spaces, arrow_maps):
         self.quiver = quiver
@@ -194,6 +196,7 @@ class Representation:
         self.spaces = dict(spaces)
         self.arrow_maps = dict(arrow_maps)
         self._paths = self._top = self._end = self._fingerprint = self._radical = None
+        self._matched = None
         for v in quiver.vertices:
             if v not in self.spaces:
                 raise ValueError(f"missing space at vertex {v!r}")
@@ -228,6 +231,17 @@ class Representation:
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
+
+    def content_key(self):
+        """The exact content: the field, the dimension vector and the bytes
+        of every T_v and arrow matrix, in quiver order.  Equal keys mean
+        equal representations of the same quiver."""
+        return (
+            self.field.p,
+            self.dim_vector(),
+            tuple(self.spaces[v].t.a.tobytes() for v in self.quiver.vertices),
+            tuple(self.arrow_maps[a].a.tobytes() for a in self.quiver.arrows),
+        )
 
     def validate(self):
         """Returns a list of violation strings; empty means valid."""

@@ -35,6 +35,7 @@ from subrep.artheory import socle_subrep
 from subrep.birkhoff import SubspaceConfig
 from subrep.decomp import (
     _crt_idempotents,
+    _crt_interpolants,
     end_radical,
     indecompose,
     quotient_is_division_ring,
@@ -386,7 +387,10 @@ def test_crt_idempotents_match_per_vertex_evaluation(p, n):
             factors = factor(mp, seed=0)
             split[star] += len(factors) >= 2
             at = theta.components[STAR] if star else total
-            got = _crt_idempotents(x, at, factors, mp)
+            cached, interpolants = _crt_interpolants(mp.field, mp.coeffs)
+            assert cached == tuple(factors)
+            # a single factor q^m = mp has the interpolant 1
+            got = _crt_idempotents(x, at, interpolants or (Poly.one(mp.field),))
             want = _ref_idempotents(theta, factors, mp)
             assert len(got) == len(want)
             for e, ref in zip(got, want):

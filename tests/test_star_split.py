@@ -74,8 +74,10 @@ def splits(monkeypatch):
     factor_of, seen = {}, []
     crt, image = decomp._crt_idempotents, decomp.image_subrep
 
-    def recording_crt(x, theta, factors, mp):
-        idems = crt(x, theta, factors, mp)
+    def recording_crt(x, theta, interpolants):
+        idems = crt(x, theta, interpolants)
+        mp = min_poly(theta)
+        factors = decomp._crt_interpolants(mp.field, mp.coeffs)[0]
         factor_of.update({id(e): f for e, f in zip(idems, factors)})
         return idems
 

@@ -154,6 +154,22 @@ def test_kernel_frame_empty_shapes(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_rank_of_an_empty_matrix_runs_no_elimination(p, monkeypatch):
+    """A matrix with no entries has rank 0, returned before the copy and
+    the elimination; a nonempty one still reduces."""
+    from subrep import ffmat
+
+    calls = []
+    real = ffmat._rref_inplace
+    monkeypatch.setattr(ffmat, "_rref_inplace", lambda a, q: calls.append(a.shape) or real(a, q))
+    field = PrimeField(p)
+    for rows, cols in ((0, 0), (3, 0), (0, 3)):
+        assert Matrix.zeros(field, rows, cols).rank() == 0
+    assert calls == []
+    assert Matrix.identity(field, 2).rank() == 2 and calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
 def test_span_frame_empty_shapes(p):
     """No columns: no pivots and U = I_d, so only the zero vector is in
     the span.  No rows: U is 0 x 0."""
