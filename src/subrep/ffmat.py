@@ -27,7 +27,7 @@ most `GF2_LIST_CELLS` / `GF3_LIST_CELLS` entries is packed from
 `a.tolist()` and written back entry by entry, a larger one goes
 through numpy's packbits and unpackbits, whose fixed cost only pays off
 on larger matrices.  The two constants are crossovers measured on the
-benchmark workloads' own inputs (`tools/rref_paths.py --crossover`).
+benchmark workloads' own inputs (`tools/traffic.py --crossover`).
 
 Column selection is read off pivots: `independent_columns(prefix,
 candidates)` returns the candidates that are pivot columns of
@@ -273,7 +273,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 # Entry counts (rows * cols) up to which F_2 and F_3 rows are packed from
 # `a.tolist()` and written back entry by entry; above them numpy's
 # packbits round trip, a fixed cost of about 20 us, is the cheaper one.
-# Crossovers measured by `tools/rref_paths.py --crossover` on the inputs
+# Crossovers measured by `tools/traffic.py --crossover` on the inputs
 # of the three benchmark workloads at seed 0 (2-vCPU Xeon, Python 3.11,
 # numpy 2.4): the total time is lowest, and flat, for list sizes 80-200
 # at F_2 and 240-500 at F_3.

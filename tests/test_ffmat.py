@@ -412,10 +412,11 @@ def test_matmul_large_prime_no_overflow():
 # bit-sliced rows; these tests pin both to sympy's GF(p) row reduction
 # across shapes whose rows span several bytes and several 64-bit words.
 # Rows reach the absorb loop from `a.tolist()` up to GF2_LIST_CELLS /
-# GF3_LIST_CELLS entries (crossovers measured by tools/rref_paths.py) and
-# through numpy's packbits above; the sympy checks run once with each
-# packing forced at every size, and the shapes at the crossover and one
-# past it are checked against `_rref_numpy_inplace` with the real one.
+# GF3_LIST_CELLS entries (crossovers measured by `tools/traffic.py
+# --crossover`) and through numpy's packbits above; the sympy checks run
+# once with each packing forced at every size, and the shapes at the
+# crossover and one past it are checked against `_rref_numpy_inplace`
+# with the real one.
 
 F2_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 130)
 # above rows * cols of every matrix these tests reduce
