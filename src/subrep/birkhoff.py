@@ -34,6 +34,7 @@ from .decomp import Decomposition, Summand
 from .errors import (
     ChaseExhaustedError,
     InternalContractViolation,
+    NoSolutionError,
     NotInvariantError,
     NotNestedError,
 )
@@ -341,14 +342,14 @@ class SubspaceConfig:
 
 def from_invariant_subspaces(cfg: SubspaceConfig) -> Representation:
     """Representation on the example quiver: total space at the top, the
-    three subspaces with inclusion arrows below."""
-    problems = cfg.validate()
-    if problems:
-        raise problems[0]
+    three subspaces with inclusion arrows below.  The construction fails
+    exactly when `cfg.validate()` finds a problem, so the configuration
+    is validated only then, to raise the first problem it reports."""
     spans = {"1": cfg.v1, "2": cfg.v2, "3": cfg.v3}
-    rep, _ = subspace_representation(example_quiver(), cfg.v, spans)
-    if not rep.is_subspace_rep():
-        raise InternalContractViolation("subspace construction produced a non-mono arrow")
+    try:
+        rep, _ = subspace_representation(example_quiver(), cfg.v, spans)
+    except NoSolutionError:
+        raise cfg.validate()[0] from None
     return rep
 
 

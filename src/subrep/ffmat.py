@@ -23,11 +23,12 @@ entries must already be reduced to [0, p):
 The reduced row echelon form is unique, so the three give identical
 pivots and reduced arrays.  The F_2 and F_3 paths share one absorb loop
 each and differ only in how rows reach it and leave it: a matrix of at
-most `GF2_LIST_CELLS` / `GF3_LIST_CELLS` entries is packed from
-`a.tolist()` and written back entry by entry, a larger one goes
-through numpy's packbits and unpackbits, whose fixed cost only pays off
-on larger matrices.  The two constants are crossovers measured on the
-benchmark workloads' own inputs (`tools/traffic.py --crossover`).
+most `LIST_CELLS` entries is packed from `a.tolist()` and written back
+entry by entry, a larger one goes through the word codec `_pack_rows` /
+`_unpack_rows`, one int64 product in and one vectorized shift out, whose
+fixed cost only pays off on larger matrices.  The one constant, shared by both primes,
+is a crossover measured on the benchmark workloads' own inputs
+(`tools/traffic.py --crossover`).
 
 Column selection is read off pivots: `independent_columns(prefix,
 candidates)` returns the candidates that are pivot columns of
@@ -150,9 +151,6 @@ class Matrix:
         self._check(other)
         return Matrix(self.field, self.a - other.a)
 
-    def __neg__(self):
-        return Matrix(self.field, -self.a)
-
     def __matmul__(self, other):
         self._check_field(other)
         if self.a.shape[1] != other.a.shape[0]:
@@ -270,15 +268,18 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
-# Entry counts (rows * cols) up to which F_2 and F_3 rows are packed from
-# `a.tolist()` and written back entry by entry; above them numpy's
-# packbits round trip, a fixed cost of about 20 us, is the cheaper one.
-# Crossovers measured by `tools/traffic.py --crossover` on the inputs
-# of the three benchmark workloads at seed 0 (2-vCPU Xeon, Python 3.11,
-# numpy 2.4): the total time is lowest, and flat, for list sizes 80-200
-# at F_2 and 240-500 at F_3.
-GF2_LIST_CELLS = 128
-GF3_LIST_CELLS = 400
+# Entry count (rows * cols) up to which F_2 and F_3 rows are packed from
+# `a.tolist()` and written back entry by entry; above it the word codec,
+# a fixed cost of a few numpy calls, is the cheaper one.  One crossover
+# serves both primes: `tools/traffic.py --crossover` over the inputs of
+# the three benchmark workloads at seed 0 (2-vCPU Xeon, Python 3.11,
+# numpy 2.4) put the joint minimum at 81 and 124 in two runs, with 96
+# within 0.4% of it; the curve is flat there.
+LIST_CELLS = 96
+# columns per int64 word of the codec: 2^0 + ... + 2^61 < 2^62
+WORD = 62
+_SHIFTS = np.arange(WORD, dtype=np.int64)
+_POWERS = 1 << _SHIFTS
 
 
 def _rref_inplace(a: np.ndarray, p: int):
@@ -289,9 +290,9 @@ def _rref_inplace(a: np.ndarray, p: int):
     already be reduced to [0, p).  Three paths: bit-packed rows at p = 2,
     bit-sliced rows at p = 3 and the numpy loop of `_rref_numpy_inplace`
     at every other prime.  At p = 2 and 3 the rows are packed from
-    `a.tolist()` up to `GF2_LIST_CELLS` / `GF3_LIST_CELLS` entries and by
-    numpy's packbits above.  The reduced row echelon form is unique, so
-    every path returns the same array and pivots.
+    `a.tolist()` up to `LIST_CELLS` entries and by the word codec
+    `_pack_rows` above.  The reduced row echelon form is unique, so every
+    path returns the same array and pivots.
     """
     if p == 2:
         return _rref_gf2_inplace(a)
@@ -336,21 +337,17 @@ def _rref_gf2_inplace(a: np.ndarray):
     time into a fully reduced basis keyed by pivot bit; sorting that
     basis by pivot gives the reduced row echelon form, which is unique,
     so the result equals the general elimination's.  When `a` has at most
-    `GF2_LIST_CELLS` entries its rows are packed from `a.tolist()` and
-    written back entry by entry (`_gf2_pack_lists`), otherwise through
-    numpy's packbits and unpackbits (`_gf2_pack_bytes`); the loop is the
-    same.
+    `LIST_CELLS` entries its rows are packed from `a.tolist()` and
+    written back entry by entry (`_gf2_pack_lists`), otherwise by the
+    word codec (`_pack_rows`); the loop is the same.
     """
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return [], 0
-    if rows * cols <= GF2_LIST_CELLS:
-        pack, unpack = _gf2_pack_lists, _gf2_unpack_lists
-    else:
-        pack, unpack = _gf2_pack_bytes, _gf2_unpack_bytes
+    small = rows * cols <= LIST_CELLS
     basis = {}
     pivot_mask = 0
-    for x in pack(a):
+    for x in _gf2_pack_lists(a) if small else _pack_rows(a, 2):
         # basis rows are reduced, so clearing one pivot bit of x leaves
         # its other pivot bits alone
         hits = x & pivot_mask
@@ -369,7 +366,11 @@ def _rref_gf2_inplace(a: np.ndarray):
         if len(basis) == cols:
             break
     order = sorted(basis)
-    unpack(a, [basis[key] for key in order])
+    reduced = [basis[key] for key in order]
+    if small:
+        _gf2_unpack_lists(a, reduced)
+    else:
+        _unpack_rows(a, reduced, 2)
     return [key.bit_length() - 1 for key in order], len(order)
 
 
@@ -397,26 +398,6 @@ def _gf2_unpack_lists(a: np.ndarray, reduced):
             x ^= low
 
 
-def _gf2_pack_bytes(a: np.ndarray):
-    """`_gf2_pack_lists` through numpy's packbits, one row at a time."""
-    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return (
-        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
-    )
-
-
-def _gf2_unpack_bytes(a: np.ndarray, reduced):
-    """`_gf2_unpack_lists` through numpy's unpackbits."""
-    rank, cols = len(reduced), a.shape[1]
-    width = (cols + 7) // 8
-    data = b"".join(x.to_bytes(width, "little") for x in reduced)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(rank, width)
-    a[:rank] = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
-    a[rank:] = 0
-
-
 def _rref_gf3_inplace(a: np.ndarray):
     """`_rref_inplace` over F_3 on bit-sliced rows (Boothby-Bradshaw,
     arXiv:0901.1413).
@@ -426,18 +407,15 @@ def _rref_gf3_inplace(a: np.ndarray):
     t = (x1 | y2) ^ (x2 | y1), ((x2 | y2) ^ t, (x1 | y1) ^ t).  The absorb
     loop is `_rref_gf2_inplace`'s, on a basis whose pivot entries are 1.
     The planes are packed and written back as at p = 2, by lists up to
-    `GF3_LIST_CELLS` entries and by packbits above.
+    `LIST_CELLS` entries and by the word codec above.
     """
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return [], 0
-    if rows * cols <= GF3_LIST_CELLS:
-        pack, unpack = _gf3_pack_lists, _gf3_unpack_lists
-    else:
-        pack, unpack = _gf3_pack_bytes, _gf3_unpack_bytes
+    small = rows * cols <= LIST_CELLS
     basis = {}
     pivot_mask = 0
-    for x1, x2 in pack(a):
+    for x1, x2 in _gf3_pack_lists(a) if small else _pack_rows(a, 3):
         hits = (x1 | x2) & pivot_mask
         while hits:
             low = hits & -hits
@@ -463,7 +441,11 @@ def _rref_gf3_inplace(a: np.ndarray):
         if len(basis) == cols:
             break
     order = sorted(basis)
-    unpack(a, [basis[key] for key in order])
+    reduced = [basis[key] for key in order]
+    if small:
+        _gf3_unpack_lists(a, reduced)
+    else:
+        _unpack_rows(a, reduced, 3)
     return [key.bit_length() - 1 for key in order], len(order)
 
 
@@ -496,26 +478,39 @@ def _gf3_unpack_lists(a: np.ndarray, reduced):
                 x ^= low
 
 
-def _gf3_pack_bytes(a: np.ndarray):
-    """`_gf3_pack_lists` through numpy's packbits."""
-    rows = a.shape[0]
-    packed = np.packbits(np.concatenate([a == 1, a == 2]), axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    planes = [
-        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
-    ]
-    return zip(planes[:rows], planes[rows:])
+def _pack_rows(a: np.ndarray, p: int):
+    """The rows of `a` as `_gf2_pack_lists` (p = 2) or `_gf3_pack_lists`
+    (p = 3) give them, packed by one int64 product: the stacked 0/1
+    planes (a, or a & 1 and a >> 1) are cut into words of WORD columns,
+    each word is its columns dotted with the powers of two, and a row's
+    words are joined lowest first.  At most WORD columns make one word
+    and need no padding."""
+    rows, cols = a.shape
+    planes = a if p == 2 else np.concatenate([a & 1, a >> 1])
+    if cols <= WORD:
+        packed = (planes @ _POWERS[:cols]).tolist()
+    else:
+        words = -(-cols // WORD)
+        padded = np.pad(planes, ((0, 0), (0, words * WORD - cols)))
+        split = (padded.reshape(len(planes), words, WORD) @ _POWERS).tolist()
+        packed = [sum(w << (WORD * j) for j, w in enumerate(row)) for row in split]
+    return packed if p == 2 else zip(packed[:rows], packed[rows:])
 
 
-def _gf3_unpack_bytes(a: np.ndarray, reduced):
-    """`_gf3_unpack_lists` through numpy's unpackbits."""
+def _unpack_rows(a: np.ndarray, reduced, p: int):
+    """Write the rows `reduced` of `_pack_rows`'s form to the top of `a`,
+    zeros below: each plane row is cut into its words and every word is
+    shifted by 0..WORD-1 at once."""
     rank, cols = len(reduced), a.shape[1]
-    width = (cols + 7) // 8
-    data = b"".join(row[j].to_bytes(width, "little") for j in (0, 1) for row in reduced)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(2 * rank, width)
-    bits = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
-    a[:rank] = bits[:rank] + 2 * bits[rank:]
+    planes = reduced if p == 2 else [row[j] for j in (0, 1) for row in reduced]
+    words = -(-cols // WORD)
+    if words > 1:
+        mask = (1 << WORD) - 1
+        planes = [x >> (WORD * j) & mask for x in planes for j in range(words)]
+    split = np.array(planes, dtype=np.int64).reshape(-1, words, 1)
+    shifts = _SHIFTS[:cols]
+    bits = ((split >> shifts) & 1).reshape(len(split), words * shifts.size)[:, :cols]
+    a[:rank] = bits if p == 2 else bits[:rank] + 2 * bits[rank:]
     a[rank:] = 0
 
 
@@ -748,12 +743,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.field.p, self.coeffs))
-
-    def __call__(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * value + c) % self.field.p
-        return acc
 
     def eval_matrix(self, m: Matrix) -> Matrix:
         """self(m) by Horner's rule on the reduced array."""

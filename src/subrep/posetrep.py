@@ -154,11 +154,6 @@ class QuiverStar:
             return False
         return self.poset.leq(a, b)
 
-    def index(self, v) -> int:
-        if v not in self._index:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        return self._index[v]
-
     def arrows_from(self, v):
         return tuple(a for a in self.arrows if a[0] == v)
 
@@ -381,13 +376,6 @@ class Morphism:
             {v: self.components[v] + other.components[v] for v in self.components},
         )
 
-    def __sub__(self, other):
-        return Morphism(
-            self.source,
-            self.target,
-            {v: self.components[v] - other.components[v] for v in self.components},
-        )
-
     def scale(self, c):
         return Morphism(
             self.source, self.target, {v: m.scale(c) for v, m in self.components.items()}
@@ -420,9 +408,6 @@ class Morphism:
             self.source.field,
             [self.components[v] for v in self.source.quiver.vertices],
         )
-
-    def rank(self) -> int:
-        return sum(self.components[v].rank() for v in self.components)
 
     def __eq__(self, other):
         return isinstance(other, Morphism) and all(

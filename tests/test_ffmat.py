@@ -411,12 +411,12 @@ def test_matmul_large_prime_no_overflow():
 # F_2 elimination runs on bit-packed rows and F_3 elimination on
 # bit-sliced rows; these tests pin both to sympy's GF(p) row reduction
 # across shapes whose rows span several bytes and several 64-bit words.
-# Rows reach the absorb loop from `a.tolist()` up to GF2_LIST_CELLS /
-# GF3_LIST_CELLS entries (crossovers measured by `tools/traffic.py
-# --crossover`) and through numpy's packbits above; the sympy checks run
-# once with each packing forced at every size, and the shapes at the
-# crossover and one past it are checked against `_rref_numpy_inplace`
-# with the real one.
+# Rows reach the absorb loop from `a.tolist()` up to LIST_CELLS entries
+# (a crossover measured by `tools/traffic.py --crossover`) and through the
+# word codec `_pack_rows` above; the sympy checks run once with each
+# packing forced at every size, the shapes at the crossover and one past
+# it are checked against `_rref_numpy_inplace` with the real one, and so
+# are the widths on either side of one and two codec words.
 
 F2_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 130)
 # above rows * cols of every matrix these tests reduce
@@ -425,10 +425,9 @@ ALL_LISTS = 10**6
 
 def _each_packing(monkeypatch):
     """Run the loop body once with every F_2/F_3 elimination packing its
-    rows from lists, once with every one going through packbits."""
+    rows from lists, once with every one going through the word codec."""
     for cells in (ALL_LISTS, 0):
-        monkeypatch.setattr(ffmat, "GF2_LIST_CELLS", cells)
-        monkeypatch.setattr(ffmat, "GF3_LIST_CELLS", cells)
+        monkeypatch.setattr(ffmat, "LIST_CELLS", cells)
         yield
 
 
@@ -646,19 +645,19 @@ def test_packed_paths_match_numpy_elimination(p):
         assert np.array_equal(packed, generic)
 
 
-def _packbits_calls(monkeypatch, raise_on_call):
-    """Patch np.packbits to raise, or to record the shape of each call in
-    the list returned."""
+def _pack_rows_calls(monkeypatch, raise_on_call):
+    """Patch ffmat._pack_rows to raise, or to record the shape of each call
+    in the list returned."""
     calls = []
-    packbits = np.packbits
+    pack_rows = ffmat._pack_rows
 
-    def spy(*args, **kwargs):
+    def spy(a, p):
         if raise_on_call:
-            raise AssertionError("np.packbits called")
-        calls.append(args[0].shape)
-        return packbits(*args, **kwargs)
+            raise AssertionError("ffmat._pack_rows called")
+        calls.append(a.shape)
+        return pack_rows(a, p)
 
-    monkeypatch.setattr(np, "packbits", spy)
+    monkeypatch.setattr(ffmat, "_pack_rows", spy)
     return calls
 
 
@@ -669,10 +668,10 @@ def _shapes_with_cells(n):
 @pytest.mark.parametrize("p", [2, 3])
 def test_packings_at_the_crossover_match_numpy_elimination(monkeypatch, p):
     # every shape with rows * cols = crossover (lists) and crossover + 1
-    # (packbits), random, with duplicate rows and of full rank, and the
+    # (word codec), random, with duplicate rows and of full rank, and the
     # zero-row and zero-column shapes next to them
-    cells = getattr(ffmat, f"GF{p}_LIST_CELLS")
-    calls = _packbits_calls(monkeypatch, raise_on_call=False)
+    cells = ffmat.LIST_CELLS
+    calls = _pack_rows_calls(monkeypatch, raise_on_call=False)
     rng = np.random.default_rng(36 + p)
     cases = [np.zeros(shape, dtype=np.int64) for shape in [(0, cells), (cells, 0)]]
     for rows, cols in _shapes_with_cells(cells) + _shapes_with_cells(cells + 1):
@@ -696,7 +695,7 @@ def test_small_eliminations_do_not_pack_with_numpy(monkeypatch, p, shape):
     a = np.arange(shape[0] * shape[1], dtype=np.int64).reshape(shape) % p
     generic = a.copy()
     expected = _rref_numpy_inplace(generic, p)
-    _packbits_calls(monkeypatch, raise_on_call=True)
+    _pack_rows_calls(monkeypatch, raise_on_call=True)
     assert _rref_inplace(a, p) == expected
     assert np.array_equal(a, generic)
 
@@ -706,10 +705,39 @@ def test_large_eliminations_pack_with_numpy(monkeypatch, p):
     a = np.random.default_rng(38).integers(0, p, size=(56, 25))
     generic = a.copy()
     expected = _rref_numpy_inplace(generic, p)
-    calls = _packbits_calls(monkeypatch, raise_on_call=False)
+    calls = _pack_rows_calls(monkeypatch, raise_on_call=False)
     assert _rref_inplace(a, p) == expected
     assert np.array_equal(a, generic)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_word_boundaries_of_the_codec_match_numpy_and_sympy(monkeypatch, p):
+    # WORD - 1 .. WORD + 1 and 2 WORD - 1 .. 2 WORD + 1 columns, forced
+    # through the codec: random, all zero (rank 0), one row, and with a
+    # pivot in the last column of a word
+    monkeypatch.setattr(ffmat, "LIST_CELLS", 0)
+    calls = _pack_rows_calls(monkeypatch, raise_on_call=False)
+    field, rng = PrimeField(p), np.random.default_rng(39 + p)
+    assert ffmat.WORD == 62
+    for cols in (61, 62, 63, 123, 124, 125):
+        last = np.zeros((3, cols), dtype=np.int64)
+        last[0, -1] = last[1, min(cols, ffmat.WORD) - 1] = last[2] = p - 1
+        cases = [
+            rng.integers(0, p, size=(7, cols)),
+            np.zeros((4, cols), dtype=np.int64),
+            rng.integers(0, p, size=(1, cols)),
+            last,
+        ]
+        for a in cases:
+            packed, generic = a.copy(), a.copy()
+            before = len(calls)
+            assert _rref_inplace(packed, p) == _rref_numpy_inplace(generic, p), a.shape
+            assert np.array_equal(packed, generic), a.shape
+            assert len(calls) - before == 1
+            expected, expected_pivots = _sympy_rref(Matrix(field, a))
+            assert np.array_equal(packed, expected), a.shape
+            assert tuple(_rref_inplace(a.copy(), p)[0]) == expected_pivots
 
 
 # ---------------------------------------------------------------------------

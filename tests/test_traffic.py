@@ -1,6 +1,6 @@
 """The traffic probe of `tools/traffic.py` against the library it wraps.
 
-The probe rebinds `ffmat._rref_inplace`, `numpy.packbits`, `ffmat.factor`,
+The probe rebinds `ffmat._rref_inplace`, `ffmat._pack_rows`, `ffmat.factor`,
 `decomp._crt_interpolants`, `Catalog.find_isomorphic`,
 `indecomposables_isomorphic` and `posetrep.hom_basis` under every alias.
 A rename in the library must fail here: `restore` leaves every module and
@@ -12,7 +12,6 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "traffic.py"
@@ -37,8 +36,8 @@ def lib():
 
 def _namespaces(lib):
     """Every attribute of every loaded subrep module and of every class
-    they define, by identity, and numpy's packbits."""
-    spaces = {"numpy": {"packbits": np.packbits}}
+    they define, by identity."""
+    spaces = {}
     for name, module in lib.loaded_modules():
         spaces[name] = dict(vars(module))
         for cls_name, cls in inspect.getmembers(module, inspect.isclass):
@@ -71,7 +70,7 @@ def test_install_then_restore_leaves_every_attribute(lib):
     }
     assert {
         ("ffmat", "_rref_inplace"),
-        ("numpy", "packbits"),
+        ("ffmat", "_pack_rows"),
         ("ffmat", "factor"),
         ("decomp", "factor"),
         ("decomp", "_crt_interpolants"),

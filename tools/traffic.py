@@ -8,11 +8,11 @@ Runs the items of each `perfbench` workload, as many as a 25 s benchmark
 run times, after its warm-up, under one `Probe`, and prints one JSON
 object.  Per workload, `eliminations` holds the calls and seconds of
 `ffmat._rref_inplace` per prime and rows * cols bucket, by the path
-taken: `packed` (F_2/F_3 rows packed by numpy's packbits, seen by a call
-to it), `lists` (packed from `a.tolist()`), `numpy` (other primes) or
-`empty` (no entries).  `layers` holds the calls, the distinct exact
-inputs among them and the inclusive seconds inside them of
-`ffmat.factor`, the misses of `decomp._crt_interpolants` that split
+taken: `packed` (F_2/F_3 rows packed by the word codec, seen by a call
+to `ffmat._pack_rows`), `lists` (packed from `a.tolist()`), `numpy`
+(other primes) or `empty` (no entries).  `layers` holds the calls, the
+distinct exact inputs among them and the inclusive seconds inside them
+of `ffmat.factor`, the misses of `decomp._crt_interpolants` that split
 (timed without their `factor`), `Catalog.find_isomorphic`, the
 `indecomposables_isomorphic` calls (`iso_tests`) and `posetrep.hom_basis`;
 a representation is keyed on its `content_key()`.  Every alias of a
@@ -20,9 +20,10 @@ wrapped name is rebound, and restored before the workload's output check
 runs, so the check's own work is not counted.
 
 `--crossover` also reduces each F_2/F_3 input the runs made once more on
-each packing path (best of five per input) and reports, per prime, the
-smallest list size that minimises their total over all the workloads
-given: the crossover the constants are set from.
+each packing path (best of five per input) and reports the smallest list
+size that minimises their total over all the workloads given, per prime
+and over both primes together: the last is the crossover that
+`ffmat.LIST_CELLS` is set from.
 """
 
 import argparse
@@ -32,8 +33,6 @@ import sys
 import time
 from collections import Counter, defaultdict
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -65,7 +64,7 @@ class Probe:
         self.eliminations = defaultdict(lambda: [0, 0.0])  # (p, bucket, path): calls, s
         self.keys = {layer: Counter() for layer in LAYERS}
         self.seconds = dict.fromkeys(LAYERS, 0.0)
-        self.packbits_calls = 0
+        self.packed_calls = 0
         self.patched = []
 
     def add(self, layer, key, seconds):
@@ -99,17 +98,17 @@ class Probe:
 
     def install(self):
         lib = self.lib
-        real_rref, real_packbits = lib.ffmat._rref_inplace, np.packbits
+        real_rref, real_pack = lib.ffmat._rref_inplace, lib.ffmat._pack_rows
         cached = lib.decomp._crt_interpolants
 
-        def packbits(*args, **kwargs):
-            self.packbits_calls += 1
-            return real_packbits(*args, **kwargs)
+        def pack_rows(a, p):
+            self.packed_calls += 1
+            return real_pack(a, p)
 
         def rref(a, p):
             if self.captured is not None and p in (2, 3):
                 self.captured.append((a.copy(), p))
-            before = self.packbits_calls
+            before = self.packed_calls
             t0 = time.perf_counter()
             out = real_rref(a, p)
             dt = time.perf_counter() - t0
@@ -118,7 +117,7 @@ class Probe:
             elif a.size == 0:
                 path = "empty"
             else:
-                path = "packed" if self.packbits_calls > before else "lists"
+                path = "packed" if self.packed_calls > before else "lists"
             entry = self.eliminations[p, bisect.bisect_left(EDGES, a.size), path]
             entry[0] += 1
             entry[1] += dt
@@ -135,7 +134,7 @@ class Probe:
 
         self.rebind(lib.ffmat, "_rref_inplace", rref)
         self.rebind(lib.decomp, "_crt_interpolants", crt)
-        self.rebind(np, "packbits", packbits)
+        self.rebind(lib.ffmat, "_pack_rows", pack_rows)
         for layer, owner, name, key in (
             ("factor", lib.ffmat, "factor", lambda f, seed=0: (f.field.p, f.coeffs)),
             ("iso_tests", lib.decomp, "indecomposables_isomorphic", content_keys),
@@ -207,42 +206,54 @@ def best_time(fn, a, p):
     return best
 
 
+def best_cutoff(per_cells):
+    """The smallest list size that minimises the total seconds over
+    `per_cells` (size: [calls, lists_s, packed_s]), with that total and
+    the total when every input is packed."""
+    sizes = sorted(per_cells)
+    all_packed = total = sum(per_cells[c][2] for c in sizes)
+    best, best_total = 0, total
+    for c in sizes:
+        total += per_cells[c][1] - per_cells[c][2]
+        if total < best_total:
+            best, best_total = c, total
+    return {
+        "best_list_cells": best,
+        "seconds_at_best": round(best_total, 4),
+        "seconds_all_packed": round(all_packed, 4),
+    }
+
+
 def crossover(ffmat, captured):
-    """Per prime: seconds on each path by size (printed up to 800 entries),
-    and the list size that minimises their total."""
-    out = {}
-    for p in sorted({p for _, p in captured}):
-        name = f"GF{p}_LIST_CELLS"
-        kept = getattr(ffmat, name)
-        per_cells = defaultdict(lambda: [0, 0.0, 0.0])  # calls, lists_s, packed_s
-        try:
-            for a, q in captured:
-                if q == p and a.size:
-                    entry = per_cells[a.size]
-                    entry[0] += 1
-                    for path, cells in ((1, a.size), (2, a.size - 1)):
-                        setattr(ffmat, name, cells)
-                        entry[path] += best_time(ffmat._rref_inplace, a, p)
-        finally:
-            setattr(ffmat, name, kept)
-        sizes = sorted(per_cells)
-        all_packed = total = sum(per_cells[c][2] for c in sizes)
-        best, best_total = 0, total
-        for c in sizes:
-            total += per_cells[c][1] - per_cells[c][2]
-            if total < best_total:
-                best, best_total = c, total
+    """Seconds on each path by prime and size (printed up to 800 entries),
+    and the list size that minimises their total per prime and over both."""
+    per_cells = defaultdict(lambda: [0, 0.0, 0.0])  # (p, cells): calls, lists_s, packed_s
+    kept = ffmat.LIST_CELLS
+    try:
+        for a, p in captured:
+            if a.size:
+                entry = per_cells[p, a.size]
+                entry[0] += 1
+                for path, cells in ((1, a.size), (2, a.size - 1)):
+                    ffmat.LIST_CELLS = cells
+                    entry[path] += best_time(ffmat._rref_inplace, a, p)
+    finally:
+        ffmat.LIST_CELLS = kept
+    out, both = {}, defaultdict(lambda: [0, 0.0, 0.0])
+    for p in sorted({p for p, _ in per_cells}):
+        own = {c: entry for (q, c), entry in per_cells.items() if q == p}
+        for c, entry in own.items():
+            both[c] = [x + y for x, y in zip(both[c], entry)]
         out[f"p{p}"] = {
-            "best_list_cells": best,
-            "seconds_at_best": round(best_total, 4),
-            "seconds_all_packed": round(all_packed, 4),
+            **best_cutoff(own),
             "by_cells": {
                 str(c): {"calls": n, "lists_s": round(lists_s, 5),
                          "packed_s": round(packed_s, 5)}
-                for c, (n, lists_s, packed_s) in sorted(per_cells.items())
+                for c, (n, lists_s, packed_s) in sorted(own.items())
                 if c <= 2 * EDGES[-1]
             },
         }
+    out["both"] = best_cutoff(both)
     return out
 
 
@@ -259,7 +270,7 @@ def main(argv=None):
     src, captured = args.src.resolve(), [] if args.crossover else None
     for name in args.workload:
         result["workloads"][name], ffmat = run_workload(name, args.seed, src, captured)
-    result["list_cells"] = {"p2": ffmat.GF2_LIST_CELLS, "p3": ffmat.GF3_LIST_CELLS}
+    result["list_cells"] = ffmat.LIST_CELLS
     if args.crossover:
         result["crossover"] = crossover(ffmat, captured)
     print(json.dumps(result, indent=1))
