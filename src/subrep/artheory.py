@@ -54,8 +54,6 @@ from .posetrep import (
     end_algebra,
     hom_basis,
     kernel_subrep,
-    postcompose,
-    precompose,
     quotient_rep,
     subrep_from_bases,
 )
@@ -226,20 +224,25 @@ def _radical_maps(end: Representation, test: Representation, into: bool) -> HomS
     return homs.combinations(k)
 
 
+def _maps_through(h: Morphism, test: Representation, into: bool) -> HomSpace:
+    """The maps h . Hom(test, B) for h: B -> C (into), or Hom(B, test) . h for h: A -> B."""
+    if into:
+        return hom_basis(test, h.source).postcomposed(h)
+    return hom_basis(h.target, test).precomposed(h)
+
+
 def _splits(h: Morphism, into: bool) -> bool:
     """Is h: B -> C a split epi (into: the identity of C factors as
     h . s) or h: A -> B a split mono (the identity of A factors as s . h)?"""
     end = h.target if into else h.source
-    through = postcompose if into else precompose
-    return through(h, end).coefficients([Morphism.identity(end)]) is not None
+    return _maps_through(h, end, into).coefficients([Morphism.identity(end)]) is not None
 
 
 def _lifting(h: Morphism, test: Representation, into: bool) -> bool:
     """Every radical map test -> C factors through h: B -> C (into), or
     every radical map A -> test factors through h: A -> B."""
     maps = _radical_maps(h.target if into else h.source, test, into)
-    through = postcompose if into else precompose
-    return not maps.dim or through(h, test).coefficients(maps) is not None
+    return not maps.dim or _maps_through(h, test, into).coefficients(maps) is not None
 
 
 def is_right_almost_split(g: Morphism, tests) -> bool:
@@ -443,7 +446,8 @@ def is_certified_mesh(catalog: Catalog, c_idx: int, seq: ARSequence, translate) 
     return (
         catalog.find_isomorphic(seq.a) in translate
         and sequence_is_exact_nonsplit(seq)
-        and postcompose(seq.g, seq.c).coefficients(catalog.rad_space(c_idx, c_idx)) is not None
+        and _maps_through(seq.g, seq.c, True).coefficients(catalog.rad_space(c_idx, c_idx))
+        is not None
     )
 
 

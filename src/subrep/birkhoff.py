@@ -25,6 +25,7 @@ lifts a space into a memo and changes none of them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,9 +379,7 @@ def invariant_subspace_report(cfg: SubspaceConfig, catalog: Catalog) -> Subspace
     compatibility equations."""
     rep = from_invariant_subspaces(cfg)
     decomp = decompose_top(rep, catalog)
-    mults = {}
-    for cls in decomp.certificate["classes"]:
-        mults[cls] = mults.get(cls, 0) + 1
+    mults = Counter(decomp.certificate["classes"])
     details = [
         (j, rep.dim(j), sum(s.rep.dim(j) for s in decomp.summands))
         for j in rep.quiver.poset.points

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from .approx import left_approx, mimo_k, right_approx
@@ -167,10 +168,7 @@ def cmd_decompose(args):
             return EXIT_DOMAIN
         catalog = _get_catalog(args, rep.algebra, rep.quiver)
         decomp = decompose_full(rep, catalog)
-    table = {}
-    for s in decomp.summands:
-        key = "(" + ",".join(map(str, s.rep.dim_vector())) + ")"
-        table[key] = table.get(key, 0) + 1
+    table = Counter("(" + ",".join(map(str, s.rep.dim_vector())) + ")" for s in decomp.summands)
     if args.out:
         for i, s in enumerate(decomp.summands):
             write_atomic(

@@ -58,8 +58,8 @@ gives, so callers do not special-case them:
   (I_m, 0..m-1); `kernel_basis_of_span` of an L x 0 matrix is L x 0 and
   of a 0 x k matrix 0 x 0;
 - `column_space_basis` of a d x 0 matrix is d x 0;
-- `Matrix.rank` of a matrix with no entries is 0, returned before any
-  copy or elimination.
+- `rref` of a matrix with no entries returns that matrix, no pivots and
+  rank 0, before any copy or elimination; `Matrix.rank` reads `rref`.
 """
 
 from __future__ import annotations
@@ -184,9 +184,7 @@ class Matrix:
         return not self.a.any()
 
     def rank(self) -> int:
-        if not self.a.size:
-            return 0
-        return int(_rref_inplace(self.a.copy(), self.field.p)[1])
+        return rref(self)[2]
 
     def tolist(self):
         return self.a.tolist()
@@ -516,6 +514,8 @@ def _unpack_rows(a: np.ndarray, reduced, p: int):
 
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (rref matrix, pivot columns, rank)."""
+    if not m.a.size:
+        return m, (), 0
     a = m.a.copy()
     pivots, rank = _rref_inplace(a, m.field.p)
     return _wrap(m.field, a), tuple(pivots), rank

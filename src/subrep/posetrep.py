@@ -239,7 +239,11 @@ class Representation:
         )
 
     def validate(self):
-        """Returns a list of violation strings; empty means valid."""
+        """Returns a list of violation strings; empty means valid.  Every
+        arrow matrix must have the shape of its end spaces and be
+        T-equivariant, and for each vertex i and arrow a: s -> t with
+        i <= s, X_a composite_map(i, s) must equal composite_map(i, t),
+        which by induction on path length makes parallel paths commute."""
         problems = []
         for (s, t), m in self.arrow_maps.items():
             if m.rows != self.dim(t) or m.cols != self.dim(s):
@@ -251,24 +255,12 @@ class Representation:
                 problems.append(f"arrow {s}->{t}: matrix is not T-equivariant")
         if problems:
             return problems
-        # path commutativity: composite along every path between two
-        # vertices must agree
+        path = self.composite_map
         for i in self.quiver.vertices:
-            reached = {}
-            self._walk_paths(i, i, Matrix.identity(self.field, self.dim(i)), reached, problems)
+            for (s, t) in self.quiver.arrows:
+                if self.quiver.leq(i, s) and self.arrow_maps[(s, t)] @ path(i, s) != path(i, t):
+                    problems.append(f"paths from {i} to {t} do not commute (last arrow {s}->{t})")
         return problems
-
-    def _walk_paths(self, start, v, acc, reached, problems):
-        for (s, t) in self.quiver.arrows_from(v):
-            m = self.arrow_maps[(s, t)] @ acc
-            if t in reached:
-                if reached[t] != m:
-                    problems.append(
-                        f"paths from {start} to {t} do not commute (last arrow {s}->{t})"
-                    )
-            else:
-                reached[t] = m
-                self._walk_paths(start, t, m, reached, problems)
 
     def composite_map(self, i, j) -> Matrix:
         """The map X_i -> X_j along any path; identity when i = j."""
@@ -692,18 +684,6 @@ def hom_basis(x: Representation, y: Representation) -> HomSpace:
         system[r : r + n, cols[s]] = -kron(np.eye(dx(s), dtype=np.int64), y.arrow_maps[(s, t)].a)
         r += n
     return HomSpace.from_flat(x, y, kernel_basis(Matrix(x.field, system)))
-
-
-def postcompose(g: Morphism, x: Representation) -> HomSpace:
-    """The maps x -> g.target that factor through g, spanned by g . h over
-    a basis h of Hom(x, g.source)."""
-    return hom_basis(x, g.source).postcomposed(g)
-
-
-def precompose(f: Morphism, x: Representation) -> HomSpace:
-    """The maps f.source -> x that factor through f, spanned by h . f over
-    a basis h of Hom(f.target, x)."""
-    return hom_basis(f.target, x).precomposed(f)
 
 
 class EndAlgebra:

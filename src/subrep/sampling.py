@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSolutionError
-from .ffmat import Matrix, _matmul_mod, column_space_basis, kernel_basis, kron, solve
+from .ffmat import Matrix, _matmul_mod, _wrap, column_space_basis, kernel_basis, kron, solve
 from .lambdamod import LambdaAlgebra, LambdaModule, direct_sum_modules, equivariance_system
 from .posetrep import STAR, QuiverStar, Representation, subspace_representation
 
@@ -50,17 +50,10 @@ def random_invariant_subspace(
         cols = [vectors]
         for _ in range(module.algebra.n - 1):
             cols.append(module.t @ cols[-1])
-        span = column_space_basis(_hstack(cols))
+        span = column_space_basis(_wrap(field, np.hstack([c.a for c in cols])))
         if span.cols <= max_dim:
             return span
     return Matrix.zeros(field, module.dim, 0)
-
-
-def _hstack(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
 
 
 def intersect_spans(field, spans):
@@ -105,7 +98,6 @@ def random_representation(
         spaces = {v: random_module(algebra, dims[v], rng) for v in quiver.vertices}
         comp = {v: {v: Matrix.identity(field, dims[v])} for v in quiver.vertices}
         maps = {}
-        ok = True
         for (s, t) in quiver.arrows:
             ds, dt = dims[s], dims[t]
             rows = [equivariance_system(spaces[s], spaces[t])]
@@ -119,7 +111,6 @@ def random_representation(
             try:
                 particular = solve(system, target)
             except NoSolutionError:
-                ok = False
                 break
             k = kernel_basis(system)
             vec = particular.a[:, 0]
@@ -131,9 +122,8 @@ def random_representation(
             for u in quiver.vertices:
                 if s in comp[u] and t not in comp[u]:
                     comp[u][t] = m @ comp[u][s]
-        if ok:
-            rep = Representation(quiver, algebra, spaces, maps)
-            return rep
+        else:
+            return Representation(quiver, algebra, spaces, maps)
     raise NoSolutionError("could not sample a commuting representation")
 
 

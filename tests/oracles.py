@@ -2,11 +2,12 @@
 
 Each function here checks or builds something the library computes
 elsewhere: the finite-scale generation and evaluation checks, the
-factorization property of approximations, a general isomorphism test
-through two idempotent splits, the invariant-subspace report's
-intersections of spans, tau read off a catalog's meshes, and the
-distinguished representations of the worked example.  None of them is
-called by the library, the CLI or the benchmark.
+factorization property of approximations, path commutativity by
+walking every path, a general isomorphism test through two idempotent
+splits, the invariant-subspace report's intersections of spans, tau
+read off a catalog's meshes, and the distinguished representations of
+the worked example.  None of them is called by the library, the CLI or
+the benchmark.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from subrep.posetrep import (
     Representation,
     hom_basis,
     morphism_from_flat,
-    postcompose,
-    precompose,
 )
 from subrep.sampling import intersect_spans
 
@@ -141,6 +140,32 @@ def chase_class_multiset(decomp: Decomposition):
     return tuple(sorted(decomp.certificate["classes"]))
 
 
+# path commutativity, by walking every path
+
+
+def walked_path_problems(x: Representation) -> list:
+    """The path-commutativity problems of x found by walking paths: from
+    each vertex i, depth first along `arrows_from`, the first composite
+    to reach a vertex is kept and every later arrival that differs from it
+    is a problem, in the words of `Representation.validate`.  x must pass
+    the shape and T-equivariance checks of `validate`."""
+    problems = []
+    for i in x.quiver.vertices:
+        _walk_paths(x, i, i, Matrix.identity(x.field, x.dim(i)), {}, problems)
+    return problems
+
+
+def _walk_paths(x, start, v, acc, reached, problems):
+    for (s, t) in x.quiver.arrows_from(v):
+        m = x.arrow_maps[(s, t)] @ acc
+        if t in reached:
+            if reached[t] != m:
+                problems.append(f"paths from {start} to {t} do not commute (last arrow {s}->{t})")
+        else:
+            reached[t] = m
+            _walk_paths(x, start, t, m, reached, problems)
+
+
 # the factorization property of approximations
 
 
@@ -166,7 +191,9 @@ def verify_right_approx(res: ApproxResult, tests):
     """
     r = res.structure_map
     return _first_unfactored(
-        tests, lambda t: hom_basis(t, r.target), lambda t: postcompose(r, t)
+        tests,
+        lambda t: hom_basis(t, r.target),
+        lambda t: hom_basis(t, r.source).postcomposed(r),
     )
 
 
@@ -175,7 +202,9 @@ def verify_left_approx(res: ApproxResult, tests):
     as h' . l.  Returns None when all pass, else the failing pair."""
     l = res.structure_map
     return _first_unfactored(
-        tests, lambda t: hom_basis(l.source, t), lambda t: precompose(l, t)
+        tests,
+        lambda t: hom_basis(l.source, t),
+        lambda t: hom_basis(l.target, t).precomposed(l),
     )
 
 

@@ -1,3 +1,7 @@
+from collections import Counter
+from itertools import chain, combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,14 +21,16 @@ from subrep.posetrep import (
     hom_basis,
     image_subrep,
     kernel_subrep,
-    postcompose,
-    precompose,
     quotient_rep,
     split_by_retraction,
     subrep_from_bases,
 )
+from subrep.repfile import parse_representation, read_text
+from subrep.sampling import random_representation
 
-from oracles import all_free_representation, twisted_pair_representation
+from oracles import all_free_representation, twisted_pair_representation, walked_path_problems
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -89,6 +95,63 @@ def test_validate_reports_commutativity_failure():
     broken = Representation(n.quiver, L2, n.spaces, maps)
     problems = broken.validate()
     assert any("commute" in p for p in problems)
+
+
+def _scaled(x, arrows, c):
+    """x with the matrices of `arrows` multiplied by c: shapes and
+    T-equivariance survive, path commutativity may not."""
+    maps = dict(x.arrow_maps)
+    maps.update((a, x.arrow_maps[a].scale(c)) for a in arrows)
+    return Representation(x.quiver, x.algebra, x.spaces, maps)
+
+
+def _fixture_variants(p):
+    """Every shipped object and mesh kernel at p with one or two arrows
+    scaled by each c in F_p."""
+    for path in sorted(FIXTURES.glob(f"catalog_p{p}/*.rep")):
+        x = parse_representation(read_text(str(path)))
+        arrows = x.quiver.arrows
+        for chosen in [(a,) for a in arrows] + list(combinations(arrows, 2)):
+            for c in range(p):
+                yield _scaled(x, chosen, c)
+
+
+# posets with parallel paths: the diamond, the crown, the claw, the Y and the M
+OTHER_POSETS = (
+    Poset(("1", "2", "3", "4"), [("1", "2"), ("1", "3"), ("2", "4"), ("3", "4")]),
+    Poset(("1", "2", "3", "4"), [("1", "3"), ("1", "4"), ("2", "3"), ("2", "4")]),
+    Poset(("1", "2", "3", "4"), [("1", "2"), ("1", "3"), ("1", "4")]),
+    Poset(("1", "2", "3", "4"), [("1", "2"), ("2", "3"), ("2", "4")]),
+    Poset(("1", "2", "3", "4"), [("1", "3"), ("2", "3"), ("2", "4")]),
+)
+
+
+def _random_variants(p, count):
+    """`count` seeded random representations of each poset above at p,
+    each with one arrow at a time scaled by each c in F_p."""
+    algebra = LambdaAlgebra(PrimeField(p), 2)
+    rng = np.random.default_rng(p)
+    for poset in OTHER_POSETS:
+        q = QuiverStar(poset)
+        caps = dict.fromkeys(q.vertices, 3)
+        for _ in range(count):
+            x = random_representation(q, algebra, caps, rng)
+            for arrow in q.arrows:
+                for c in range(p):
+                    yield _scaled(x, [arrow], c)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_validate_checks_paths_as_the_walk_does(p):
+    """The arrow-wise check of `validate` reports the problems of walking
+    every path (`oracles.walked_path_problems`), on representations that
+    can fail path commutativity only."""
+    failing = 0
+    for x in chain(_fixture_variants(p), _random_variants(p, 15)):
+        want = walked_path_problems(x)
+        assert Counter(x.validate()) == Counter(want)
+        failing += bool(want)
+    assert failing > 100
 
 
 def test_composite_map():
@@ -380,24 +443,24 @@ def test_coefficients_zero_object_and_empty_maps():
     ident = Morphism.identity(zero)
     # the identity of the zero object lies in the empty span: split both ways
     assert HomSpace(zero, zero, ()).coefficients([ident]) == Matrix.zeros(F2, 0, 1)
-    assert postcompose(ident, zero).coefficients([ident]) is not None
-    assert precompose(ident, zero).coefficients([ident]) is not None
+    assert hom_basis(zero, zero).postcomposed(ident).coefficients([ident]) is not None
+    assert hom_basis(zero, zero).precomposed(ident).coefficients([ident]) is not None
     m = twisted_pair_representation(L2)
     # an empty list of maps always factors, even through an empty span
     assert HomSpace(m, m, ()).coefficients([]) == Matrix.zeros(F2, 0, 0)
-    assert postcompose(Morphism.zero(zero, m), m).coefficients([]) is not None
+    assert hom_basis(m, zero).postcomposed(Morphism.zero(zero, m)).coefficients([]) is not None
 
 
 def test_coefficients_identity_split_epi_and_mono():
     m = twisted_pair_representation(L2)
     ident = Morphism.identity(m)
-    for span in (postcompose(ident, m), precompose(ident, m)):
+    for span in (hom_basis(m, m).postcomposed(ident), hom_basis(m, m).precomposed(ident)):
         c = span.coefficients([ident])
         assert c is not None and span.element(c.a[:, 0]) == ident
     # the zero map of a nonzero object is neither split epi nor split mono
     zero_map = Morphism.zero(m, m)
-    assert postcompose(zero_map, m).coefficients([ident]) is None
-    assert precompose(zero_map, m).coefficients([ident]) is None
+    assert hom_basis(m, m).postcomposed(zero_map).coefficients([ident]) is None
+    assert hom_basis(m, m).precomposed(zero_map).coefficients([ident]) is None
     assert ident.is_mono() and ident.is_epi()
     assert not zero_map.is_mono() and not zero_map.is_epi()
 

@@ -155,8 +155,9 @@ def test_kernel_frame_empty_shapes(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
 def test_rank_of_an_empty_matrix_runs_no_elimination(p, monkeypatch):
-    """A matrix with no entries has rank 0, returned before the copy and
-    the elimination; a nonempty one still reduces."""
+    """A matrix with no entries has rank 0, and `rref` returns it as it
+    is, both before the copy and the elimination; a nonempty one still
+    reduces."""
     from subrep import ffmat
 
     calls = []
@@ -164,7 +165,10 @@ def test_rank_of_an_empty_matrix_runs_no_elimination(p, monkeypatch):
     monkeypatch.setattr(ffmat, "_rref_inplace", lambda a, q: calls.append(a.shape) or real(a, q))
     field = PrimeField(p)
     for rows, cols in ((0, 0), (3, 0), (0, 3)):
-        assert Matrix.zeros(field, rows, cols).rank() == 0
+        m = Matrix.zeros(field, rows, cols)
+        assert m.rank() == 0
+        reduced, pivots, rank = ffmat.rref(m)
+        assert reduced is m and pivots == () and rank == 0
     assert calls == []
     assert Matrix.identity(field, 2).rank() == 2 and calls == [(2, 2)]
 

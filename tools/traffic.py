@@ -2,7 +2,6 @@
 
     python3 tools/traffic.py --workload corpus_p3 --seed 0
     python3 tools/traffic.py --workload catalog_p2 corpus_p3 subspaces_p2 --crossover
-    python3 tools/traffic.py --workload corpus_p3 --src ../parent/src
 
 Runs the items of each `perfbench` workload, as many as a 25 s benchmark
 run times, after its warm-up, under one `Probe`, and prints one JSON
@@ -23,7 +22,14 @@ runs, so the check's own work is not counted.
 each packing path (best of five per input) and reports the smallest list
 size that minimises their total over all the workloads given, per prime
 and over both primes together: the last is the crossover that
-`ffmat.LIST_CELLS` is set from.
+`ffmat.LIST_CELLS` is set from.  The total is flat near its minimum
+(on a shared 2-vCPU host every cutoff from 80 to 164 entries came within
+1.5% of it), so host noise of about 1% moves the minimum from run to
+run, and one sweep cannot place the cutoff closer than that: run two or
+more and take a cutoff on which they agree.
+
+The probe wraps the names of the library in its own checkout.  To count
+an older commit, run that commit's own copy of this tool in its checkout.
 """
 
 import argparse
@@ -185,9 +191,9 @@ def probe_items(lib, wl, inputs, captured=None):
     return probe
 
 
-def run_workload(name, seed, src, captured):
-    """(result, ffmat) of one workload, imported afresh from `src`."""
-    lib = workloads.import_library(src)
+def run_workload(name, seed, captured):
+    """(result, ffmat) of one workload, imported afresh from this checkout."""
+    lib = workloads.import_library(ROOT / "src")
     cls = workloads.WORKLOADS[name]
     wl = cls(lib, ROOT)
     inputs = wl.make_inputs(seed, max(cls.min_items, round(BENCH_SECONDS / cls.item_s)))
@@ -263,13 +269,12 @@ def main(argv=None):
         "--workload", required=True, nargs="+", choices=sorted(workloads.WORKLOADS)
     )
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--crossover", action="store_true")
     args = ap.parse_args(argv)
     result = {"seed": args.seed, "workloads": {}}
-    src, captured = args.src.resolve(), [] if args.crossover else None
+    captured = [] if args.crossover else None
     for name in args.workload:
-        result["workloads"][name], ffmat = run_workload(name, args.seed, src, captured)
+        result["workloads"][name], ffmat = run_workload(name, args.seed, captured)
     result["list_cells"] = ffmat.LIST_CELLS
     if args.crossover:
         result["crossover"] = crossover(ffmat, captured)
