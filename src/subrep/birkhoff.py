@@ -210,7 +210,7 @@ def _find_retraction(f: HomSpace, cache: _HomCache, z: int):
     `*`.  A split mono is a mono, and a map between subspace
     representations is one exactly when it is injective at `*`, so a map
     that is not has none and the backward space is not read."""
-    if f.star_map([1]).rank() != f.source.dim(STAR):
+    if f.matrix([1]).rank() != f.source.dim(STAR):
         return None
     backward = cache.backward[z]
     coeffs = f.composites(backward).coefficients([Morphism.identity(f.source)])
@@ -310,7 +310,7 @@ def decompose_top(x: Representation, catalog: Catalog) -> Decomposition:
     summands = []
     for i, (z, f) in enumerate(zip(classes, inclusions)):
         block = _wrap(x.field, inverse.a[offsets[i] : offsets[i + 1]])
-        summands.append(Summand(objs[z], f, HomSpace.at_star(x, objs[z], [block]).basis[0]))
+        summands.append(Summand(objs[z], f, HomSpace.from_matrices(x, objs[z], [block]).basis[0]))
     return Decomposition(x, summands, {"method": "top", "classes": classes, "picks": picks})
 
 

@@ -8,20 +8,20 @@ indecomposable in one of two ways, both traced as `"leaf": "local"`:
 a failed attempt whose minimal polynomial, a prime power q^m, has
 degree dim End proves End = k[theta] = k[x]/(q^m), which is local;
 otherwise its endomorphism algebra modulo its radical is checked to be
-a division ring.  On a subspace representation theta, its minimal
-polynomial and its idempotents live at `*` (theta_* X_v = X_v theta_v,
-X_v injective).  A part P of a split gets End(P) = proj . End . incl in
-its `_end` memo, certified local if its dimension is m deg q for the
-factor q^m that cut P out, the minimal polynomial of theta on P.
+a division ring.  theta is End's `HomSpace.matrix`, on a subspace
+representation its `*` component, which has theta's minimal polynomial
+(theta_* X_v = X_v theta_v, X_v injective).  A part P of a split gets
+End(P) = proj . End . incl in its `_end` memo, certified local if its
+dimension is m deg q for q^m, the minimal polynomial of theta on P.
 
 The random elements meet few minimal polynomials, so each one is factored
 once: `_crt_interpolants` keeps, per (field, coefficients), the
 factorization and, when it has at least two factors, the CRT interpolants
 u_k q_k mod mp, in a cache of `FACTOR_CACHE_SIZE` entries.  The
-factorization does not depend on the seed `factor` draws its equal-degree
-splits from, so the cache is exact; `indecompose` still draws a
-`factor_seed` on every attempt, which keeps its random stream, and with it
-every later attempt and summand, as it was when each attempt factored.
+factorization is unique, so the cache is exact; `indecompose` still draws
+the seed each attempt once passed to `factor`, which keeps its random
+stream, and with it every later attempt and summand, as it was when each
+attempt factored.
 
 The radical of an endomorphism algebra is computed by the
 characteristic-coefficient chain: over the prime field, x lies in the
@@ -45,7 +45,6 @@ from .ffmat import (
     Poly,
     PrimeField,
     _matmul_mod,
-    _wrap,
     char_poly,
     cokernel_frame,
     column_space_basis,
@@ -257,16 +256,8 @@ def _crt_interpolants(field: PrimeField, coeffs: tuple):
 
 def _crt_idempotents(x: Representation, theta: Matrix, interpolants):
     """Orthogonal idempotents of x, one per CRT interpolant of the minimal
-    polynomial of theta, each evaluated once on theta: the `*` component
-    on a subspace representation, else the block-diagonal total matrix,
-    cut into its vertex blocks."""
-    evals = [e.eval_matrix(theta) for e in interpolants]
-    if x.is_subspace_rep():
-        return HomSpace.at_star(x, x, evals).basis
-    field = x.field
-    ends = zip(x.quiver.vertices, x.dim_vector(), np.cumsum(x.dim_vector()))
-    blocks = [(v, slice(o - d, o)) for v, d, o in ends]
-    return [Morphism(x, x, {v: _wrap(field, e.a[b, b].copy()) for v, b in blocks}) for e in evals]
+    polynomial of theta (End's `HomSpace.matrix`), each evaluated once on theta."""
+    return HomSpace.from_matrices(x, x, [e.eval_matrix(theta) for e in interpolants]).basis
 
 
 def indecompose(x: Representation, seed: int = 0) -> Decomposition:
@@ -296,7 +287,7 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
             trace.append({"dims": rep.dim_vector(), "leaf": "end-dim-1"})
             summands.append(Summand(rep, incl, proj))
             return
-        field, star = rep.field, rep.is_subspace_rep()
+        field = rep.field
         locality_checked = False
         for attempt in range(SPLIT_BUDGET):
             coords = rng.integers(0, field.p, size=ends.dim)
@@ -306,7 +297,7 @@ def indecompose(x: Representation, seed: int = 0) -> Decomposition:
             # still drawn, so every later draw stays the same
             rng.integers(0, 2**31)
             if not generated:
-                theta = ends.space.star_map(coords) if star else ends.element(coords).total_matrix()
+                theta = ends.space.matrix(coords)
                 mp = min_poly(theta)
                 factors, interpolants = _crt_interpolants(field, mp.coeffs)
                 if interpolants:

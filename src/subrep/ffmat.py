@@ -59,10 +59,13 @@ gives, so callers do not special-case them:
   of a 0 x k matrix 0 x 0;
 - `column_space_basis` of a d x 0 matrix is d x 0;
 - `rref` of a matrix with no entries returns that matrix, no pivots and
-  rank 0, before any copy or elimination; `Matrix.rank` reads `rref`.
+  rank 0, before any copy or elimination (`Matrix.rank` reads `rref`);
+  `_rref_inplace` returns no pivots and rank 0 for one before any path.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 import numpy as np
 
@@ -290,8 +293,10 @@ def _rref_inplace(a: np.ndarray, p: int):
     at every other prime.  At p = 2 and 3 the rows are packed from
     `a.tolist()` up to `LIST_CELLS` entries and by the word codec
     `_pack_rows` above.  The reduced row echelon form is unique, so every
-    path returns the same array and pivots.
+    path returns the same array and pivots.  A matrix with no entries reaches none.
     """
+    if not a.size:
+        return [], 0
     if p == 2:
         return _rref_gf2_inplace(a)
     if p == 3:
@@ -340,8 +345,6 @@ def _rref_gf2_inplace(a: np.ndarray):
     word codec (`_pack_rows`); the loop is the same.
     """
     rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return [], 0
     small = rows * cols <= LIST_CELLS
     basis = {}
     pivot_mask = 0
@@ -408,8 +411,6 @@ def _rref_gf3_inplace(a: np.ndarray):
     `LIST_CELLS` entries and by the word codec above.
     """
     rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return [], 0
     small = rows * cols <= LIST_CELLS
     basis = {}
     pivot_mask = 0
@@ -682,22 +683,12 @@ class Poly:
         return Poly(self.field, [c * inv for c in self.coeffs])
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Poly(self.field, a)
+        return Poly(self.field, map(sum, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return Poly(self.field, a)
+        return self + other.scale(-1)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
         p = self.field.p
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -769,7 +760,7 @@ class Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -965,11 +956,11 @@ def _equal_degree_factor(f: Poly, d: int, rng):
     return _equal_degree_factor(g, d, rng) + _equal_degree_factor(f // g, d, rng)
 
 
-def factor(f: Poly, seed: int = 0):
+def factor(f: Poly):
     """Factor f into monic irreducibles: list of (irreducible, multiplicity),
     sorted by (degree, coefficients).  The leading coefficient of f is the
     unit dropped from the product; for monic f the product of the factors
-    with multiplicities equals f exactly.
+    with multiplicities equals f exactly, whatever the equal-degree splits draw.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -978,7 +969,7 @@ def factor(f: Poly, seed: int = 0):
     for g, k in _squarefree_decomposition(f):
         for h, d in _distinct_degree(g):
             if rng is None and h.degree() > d:
-                rng = np.random.default_rng(seed)
+                rng = np.random.default_rng(0)
             for irr in _equal_degree_factor(h, d, rng):
                 key = irr.coeffs
                 found[key] = found.get(key, 0) + k

@@ -68,15 +68,9 @@ class Poset:
         for a, b in le:
             if a not in points or b not in points:
                 raise ValueError(f"relation mentions unknown point {a!r} or {b!r}")
-        # reflexive-transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(le):
-                for c, d in list(le):
-                    if b == c and (a, d) not in le:
-                        le.add((a, d))
-                        changed = True
+        # transitive closure (Warshall): paths through the points up to c
+        for c in points:
+            le |= {(a, b) for a in points for b in points if (a, c) in le and (c, b) in le}
         for a, b in le:
             if a != b and (b, a) in le:
                 raise ValueError(f"antisymmetry fails on {a!r}, {b!r}")
@@ -95,7 +89,7 @@ class Poset:
                         for c in points
                     ):
                         covers.append((a, b))
-        self._covers = tuple(sorted(covers, key=lambda e: (index[e[0]], index[e[1]])))
+        self._covers = tuple(covers)
 
     def leq(self, a, b) -> bool:
         return (a, b) in self.le
@@ -480,9 +474,14 @@ class HomSpace:
         return hs
 
     @classmethod
-    def at_star(cls, source, target, mats) -> "HomSpace":
-        """The span of the maps into a subspace representation with `*` components `mats`."""
-        cols = [m.a.flatten(order="F") for m in mats]
+    def from_matrices(cls, source, target, mats) -> "HomSpace":
+        """The span of the maps whose forms, as `matrix` gives them, are `mats`."""
+        if target.is_subspace_rep():
+            cols = [m.a.flatten(order="F") for m in mats]
+        else:
+            # the vertex blocks of m.a.T, read row by row, are the vec(f_v) in vertex order
+            at = [np.repeat(np.arange(len(r.dim_vector())), r.dim_vector()) for r in (source, target)]
+            cols = [m.a.T[at[0][:, None] == at[1]] for m in mats]
         return cls.from_flat(source, target, _wrap(source.field, np.stack(cols, axis=1)))
 
     @classmethod
@@ -602,10 +601,13 @@ class HomSpace:
         span: into a subspace representation only that column is lifted."""
         return self.combinations(Matrix(self.source.field, np.reshape(coords, (-1, 1)))).basis[0]
 
-    def star_map(self, coords) -> Matrix:
-        """The `*` component of sum coords[i] basis[i]."""
+    def matrix(self, coords) -> Matrix:
+        """The map sum coords[i] basis[i] in the form `from_matrices` reads: its
+        `*` component into a subspace representation, else its total matrix."""
+        if self._star is None:
+            return self.element(coords).total_matrix()
         x, y = self.source, self.target
-        vec = _matmul_mod(self.star_block().a, Matrix(x.field, np.reshape(coords, (-1, 1))).a, x.field.p)
+        vec = _matmul_mod(self._star.a, Matrix(x.field, np.reshape(coords, (-1, 1))).a, x.field.p)
         return _wrap(x.field, vec.reshape(x.dim(STAR), y.dim(STAR)).T.copy())
 
     def coefficients(self, targets):

@@ -394,13 +394,17 @@ def _catalog_from_meta(meta, directory):
     poset = Poset(meta["points"], [tuple(c) for c in meta["covers"]])
     quiver = QuiverStar(poset)
     catalog = Catalog(quiver, algebra)
+
+    def read_rep(name, what):
+        rep = parse_representation(read_text(os.path.join(directory, name), what))
+        if rep.quiver != quiver or rep.algebra != algebra:
+            raise ValueError(f"{what} {name} lives over another quiver or algebra than the index")
+        return rep
+
     for name, proj in zip(meta["objects"], meta["projective"], strict=True):
-        rep = parse_representation(read_text(os.path.join(directory, name), "catalog object"))
-        catalog.add(rep, projective=proj)
+        catalog.add(read_rep(name, "catalog object"), projective=proj)
     for mesh in meta["meshes"]:
-        a_rep = parse_representation(
-            read_text(os.path.join(directory, mesh["kernel_file"]), "catalog mesh")
-        )
+        a_rep = read_rep(mesh["kernel_file"], "catalog mesh")
         parts = tuple(_object_index(i, catalog, "mesh part") for i in mesh["parts"])
         end = _object_index(mesh["end"], catalog, "mesh end")
         middle = direct_sum([catalog.objects[i] for i in parts]).rep

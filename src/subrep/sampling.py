@@ -81,19 +81,17 @@ def random_subspace_representation(
     return subspace_representation(quiver, star, spans)[0]
 
 
-def random_representation(
-    quiver: QuiverStar, algebra: LambdaAlgebra, dim_caps, rng, retries: int = 100
-) -> Representation:
+def random_representation(quiver: QuiverStar, algebra: LambdaAlgebra, dim_caps, rng) -> Representation:
     """Random representation (not necessarily by subspaces).
 
     Spaces are random modules; arrow matrices are sampled one arrow at a
     time as random solutions of the equivariance and path-commutativity
-    constraints accumulated so far.  Resamples when a constraint system
-    becomes inconsistent.
+    constraints accumulated so far.  Resamples, up to 100 times, when a
+    constraint system becomes inconsistent.
     """
     field = algebra.field
     p = field.p
-    for _ in range(retries):
+    for _ in range(100):
         dims = {v: int(rng.integers(0, int(dim_caps[v]) + 1)) for v in quiver.vertices}
         spaces = {v: random_module(algebra, dims[v], rng) for v in quiver.vertices}
         comp = {v: {v: Matrix.identity(field, dims[v])} for v in quiver.vertices}

@@ -5,9 +5,10 @@ elsewhere: the finite-scale generation and evaluation checks, the
 factorization property of approximations, path commutativity by
 walking every path, a general isomorphism test through two idempotent
 splits, the invariant-subspace report's intersections of spans, tau
-read off a catalog's meshes, and the distinguished representations of
-the worked example.  None of them is called by the library, the CLI or
-the benchmark.
+read off a catalog's meshes, the fixpoint closure of a poset's order,
+polynomial arithmetic on padded coefficient lists, and the
+distinguished representations of the worked example.  None of them is
+called by the library, the CLI or the benchmark.
 """
 
 from __future__ import annotations
@@ -112,6 +113,95 @@ def intersection_details(cfg: SubspaceConfig, decomp: Decomposition):
         compatible &= sum(inter_dims) == vj.cols and union.cols == vj.cols
         details.append((j, vj.cols, sum(inter_dims)))
     return details, compatible
+
+
+# the closure of a poset's order and polynomial arithmetic, as loops
+
+
+def reference_poset(points, relations):
+    """(le, covers, maximal elements) of the poset on `points` generated
+    by `relations`, closed by `reference_closure`, with the covers sorted
+    by point index; raises the ValueError `Poset` raises on the same
+    input."""
+    points = tuple(str(x) for x in points)
+    if "*" in points:
+        raise ValueError("the label '*' is reserved for the added top")
+    if len(set(points)) != len(points):
+        raise ValueError("duplicate point labels")
+    le = {(x, x) for x in points}
+    le.update((str(a), str(b)) for a, b in relations)
+    for a, b in le:
+        if a not in points or b not in points:
+            raise ValueError(f"relation mentions unknown point {a!r} or {b!r}")
+    le = reference_closure(le)
+    for a, b in le:
+        if a != b and (b, a) in le:
+            raise ValueError(f"antisymmetry fails on {a!r}, {b!r}")
+    index = {x: i for i, x in enumerate(points)}
+    if any(index[a] > index[b] for a, b in le):
+        raise ValueError("point order is not a linear extension of the order")
+    covers = [
+        (a, b)
+        for a in points
+        for b in points
+        if a != b and (a, b) in le
+        and not any(c != a and c != b and (a, c) in le and (c, b) in le for c in points)
+    ]
+    covers.sort(key=lambda e: (index[e[0]], index[e[1]]))
+    maximal = tuple(a for a in points if not any(a != b and (a, b) in le for b in points))
+    return frozenset(le), tuple(covers), maximal
+
+
+def reference_closure(le) -> set:
+    """The transitive closure of the relation set `le`: (a, d) is added for
+    every (a, b), (b, d) in it until nothing changes."""
+    le = set(le)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(le):
+            for c, d in list(le):
+                if b == c and (a, d) not in le:
+                    le.add((a, d))
+                    changed = True
+    return le
+
+
+def reference_poly_add(f: Poly, g: Poly) -> Poly:
+    """f + g on f's coefficients padded with zeros to the longer length."""
+    n = max(len(f.coeffs), len(g.coeffs))
+    a = list(f.coeffs) + [0] * (n - len(f.coeffs))
+    for i, c in enumerate(g.coeffs):
+        a[i] += c
+    return Poly(f.field, a)
+
+
+def reference_poly_sub(f: Poly, g: Poly) -> Poly:
+    """f - g on f's coefficients padded with zeros to the longer length."""
+    n = max(len(f.coeffs), len(g.coeffs))
+    a = list(f.coeffs) + [0] * (n - len(f.coeffs))
+    for i, c in enumerate(g.coeffs):
+        a[i] -= c
+    return Poly(f.field, a)
+
+
+def reference_poly_mul(f: Poly, g: Poly) -> Poly:
+    """f g by the schoolbook product, the zero polynomial handled apart."""
+    if f.is_zero() or g.is_zero():
+        return Poly.zero(f.field)
+    p = f.field.p
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = (out[i + j] + a * b) % p
+    return Poly(f.field, out)
+
+
+def reference_poly_gcd(f: Poly, g: Poly) -> Poly:
+    """The monic gcd by Euclid's algorithm, zero when f and g are."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic() if not f.is_zero() else f
 
 
 # small predicates

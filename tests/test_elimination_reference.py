@@ -384,7 +384,7 @@ def test_crt_idempotents_match_per_vertex_evaluation(p, n):
             mp = min_poly(total)
             if star:
                 assert min_poly(theta.components[STAR]) == mp
-            factors = factor(mp, seed=0)
+            factors = factor(mp)
             split[star] += len(factors) >= 2
             at = theta.components[STAR] if star else total
             cached, interpolants = _crt_interpolants(mp.field, mp.coeffs)

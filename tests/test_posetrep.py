@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
@@ -28,7 +29,13 @@ from subrep.posetrep import (
 from subrep.repfile import parse_representation, read_text
 from subrep.sampling import random_representation
 
-from oracles import all_free_representation, twisted_pair_representation, walked_path_problems
+from oracles import (
+    all_free_representation,
+    reference_closure,
+    reference_poset,
+    twisted_pair_representation,
+    walked_path_problems,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,6 +58,54 @@ def test_poset_rejects_bad_orders():
         Poset(("b", "a"), [("a", "b")])  # stored order not a linear extension
     with pytest.raises(ValueError):
         Poset(("*",), [])
+
+
+def _random_relations(rng):
+    """Points and relations on 1-6 points: mostly increasing pairs, some
+    decreasing ones (cycles and orders the points do not extend), and now
+    and then an unknown point, the label '*' or a duplicate label."""
+    n = int(rng.integers(1, 7))
+    points = [str(i) for i in rng.permutation(10)[:n]]
+    pairs = []
+    for _ in range(int(rng.integers(0, 2 * n + 1))):
+        i, j = sorted(rng.integers(0, n, size=2))
+        pairs.append((points[j], points[i]) if rng.random() < 0.05 else (points[i], points[j]))
+    odd = rng.random()
+    if odd < 0.01:
+        pairs.append((points[0], "x"))
+    elif odd < 0.02:
+        points.append("*")
+    elif odd < 0.03:
+        points.append(points[0])
+    return points, pairs
+
+
+def test_poset_matches_the_fixpoint_closure():
+    """`Poset` closes its order in one pass over the points; the fixpoint
+    loop of `oracles.reference_poset` gives the same order, covers,
+    maximal elements and errors.  Which pair of a cycle the antisymmetry
+    error names depends on set order, so there any pair of the cycle does."""
+    rng = np.random.default_rng(40)
+    built = rejected = 0
+    for _ in range(4000):
+        points, pairs = _random_relations(rng)
+        try:
+            want = reference_poset(points, pairs)
+        except ValueError as exc:
+            rejected += 1
+            with pytest.raises(ValueError) as got:
+                Poset(points, pairs)
+            if str(exc).startswith("antisymmetry"):
+                a, b = re.fullmatch(r"antisymmetry fails on '(.*)', '(.*)'", str(got.value)).groups()
+                le = reference_closure({(x, x) for x in points} | set(pairs))
+                assert a != b and (a, b) in le and (b, a) in le
+            else:
+                assert str(got.value) == str(exc)
+            continue
+        built += 1
+        poset = Poset(points, pairs)
+        assert (poset.le, poset.covers(), poset.maximal_elements()) == want
+    assert built > 3000 and rejected > 500
 
 
 def test_quiver_star_arrows():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ def test_chase_on_loaded_s1_catalog(tmp_path):
 def test_misshaped_catalog_matrix_is_parse_error(misshaped_catalog, which):
     with pytest.raises(ParseError, match="expected"):
         load_catalog(misshaped_catalog(which))
+
+
+@pytest.mark.parametrize("name", ["mesh_a_004.rep", "obj_005.rep"])
+def test_catalog_file_over_another_field_is_parse_error(tmp_path, name):
+    """A mesh kernel or object file of the p = 3 catalog copied into the
+    p = 2 one fails the load with a parse error that names the file."""
+    path = tmp_path / "swapped"
+    shutil.copytree(os.path.join(FIXTURES, "catalog_p2"), path)
+    shutil.copy(os.path.join(FIXTURES, "catalog_p3", name), path / name)
+    with pytest.raises(ParseError, match=f"malformed catalog .*: ValueError: .* {name} "):
+        load_catalog(str(path))
 
 
 # every shipped `.rep`, `.sub` and `.poset` file

@@ -206,7 +206,7 @@ def test_building_star_spaces_reads_no_flat_size(p, request, monkeypatch):
             ends_y.composites(ends_y).reduced(),
         ]
         homs.coefficients(built[3])
-        homs.relations(), homs.star_map([1] * homs.dim), homs.is_zero()
+        homs.relations(), homs.matrix([1] * homs.dim), homs.is_zero()
         assert all(space.target.is_subspace_rep() for space in built)
         assert not sizes
 
@@ -230,6 +230,30 @@ def test_postcomposed_into_a_non_subspace_target_is_flat(catalog_p2):
             got = star.postcomposed(incl)
             _same(got.basis_matrix().a, flat.postcomposed(incl).basis_matrix().a)
             assert got.basis == tuple(incl @ h for h in flat.basis)
+
+
+def test_matrix_and_from_matrices_read_each_other_in_both_forms(catalog_p2):
+    """`matrix` is the `*` component of a map into a subspace
+    representation and the block-diagonal total matrix of a map into any
+    other, and `from_matrices` reads either back as the same map, also
+    between representations of different dimension vectors."""
+    algebra, quiver = catalog_p2.algebra, catalog_p2.quiver
+    rng = np.random.default_rng(5)
+    caps = {"1": 2, "2": 3, "3": 3, "*": 3}
+    samples = (random_representation(quiver, algebra, caps, rng) for _ in range(60))
+    reps = list(catalog_p2.objects[::4]) + [w for w in samples if not w.is_subspace_rep()][:3]
+    forms = {True: 0, False: 0}
+    for x in reps:
+        for y in reps:
+            homs = hom_basis(x, y)
+            if not homs.dim:
+                continue
+            coords = rng.integers(0, 2, size=homs.dim)
+            h, m, star = homs.element(coords), homs.matrix(coords), y.is_subspace_rep()
+            _same(m.a, (h.components[STAR] if star else h.total_matrix()).a)
+            assert HomSpace.from_matrices(x, y, [m]).basis == (h,)
+            forms[star] += 1
+    assert forms[True] > 10 and forms[False] > 10
 
 
 def test_star_products_each_make_one_matmul_mod_call(catalog_p2, monkeypatch):

@@ -142,7 +142,7 @@ class Probe:
         self.rebind(lib.decomp, "_crt_interpolants", crt)
         self.rebind(lib.ffmat, "_pack_rows", pack_rows)
         for layer, owner, name, key in (
-            ("factor", lib.ffmat, "factor", lambda f, seed=0: (f.field.p, f.coeffs)),
+            ("factor", lib.ffmat, "factor", lambda f: (f.field.p, f.coeffs)),
             ("iso_tests", lib.decomp, "indecomposables_isomorphic", content_keys),
             ("hom_basis", lib.posetrep, "hom_basis", content_keys),
             ("find_isomorphic", lib.artheory.Catalog, "find_isomorphic",
