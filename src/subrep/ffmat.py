@@ -13,22 +13,22 @@ shape check and the reduction; its argument must be a 2-D int64 array,
 already reduced mod p, that owns its data (a copy, never a view into a
 larger buffer that the wrapper would keep alive).
 
-Row reduction has three paths, all behind `_rref_inplace`, whose input
-entries must already be reduced to [0, p):
+Row reduction runs behind `_rref_inplace`, whose input entries must
+already be reduced to [0, p).  Every prime above 3 takes one numpy
+elimination step per pivot.  F_2 and F_3 share one frame: pack the rows,
+absorb them one at a time into a fully reduced basis keyed by pivot bit,
+sort it and write it back; only the row arithmetic is per prime:
 - p = 2, bit-packed: each row is a Python int and adding rows is XOR;
 - p = 3, bit-sliced: each row is two Python ints, the bits of its 1s and
   of its 2s, and adding rows takes six word operations (Boothby and
-  Bradshaw, arXiv:0901.1413);
-- every other prime: one numpy elimination step per pivot.
-The reduced row echelon form is unique, so the three give identical
-pivots and reduced arrays.  The F_2 and F_3 paths share one absorb loop
-each and differ only in how rows reach it and leave it: a matrix of at
-most `LIST_CELLS` entries is packed from `a.tolist()` and written back
-entry by entry, a larger one goes through the word codec `_pack_rows` /
-`_unpack_rows`, one int64 product in and one vectorized shift out, whose
-fixed cost only pays off on larger matrices.  The one constant, shared by both primes,
-is a crossover measured on the benchmark workloads' own inputs
-(`tools/traffic.py --crossover`).
+  Bradshaw, arXiv:0901.1413).
+The reduced row echelon form is unique, so every path gives identical
+pivots and reduced arrays.  A matrix of at most `LIST_CELLS` entries is
+packed from `a.tolist()` and written back entry by entry, a larger one
+goes through the word codec `_pack_rows` / `_unpack_rows`, whose fixed
+cost of a few numpy calls only pays off on larger matrices; both give
+rows in one form.  The one constant is a crossover measured on the
+benchmark workloads' own inputs (`tools/traffic.py --crossover`).
 
 Column selection is read off pivots: `independent_columns(prefix,
 candidates)` returns the candidates that are pivot columns of
@@ -288,20 +288,26 @@ def _rref_inplace(a: np.ndarray, p: int):
 
     Deterministic convention: leftmost pivot column, topmost nonzero row,
     pivot scaled to 1, full elimination above and below.  Entries must
-    already be reduced to [0, p).  Three paths: bit-packed rows at p = 2,
-    bit-sliced rows at p = 3 and the numpy loop of `_rref_numpy_inplace`
-    at every other prime.  At p = 2 and 3 the rows are packed from
-    `a.tolist()` up to `LIST_CELLS` entries and by the word codec
-    `_pack_rows` above.  The reduced row echelon form is unique, so every
-    path returns the same array and pivots.  A matrix with no entries reaches none.
+    already be reduced to [0, p).  Primes above 3 take the numpy loop of
+    `_rref_numpy_inplace`; F_2 and F_3 take the one frame of the module
+    docstring, with `_absorb_gf2` or `_absorb_gf3` as its absorb loop.
+    Every path returns the same array and pivots.  A matrix with no
+    entries reaches none.
     """
     if not a.size:
         return [], 0
-    if p == 2:
-        return _rref_gf2_inplace(a)
-    if p == 3:
-        return _rref_gf3_inplace(a)
-    return _rref_numpy_inplace(a, p)
+    if p > 3:
+        return _rref_numpy_inplace(a, p)
+    small = a.size <= LIST_CELLS
+    packed = _pack_lists(a, p) if small else _pack_rows(a, p)
+    basis = (_absorb_gf2 if p == 2 else _absorb_gf3)(packed, a.shape[1])
+    order = sorted(basis)
+    reduced = [basis[key] for key in order]
+    if small:
+        _unpack_lists(a, reduced, p)
+    else:
+        _unpack_rows(a, reduced, p)
+    return [key.bit_length() - 1 for key in order], len(order)
 
 
 def _rref_numpy_inplace(a: np.ndarray, p: int):
@@ -332,23 +338,13 @@ def _rref_numpy_inplace(a: np.ndarray, p: int):
     return pivots, len(pivots)
 
 
-def _rref_gf2_inplace(a: np.ndarray):
-    """`_rref_inplace` over F_2 on bit-packed rows.
-
-    Bit j of a row's int is column j, so a row's leading column is its
-    lowest set bit and adding rows is XOR.  Rows are absorbed one at a
-    time into a fully reduced basis keyed by pivot bit; sorting that
-    basis by pivot gives the reduced row echelon form, which is unique,
-    so the result equals the general elimination's.  When `a` has at most
-    `LIST_CELLS` entries its rows are packed from `a.tolist()` and
-    written back entry by entry (`_gf2_pack_lists`), otherwise by the
-    word codec (`_pack_rows`); the loop is the same.
-    """
-    rows, cols = a.shape
-    small = rows * cols <= LIST_CELLS
+def _absorb_gf2(rows, cols: int):
+    """The fully reduced basis, keyed by pivot bit, of the span of the
+    bit-packed F_2 `rows` of `cols` columns: bit j of a row is column j,
+    so its leading column is its lowest set bit, and adding rows is XOR."""
     basis = {}
     pivot_mask = 0
-    for x in _gf2_pack_lists(a) if small else _pack_rows(a, 2):
+    for x in rows:
         # basis rows are reduced, so clearing one pivot bit of x leaves
         # its other pivot bits alone
         hits = x & pivot_mask
@@ -366,55 +362,18 @@ def _rref_gf2_inplace(a: np.ndarray):
         pivot_mask |= low
         if len(basis) == cols:
             break
-    order = sorted(basis)
-    reduced = [basis[key] for key in order]
-    if small:
-        _gf2_unpack_lists(a, reduced)
-    else:
-        _unpack_rows(a, reduced, 2)
-    return [key.bit_length() - 1 for key in order], len(order)
+    return basis
 
 
-def _gf2_pack_lists(a: np.ndarray):
-    """The rows of `a` as ints, bit j holding column j."""
-    packed = []
-    for row in a.tolist():
-        x, bit = 0, 1
-        for v in row:
-            if v:
-                x |= bit
-            bit <<= 1
-        packed.append(x)
-    return packed
-
-
-def _gf2_unpack_lists(a: np.ndarray, reduced):
-    """Write the packed rows `reduced` to the top of `a`, zeros below: one
-    item write per set bit, which a reduced row has few of."""
-    a[...] = 0
-    for i, x in enumerate(reduced):
-        while x:
-            low = x & -x
-            a[i, low.bit_length() - 1] = 1
-            x ^= low
-
-
-def _rref_gf3_inplace(a: np.ndarray):
-    """`_rref_inplace` over F_3 on bit-sliced rows (Boothby-Bradshaw,
-    arXiv:0901.1413).
-
-    A row is two ints: x1 has the bits of the columns holding 1, x2 those
-    holding 2.  Negation swaps them, and (x1, x2) + (y1, y2) is
-    t = (x1 | y2) ^ (x2 | y1), ((x2 | y2) ^ t, (x1 | y1) ^ t).  The absorb
-    loop is `_rref_gf2_inplace`'s, on a basis whose pivot entries are 1.
-    The planes are packed and written back as at p = 2, by lists up to
-    `LIST_CELLS` entries and by the word codec above.
-    """
-    rows, cols = a.shape
-    small = rows * cols <= LIST_CELLS
+def _absorb_gf3(rows, cols: int):
+    """`_absorb_gf2` over F_3 on bit-sliced rows (Boothby-Bradshaw,
+    arXiv:0901.1413), pivot entries scaled to 1.  A row is two ints: x1
+    has the bits of the columns holding 1, x2 those holding 2.  Negation
+    swaps them, and (x1, x2) + (y1, y2) is t = (x1 | y2) ^ (x2 | y1),
+    ((x2 | y2) ^ t, (x1 | y1) ^ t)."""
     basis = {}
     pivot_mask = 0
-    for x1, x2 in _gf3_pack_lists(a) if small else _pack_rows(a, 3):
+    for x1, x2 in rows:
         hits = (x1 | x2) & pivot_mask
         while hits:
             low = hits & -hits
@@ -439,38 +398,33 @@ def _rref_gf3_inplace(a: np.ndarray):
         pivot_mask |= low
         if len(basis) == cols:
             break
-    order = sorted(basis)
-    reduced = [basis[key] for key in order]
-    if small:
-        _gf3_unpack_lists(a, reduced)
-    else:
-        _unpack_rows(a, reduced, 3)
-    return [key.bit_length() - 1 for key in order], len(order)
+    return basis
 
 
-def _gf3_pack_lists(a: np.ndarray):
-    """The rows of `a` as (x1, x2): the bits of the columns holding 1 and
-    of those holding 2."""
+def _pack_lists(a: np.ndarray, p: int):
+    """The rows of `a` in `_pack_rows`'s form, read from `a.tolist()`."""
     packed = []
     for row in a.tolist():
         x1 = x2 = 0
         bit = 1
         for v in row:
-            if v == 1:
-                x1 |= bit
-            elif v:
-                x2 |= bit
+            if v:
+                if v == 1:
+                    x1 |= bit
+                else:
+                    x2 |= bit
             bit <<= 1
-        packed.append((x1, x2))
+        packed.append(x1 if p == 2 else (x1, x2))
     return packed
 
 
-def _gf3_unpack_lists(a: np.ndarray, reduced):
-    """Write the sliced rows `reduced` to the top of `a`, zeros below: one
-    item write per nonzero entry."""
-    a[...] = 0
-    for i, (x1, x2) in enumerate(reduced):
-        for x, v in ((x1, 1), (x2, 2)):
+def _unpack_lists(a: np.ndarray, reduced, p: int):
+    """Write the rows `reduced` of `_pack_rows`'s form to the top of `a`,
+    zeros below: one item write per nonzero entry, which a reduced row
+    has few of."""
+    a.fill(0)
+    for i, row in enumerate(reduced):
+        for x, v in ((row, 1),) if p == 2 else ((row[0], 1), (row[1], 2)):
             while x:
                 low = x & -x
                 a[i, low.bit_length() - 1] = v
@@ -478,8 +432,9 @@ def _gf3_unpack_lists(a: np.ndarray, reduced):
 
 
 def _pack_rows(a: np.ndarray, p: int):
-    """The rows of `a` as `_gf2_pack_lists` (p = 2) or `_gf3_pack_lists`
-    (p = 3) give them, packed by one int64 product: the stacked 0/1
+    """The rows of `a` packed by one int64 product: at p = 2 one int per
+    row, bit j holding column j; at p = 3 one pair (x1, x2) per row, the
+    bits of the columns holding 1 and of those holding 2.  The stacked 0/1
     planes (a, or a & 1 and a >> 1) are cut into words of WORD columns,
     each word is its columns dotted with the powers of two, and a row's
     words are joined lowest first.  At most WORD columns make one word

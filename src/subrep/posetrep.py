@@ -63,17 +63,19 @@ class Poset:
             raise ValueError("the label '*' is reserved for the added top")
         if len(set(points)) != len(points):
             raise ValueError("duplicate point labels")
-        le = {(x, x) for x in points}
-        le.update((str(a), str(b)) for a, b in relations)
-        for a, b in le:
+        # errors name the first offender in the order given, never in set order
+        relations = [(str(a), str(b)) for a, b in relations]
+        for a, b in relations:
             if a not in points or b not in points:
                 raise ValueError(f"relation mentions unknown point {a!r} or {b!r}")
+        le = {(x, x) for x in points} | set(relations)
         # transitive closure (Warshall): paths through the points up to c
         for c in points:
             le |= {(a, b) for a in points for b in points if (a, c) in le and (c, b) in le}
-        for a, b in le:
-            if a != b and (b, a) in le:
-                raise ValueError(f"antisymmetry fails on {a!r}, {b!r}")
+        for a in points:
+            for b in points:
+                if a != b and (a, b) in le and (b, a) in le:
+                    raise ValueError(f"antisymmetry fails on {a!r}, {b!r}")
         index = {x: i for i, x in enumerate(points)}
         for a, b in le:
             if index[a] > index[b]:

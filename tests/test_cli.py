@@ -488,6 +488,28 @@ def test_poset_file_points_not_a_linear_extension(tmp_path, capsys):
     _assert_parse_error(capsys, ["catalog", "--poset", path], "linear extension")
 
 
+@pytest.mark.parametrize(
+    "covers, message",
+    [
+        ("1<2 2<3 3<1", "antisymmetry fails on '1', '2'"),
+        ("1<9 2<8 3<7", "relation mentions unknown point '1' or '9'"),
+    ],
+    ids=["cycle", "unknown-points"],
+)
+def test_poset_errors_do_not_depend_on_the_hash_seed(tmp_path, covers, message):
+    """The offender named is the first in point or relation order, whatever
+    order the string hash seed gives a set of pairs."""
+    path = write(tmp_path, "bad.poset", f"points 1 2 3\ncovers {covers}\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    for seed in ("1", "2", "3", "5"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        run = subprocess.run(
+            [sys.executable, "-m", "subrep", "catalog", "--poset", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"parse error: line 2: {message}\n")
+
+
 # malformed `.sub`, `.rep` and `.poset` files: (command, file name, text,
 # a piece of the one `parse error:` line); `.poset` files are read with the
 # same poset reader as a `.rep` header, so their lines come in that order

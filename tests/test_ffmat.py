@@ -669,6 +669,26 @@ def test_packed_paths_match_numpy_elimination(p):
         assert np.array_equal(packed, generic)
 
 
+@pytest.mark.parametrize("p, most_cells", [(2, 10), (3, 6)])
+def test_every_small_matrix_matches_numpy_elimination_on_both_packings(monkeypatch, p, most_cells):
+    # every matrix of at most `most_cells` entries, in every shape,
+    # reduced once with each packing
+    count = 0
+    for rows, cols in itertools.product(range(1, most_cells + 1), repeat=2):
+        if rows * cols > most_cells:
+            continue
+        entries = np.array(list(itertools.product(range(p), repeat=rows * cols)), dtype=np.int64)
+        for a in entries.reshape(-1, rows, cols):
+            generic = a.copy()
+            expected = _rref_numpy_inplace(generic, p)
+            for _ in _each_packing(monkeypatch):
+                packed = a.copy()
+                assert _rref_inplace(packed, p) == expected, a
+                assert np.array_equal(packed, generic), a
+            count += 1
+    assert count == {2: 7306, 3: 3720}[p]
+
+
 def _pack_rows_calls(monkeypatch, raise_on_call):
     """Patch ffmat._pack_rows to raise, or to record the shape of each call
     in the list returned."""

@@ -18,7 +18,7 @@ import subrep
 
 FORBIDDEN_CALLS = {"star_block", "basis_matrix", "_held", "is_subspace_rep"}
 FORM_READERS = {"cli.py"}
-FORBIDDEN_NAMES = {"_lift", "_flat_rows", "_postcompose_block", "morphism_from_flat"}
+FORBIDDEN_NAMES = {"_lift", "_flat_rows", "_flat_size", "morphism_from_flat"}
 PACKAGE = Path(subrep.__file__).resolve().parent
 
 
