@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artheory import Catalog, _through_left
-from .decomp import Decomposition, Summand
+from .decomp import Decomposition, Summand, fits_in
 from .errors import (
     ChaseExhaustedError,
     InternalContractViolation,
@@ -266,7 +266,8 @@ def decompose_top(x: Representation, catalog: Catalog) -> Decomposition:
     side they make Phi: sum_i Z_i -> x, and the row blocks of Phi_*^-1,
     from one `span_frame`, lifted into the Z_i are the projections.
 
-    Only objects that fit in x at every vertex can be summands, so only
+    Only objects whose block counts fit in x (`decomp.fits_in`) can be
+    summands, since the counts of x are the sums of its summands', so only
     their hom spaces are searched.  The result certifies itself: the
     picked objects' dimension vectors sum to x's and Phi_* has full rank,
     so each Phi_v, injective since Phi_* is and x and the Z_i are subspace
@@ -289,7 +290,7 @@ def decompose_top(x: Representation, catalog: Catalog) -> Decomposition:
     for z, obj in enumerate(objs):
         # Hom from an object that does not fit is solved only when a left
         # map goes through it
-        if any(obj.dim(v) > x.dim(v) for v in x.quiver.vertices) or not hom(z).dim:
+        if not fits_in(obj, x) or not hom(z).dim:
             continue
         h, (lifts, parts) = hom(z), catalog.left_maps[z]
         chosen = h.independent_of(_through_left(obj, x, [hom(w) for w in parts], lifts))

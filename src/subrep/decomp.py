@@ -53,8 +53,9 @@ from .ffmat import (
     min_poly,
     poly_xgcd,
 )
-from .lambdamod import block_invariants
+from .lambdamod import block_counts_of_ranks, block_invariants
 from .posetrep import (
+    STAR,
     EndAlgebra,
     HomSpace,
     Morphism,
@@ -342,6 +343,33 @@ def fingerprint(x: Representation):
         blocks = tuple(block_invariants(x.spaces[v]) for v in x.quiver.vertices)
         x._fingerprint = (x.dim_vector(), blocks)
     return x._fingerprint
+
+
+def block_counts(x: Representation):
+    """Counts of the Jordan blocks of T of sizes 1..n: at every vertex, from
+    `fingerprint`, then on x_* / im X_v at every poset point v, X_v the
+    composite v -> *, on which T^s has rank rank[T_*^s | X_v] - rank X_v.
+    Each is additive on direct sums, so no count of a summand of x exceeds
+    x's.  Memoized on x."""
+    if x._block_counts is None:
+        n, t = x.algebra.n, x.spaces[STAR].t
+        counts = [sizes.count(s) for sizes in fingerprint(x)[1] for s in range(1, n + 1)]
+        powers = [t]
+        for _ in range(n - 2):
+            powers.append(powers[-1] @ t)
+        for v in x.quiver.poset.points:
+            y = x.composite_map(v, STAR)
+            base = y.rank()
+            ranks = [x.dim(STAR) - base] + [tp.hstack(y).rank() - base for tp in powers[: n - 1]]
+            counts += block_counts_of_ranks(ranks)
+        x._block_counts = tuple(counts)
+    return x._block_counts
+
+
+def fits_in(z: Representation, x: Representation) -> bool:
+    """No block count of z exceeds x's: necessary for z to be a direct
+    summand of x, and implies dim z_v <= dim x_v at every vertex."""
+    return all(a <= b for a, b in zip(block_counts(z), block_counts(x)))
 
 
 def indecomposables_isomorphic(x: Representation, y: Representation):

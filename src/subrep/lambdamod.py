@@ -122,23 +122,23 @@ def direct_sum_modules(mods):
 
 
 def block_invariants(m: LambdaModule):
-    """Multiset of block sizes, sorted descending.
-
-    The count of blocks of size exactly s is
-    rank(t^(s-1)) - 2 rank(t^s) + rank(t^(s+1)); the constructor checks t^n = 0.
-    """
-    n = m.algebra.n
+    """Multiset of block sizes, sorted descending, by `block_counts_of_ranks`
+    of rank(t^s), s = 0..n-1; the constructor checks t^n = 0."""
     ranks = [m.dim]
     power = m.t
-    for _ in range(n - 1):
+    for _ in range(m.algebra.n - 1):
         ranks.append(power.rank())
         power = power @ m.t
-    ranks += [0, 0]
-    out = []
-    for s in range(1, n + 1):
-        count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        out.extend([s] * count)
-    return tuple(sorted(out, reverse=True))
+    counts = block_counts_of_ranks(ranks)
+    return tuple(s for s in range(len(counts), 0, -1) for _ in range(counts[s - 1]))
+
+
+def block_counts_of_ranks(ranks):
+    """Counts of Jordan blocks of sizes 1..n of a nilpotent t with t^n = 0
+    and rank(t^s) = ranks[s] for s = 0..n-1: blocks of size exactly s are
+    rank(t^(s-1)) - 2 rank(t^s) + rank(t^(s+1))."""
+    r = [*ranks, 0, 0]
+    return tuple(r[s - 1] - 2 * r[s] + r[s + 1] for s in range(1, len(ranks) + 1))
 
 
 def socle(m: LambdaModule) -> Matrix:

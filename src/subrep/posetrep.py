@@ -66,8 +66,11 @@ class Poset:
         # errors name the first offender in the order given, never in set order
         relations = [(str(a), str(b)) for a, b in relations]
         for a, b in relations:
-            if a not in points or b not in points:
-                raise ValueError(f"relation mentions unknown point {a!r} or {b!r}")
+            unknown = [x for x in dict.fromkeys((a, b)) if x not in points]
+            if unknown:
+                names = " and ".join(map(repr, unknown))
+                plural = "s" if len(unknown) > 1 else ""
+                raise ValueError(f"relation {a}<{b} mentions unknown point{plural} {names}")
         le = {(x, x) for x in points} | set(relations)
         # transitive closure (Warshall): paths through the points up to c
         for c in points:
@@ -174,12 +177,13 @@ class Representation:
     `_paths` by `composite_map`, `_top` and `_subspace` (read by
     `is_subspace_rep`) by `top_frames`, `_end` by `end_algebra` or, on a
     part it splits off, by `decomp.indecompose`, `_fingerprint` by
-    `decomp.fingerprint`, `_radical` by `end_radical`, and `_matched`, the
-    content keys (`content_key`) of the queries `Catalog.find_isomorphic`
-    certified isomorphic to this object, by that method."""
+    `decomp.fingerprint`, `_block_counts` by `decomp.block_counts`,
+    `_radical` by `end_radical`, and `_matched`, the content keys
+    (`content_key`) of the queries `Catalog.find_isomorphic` certified
+    isomorphic to this object, by that method."""
 
-    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims", "_paths",
-                 "_top", "_subspace", "_end", "_fingerprint", "_radical", "_matched")
+    __slots__ = ("quiver", "algebra", "spaces", "arrow_maps", "_dims", "_paths", "_top",
+                 "_subspace", "_end", "_fingerprint", "_block_counts", "_radical", "_matched")
 
     def __init__(self, quiver: QuiverStar, algebra: LambdaAlgebra, spaces, arrow_maps):
         self.quiver = quiver
@@ -187,7 +191,7 @@ class Representation:
         self.spaces = dict(spaces)
         self.arrow_maps = dict(arrow_maps)
         self._paths = self._top = self._end = self._fingerprint = self._radical = None
-        self._matched = None
+        self._block_counts = self._matched = None
         for v in quiver.vertices:
             if v not in self.spaces:
                 raise ValueError(f"missing space at vertex {v!r}")

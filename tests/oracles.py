@@ -22,7 +22,7 @@ from subrep.birkhoff import SubspaceConfig
 from subrep.decomp import Decomposition, indecompose, indecomposables_isomorphic
 from subrep.examples import example_quiver
 from subrep.ffmat import CoordinateSolver, Matrix, Poly, column_space_basis, kernel_basis, kron
-from subrep.lambdamod import LambdaAlgebra, LambdaModule, block_invariants
+from subrep.lambdamod import LambdaAlgebra, LambdaModule, block_invariants, quotient_module
 from subrep.posetrep import (
     STAR,
     HomSpace,
@@ -128,11 +128,17 @@ def reference_poset(points, relations):
         raise ValueError("the label '*' is reserved for the added top")
     if len(set(points)) != len(points):
         raise ValueError("duplicate point labels")
+    relations = [(str(a), str(b)) for a, b in relations]
+    for a, b in relations:
+        unknown = [x for x in (a, b) if x not in points]
+        if a == b:
+            unknown = unknown[:1]
+        if len(unknown) == 2:
+            raise ValueError(f"relation {a}<{b} mentions unknown points {a!r} and {b!r}")
+        if unknown:
+            raise ValueError(f"relation {a}<{b} mentions unknown point {unknown[0]!r}")
     le = {(x, x) for x in points}
-    le.update((str(a), str(b)) for a, b in relations)
-    for a, b in le:
-        if a not in points or b not in points:
-            raise ValueError(f"relation mentions unknown point {a!r} or {b!r}")
+    le.update(relations)
     le = reference_closure(le)
     for a, b in le:
         if a != b and (b, a) in le:
@@ -220,6 +226,18 @@ def is_equivariant(f: Matrix, src: LambdaModule, dst: LambdaModule) -> bool:
 def is_injective_module(m: LambdaModule) -> bool:
     """Injective = projective = free: all blocks have size n."""
     return all(s == m.algebra.n for s in block_invariants(m))
+
+
+def reference_block_counts(x: Representation):
+    """`decomp.block_counts` from Jordan types: the number of blocks of
+    each size 1..n in `block_invariants` of every vertex module, then of
+    the quotient module x_* / im X_v at every poset point v."""
+    modules = [x.spaces[v] for v in x.quiver.vertices]
+    for v in x.quiver.poset.points:
+        image = column_space_basis(x.composite_map(v, STAR))
+        modules.append(quotient_module(x.spaces[STAR], image)[0])
+    sizes = range(1, x.algebra.n + 1)
+    return tuple(Counter(block_invariants(m))[s] for m in modules for s in sizes)
 
 
 def dim_multiset(decomp: Decomposition):

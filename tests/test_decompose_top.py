@@ -13,8 +13,8 @@ import pytest
 
 from subrep import birkhoff
 from subrep.artheory import Catalog, build_catalog
-from subrep.birkhoff import decompose_full, decompose_top
-from subrep.decomp import indecompose, iso_class_multiset
+from subrep.birkhoff import decompose_full, decompose_top, from_invariant_subspaces
+from subrep.decomp import block_counts, fits_in, indecompose, iso_class_multiset
 from subrep.errors import InternalContractViolation
 from subrep.ffmat import Matrix, PrimeField
 from subrep.lambdamod import LambdaAlgebra, LambdaModule
@@ -27,9 +27,14 @@ from subrep.posetrep import (
     end_algebra,
     subspace_representation,
 )
-from subrep.sampling import random_subspace_representation
+from subrep.examples import example_quiver
+from subrep.sampling import (
+    random_representation,
+    random_subspace_config,
+    random_subspace_representation,
+)
 
-from oracles import chase_class_multiset
+from oracles import chase_class_multiset, reference_block_counts
 from test_birkhoff import _chase_inputs
 
 
@@ -56,14 +61,18 @@ def _one_point_catalog(p, n):
     return build_catalog(QuiverStar(Poset(["1"], [])), LambdaAlgebra(PrimeField(p), n))
 
 
-@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3) for n in (3, 4)])
-def test_decompose_top_on_one_point_catalogs(p, n):
+def _one_point_inputs(p, n):
     # S(n): one subspace of a k[T]/T^n-module
     catalog = _one_point_catalog(p, n)
     rng = np.random.default_rng(10 * p + n)
     caps = {"1": 2 * n, STAR: 3 * n}
-    for _ in range(6):
-        x = random_subspace_representation(catalog.quiver, catalog.algebra, caps, rng)
+    return [random_subspace_representation(catalog.quiver, catalog.algebra, caps, rng) for _ in range(6)]
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3) for n in (3, 4)])
+def test_decompose_top_on_one_point_catalogs(p, n):
+    catalog = _one_point_catalog(p, n)
+    for x in _one_point_inputs(p, n):
         _assert_same_classes(x, catalog)
 
 
@@ -191,9 +200,9 @@ def test_decompose_top_solves_hom_spaces_only_from_objects_that_fit(catalog_p2, 
     # no catalog object fits in the zero representation, so nothing is
     # solved; into one object Z, Hom is solved from the objects that fit
     # in Z and from the parts of their left maps, each once
-    calls = []
+    calls, real = [], birkhoff.hom_basis
 
-    def counting_hom_basis(source, target, real=birkhoff.hom_basis):
+    def counting_hom_basis(source, target):
         calls.append(source)
         return real(source, target)
 
@@ -203,13 +212,97 @@ def test_decompose_top_solves_hom_spaces_only_from_objects_that_fit(catalog_p2, 
     assert d.summands == [] and d.check()
     assert d.certificate == {"method": "top", "classes": [], "picks": []}
     assert calls == []
-    objs, vertices = catalog_p2.objects, catalog_p2.quiver.vertices
+    objs = catalog_p2.objects
+    by_dimension = by_counts = 0
     for z, x in enumerate(objs):
         calls.clear()
         assert decompose_top(x, catalog_p2).certificate["classes"] == [z]
-        fits = [w for w, obj in enumerate(objs) if all(obj.dim(v) <= x.dim(v) for v in vertices)]
+        fits = [w for w, obj in enumerate(objs) if fits_in(obj, x)]
         assert z in fits
         solved = [next(w for w, obj in enumerate(objs) if obj is source) for source in calls]
         assert len(set(solved)) == len(solved)
         parts = set(fits).union(*(catalog_p2.left_maps[w][1] for w in fits))
         assert set(fits) <= set(solved) <= parts
+        # one that does not fit is solved only as a part of the left map of
+        # an object that fits and has maps into x
+        candidates = [w for w in fits if real(objs[w], x).dim]
+        assert all(
+            w in fits or any(w in catalog_p2.left_maps[c][1] for c in candidates)
+            for w in solved
+        )
+        by_dimension += sum(_by_dimension(obj, x) for obj in objs)
+        by_counts += len(fits)
+    # the block counts are sharper than the dimensions
+    assert by_counts < by_dimension
+
+
+def test_block_counts_match_the_jordan_types(catalog_p2, catalog_p3):
+    # every catalog object, S(1)-S(4) at p = 2 and 3, and random
+    # representations, by subspaces or not, up to p = 2^31 - 1
+    reps = catalog_p2.objects + catalog_p3.objects
+    for p in (2, 3):
+        for n in (1, 2, 3, 4):
+            reps += _one_point_catalog(p, n).objects
+    rng = np.random.default_rng(44)
+    caps = {"1": 2, "2": 3, "3": 3, STAR: 5}
+    for p in (2, 3, 2**31 - 1):
+        algebra = LambdaAlgebra(PrimeField(p), 2)
+        for _ in range(10):
+            reps.append(random_subspace_representation(example_quiver(), algebra, caps, rng))
+        reps.append(random_representation(example_quiver(), algebra, caps, rng))
+    assert any(not x.is_subspace_rep() for x in reps)
+    for x in reps:
+        want = reference_block_counts(x)
+        assert block_counts(x) == want
+        assert block_counts(x) is block_counts(x) and x._block_counts is not None
+        assert len(want) == x.algebra.n * (len(x.quiver.vertices) + len(x.quiver.poset.points))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_counts_add_on_direct_sums(p, request):
+    objs = request.getfixturevalue(f"catalog_p{p}").objects
+    for a in objs:
+        for b in objs[::3]:
+            ab = direct_sum([a, b]).rep
+            assert block_counts(ab) == tuple(i + j for i, j in zip(block_counts(a), block_counts(b)))
+            assert fits_in(a, ab) and fits_in(b, ab)
+
+
+def test_block_counts_of_the_zero_representation(catalog_p2):
+    zero = Representation.zero(catalog_p2.quiver, catalog_p2.algebra)
+    assert block_counts(zero) == (0,) * 14
+    assert not any(fits_in(obj, zero) for obj in catalog_p2.objects)
+
+
+def _by_dimension(z, x):
+    """No dimension of z exceeds x's, which `fits_in` implies."""
+    return all(z.dim(v) <= x.dim(v) for v in x.quiver.vertices)
+
+
+def _assert_same_with_the_dimension_filter(x, catalog, monkeypatch):
+    filtered = decompose_top(x, catalog)
+    with monkeypatch.context() as m:
+        m.setattr(birkhoff, "fits_in", _by_dimension)
+        unfiltered = decompose_top(x, catalog)
+    assert filtered.certificate == unfiltered.certificate
+    assert len(filtered.summands) == len(unfiltered.summands)
+    for s, t in zip(filtered.summands, unfiltered.summands):
+        assert s.rep is t.rep
+        assert s.inclusion == t.inclusion and s.projection == t.projection
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_count_filter_gives_the_dimension_filter_decomposition(p, request, monkeypatch):
+    catalog = request.getfixturevalue(f"catalog_p{p}")
+    for x in _chase_inputs(catalog):
+        _assert_same_with_the_dimension_filter(x, catalog, monkeypatch)
+    for n in (3, 4):
+        for x in _one_point_inputs(p, n):
+            _assert_same_with_the_dimension_filter(x, _one_point_catalog(p, n), monkeypatch)
+
+
+def test_block_count_filter_gives_the_same_reports(catalog_p2, monkeypatch):
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        x = from_invariant_subspaces(random_subspace_config(PrimeField(2), 10, rng))
+        _assert_same_with_the_dimension_filter(x, catalog_p2, monkeypatch)

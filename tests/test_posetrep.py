@@ -59,6 +59,24 @@ def test_poset_rejects_bad_orders():
         Poset(("*",), [])
 
 
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        ([("1", "2"), ("1", "9")], "relation 1<9 mentions unknown point '9'"),
+        ([("9", "1")], "relation 9<1 mentions unknown point '9'"),
+        ([("8", "9"), ("1", "7")], "relation 8<9 mentions unknown points '8' and '9'"),
+        ([("9", "9")], "relation 9<9 mentions unknown point '9'"),
+    ],
+)
+def test_poset_names_only_the_unknown_points(relations, message):
+    with pytest.raises(ValueError) as got:
+        Poset(("1", "2", "3"), relations)
+    assert str(got.value) == message
+    with pytest.raises(ValueError) as want:
+        reference_poset(("1", "2", "3"), relations)
+    assert str(want.value) == message
+
+
 def _random_relations(rng):
     """Points and relations on 1-6 points: mostly increasing pairs, some
     decreasing ones (cycles and orders the points do not extend), and now
